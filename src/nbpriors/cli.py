@@ -227,6 +227,8 @@ def _cmd_clusters(args) -> int:
         params["alpha"] = args.alpha
     if args.theta is not None:
         params["theta"] = args.theta
+    elif args.process != "stable":
+        params["theta"] = 3.0
     diag = clustering_growth(
         args.process, params, _parse_int_list(args.n_grid), args.reps,
         _resolve_seed(args, _load_config(args.config)),
@@ -480,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--process", choices=("dirichlet", "pdp_series", "stable"), default="dirichlet")
     p.add_argument("--alpha", type=float)
-    p.add_argument("--theta", type=float)
+    p.add_argument("--theta", type=float, help="default 3, as for weights; stable takes none")
     p.add_argument("--n-grid", default="100,1000")
     p.add_argument("--reps", type=int, default=200)
     p.set_defaults(func=_cmd_clusters)

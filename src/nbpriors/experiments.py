@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.stats as st
 
 from ._rng import DEFAULT_GENERATOR_ID, replication_seed, seed_tuple
 from .errors import CapabilityError, DomainError
@@ -532,6 +531,10 @@ def rank_weight_equivalence_test(
     (handy as a power check with deliberately mismatched parameters).
     P-values use the asymptotic Kolmogorov distribution.
     """
+    # imported here: scipy.stats is most of the package's import time, and
+    # this is its only user
+    import scipy.stats as st
+
     replications = int(replications)
     if replications < 100:
         raise DomainError("need at least 100 replications per side")

@@ -6,11 +6,12 @@ Three kinds are supported:
 * ``gamma``:              L(x) = theta * E1(x),                  theta > 0
 * ``generalized_gamma``:  L(x) = (alpha / Γ(1-alpha)) Γ(-alpha, x)
 
-Each is strictly decreasing with L(0+) = ∞ and L(∞) = 0.  The inverse
-L^{-1} maps Poisson arrival levels to jump sizes; it is exposed both in
-linear and log domain because gamma-kind jumps decay like exp(-y/theta)
-and underflow double precision long before stopping rules are done with
-them.
+Each is strictly decreasing with L(0+) = ∞ and L(∞) = 0.  The gamma and
+generalized-gamma kinds are one family, c Γ(-alpha, x) with alpha = 0 and
+c = theta for gamma, evaluated by one log Γ(a, x) and inverted by one
+Newton solver.  L^{-1} maps Poisson arrival levels to jump sizes point by
+point, in linear and log domain: gamma-kind jumps decay like
+exp(-y/theta) and underflow long before stopping rules are done with them.
 """
 
 from __future__ import annotations
@@ -27,16 +28,14 @@ from .special_functions import (
     DEFAULT_PRECISION,
     EULER_GAMMA,
     Precision,
-    log_exp_integral_e1,
+    log_upper_gamma,
 )
 
 KINDS = ("stable", "gamma", "generalized_gamma")
 
-# switch point between the cancellation-prone direct formula and the
-# asymptotic expansion of Gamma(-alpha, x)
-_GG_ASYMPTOTIC_MIN = 25.0
-
-_LOG_FLOOR = -744.0  # below this exp() is an exact zero
+# a small-x seed below this ln x is final: the term it drops is O(x)
+# relative, far below any rel_tol, and a subnormal x cannot resolve it
+_SEED_FINAL_MAX = -40.0
 
 
 @dataclass(frozen=True)
@@ -115,14 +114,20 @@ def _as_positive_array(name: str, values) -> np.ndarray:
 # tail evaluation
 
 
+def _family(tail: LevyTail) -> tuple[float, float]:
+    """(ln c, alpha) such that L(x) = c Γ(-alpha, x), for the non-stable kinds."""
+    if tail.kind == "gamma":
+        return math.log(tail.theta), 0.0
+    return math.log(tail.alpha) - float(sp.gammaln(1.0 - tail.alpha)), tail.alpha
+
+
 def log_tail_value(tail: LevyTail, x) -> np.ndarray:
     """ln L(x) elementwise; stable on the full positive axis."""
     x = _as_positive_array("x", x)
     if tail.kind == "stable":
         return -tail.alpha * np.log(x)
-    if tail.kind == "gamma":
-        return math.log(tail.theta) + log_exp_integral_e1(x)
-    return _gg_log_value(x, tail.alpha)
+    log_c, alpha = _family(tail)
+    return log_c + log_upper_gamma(-alpha, x, tail.prec)
 
 
 def tail_value(tail: LevyTail, x: float) -> float:
@@ -131,38 +136,6 @@ def tail_value(tail: LevyTail, x: float) -> float:
     if value == 0.0:
         raise NumericError(f"tail value underflows double precision at x={x}", best_estimate=0.0)
     return value
-
-
-def _gg_log_value(x: np.ndarray, alpha: float) -> np.ndarray:
-    out = np.empty_like(x)
-    small = x <= _GG_ASYMPTOTIC_MIN
-    if small.any():
-        xs = x[small]
-        # L(x) = x^{-a} e^{-x} / Gamma(1-a) - Q(1-a, x); the subtraction loses
-        # about x/alpha * eps, negligible on this side of the switch point
-        val = np.exp(-alpha * np.log(xs) - xs - sp.gammaln(1.0 - alpha)) - sp.gammaincc(1.0 - alpha, xs)
-        out[small] = np.log(val)
-    rest = ~small
-    if rest.any():
-        xl = x[rest]
-        s = np.ones_like(xl)
-        term = np.ones_like(xl)
-        frozen = np.zeros(xl.shape, dtype=bool)  # stop at the smallest term: the series is asymptotic
-        for k in range(1, 60):
-            nxt = term * (-alpha - k) / xl
-            frozen |= np.abs(nxt) >= np.abs(term)
-            s = np.where(frozen, s, s + nxt)
-            term = nxt
-            if np.all(frozen | (np.abs(term) < 1e-17 * np.abs(s))):
-                break
-        out[rest] = (
-            math.log(alpha)
-            - sp.gammaln(1.0 - alpha)
-            - (alpha + 1.0) * np.log(xl)
-            - xl
-            + np.log(s)
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +147,13 @@ def log_tail_inverse(tail: LevyTail, y) -> np.ndarray:
     y = _as_positive_array("y", y)
     if tail.kind == "stable":
         return -np.log(y) / tail.alpha
-    if tail.kind == "gamma":
-        return _gamma_log_inverse(y, tail.theta, tail.prec)
-    return _gg_log_inverse(y, tail.alpha, tail.prec)
+    log_c, alpha = _family(tail)
+    return _family_log_inverse(y, log_c, alpha, tail.prec)
 
 
 def tail_inverse(tail: LevyTail, y: float) -> float:
-    """L^{-1}(y) for scalar y > 0, resolved to |L(x) - y| <= rel_tol * y."""
+    """L^{-1}(y) for scalar y > 0, resolved to |L(x) - y| <= rel_tol * y or,
+    where L's own rounding error is larger (alpha near 0), to x within rel_tol."""
     t = log_tail_inverse(tail, float(y))[0]
     x = float(np.exp(t))
     if x == 0.0:
@@ -196,119 +169,48 @@ def tail_support_bound(tail: LevyTail) -> float:
     return tail_inverse(tail, 1.0)
 
 
-def _gamma_log_inverse(y: np.ndarray, theta: float, prec: Precision) -> np.ndarray:
-    """Solve theta * E1(x) = y in t = ln x."""
-    z = y / theta
-    t = np.empty_like(z)
+def _family_log_inverse(y: np.ndarray, log_c: float, alpha: float, prec: Precision) -> np.ndarray:
+    """Solve c Γ(-alpha, x) = y by Newton on h(t) = ln L(e^t) - ln y, t = ln x.
 
-    # z >= 1 puts x below ~0.22 where E1(x) = -g - ln x + sum (-1)^{k+1} x^k/(k k!)
-    small = z >= 1.0
-    if small.any():
-        zs = z[small]
-        ts = -zs - EULER_GAMMA
-        for _ in range(prec.max_iter):
-            x = np.exp(ts)
-            corr = np.zeros_like(x)
-            term = np.ones_like(x)
-            for k in range(1, 30):
-                term = term * x / k
-                corr = corr + (term / k if k % 2 == 1 else -term / k)
-                if np.all(term / k < 1e-18):
-                    break
-            ts_new = -zs - EULER_GAMMA + corr
-            if np.all(np.abs(ts_new - ts) <= 1e-15 * np.abs(ts) + 1e-15):
-                ts = ts_new
-                break
-            ts = ts_new
-        t[small] = ts
-
-    rest = ~small
-    if rest.any():
-        zl = z[rest]
-        w = np.log(1.0 / zl)
-        x = np.maximum(0.15, w + np.log(np.maximum(w, 1.0)))
-        lz = np.log(zl)
-        converged = False
-        for _ in range(prec.max_iter):
-            le1 = log_exp_integral_e1(x)
-            h = le1 - lz
-            if np.all(np.abs(h) <= prec.rel_tol):
-                converged = True
-                break
-            # d ln E1 / dx = -1 / (x e^x E1(x)); the factor in (0,1) keeps steps tame
-            r = np.exp(np.log(x) + x + le1)
-            x = np.clip(x + h * r, 0.5 * x, 2.0 * x + 5.0)
-        if not converged:
-            raise NumericError("gamma-tail inversion did not converge", best_estimate=np.log(x))
-        t[rest] = np.log(x)
-    return t
-
-
-def _gg_log_inverse(y: np.ndarray, alpha: float, prec: Precision) -> np.ndarray:
-    """Solve L(x) = y for the generalized-gamma tail, Newton in t = ln x.
-
-    Works on the log residual h(t) = ln L(e^t) - ln y, with a bisection
-    bracket as safeguard; the initial bracket expands geometrically from
-    the asymptote-based seed.
+    Every point keeps its own bracket and stops on its own, once |h| <= rel_tol
+    or its bracket is narrower than rel_tol.  A step that leaves the bracket
+    or is not finite becomes a bisection, or a step of ln 4 towards the root
+    while that side of the bracket is still open.
     """
-    lg = sp.gammaln(1.0 - alpha)
-    # seeds: small-x asymptote L ~ x^{-a}/Gamma(1-a) - 1 for y >= 1/2, the
-    # exponential large-x regime otherwise
-    t = np.where(
-        y >= 0.5,
-        -(np.log1p(y) + lg) / alpha,
-        np.log(np.maximum(0.5, np.log((alpha / np.exp(lg)) / np.minimum(y, 0.499)))),
-    )
-    deep = t < _LOG_FLOOR + 4.0
-    if deep.any():
-        # x and Q(1-a, x) corrections are below machine epsilon here
-        result = t.copy()
-        live = ~deep
-        if live.any():
-            result[live] = _gg_log_inverse(y[live], alpha, prec)
-        return result
-
-    # bracket the root around the seed, widening by factors of 4
-    step = math.log(4.0)
     ly = np.log(y)
-    lo = np.maximum(t - step, _LOG_FLOOR)
-    hi = t + step
-    for _ in range(prec.max_iter):
-        bad = _gg_log_value(np.exp(lo), alpha) <= ly
-        if not bad.any():
-            break
-        lo = np.maximum(np.where(bad, lo - step, lo), _LOG_FLOOR)
-    for _ in range(prec.max_iter):
-        bad = _gg_log_value(np.exp(hi), alpha) >= ly
-        if not bad.any():
-            break
-        hi = np.where(bad, hi + step, hi)
-
-    log_c = math.log(alpha) - lg
-    active = np.ones(t.shape, dtype=bool)
+    # small x: L ~ theta (-ln x - gamma) for alpha = 0, else x^{-alpha}/Γ(1-alpha) - 1
+    if alpha == 0.0:
+        t = -y / math.exp(log_c) - EULER_GAMMA
+    else:
+        t = -(np.log1p(y) + sp.gammaln(1.0 - alpha)) / alpha
+    # large x: L ~ c x^{-1-alpha} e^{-x}, so x ~ w - (1+alpha) ln w with w = ln(c/y) > 1
+    w = np.maximum(log_c - ly, 1.0)
+    large = w > 1.0
+    active = large | (t >= _SEED_FINAL_MAX)
+    t = np.where(large, np.log(w - (1.0 + alpha) * np.log(w)), t)
+    lo = np.full_like(t, -np.inf)
+    hi = np.full_like(t, np.inf)
     for _ in range(prec.max_iter):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
         ti = t[idx]
-        lt = _gg_log_value(np.exp(ti), alpha)
+        lt = log_c + log_upper_gamma(-alpha, np.exp(ti), prec)
         h = lt - ly[idx]
-        lo[idx] = np.where(h > 0, ti, lo[idx])
-        hi[idx] = np.where(h < 0, ti, hi[idx])
-        done = np.abs(h) <= prec.rel_tol
+        above = h > 0  # the root lies to the right; NaN (x overflowed) counts as overshoot
+        lo[idx] = np.where(above, ti, lo[idx])
+        hi[idx] = np.where(above, hi[idx], ti)
+        l, u = lo[idx], hi[idx]
+        # d ln L / dt = -c x^{-alpha} e^{-x} / L(x)
+        newton = ti + h / np.exp(log_c - alpha * ti - np.exp(ti) - lt)
+        open_step = np.where(above, math.log(4.0), -math.log(4.0))
+        fallback = np.where(np.isfinite(l) & np.isfinite(u), 0.5 * (l + u), ti + open_step)
+        done = (np.abs(h) <= prec.rel_tol) | (u - l <= prec.rel_tol)
+        inside = np.isfinite(newton) & (newton > l) & (newton < u)
+        t[idx] = np.where(done, ti, np.where(inside, newton, fallback))
         active[idx[done]] = False
-        live = ~done
-        if not live.any():
-            break
-        j = idx[live]
-        # d ln L / dt = -c x^{-a} e^{-x} / L(x)
-        dh = -np.exp(log_c - alpha * t[j] - np.exp(t[j]) - lt[live])
-        t_new = t[j] - h[live] / dh
-        outside = (t_new <= lo[j]) | (t_new >= hi[j]) | ~np.isfinite(t_new)
-        t[j] = np.where(outside, 0.5 * (lo[j] + hi[j]), t_new)
     if active.any():
         raise NumericError(
-            f"generalized-gamma inversion left {int(active.sum())} of {y.size} points unconverged",
-            best_estimate=t,
+            f"tail inversion left {int(active.sum())} of {y.size} points unconverged", best_estimate=t
         )
     return t

@@ -1,14 +1,14 @@
-"""Scalar special functions backing the Lévy tails and the finite
+"""Special functions backing the Lévy tails and the finite
 extended-Dirichlet-process approximation.
 
-Provides log-gamma, the upper incomplete gamma function (including
-negative parameter in (-1, 0)), the exponential integral E1, the gamma
-survival function Q(a, x), and the inverse of the survival function.
+Provides log-gamma, the upper incomplete gamma function Γ(a, x) for
+a > -1 (E1 being Γ(0, x)), the gamma survival function Q(a, x), and the
+inverse of the survival function.
 
-The survival inverse is returned in log domain: downstream weights use
-shapes of order 1/n whose quantiles underflow double precision long
-before they stop mattering, and only quantile ratios survive
-normalization anyway.
+Γ(a, x) and the survival inverse are returned in log domain: tail values
+decay like e^{-x}, downstream weights use shapes of order 1/n whose
+quantiles underflow double precision long before they stop mattering,
+and only quantile ratios survive normalization anyway.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from .errors import DomainError, NumericError
 
 EULER_GAMMA = 0.5772156649015328606
 
-# linear-domain evaluation limits for exp(-x)-type factors
-_EXP1_DIRECT_MAX = 600.0
 _LOG_TINY = math.log(1e-300)
 
 
@@ -85,120 +83,80 @@ def log_gamma(a: float) -> float:
 
 
 def exp_integral_e1(x: float) -> float:
-    """Exponential integral E1(x) = ∫_x^∞ t^{-1} e^{-t} dt, x > 0.
+    """Exponential integral E1(x) = Γ(0, x) = ∫_x^∞ t^{-1} e^{-t} dt, x > 0.
 
-    Strictly decreasing; uses the library evaluation up to x = 600 and
-    the asymptotic expansion e^{-x}/x · Σ (-1)^k k!/x^k beyond it.
+    Strictly decreasing; evaluated by ``log_upper_gamma``.
     """
     x = _check_positive("x", x)
-    value = float(np.exp(log_exp_integral_e1(np.asarray([x]))[0]))
+    value = float(np.exp(log_upper_gamma(0.0, np.asarray([x]))[0]))
     if value == 0.0:
         raise NumericError(f"E1({x}) underflows double precision", best_estimate=0.0)
     return value
 
 
-def log_exp_integral_e1(x: np.ndarray) -> np.ndarray:
-    """ln E1(x) elementwise, stable for arbitrarily large x."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    direct = x <= _EXP1_DIRECT_MAX
-    if direct.any():
-        out[direct] = np.log(sp.exp1(x[direct]))
-    rest = ~direct
-    if rest.any():
-        xl = x[rest]
-        s = np.ones_like(xl)
-        term = np.ones_like(xl)
-        for k in range(1, 40):
-            term = term * (-k) / xl
-            s = s + term
-            if np.all(np.abs(term) < 1e-17):
-                break
-        out[rest] = -xl - np.log(xl) + np.log(s)
-    return out
-
-
 def upper_incomplete_gamma(a: float, x: float, prec: Precision = DEFAULT_PRECISION) -> float:
     """Upper incomplete gamma function Γ(a, x) = ∫_x^∞ t^{a-1} e^{-t} dt.
 
-    Parameters
-    ----------
-    a : float
-        Parameter, in (-1, 0) or (0, ∞).
-    x : float
-        Lower integration limit, positive.
-    prec : Precision
-        Convergence control for the continued-fraction branch.
-
-    Returns
-    -------
-    float
-        Γ(a, x) > 0.
-
-    Notes
-    -----
-    For a > 0 the value is Q(a, x) Γ(a) assembled in log domain.  For
-    a in (-1, 0) a Lentz continued fraction is used for x >= 1.5; below
-    that the recurrence Γ(a, x) = (Γ(a+1, x) - x^a e^{-x}) / a applies.
-    The recurrence subtracts nearly equal terms as a → 0⁻, so accuracy
-    degrades like x/|a| · eps in that corner.
+    For a in (-1, 0) or (0, ∞) and x > 0, evaluated by ``log_upper_gamma``
+    with ``prec`` controlling its continued fraction.  Returns Γ(a, x) > 0,
+    or 0.0 where it underflows double precision.
     """
     x = _check_positive("x", x)
     a = float(a)
     if not math.isfinite(a) or a == 0.0 or a <= -1.0:
         raise DomainError(f"parameter a must lie in (-1,0) or (0,inf), got {a}")
+    return math.exp(log_upper_gamma(a, np.asarray([x]), prec)[0])
+
+
+def log_upper_gamma(a: float, x, prec: Precision = DEFAULT_PRECISION) -> np.ndarray:
+    """ln Γ(a, x) elementwise, for scalar a > -1 and an array of x > 0.
+
+    Up to x = max(25, a + 1) scipy supplies ln Γ(a) + ln Q(a, x) for a > 0,
+    ln E1(x) for a = 0, and for a in (-1, 0) the recurrence
+    Γ(a, x) = (x^a e^{-x} - Γ(a+1, x)) / (-a), whose cancellation costs
+    about x/|a| · eps as a → 0⁻.  Beyond it the Legendre continued fraction
+    (modified Lentz) needs no scipy kernel and cannot underflow; each
+    element stops once its own Lentz factor is within ``prec.rel_tol`` of 1.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    near = x <= max(25.0, a + 1.0)
+    xn = x[near]
     if a > 0:
-        q = float(sp.gammaincc(a, x))
-        if q > 0:
-            return math.exp(sp.gammaln(a) + math.log(q))
-        # deep tail: Q underflowed, fall back to the asymptotic series
-        return _upper_gamma_asymptotic(a, x)
-    if x >= 1.5:
-        return _upper_gamma_continued_fraction(a, x, prec)
-    complete = math.exp(sp.gammaln(a + 1.0) + math.log(sp.gammaincc(a + 1.0, x)))
-    return (complete - math.exp(a * math.log(x) - x)) / a
+        out[near] = sp.gammaln(a) + np.log(sp.gammaincc(a, xn))
+    elif a == 0:
+        out[near] = np.log(sp.exp1(xn))
+    else:
+        lead = a * np.log(xn) - xn
+        upper = sp.gammaln(a + 1.0) + np.log(sp.gammaincc(a + 1.0, xn))
+        out[near] = lead + np.log1p(-np.exp(upper - lead)) - math.log(-a)
 
-
-def _upper_gamma_continued_fraction(a: float, x: float, prec: Precision) -> float:
-    """Legendre continued fraction for Γ(a, x) via modified Lentz; x ≳ 1."""
+    xf = x[~near]
     tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
+    b = xf + 1.0 - a
+    c = np.full_like(xf, 1.0 / tiny)
     d = 1.0 / b
     h = d
+    active = np.ones(xf.shape, dtype=bool)
     for i in range(1, prec.max_iter + 1):
+        if not active.any():
+            break
         an = -i * (i - a)
-        b += 2.0
+        b = b + 2.0
         d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
+        d = np.where(np.abs(d) < tiny, tiny, d)
         c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
+        c = np.where(np.abs(c) < tiny, tiny, c)
         d = 1.0 / d
         delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < prec.rel_tol:
-            return math.exp(-x + a * math.log(x)) * h
-    raise NumericError(
-        f"continued fraction for Gamma({a},{x}) did not converge in {prec.max_iter} iterations",
-        best_estimate=math.exp(-x + a * math.log(x)) * h,
-    )
-
-
-def _upper_gamma_asymptotic(a: float, x: float) -> float:
-    """Γ(a, x) ~ x^{a-1} e^{-x} [1 + (a-1)/x + ...] for large x."""
-    s = 1.0
-    term = 1.0
-    for k in range(1, 40):
-        nxt = term * (a - k) / x
-        if abs(nxt) >= abs(term):
-            break  # asymptotic series: truncate at the smallest term
-        term = nxt
-        s += term
-        if abs(term) < 1e-17 * abs(s):
-            break
-    return math.exp((a - 1.0) * math.log(x) - x) * s
+        h = np.where(active, h * delta, h)
+        active &= np.abs(delta - 1.0) >= prec.rel_tol
+    out[~near] = a * np.log(xf) - xf + np.log(h)
+    if active.any():
+        raise NumericError(
+            f"continued fraction for Gamma({a}, x) did not converge in {prec.max_iter} iterations", best_estimate=out
+        )
+    return out
 
 
 def gamma_survival(shape: float, x: float) -> float:

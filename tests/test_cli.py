@@ -26,8 +26,8 @@ TINY_GRID = {
 }
 
 
-def run_cli(*args, env_overrides=None, cwd=None):
-    """Run the CLI in a child process that inherits this process's environment.
+def run_python(*args, env_overrides=None, cwd=None):
+    """Run the interpreter in a child process that inherits this process's environment.
 
     ``env_overrides`` apply on top of ``os.environ``; a replaced environment
     would lose the interpreter's setup.  The package root goes first on the
@@ -36,8 +36,13 @@ def run_cli(*args, env_overrides=None, cwd=None):
     """
     env = {**os.environ, **(env_overrides or {})}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (PACKAGE_ROOT, env.get("PYTHONPATH"))))
-    cmd = [sys.executable, "-m", "nbpriors.cli", *args]
+    cmd = [sys.executable, *args]
     return subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=cwd, timeout=600)
+
+
+def run_cli(*args, env_overrides=None, cwd=None):
+    """Run the CLI in a child process; see ``run_python`` for its environment."""
+    return run_python("-m", "nbpriors.cli", *args, env_overrides=env_overrides, cwd=cwd)
 
 
 class TestSample:
@@ -182,6 +187,22 @@ class TestWeightsAndClusters:
         assert diag.n_grid == [50, 100]
         assert diag.kn_means[0] <= diag.kn_means[1]
 
+    def test_clusters_without_flags_uses_theta_3(self):
+        from nbpriors import GrowthDiagnostic
+
+        res = run_cli("clusters")
+        assert res.returncode == 0, res.stderr
+        diag = GrowthDiagnostic.from_dict(json.loads(res.stdout))
+        assert diag.process == "dirichlet"
+        assert diag.params == {"theta": 3.0}
+
+    def test_stable_clusters_take_no_default_theta(self):
+        from nbpriors import GrowthDiagnostic
+
+        res = run_cli("clusters", "--process", "stable", "--alpha", "0.5", "--n-grid", "20,40", "--reps", "5")
+        assert res.returncode == 0, res.stderr
+        assert GrowthDiagnostic.from_dict(json.loads(res.stdout)).params == {"alpha": 0.5}
+
     def test_bad_grid_flag(self):
         res = run_cli("clusters", "--n-grid", "50,zebra", "--theta", "3", "--seed", "1")
         assert res.returncode == 1
@@ -202,6 +223,14 @@ class TestOutputFiles:
         assert written.exists()
         measure = DiscreteMeasure.from_json(written.read_text())
         assert len(measure) == 30
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_stats_out(self):
+        # scipy.stats dominates import time and only the equivalence test needs it
+        res = run_python("-c", "import sys, nbpriors.cli; print('scipy.stats' in sys.modules)")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
 
 
 class TestSelftest:

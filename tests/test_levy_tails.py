@@ -6,6 +6,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nbpriors import (
     DomainError,
@@ -32,6 +35,12 @@ ALL_TAILS = [
     LevyTail.generalized_gamma(0.5),
     LevyTail.generalized_gamma(0.9),
 ]
+
+TAIL_STRATEGIES = {
+    "stable": st.floats(0.01, 0.99).map(LevyTail.stable),
+    "gamma": st.floats(-6.0, 5.0).map(lambda e: LevyTail.gamma(10.0**e)),
+    "generalized_gamma": st.floats(0.01, 0.99).map(LevyTail.generalized_gamma),
+}
 
 
 class TestConstruction:
@@ -120,15 +129,45 @@ class TestInversion:
             assert rel_err(tail_inverse(tail, y), numeric) < 1e-10
 
     def test_deep_gamma_inverse_stays_log_accurate(self):
-        # the linear inverse underflows here; the log inverse must not
+        # the linear inverse is subnormal at y = 2200 and underflows at 3000;
+        # the log inverse must stay accurate at both
         tail = LevyTail.gamma(3.0)
-        t = log_tail_inverse(tail, np.array([3000.0]))[0]
-        assert t < math.log(1e-300)
-        with pytest.raises(NumericError):
-            tail_inverse(tail, 3000.0)
-        with mp.workdps(40):
-            back = 3.0 * mp.e1(mp.e ** mp.mpf(float(t)))
-        assert abs(float(back) - 3000.0) / 3000.0 < 1e-11
+        for y, underflows in ((2200.0, False), (3000.0, True)):
+            t = log_tail_inverse(tail, np.array([y]))[0]
+            assert t < math.log(1e-300)
+            if underflows:
+                with pytest.raises(NumericError):
+                    tail_inverse(tail, y)
+            else:
+                assert 0.0 < tail_inverse(tail, y) < np.finfo(float).tiny
+            with mp.workdps(40):
+                back = 3.0 * mp.e1(mp.e ** mp.mpf(float(t)))
+            assert abs(float(back) - y) / y < 1e-11
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.01])
+    def test_generalized_gamma_near_zero_alpha_converges(self, alpha):
+        # the value's rounding error exceeds rel_tol at moderate x here, so the
+        # solver must stop on its bracket instead of raising
+        tail = LevyTail.generalized_gamma(alpha)
+        ys = np.geomspace(1e-12, 1e3, 200)
+        ts = log_tail_inverse(tail, ys)
+        assert np.all(np.diff(ts) < 0)
+        normal = ts > math.log(1e-300)
+        back = log_tail_value(tail, np.exp(ts[normal]))
+        assert np.max(np.abs(back - np.log(ys[normal]))) <= 1e-9
+
+    @pytest.mark.parametrize("kind", sorted(TAIL_STRATEGIES))
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def test_inverse_is_pointwise(self, kind, data):
+        # a point's inverse must not depend on the other points in its array;
+        # levels are drawn relative to the tail's scale, L(x) ~ theta at x ~ 1
+        tail = data.draw(TAIL_STRATEGIES[kind])
+        z = data.draw(arrays(np.float64, st.integers(1, 30), elements=st.floats(-8.0, 4.0).map(lambda e: 10.0**e)))
+        y = z * (tail.theta or 1.0)
+        batch = log_tail_inverse(tail, y)
+        alone = np.array([log_tail_inverse(tail, y[i:i + 1])[0] for i in range(y.size)])
+        assert batch.tobytes() == alone.tobytes()
 
 
 class TestSupportBound:
