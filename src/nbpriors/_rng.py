@@ -1,12 +1,12 @@
-"""Seed derivation for reproducible, parallel-safe sampling.
+"""Seed derivation for reproducible sampling.
 
-Every sampler builds its generator from
+Every sampler builds a Philox generator from
 ``SeedSequence(entropy=(*seed, stream_tag))``, where ``seed`` is either a
 single integer or a tuple such as ``(master_seed, replication_index)``.
 The stream tags below separate the independent randomness sources of one
 realization (arrival times, gamma mixing variable, atom locations,
 posterior-style draws), so exchanging the base measure never perturbs the
-weights and replications can run in any order or in parallel.
+weights and a replication's draws do not depend on the others.
 """
 
 from __future__ import annotations
@@ -20,13 +20,6 @@ STREAM_ARRIVALS = 101
 STREAM_MIXING = 102
 STREAM_ATOMS = 103
 STREAM_DRAWS = 104
-
-_BIT_GENERATORS = {
-    "philox": np.random.Philox,
-    "pcg64": np.random.PCG64,
-}
-
-DEFAULT_GENERATOR_ID = "philox"
 
 _UINT64_MASK = (1 << 64) - 1
 
@@ -45,16 +38,10 @@ def seed_tuple(seed) -> tuple[int, ...]:
         raise DomainError(f"seed must be an integer or tuple of integers: {seed!r}") from exc
 
 
-def spawn_generator(seed, stream_tag: int, generator_id: str = DEFAULT_GENERATOR_ID) -> np.random.Generator:
-    """Deterministic generator for one randomness stream of one realization."""
-    try:
-        bit_generator = _BIT_GENERATORS[generator_id]
-    except KeyError:
-        raise DomainError(
-            f"unknown generator_id {generator_id!r}; expected one of {sorted(_BIT_GENERATORS)}"
-        ) from None
+def spawn_generator(seed, stream_tag: int) -> np.random.Generator:
+    """Deterministic Philox generator for one randomness stream of one realization."""
     entropy = seed_tuple(seed) + (int(stream_tag),)
-    return np.random.Generator(bit_generator(np.random.SeedSequence(entropy)))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
 def replication_seed(master_seed, replication_index: int) -> tuple[int, ...]:

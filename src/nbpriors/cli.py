@@ -11,8 +11,8 @@ selftest  fast invariant suite, one PASS/FAIL line per property
 
 Exit codes: 0 success, 1 domain or config error, 2 numeric failure,
 3 selftest failure.  Identical invocations (including --seed) produce
-byte-identical output for any --jobs value; timing is therefore never
-part of the payload.
+byte-identical output; timing is therefore never part of the payload.
+Replications run serially: ks-table still accepts --jobs but ignores it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import DomainError, NbpError, NumericError
 from .experiments import (
-    ExperimentSpec,
     build_measure,
     clustering_growth,
     kolmogorov_distance,
@@ -156,19 +155,17 @@ def default_grid_config() -> dict:
 def _cmd_ks_table(args) -> int:
     config = _load_config(args.config) if args.config else default_grid_config()
     rows, n, replications = load_ks_grid(config)
+    if args.jobs < 1:
+        raise DomainError(f"--jobs must be at least 1, got {args.jobs}")
     if args.n is not None:
         n = args.n
     if args.reps is not None:
         replications = args.reps
     seed = _resolve_seed(args, config)
-    results = run_ks_table(rows, n, replications, seed, parallelism=args.jobs)
+    results = run_ks_table(rows, n, replications, seed)
 
     table = []
     for row, res in zip(rows, results):
-        # the echo omits the worker-count hint: execution details must not
-        # break byte-identical output across --jobs values
-        echo = res.spec_echo.to_dict()
-        echo.pop("parallelism", None)
         table.append(
             {
                 "alpha": float(row["alpha"]),
@@ -178,7 +175,7 @@ def _cmd_ks_table(args) -> int:
                 "std_error": res.std_error,
                 "replications": res.replications,
                 "failures": list(res.failures),
-                "spec": echo,
+                "spec": res.spec_echo.to_dict(),
             }
         )
     if args.output == "json":
@@ -349,22 +346,6 @@ def _selftest_checks():
         assert LevyTail.from_json(tail.to_json()) == tail
         return True
 
-    def parallel_invariance():
-        from .experiments import run_ks_experiment
-
-        kwargs = dict(
-            process="dirichlet",
-            params={"theta": 3.0},
-            replications=12,
-            truncation=TruncationPolicy.fixed(100),
-            master_seed=7,
-        )
-        serial = run_ks_experiment(ExperimentSpec(parallelism=1, **kwargs))
-        threaded = run_ks_experiment(ExperimentSpec(parallelism=4, **kwargs))
-        assert serial.mean_distance == threaded.mean_distance
-        assert serial.std_error == threaded.std_error
-        return True
-
     def dp_mean_property():
         vals = []
         for rep in range(300):
@@ -407,7 +388,6 @@ def _selftest_checks():
         ("finite approximation couples to the series", finite_approximation_coupling),
         ("Kolmogorov distance reference values", kolmogorov_reference_values),
         ("serialization roundtrips", serialization_roundtrip),
-        ("worker-count invariance", parallel_invariance),
         ("Dirichlet mean property", dp_mean_property),
         ("support bound consistency", support_bound_consistency),
         ("stick-breaking first-weight mean", stick_breaking_mean),
@@ -466,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--reps", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="ignored (replications run serially); must be at least 1")
     p.set_defaults(func=_cmd_ks_table)
 
     p = sub.add_parser("weights", help="profile of the largest weights per order r")

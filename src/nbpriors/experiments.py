@@ -2,9 +2,9 @@
 benchmark-grid reproduction, weight profiles, and distinct-count growth
 diagnostics.
 
-Replications derive their seeds as (master_seed, replication_index), run
-independently (optionally on a thread pool), and are reduced in index
-order, so results are identical for any worker count.
+Replications derive their seeds as (master_seed, replication_index) and
+run one after another in index order; a replication's draws depend only
+on its own seed.
 """
 
 from __future__ import annotations
@@ -12,12 +12,11 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import DEFAULT_GENERATOR_ID, replication_seed, seed_tuple
+from ._rng import replication_seed, seed_tuple
 from .errors import CapabilityError, DomainError
 from .levy_tails import LevyTail
 from .point_processes import TruncationPolicy
@@ -76,15 +75,12 @@ class ExperimentSpec:
     replications: int
     truncation: TruncationPolicy | None
     master_seed: int | tuple
-    parallelism: int = 1
 
     def __post_init__(self):
         if self.process not in PROCESSES:
             raise DomainError(f"unknown process {self.process!r}; expected one of {PROCESSES}")
         if int(self.replications) < 1:
             raise DomainError("replications must be at least 1")
-        if int(self.parallelism) < 1:
-            raise DomainError("parallelism must be at least 1")
 
     def to_dict(self) -> dict:
         return {
@@ -94,11 +90,11 @@ class ExperimentSpec:
             "replications": int(self.replications),
             "truncation": self.truncation.to_dict() if self.truncation is not None else None,
             "master_seed": list(seed_tuple(self.master_seed)),
-            "parallelism": int(self.parallelism),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
+        """Read a spec dict; keys it does not read are ignored, so older spec files still load."""
         trunc = data.get("truncation")
         return cls(
             process=data["process"],
@@ -106,7 +102,6 @@ class ExperimentSpec:
             replications=int(data["replications"]),
             truncation=TruncationPolicy.from_dict(trunc) if trunc else None,
             master_seed=tuple(data.get("master_seed", [0])),
-            parallelism=int(data.get("parallelism", 1)),
         )
 
 
@@ -156,7 +151,6 @@ def build_measure(
     truncation: TruncationPolicy | None,
     seed,
     base: BaseMeasure | None = None,
-    generator_id: str = DEFAULT_GENERATOR_ID,
 ) -> DiscreteMeasure:
     """Construct one measure realization for a declarative process spec.
 
@@ -169,22 +163,22 @@ def build_measure(
         base = uniform_base()
     try:
         if process == "dirichlet":
-            return sample_dp(params["theta"], base, _need_trunc(truncation), seed, generator_id)
+            return sample_dp(params["theta"], base, _need_trunc(truncation), seed)
         if process == "stable":
-            return sample_stable_normalized(params["alpha"], base, _need_trunc(truncation), seed, generator_id)
+            return sample_stable_normalized(params["alpha"], base, _need_trunc(truncation), seed)
         if process == "pkp":
             tail = LevyTail.from_dict(params["tail"]) if isinstance(params.get("tail"), dict) else params["tail"]
             return sample_pkp(
-                params["r"], tail, base, _need_trunc(truncation), seed, generator_id,
+                params["r"], tail, base, _need_trunc(truncation), seed,
                 randomized=params.get("randomized"),
             )
         if process == "pdp_series":
             alpha = params["alpha"]
             if params.get("r") is not None:
                 tail = LevyTail.generalized_gamma(alpha)
-                return sample_pkp(params["r"], tail, base, _need_trunc(truncation), seed, generator_id)
+                return sample_pkp(params["r"], tail, base, _need_trunc(truncation), seed)
             return sample_pdp_series(
-                PdpParams(alpha=alpha, theta=params["theta"]), base, _need_trunc(truncation), seed, generator_id
+                PdpParams(alpha=alpha, theta=params["theta"]), base, _need_trunc(truncation), seed
             )
         if process == "extended_dp":
             n = params.get("n")
@@ -194,7 +188,7 @@ def build_measure(
                     raise DomainError("extended_dp needs a level n (params or fixed_count truncation)")
             return sample_extended_dp_finite(
                 ExtendedDpParams(concentration=params["concentration"], r=int(params.get("r", 0)), n=int(n)),
-                base, seed, generator_id,
+                base, seed,
             )
         if process == "pdp_stick":
             sticks = params.get("sticks")
@@ -204,7 +198,7 @@ def build_measure(
                     raise DomainError("pdp_stick needs a stick count (params or fixed_count truncation)")
             return sample_pdp_stick_breaking(
                 params["alpha"], params["theta"], base, int(sticks),
-                bool(params.get("ranked", False)), seed, generator_id,
+                bool(params.get("ranked", False)), seed,
             )
     except KeyError as exc:
         raise DomainError(f"process {process!r} is missing parameter {exc}") from exc
@@ -220,14 +214,12 @@ def _need_trunc(truncation: TruncationPolicy | None) -> TruncationPolicy:
 def run_ks_experiment(
     spec: ExperimentSpec,
     base: BaseMeasure | None = None,
-    generator_id: str = DEFAULT_GENERATOR_ID,
 ) -> ExperimentResult:
     """Average Kolmogorov distance over independent replications.
 
     Replication i uses seed (master_seed, i); the reduction is a mean over
-    the index-ordered distance array, so the result does not depend on
-    ``spec.parallelism``.  Failed replications are recorded and excluded
-    from the mean; any failure flags the result.
+    the index-ordered distance array.  Failed replications are recorded and
+    excluded from the mean; any failure flags the result.
     """
     if base is None:
         base = uniform_base()
@@ -235,26 +227,13 @@ def run_ks_experiment(
     reps = int(spec.replications)
     values = np.full(reps, np.nan)
     failures: list[str] = []
-
-    def one(i: int) -> float:
+    for i in range(reps):
         seed_i = replication_seed(spec.master_seed, i)
-        m = build_measure(spec.process, spec.params, spec.truncation, seed_i, base, generator_id)
-        return kolmogorov_distance(m, base)
-
-    if spec.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=int(spec.parallelism)) as pool:
-            futures = {i: pool.submit(one, i) for i in range(reps)}
-        for i, fut in futures.items():
-            try:
-                values[i] = fut.result()
-            except Exception as exc:  # noqa: BLE001 - failures are part of the result
-                failures.append(f"replication {i}: {exc}")
-    else:
-        for i in range(reps):
-            try:
-                values[i] = one(i)
-            except Exception as exc:  # noqa: BLE001
-                failures.append(f"replication {i}: {exc}")
+        try:
+            m = build_measure(spec.process, spec.params, spec.truncation, seed_i, base)
+            values[i] = kolmogorov_distance(m, base)
+        except Exception as exc:  # noqa: BLE001 - failures are part of the result
+            failures.append(f"replication {i}: {exc}")
 
     ok = values[np.isfinite(values)]
     mean = float(np.mean(ok)) if ok.size else float("nan")
@@ -274,9 +253,7 @@ def run_ks_table(
     n: int,
     replications: int,
     master_seed,
-    parallelism: int = 1,
     base: BaseMeasure | None = None,
-    generator_id: str = DEFAULT_GENERATOR_ID,
 ) -> list[ExperimentResult]:
     """One Kolmogorov-distance experiment per (alpha, theta, r) grid row.
 
@@ -291,9 +268,8 @@ def run_ks_table(
             replications=int(replications),
             truncation=TruncationPolicy.fixed(int(n)),
             master_seed=seed_tuple(master_seed) + (k,),
-            parallelism=int(parallelism),
         )
-        results.append(run_ks_experiment(spec, base, generator_id))
+        results.append(run_ks_experiment(spec, base))
     return results
 
 
@@ -367,7 +343,6 @@ def weight_profile(
     seed,
     points_per_r: int = 400,
     base: BaseMeasure | None = None,
-    generator_id: str = DEFAULT_GENERATOR_ID,
 ) -> WeightProfile:
     """Mean of the ``top_k`` largest weights across replications, per order r."""
     if int(top_k) < 1:
@@ -382,7 +357,7 @@ def weight_profile(
         trunc = TruncationPolicy.fixed(r + int(points_per_r))
         acc = np.zeros(int(top_k))
         for rep in range(int(replications)):
-            m = sample_pkp(r, tail, base, trunc, seed_tuple(seed) + (gi, rep), generator_id)
+            m = sample_pkp(r, tail, base, trunc, seed_tuple(seed) + (gi, rep))
             acc += m.weights[: int(top_k)]  # series order is decreasing
         out[gi] = acc / int(replications)
     return WeightProfile(
@@ -443,7 +418,6 @@ def clustering_growth(
     seed,
     truncation: TruncationPolicy | None = None,
     base: BaseMeasure | None = None,
-    generator_id: str = DEFAULT_GENERATOR_ID,
 ) -> GrowthDiagnostic:
     """Mean K_n for each n, drawing n observations from a fresh realization.
 
@@ -466,8 +440,8 @@ def clustering_growth(
         total = 0
         for rep in range(int(replications)):
             seed_i = seed_tuple(seed) + (ni, rep)
-            m = build_measure(process, params, truncation, seed_i, base, generator_id)
-            total += distinct_count(draw_from_measure(m, n, seed_i, generator_id))
+            m = build_measure(process, params, truncation, seed_i, base)
+            total += distinct_count(draw_from_measure(m, n, seed_i))
         kn_means.append(total / int(replications))
     if process == "dirichlet":
         normalizer = "log_n"
@@ -523,7 +497,6 @@ def rank_weight_equivalence_test(
     stick_alpha: float | None = None,
     stick_theta: float | None = None,
     base: BaseMeasure | None = None,
-    generator_id: str = DEFAULT_GENERATOR_ID,
 ) -> EquivalenceReport:
     """Two-sample KS test: tail-series largest weight vs ranked stick-breaking.
 
@@ -549,10 +522,10 @@ def rank_weight_equivalence_test(
     rhs = np.empty(replications)
     pdp = PdpParams(alpha=float(alpha), theta=float(theta))
     for i in range(replications):
-        m = sample_pdp_series(pdp, base, truncation, seed_tuple(seed) + (0, i), generator_id)
+        m = sample_pdp_series(pdp, base, truncation, seed_tuple(seed) + (0, i))
         lhs[i] = float(np.max(m.weights))
         s = sample_pdp_stick_breaking(
-            s_alpha, s_theta, base, int(sticks), True, seed_tuple(seed) + (1, i), generator_id
+            s_alpha, s_theta, base, int(sticks), True, seed_tuple(seed) + (1, i)
         )
         rhs[i] = float(np.max(s.weights))
     ks = st.ks_2samp(lhs, rhs, method="asymp")

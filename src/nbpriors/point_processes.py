@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import (
-    DEFAULT_GENERATOR_ID,
     STREAM_ARRIVALS,
     STREAM_MIXING,
+    seed_tuple,
     spawn_generator,
 )
 from .errors import (
@@ -109,7 +109,6 @@ class ArrivalStream:
 
     arrivals: np.ndarray
     seed: tuple
-    generator_id: str = DEFAULT_GENERATOR_ID
 
     def __post_init__(self):
         arr = np.asarray(self.arrivals, dtype=float)
@@ -123,22 +122,20 @@ class ArrivalStream:
         return self.arrivals.size
 
 
-def gamma_arrivals(seed, count: int, generator_id: str = DEFAULT_GENERATOR_ID) -> ArrivalStream:
+def gamma_arrivals(seed, count: int) -> ArrivalStream:
     """First ``count`` arrivals of a unit-rate Poisson process.
 
-    Deterministic given (seed, generator_id); the increments are i.i.d.
-    unit-mean exponentials.
+    Deterministic given the seed; the increments are i.i.d. unit-mean
+    exponentials.
     """
     count = int(count)
     if count < 1:
         raise DomainError(f"count must be at least 1, got {count}")
     if count > MAX_ARRIVALS:
         raise ResourceLimitError(f"count {count} exceeds the hard bound {MAX_ARRIVALS}")
-    rng = spawn_generator(seed, STREAM_ARRIVALS, generator_id)
+    rng = spawn_generator(seed, STREAM_ARRIVALS)
     arrivals = np.cumsum(rng.standard_exponential(count))
-    from ._rng import seed_tuple
-
-    return ArrivalStream(arrivals=arrivals, seed=seed_tuple(seed), generator_id=generator_id)
+    return ArrivalStream(arrivals=arrivals, seed=seed_tuple(seed))
 
 
 def sample_prm_points(tail: LevyTail, stream: ArrivalStream) -> np.ndarray:
@@ -212,7 +209,6 @@ def write_points_csv(points, first_index: int = 1, file=None) -> str | None:
 def sample_nbp_points(
     cfg: NbpConfig,
     seed,
-    generator_id: str = DEFAULT_GENERATOR_ID,
     randomized: bool | None = None,
 ) -> PointSeries:
     """Sample the truncated negative binomial point sequence.
@@ -231,10 +227,10 @@ def sample_nbp_points(
     if not randomized and not is_integer:
         raise DomainError(f"the integer-order path needs integer r, got {r}")
 
-    rng = spawn_generator(seed, STREAM_ARRIVALS, generator_id)
+    rng = spawn_generator(seed, STREAM_ARRIVALS)
     offset = 0
     if randomized:
-        mix_rng = spawn_generator(seed, STREAM_MIXING, generator_id)
+        mix_rng = spawn_generator(seed, STREAM_MIXING)
         divisor = float(mix_rng.gamma(r, 1.0))
         if not (math.isfinite(divisor) and divisor > 0.0):
             # a tiny order r can underflow the gamma draw to an exact zero

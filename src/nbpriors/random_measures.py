@@ -35,7 +35,6 @@ import numpy as np
 import scipy.special as sp
 
 from ._rng import (
-    DEFAULT_GENERATOR_ID,
     STREAM_ARRIVALS,
     STREAM_ATOMS,
     STREAM_DRAWS,
@@ -218,14 +217,14 @@ class ExtendedDpParams:
 # shared assembly
 
 
-def _provenance(process: str, params: dict, truncation, seed, generator_id: str, warning: bool) -> dict:
+def _provenance(process: str, params: dict, truncation, seed, warning: bool) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "process": process,
         "params": params,
         "truncation": truncation.to_dict() if truncation is not None else None,
         "seed": list(seed_tuple(seed)),
-        "generator_id": generator_id,
+        "generator_id": "philox",
         "truncation_warning": bool(warning),
     }
 
@@ -251,15 +250,14 @@ def _sample_normalized_series(
     base: BaseMeasure,
     trunc: TruncationPolicy,
     seed,
-    generator_id: str,
     randomized: bool | None,
 ) -> DiscreteMeasure:
-    series = sample_nbp_points(NbpConfig(r=r, tail=tail, truncation=trunc), seed, generator_id, randomized)
+    series = sample_nbp_points(NbpConfig(r=r, tail=tail, truncation=trunc), seed, randomized)
     if len(series) < 2:
         raise DegenerateTruncationError(f"truncation retained {len(series)} points; need at least 2")
-    atom_rng = spawn_generator(seed, STREAM_ATOMS, generator_id)
+    atom_rng = spawn_generator(seed, STREAM_ATOMS)
     atoms = np.asarray(base.sampler(atom_rng, len(series)), dtype=float)
-    prov = _provenance(process, params, trunc, seed, generator_id, series.truncation_warning)
+    prov = _provenance(process, params, trunc, seed, series.truncation_warning)
     prov["stopped_by"] = series.stopped_by
     prov["base"] = base.label
     return _measure_from_log_weights(series.log_points, atoms, prov, sorted_by_weight=True)
@@ -275,7 +273,6 @@ def sample_pkp(
     base: BaseMeasure,
     trunc: TruncationPolicy,
     seed,
-    generator_id: str = DEFAULT_GENERATOR_ID,
     randomized: bool | None = None,
 ) -> DiscreteMeasure:
     """Normalized negative binomial point sequence on i.i.d. atoms.
@@ -288,7 +285,7 @@ def sample_pkp(
     params = {"r": float(r), "tail": tail.to_dict()}
     if randomized is not None:
         params["randomized"] = bool(randomized)
-    return _sample_normalized_series("pkp", params, r, tail, base, trunc, seed, generator_id, randomized)
+    return _sample_normalized_series("pkp", params, r, tail, base, trunc, seed, randomized)
 
 
 def sample_dp(
@@ -296,12 +293,11 @@ def sample_dp(
     base: BaseMeasure,
     trunc: TruncationPolicy,
     seed,
-    generator_id: str = DEFAULT_GENERATOR_ID,
 ) -> DiscreteMeasure:
     """Dirichlet process draw: the r = 0 series with the gamma tail."""
     tail = LevyTail.gamma(theta)
     return _sample_normalized_series(
-        "dirichlet", {"theta": float(theta)}, 0.0, tail, base, trunc, seed, generator_id, None
+        "dirichlet", {"theta": float(theta)}, 0.0, tail, base, trunc, seed, None
     )
 
 
@@ -310,12 +306,11 @@ def sample_stable_normalized(
     base: BaseMeasure,
     trunc: TruncationPolicy,
     seed,
-    generator_id: str = DEFAULT_GENERATOR_ID,
 ) -> DiscreteMeasure:
     """Normalized stable process draw: weights proportional to Γ_i^{-1/alpha}."""
     tail = LevyTail.stable(alpha)
     return _sample_normalized_series(
-        "stable", {"alpha": float(alpha)}, 0.0, tail, base, trunc, seed, generator_id, None
+        "stable", {"alpha": float(alpha)}, 0.0, tail, base, trunc, seed, None
     )
 
 
@@ -324,7 +319,6 @@ def sample_pdp_series(
     base: BaseMeasure,
     trunc: TruncationPolicy,
     seed,
-    generator_id: str = DEFAULT_GENERATOR_ID,
 ) -> DiscreteMeasure:
     """Poisson-Dirichlet process PD(alpha, theta) via the tail series.
 
@@ -338,7 +332,7 @@ def sample_pdp_series(
     tail = LevyTail.generalized_gamma(params.alpha)
     payload = {"alpha": float(params.alpha), "theta": float(params.theta), "r": params.r_derived}
     return _sample_normalized_series(
-        "pdp_series", payload, params.r_derived, tail, base, trunc, seed, generator_id, True
+        "pdp_series", payload, params.r_derived, tail, base, trunc, seed, True
     )
 
 
@@ -346,7 +340,6 @@ def sample_extended_dp_finite(
     params: ExtendedDpParams,
     base: BaseMeasure,
     seed,
-    generator_id: str = DEFAULT_GENERATOR_ID,
 ) -> DiscreteMeasure:
     """Finite approximation of the order-r extended Dirichlet process.
 
@@ -359,7 +352,7 @@ def sample_extended_dp_finite(
     for r >= 1 the event Γ_r Γ_{n+1} < Γ_n has positive probability.)
     """
     n, r = int(params.n), int(params.r)
-    rng = spawn_generator(seed, STREAM_ARRIVALS, generator_id)
+    rng = spawn_generator(seed, STREAM_ARRIVALS)
     arrivals = np.cumsum(rng.standard_exponential(n + 1))
     divisor = arrivals[r - 1] if r >= 1 else 1.0  # Gamma_0 = 1 convention
     u = arrivals[r:n] / (divisor * arrivals[n])
@@ -369,14 +362,13 @@ def sample_extended_dp_finite(
             "the finite approximation is undefined here"
         )
     log_w = gamma_quantile_upper_many(float(params.concentration) / n, u)
-    atom_rng = spawn_generator(seed, STREAM_ATOMS, generator_id)
+    atom_rng = spawn_generator(seed, STREAM_ATOMS)
     atoms = np.asarray(base.sampler(atom_rng, n - r), dtype=float)
     prov = _provenance(
         "extended_dp",
         {"concentration": float(params.concentration), "r": r, "n": n},
         None,
         seed,
-        generator_id,
         False,
     )
     prov["base"] = base.label
@@ -390,7 +382,6 @@ def sample_pdp_stick_breaking(
     sticks: int,
     ranked: bool,
     seed,
-    generator_id: str = DEFAULT_GENERATOR_ID,
 ) -> DiscreteMeasure:
     """GEM(alpha, theta) stick-breaking draw, truncated at ``sticks`` breaks.
 
@@ -410,7 +401,7 @@ def sample_pdp_stick_breaking(
     if sticks < 1:
         raise DomainError(f"sticks must be at least 1, got {sticks}")
 
-    stick_rng = spawn_generator(seed, STREAM_ARRIVALS, generator_id)
+    stick_rng = spawn_generator(seed, STREAM_ARRIVALS)
     betas = stick_rng.beta(1.0 - alpha, theta + alpha * np.arange(1, sticks + 1))
     remaining = np.cumprod(1.0 - betas)
     weights = np.empty(sticks + 1)
@@ -418,7 +409,7 @@ def sample_pdp_stick_breaking(
     weights[1:sticks] = betas[1:] * remaining[:-1]
     weights[sticks] = remaining[-1]  # residual-mass closure atom
 
-    atom_rng = spawn_generator(seed, STREAM_ATOMS, generator_id)
+    atom_rng = spawn_generator(seed, STREAM_ATOMS)
     atoms = np.asarray(base.sampler(atom_rng, sticks + 1), dtype=float)
 
     keep = weights > 0.0
@@ -438,7 +429,6 @@ def sample_pdp_stick_breaking(
         {"alpha": alpha, "theta": theta, "sticks": sticks, "ranked": bool(ranked)},
         None,
         seed,
-        generator_id,
         False,
     )
     prov["base"] = base.label
@@ -449,12 +439,12 @@ def sample_pdp_stick_breaking(
 # sampling from a realized measure
 
 
-def draw_from_measure(measure: DiscreteMeasure, k: int, seed, generator_id: str = DEFAULT_GENERATOR_ID) -> np.ndarray:
+def draw_from_measure(measure: DiscreteMeasure, k: int, seed) -> np.ndarray:
     """k i.i.d. categorical draws from the measure's atoms by weight."""
     k = int(k)
     if k < 1:
         raise DomainError(f"k must be at least 1, got {k}")
-    rng = spawn_generator(seed, STREAM_DRAWS, generator_id)
+    rng = spawn_generator(seed, STREAM_DRAWS)
     cum = np.cumsum(measure.weights)
     cum[-1] = 1.0
     idx = np.searchsorted(cum, rng.random(k), side="right")

@@ -124,6 +124,11 @@ class TestKsTable:
         assert one.returncode == four.returncode == 0
         assert one.stdout == four.stdout
 
+    def test_zero_jobs_is_a_domain_error(self, grid_path):
+        res = run_cli("ks-table", "--config", grid_path, "--seed", "42", "--jobs", "0")
+        assert res.returncode == 1
+        assert "--jobs" in res.stderr
+
     def test_csv_output(self, grid_path):
         from nbpriors.cli import parse_csv_table
 

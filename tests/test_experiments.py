@@ -78,8 +78,6 @@ class TestExperimentSpec:
             ExperimentSpec("nope", {}, 10, None, 0)
         with pytest.raises(DomainError):
             ExperimentSpec("dirichlet", {"theta": 3.0}, 0, None, 0)
-        with pytest.raises(DomainError):
-            ExperimentSpec("dirichlet", {"theta": 3.0}, 5, None, 0, parallelism=0)
 
     def test_dict_roundtrip(self, tmp_path):
         spec = ExperimentSpec(
@@ -88,7 +86,6 @@ class TestExperimentSpec:
             25,
             TruncationPolicy.fixed(400),
             (7, 3),
-            parallelism=2,
         )
         again = ExperimentSpec.from_dict(spec.to_dict())
         assert again.to_dict() == spec.to_dict()
@@ -96,24 +93,34 @@ class TestExperimentSpec:
         path.write_text(json.dumps(spec.to_dict()))
         assert load_experiment_spec(path).to_dict() == spec.to_dict()
 
+    def test_spec_with_a_worker_count_still_loads(self, tmp_path):
+        # spec files written before replications ran only serially carry "parallelism"
+        old = {
+            "schema_version": 1,
+            "process": "dirichlet",
+            "params": {"theta": 3.0},
+            "replications": 5,
+            "truncation": {"mode": "fixed_count", "n": 100, "hard_cap": 1000000},
+            "master_seed": [4],
+            "parallelism": 2,
+        }
+        expected = dict(old)
+        del expected["parallelism"]
+        assert ExperimentSpec.from_dict(old).to_dict() == expected
+        path = tmp_path / "old_spec.json"
+        path.write_text(json.dumps(old))
+        assert load_experiment_spec(path).to_dict() == expected
+
 
 class TestRunKsExperiment:
-    def make_spec(self, parallelism=1, reps=16):
-        return ExperimentSpec(
-            "dirichlet", {"theta": 3.0}, reps, TruncationPolicy.fixed(150), 77, parallelism=parallelism
-        )
+    def make_spec(self, reps=16):
+        return ExperimentSpec("dirichlet", {"theta": 3.0}, reps, TruncationPolicy.fixed(150), 77)
 
     def test_deterministic(self):
         a = run_ks_experiment(self.make_spec())
         b = run_ks_experiment(self.make_spec())
         assert a.mean_distance == b.mean_distance
         assert a.std_error == b.std_error
-
-    def test_worker_count_invariance(self):
-        serial = run_ks_experiment(self.make_spec(parallelism=1))
-        threaded = run_ks_experiment(self.make_spec(parallelism=4))
-        assert serial.mean_distance == threaded.mean_distance
-        assert serial.std_error == threaded.std_error
 
     def test_std_error_definition(self):
         spec = self.make_spec(reps=10)

@@ -58,13 +58,6 @@ class TestGammaArrivals:
         c = gamma_arrivals(8, 256).arrivals
         assert not np.array_equal(a, c)
 
-    def test_generator_ids(self):
-        a = gamma_arrivals(7, 64, generator_id="philox").arrivals
-        b = gamma_arrivals(7, 64, generator_id="pcg64").arrivals
-        assert not np.array_equal(a, b)
-        with pytest.raises(DomainError):
-            gamma_arrivals(7, 64, generator_id="mt19937")
-
     def test_count_domain(self):
         with pytest.raises(DomainError):
             gamma_arrivals(1, 0)
