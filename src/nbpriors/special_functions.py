@@ -25,6 +25,8 @@ EULER_GAMMA = 0.5772156649015328606
 
 _LOG_TINY = math.log(1e-300)
 
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class Precision:
@@ -111,16 +113,23 @@ def upper_incomplete_gamma(a: float, x: float, prec: Precision = DEFAULT_PRECISI
 def log_upper_gamma(a: float, x, prec: Precision = DEFAULT_PRECISION) -> np.ndarray:
     """ln Γ(a, x) elementwise, for scalar a > -1 and an array of x > 0.
 
-    Up to x = max(25, a + 1) scipy supplies ln Γ(a) + ln Q(a, x) for a > 0,
+    Up to a switch point scipy supplies ln Γ(a) + ln Q(a, x) for a > 0,
     ln E1(x) for a = 0, and for a in (-1, 0) the recurrence
     Γ(a, x) = (x^a e^{-x} - Γ(a+1, x)) / (-a), whose cancellation costs
-    about x/|a| · eps as a → 0⁻.  Beyond it the Legendre continued fraction
-    (modified Lentz) needs no scipy kernel and cannot underflow; each
-    element stops once its own Lentz factor is within ``prec.rel_tol`` of 1.
+    about x/|a| · eps.  Beyond it the Legendre continued fraction (modified
+    Lentz) needs no scipy kernel and cannot underflow; each element stops
+    once its own Lentz factor is within ``prec.rel_tol`` of 1.  The switch
+    is x = max(25, a + 1) for a >= 0.  For a < 0 it is where the
+    recurrence's error reaches ``prec.rel_tol`` / 16, kept within [1, 25],
+    so it moves below 25 only for |a| < 0.09.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
-    near = x <= max(25.0, a + 1.0)
+    if a < 0:
+        split = min(25.0, max(1.0, -a * prec.rel_tol / (16.0 * _EPS)))
+    else:
+        split = max(25.0, a + 1.0)
+    near = x <= split
     xn = x[near]
     if a > 0:
         out[near] = sp.gammaln(a) + np.log(sp.gammaincc(a, xn))

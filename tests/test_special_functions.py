@@ -7,6 +7,7 @@ pinned here.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -21,7 +22,8 @@ from nbpriors import (
     upper_incomplete_gamma,
 )
 
-from oracles import gamma_survival_quad
+from nbpriors.special_functions import log_upper_gamma
+from oracles import gamma_survival_quad, upper_gamma_quad
 
 
 def rel_err(got, expected):
@@ -71,6 +73,15 @@ class TestUpperIncompleteGamma:
             upper_incomplete_gamma(0.0, 1.0)
         with pytest.raises(DomainError):
             upper_incomplete_gamma(-1.0, 1.0)
+
+
+class TestLogUpperGamma:
+    @pytest.mark.parametrize("a", [-1e-4, -1e-3, -3e-3])
+    def test_small_negative_a_against_quadrature(self, a):
+        # the recurrence from Γ(a+1, x) loses about x/|a| · eps here
+        x = np.geomspace(0.3, 25.0, 25)
+        expected = np.array([float(mp.log(upper_gamma_quad(a, v))) for v in x])
+        assert np.max(np.abs(log_upper_gamma(a, x) - expected)) < 1e-11
 
 
 class TestExpIntegral:
