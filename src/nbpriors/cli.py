@@ -124,7 +124,9 @@ def _cmd_sample(args) -> int:
     if process is None:
         raise DomainError("sample needs --process (or a config with 'process')")
     params = dict(config.get("params", {}))
-    for key, value in (("alpha", args.alpha), ("theta", args.theta), ("r", args.r), ("sticks", args.sticks)):
+    # the extended process's concentration is the theta of the Dirichlet process it extends
+    theta_key = "concentration" if process == "extended_dp" else "theta"
+    for key, value in (("alpha", args.alpha), (theta_key, args.theta), ("r", args.r), ("sticks", args.sticks)):
         if value is not None:
             params[key] = value
     if args.ranked:
@@ -434,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--process", choices=("dirichlet", "extended_dp", "pkp", "pdp_series", "pdp_stick", "stable"))
     p.add_argument("--alpha", type=float)
-    p.add_argument("--theta", type=float)
+    p.add_argument("--theta", type=float, help="theta; for extended_dp, its concentration")
     p.add_argument("--r", type=float)
     p.add_argument("--n", type=int, help="fixed truncation index (or level / stick count)")
     p.add_argument("--epsilon", type=float, help="relative-weight stopping threshold")

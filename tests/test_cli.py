@@ -91,6 +91,17 @@ class TestSample:
         assert measure.provenance["params"]["theta"] == 3.0
         assert measure.provenance["seed"] == [9]
 
+    def test_extended_dp_takes_theta_as_its_concentration(self, tmp_path):
+        cfg = tmp_path / "extended.json"
+        cfg.write_text(json.dumps({"process": "extended_dp", "params": {"concentration": 3.0},
+                                   "truncation": {"mode": "fixed_count", "n": 300}, "seed": 3}))
+        from_config = run_cli("sample", "--config", str(cfg))
+        from_flags = run_cli("sample", "--process", "extended_dp", "--theta", "3", "--n", "300", "--seed", "3")
+        assert from_config.returncode == 0, from_config.stderr
+        assert from_flags.returncode == 0, from_flags.stderr
+        assert from_flags.stdout == from_config.stdout
+        assert DiscreteMeasure.from_json(from_flags.stdout).provenance["params"]["concentration"] == 3.0
+
     def test_unreadable_config(self):
         res = run_cli("sample", "--config", "/nonexistent/cfg.json", "--process", "dirichlet")
         assert res.returncode == 1
