@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.special as sp
 
 from ._rng import (
     STREAM_ARRIVALS,
@@ -230,7 +229,10 @@ def _provenance(process: str, params: dict, truncation, seed, warning: bool) -> 
 
 
 def _measure_from_log_weights(log_w: np.ndarray, atoms: np.ndarray, provenance: dict, sorted_by_weight: bool) -> DiscreteMeasure:
-    w = np.exp(log_w - sp.logsumexp(log_w))
+    # subtract the whole log normalizer before exponentiating: dividing
+    # exp(log_w - top) by its sum would flush subnormal weights to zero
+    top = np.max(log_w)
+    w = np.exp(log_w - (top + math.log(np.sum(np.exp(log_w - top)))))
     keep = w > 0.0
     if keep.sum() < 2:
         raise DegenerateTruncationError("fewer than two atoms carry representable weight")
