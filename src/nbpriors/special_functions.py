@@ -121,7 +121,7 @@ def log_upper_gamma(a: float, x, prec: Precision = DEFAULT_PRECISION) -> np.ndar
     once its own Lentz factor is within ``prec.rel_tol`` of 1.  The switch
     is x = max(25, a + 1) for a >= 0.  For a < 0 it is where the
     recurrence's error reaches ``prec.rel_tol`` / 16, kept within [1, 25],
-    so it moves below 25 only for |a| < 0.09.
+    so at the default ``rel_tol`` it moves below 25 only for |a| < 0.09.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
