@@ -8,33 +8,31 @@ Three kinds are supported:
 
 Each is strictly decreasing with L(0+) = ∞ and L(∞) = 0.  The gamma and
 generalized-gamma kinds are one family, c Γ(-alpha, x) with alpha = 0 and
-c = theta for gamma, evaluated by one log Γ(a, x) and inverted by one
-Newton solver.  L^{-1} maps Poisson arrival levels to jump sizes point by
-point, in linear and log domain: gamma-kind jumps decay like
-exp(-y/theta) and underflow long before stopping rules are done with them.
+c = theta for gamma, evaluated by one log Γ(a, x) and inverted by
+``special_functions.log_upper_gamma_inverse``, the one Newton solver that
+also inverts the gamma survival function of the extended Dirichlet
+process; this module supplies the seeds.  L^{-1} maps Poisson arrival
+levels to jump sizes point by point, in linear and log domain: gamma-kind
+jumps decay like exp(-y/theta) and underflow long before stopping rules
+are done with them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as sp
 
 from .errors import DomainError, NumericError
-from .special_functions import (
-    DEFAULT_PRECISION,
-    EULER_GAMMA,
-    Precision,
-    log_upper_gamma,
-)
+from .special_functions import EULER_GAMMA, log_upper_gamma, log_upper_gamma_inverse
 
 KINDS = ("stable", "gamma", "generalized_gamma")
 
 # a small-x seed below this ln x is final: the term it drops is O(x)
-# relative, far below any rel_tol, and a subnormal x cannot resolve it
+# relative, far below REL_TOL, and a subnormal x cannot resolve it
 _SEED_FINAL_MAX = -40.0
 
 
@@ -43,14 +41,12 @@ class LevyTail:
     """A Lévy tail measure, identified by kind and its parameter.
 
     ``alpha`` is the stable index (stable and generalized_gamma kinds),
-    ``theta`` the total-mass parameter of the gamma kind.  ``prec``
-    controls the numerical inversion.
+    ``theta`` the total-mass parameter of the gamma kind.
     """
 
     kind: str
     alpha: float | None = None
     theta: float | None = None
-    prec: Precision = field(default=DEFAULT_PRECISION)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -67,16 +63,16 @@ class LevyTail:
                 raise DomainError("gamma tail does not take alpha")
 
     @classmethod
-    def stable(cls, alpha: float, prec: Precision = DEFAULT_PRECISION) -> "LevyTail":
-        return cls(kind="stable", alpha=float(alpha), prec=prec)
+    def stable(cls, alpha: float) -> "LevyTail":
+        return cls(kind="stable", alpha=float(alpha))
 
     @classmethod
-    def gamma(cls, theta: float, prec: Precision = DEFAULT_PRECISION) -> "LevyTail":
-        return cls(kind="gamma", theta=float(theta), prec=prec)
+    def gamma(cls, theta: float) -> "LevyTail":
+        return cls(kind="gamma", theta=float(theta))
 
     @classmethod
-    def generalized_gamma(cls, alpha: float, prec: Precision = DEFAULT_PRECISION) -> "LevyTail":
-        return cls(kind="generalized_gamma", alpha=float(alpha), prec=prec)
+    def generalized_gamma(cls, alpha: float) -> "LevyTail":
+        return cls(kind="generalized_gamma", alpha=float(alpha))
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
@@ -127,7 +123,7 @@ def log_tail_value(tail: LevyTail, x) -> np.ndarray:
     if tail.kind == "stable":
         return -tail.alpha * np.log(x)
     log_c, alpha = _family(tail)
-    return log_c + log_upper_gamma(-alpha, x, tail.prec)
+    return log_c + log_upper_gamma(-alpha, x)
 
 
 def tail_value(tail: LevyTail, x: float) -> float:
@@ -148,12 +144,22 @@ def log_tail_inverse(tail: LevyTail, y) -> np.ndarray:
     if tail.kind == "stable":
         return -np.log(y) / tail.alpha
     log_c, alpha = _family(tail)
-    return _family_log_inverse(y, log_c, alpha, tail.prec)
+    ly = np.log(y)
+    # small x: L ~ theta (-ln x - gamma) for alpha = 0, else x^{-alpha}/Γ(1-alpha) - 1
+    if alpha == 0.0:
+        t = -y / math.exp(log_c) - EULER_GAMMA
+    else:
+        t = -(np.log1p(y) + sp.gammaln(1.0 - alpha)) / alpha
+    # large x: L ~ c x^{-1-alpha} e^{-x}, so x ~ w - (1+alpha) ln w with w = ln(c/y) > 1;
+    # that seed is at least ln 0.61, so it is always refined
+    w = np.maximum(log_c - ly, 1.0)
+    t = np.where(w > 1.0, np.log(w - (1.0 + alpha) * np.log(w)), t)
+    return log_upper_gamma_inverse(-alpha, log_c, ly, t, t >= _SEED_FINAL_MAX)
 
 
 def tail_inverse(tail: LevyTail, y: float) -> float:
-    """L^{-1}(y) for scalar y > 0, resolved to |L(x) - y| <= rel_tol * y or,
-    where L's own rounding error is larger (alpha near 0), to x within rel_tol."""
+    """L^{-1}(y) for scalar y > 0, resolved to |ln L(x) - ln y| <= REL_TOL or,
+    where L's own rounding error is larger (alpha near 0), to ln x within REL_TOL."""
     t = log_tail_inverse(tail, float(y))[0]
     x = float(np.exp(t))
     if x == 0.0:
@@ -167,50 +173,3 @@ def tail_inverse(tail: LevyTail, y: float) -> float:
 def tail_support_bound(tail: LevyTail) -> float:
     """Upper endpoint L^{-1}(1) of the negative binomial process support."""
     return tail_inverse(tail, 1.0)
-
-
-def _family_log_inverse(y: np.ndarray, log_c: float, alpha: float, prec: Precision) -> np.ndarray:
-    """Solve c Γ(-alpha, x) = y by Newton on h(t) = ln L(e^t) - ln y, t = ln x.
-
-    Every point keeps its own bracket and stops on its own, once |h| <= rel_tol
-    or its bracket is narrower than rel_tol.  A step that leaves the bracket
-    or is not finite becomes a bisection, or a step of ln 4 towards the root
-    while that side of the bracket is still open.
-    """
-    ly = np.log(y)
-    # small x: L ~ theta (-ln x - gamma) for alpha = 0, else x^{-alpha}/Γ(1-alpha) - 1
-    if alpha == 0.0:
-        t = -y / math.exp(log_c) - EULER_GAMMA
-    else:
-        t = -(np.log1p(y) + sp.gammaln(1.0 - alpha)) / alpha
-    # large x: L ~ c x^{-1-alpha} e^{-x}, so x ~ w - (1+alpha) ln w with w = ln(c/y) > 1
-    w = np.maximum(log_c - ly, 1.0)
-    large = w > 1.0
-    active = large | (t >= _SEED_FINAL_MAX)
-    t = np.where(large, np.log(w - (1.0 + alpha) * np.log(w)), t)
-    lo = np.full_like(t, -np.inf)
-    hi = np.full_like(t, np.inf)
-    for _ in range(prec.max_iter):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        ti = t[idx]
-        lt = log_c + log_upper_gamma(-alpha, np.exp(ti), prec)
-        h = lt - ly[idx]
-        above = h > 0  # the root lies to the right; NaN (x overflowed) counts as overshoot
-        lo[idx] = np.where(above, ti, lo[idx])
-        hi[idx] = np.where(above, hi[idx], ti)
-        l, u = lo[idx], hi[idx]
-        # d ln L / dt = -c x^{-alpha} e^{-x} / L(x)
-        newton = ti + h / np.exp(log_c - alpha * ti - np.exp(ti) - lt)
-        open_step = np.where(above, math.log(4.0), -math.log(4.0))
-        fallback = np.where(np.isfinite(l) & np.isfinite(u), 0.5 * (l + u), ti + open_step)
-        done = (np.abs(h) <= prec.rel_tol) | (u - l <= prec.rel_tol)
-        inside = np.isfinite(newton) & (newton > l) & (newton < u)
-        t[idx] = np.where(done, ti, np.where(inside, newton, fallback))
-        active[idx[done]] = False
-    if active.any():
-        raise NumericError(
-            f"tail inversion left {int(active.sum())} of {y.size} points unconverged", best_estimate=t
-        )
-    return t

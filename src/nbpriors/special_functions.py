@@ -2,8 +2,11 @@
 extended-Dirichlet-process approximation.
 
 Provides log-gamma, the upper incomplete gamma function Γ(a, x) for
-a > -1 (E1 being Γ(0, x)), the gamma survival function Q(a, x), and the
-inverse of the survival function.
+a > -1 (E1 being Γ(0, x)), the gamma survival function Q(a, x), and one
+safeguarded Newton solver for ln c + ln Γ(a, x) = ln y.  That solver
+inverts both the Lévy tails c Γ(-alpha, x) of ``levy_tails`` and the
+survival function Q(a, x) = Γ(a, x)/Γ(a).  ``REL_TOL`` and ``MAX_ITER``
+fix the stopping rules of the continued fraction and of the solver.
 
 Γ(a, x) and the survival inverse are returned in log domain: tail values
 decay like e^{-x}, downstream weights use shapes of order 1/n whose
@@ -14,7 +17,6 @@ and only quantile ratios survive normalization anyway.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as sp
@@ -27,36 +29,9 @@ _LOG_TINY = math.log(1e-300)
 
 _EPS = float(np.finfo(float).eps)
 
-
-@dataclass(frozen=True)
-class Precision:
-    """Convergence control for the iterative evaluations.
-
-    Attributes
-    ----------
-    rel_tol : float
-        Relative tolerance on the converged value (or on the residual of
-        an inversion, measured relative to the target).
-    abs_tol : float
-        Absolute floor added to the tolerance; zero disables it.
-    max_iter : int
-        Hard cap on iterations before a NumericError is raised.
-    """
-
-    rel_tol: float = 1e-12
-    abs_tol: float = 0.0
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
-            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol}")
-        if not (math.isfinite(self.abs_tol) and self.abs_tol >= 0):
-            raise DomainError(f"abs_tol must be nonnegative and finite, got {self.abs_tol}")
-        if int(self.max_iter) < 1:
-            raise DomainError(f"max_iter must be at least 1, got {self.max_iter}")
-
-
-DEFAULT_PRECISION = Precision()
+# stopping rule of the continued fraction and of the Newton inverse
+REL_TOL = 1e-12
+MAX_ITER = 100
 
 
 def _check_positive(name: str, value) -> float:
@@ -96,21 +71,20 @@ def exp_integral_e1(x: float) -> float:
     return value
 
 
-def upper_incomplete_gamma(a: float, x: float, prec: Precision = DEFAULT_PRECISION) -> float:
+def upper_incomplete_gamma(a: float, x: float) -> float:
     """Upper incomplete gamma function Γ(a, x) = ∫_x^∞ t^{a-1} e^{-t} dt.
 
-    For a in (-1, 0) or (0, ∞) and x > 0, evaluated by ``log_upper_gamma``
-    with ``prec`` controlling its continued fraction.  Returns Γ(a, x) > 0,
-    or 0.0 where it underflows double precision.
+    For a in (-1, 0) or (0, ∞) and x > 0, evaluated by ``log_upper_gamma``.
+    Returns Γ(a, x) > 0, or 0.0 where it underflows double precision.
     """
     x = _check_positive("x", x)
     a = float(a)
     if not math.isfinite(a) or a == 0.0 or a <= -1.0:
         raise DomainError(f"parameter a must lie in (-1,0) or (0,inf), got {a}")
-    return math.exp(log_upper_gamma(a, np.asarray([x]), prec)[0])
+    return math.exp(log_upper_gamma(a, np.asarray([x]))[0])
 
 
-def log_upper_gamma(a: float, x, prec: Precision = DEFAULT_PRECISION) -> np.ndarray:
+def log_upper_gamma(a: float, x) -> np.ndarray:
     """ln Γ(a, x) elementwise, for scalar a > -1 and an array of x > 0.
 
     Up to a switch point scipy supplies ln Γ(a) + ln Q(a, x) for a > 0,
@@ -118,15 +92,15 @@ def log_upper_gamma(a: float, x, prec: Precision = DEFAULT_PRECISION) -> np.ndar
     Γ(a, x) = (x^a e^{-x} - Γ(a+1, x)) / (-a), whose cancellation costs
     about x/|a| · eps.  Beyond it the Legendre continued fraction (modified
     Lentz) needs no scipy kernel and cannot underflow; each element stops
-    once its own Lentz factor is within ``prec.rel_tol`` of 1.  The switch
+    once its own Lentz factor is within ``REL_TOL`` of 1.  The switch
     is x = max(25, a + 1) for a >= 0.  For a < 0 it is where the
-    recurrence's error reaches ``prec.rel_tol`` / 16, kept within [1, 25],
-    so at the default ``rel_tol`` it moves below 25 only for |a| < 0.09.
+    recurrence's error reaches ``REL_TOL`` / 16, kept within [1, 25], so
+    it moves below 25 only for |a| < 0.09.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     if a < 0:
-        split = min(25.0, max(1.0, -a * prec.rel_tol / (16.0 * _EPS)))
+        split = min(25.0, max(1.0, -a * REL_TOL / (16.0 * _EPS)))
     else:
         split = max(25.0, a + 1.0)
     near = x <= split
@@ -147,7 +121,7 @@ def log_upper_gamma(a: float, x, prec: Precision = DEFAULT_PRECISION) -> np.ndar
     d = 1.0 / b
     h = d
     active = np.ones(xf.shape, dtype=bool)
-    for i in range(1, prec.max_iter + 1):
+    for i in range(1, MAX_ITER + 1):
         if not active.any():
             break
         an = -i * (i - a)
@@ -159,11 +133,11 @@ def log_upper_gamma(a: float, x, prec: Precision = DEFAULT_PRECISION) -> np.ndar
         d = 1.0 / d
         delta = d * c
         h = np.where(active, h * delta, h)
-        active &= np.abs(delta - 1.0) >= prec.rel_tol
+        active &= np.abs(delta - 1.0) >= REL_TOL
     out[~near] = a * np.log(xf) - xf + np.log(h)
     if active.any():
         raise NumericError(
-            f"continued fraction for Gamma({a}, x) did not converge in {prec.max_iter} iterations", best_estimate=out
+            f"continued fraction for Gamma({a}, x) did not converge in {MAX_ITER} iterations", best_estimate=out
         )
     return out
 
@@ -184,23 +158,23 @@ def gamma_survival(shape: float, x: float) -> float:
     return float(sp.gammaincc(shape, x))
 
 
-def gamma_quantile_upper(shape: float, y: float, prec: Precision = DEFAULT_PRECISION) -> float:
+def gamma_quantile_upper(shape: float, y: float) -> float:
     """Log-domain inverse of the gamma survival function.
 
-    Returns ln x where Q(shape, x) = y, for y in (0, 1).  Whenever
-    exp(result) is representable, the roundtrip satisfies
-    |Q(shape, exp(result)) - y| <= 1e-10; far below the underflow
-    threshold the small-x expansion P(a, x) ≈ x^a / Γ(a+1) is exact to
-    machine precision and is used directly.
+    Returns ln x where Q(shape, x) = y, for y in (0, 1).  Wherever
+    x > 1e-300, ``log_upper_gamma_inverse`` resolves it to
+    |ln Q(shape, x) - ln y| <= ``REL_TOL``; below that, the small-x
+    expansion P(a, x) ≈ x^a / Γ(a+1) is exact to machine precision and is
+    returned as it is.
     """
     shape = _check_positive("shape", shape)
     y = float(y)
     if not (0.0 < y < 1.0):
         raise DomainError(f"y must lie strictly inside (0,1), got {y}")
-    return float(gamma_quantile_upper_many(shape, np.asarray([y]), prec)[0])
+    return float(gamma_quantile_upper_many(shape, np.asarray([y]))[0])
 
 
-def gamma_quantile_upper_many(shape: float, y, prec: Precision = DEFAULT_PRECISION) -> np.ndarray:
+def gamma_quantile_upper_many(shape: float, y) -> np.ndarray:
     """Vectorized ``gamma_quantile_upper`` over an array of survival levels."""
     shape = _check_positive("shape", shape)
     y = np.asarray(y, dtype=float)
@@ -215,59 +189,47 @@ def gamma_quantile_upper_many(shape: float, y, prec: Precision = DEFAULT_PRECISI
         np.log(np.where(seeded, x0, 1.0)),
         (np.log1p(-y) + sp.gammaln(shape + 1.0)) / shape,
     )
-
-    # Newton polish in t = ln x where x is representable; elsewhere the
-    # small-x asymptote is already exact to machine precision.
-    active = t > _LOG_TINY
-    if active.any():
-        lga = sp.gammaln(shape)
-        tol = np.maximum(prec.abs_tol, np.maximum(1e-13, prec.rel_tol * y))
-        for _ in range(prec.max_iter):
-            idx = np.flatnonzero(active)
-            if idx.size == 0:
-                break
-            ti = t[idx]
-            xi = np.exp(ti)
-            resid = _survival_minus_target(shape, ti, xi, y[idx])
-            done = np.abs(resid) <= tol[idx]
-            active[idx[done]] = False
-            live = ~done
-            if not live.any():
-                break
-            j = idx[live]
-            dqdt = -np.exp(shape * t[j] - np.exp(t[j]) - lga)
-            t[j] = t[j] - resid[live] / dqdt
-        else:
-            bad = np.flatnonzero(active)
-            xi = np.exp(t[bad])
-            resid = np.abs(_survival_minus_target(shape, t[bad], xi, y[bad]))
-            if np.any(resid > 1e-10):
-                raise NumericError(
-                    f"survival inversion failed to converge for {bad.size} of {y.size} levels",
-                    best_estimate=t,
-                )
-    return t
+    # Q = Γ(shape, x) / Γ(shape), so c = 1/Γ(shape)
+    return log_upper_gamma_inverse(shape, -sp.gammaln(shape), np.log(y), t, t > _LOG_TINY)
 
 
-def _survival_minus_target(shape, t, x, y):
-    """Q(shape, e^t) - y, using the small-x series where exp would cancel."""
-    small = x < 0.1
-    out = np.empty_like(x)
-    if small.any():
-        out[small] = -np.expm1(_log_lower_regularized_series(shape, t[small], x[small])) - y[small]
-    rest = ~small
-    if rest.any():
-        out[rest] = sp.gammaincc(shape, x[rest]) - y[rest]
-    return out
+def log_upper_gamma_inverse(a: float, log_c: float, log_y, t0, active) -> np.ndarray:
+    """Solve ln c + ln Γ(a, e^t) = ln y for t = ln x, elementwise, for scalar a > -1.
 
-
-def _log_lower_regularized_series(shape, t, x):
-    """ln P(shape, x) for small x via P = x^a e^{-x}/Γ(a+1) · Σ x^k Γ(a+1)/Γ(a+1+k)."""
-    m = np.ones_like(x)
-    term = np.ones_like(x)
-    for k in range(1, 60):
-        term = term * x / (shape + k)
-        m = m + term
-        if np.all(term < 1e-17 * m):
+    ``t0`` holds the caller's seeds; only the points where ``active`` is
+    true are refined, the others are returned as seeded.  Newton on
+    h(t) = ln c + ln Γ(a, e^t) - ln y, with d ln Γ(a, e^t)/dt =
+    -x^a e^{-x} / Γ(a, x).  Every point keeps its own bracket and stops on
+    its own, once |h| <= ``REL_TOL`` or its bracket is narrower than
+    ``REL_TOL``.  A step that leaves the bracket or is not finite becomes a
+    bisection, or a step of ln 4 towards the root while that side of the
+    bracket is still open.  A point still active after ``MAX_ITER`` steps
+    raises a NumericError.
+    """
+    t = np.array(t0, dtype=float)
+    active = np.array(active, dtype=bool)
+    lo = np.full_like(t, -np.inf)
+    hi = np.full_like(t, np.inf)
+    for _ in range(MAX_ITER):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
             break
-    return shape * t - x - sp.gammaln(shape + 1.0) + np.log(m)
+        ti = t[idx]
+        lt = log_c + log_upper_gamma(a, np.exp(ti))
+        h = lt - log_y[idx]
+        above = h > 0  # the root lies to the right; NaN (x overflowed) counts as overshoot
+        lo[idx] = np.where(above, ti, lo[idx])
+        hi[idx] = np.where(above, hi[idx], ti)
+        l, u = lo[idx], hi[idx]
+        newton = ti + h / np.exp(log_c + a * ti - np.exp(ti) - lt)
+        open_step = np.where(above, math.log(4.0), -math.log(4.0))
+        fallback = np.where(np.isfinite(l) & np.isfinite(u), 0.5 * (l + u), ti + open_step)
+        done = (np.abs(h) <= REL_TOL) | (u - l <= REL_TOL)
+        inside = np.isfinite(newton) & (newton > l) & (newton < u)
+        t[idx] = np.where(done, ti, np.where(inside, newton, fallback))
+        active[idx[done]] = False
+    if active.any():
+        raise NumericError(
+            f"inverse of Gamma({a}, x) left {int(active.sum())} of {t.size} points unconverged", best_estimate=t
+        )
+    return t

@@ -146,7 +146,7 @@ class TestInversion:
 
     @pytest.mark.parametrize("alpha", [0.001, 0.01])
     def test_generalized_gamma_near_zero_alpha_converges(self, alpha):
-        # the value's rounding error exceeds rel_tol at moderate x here, so the
+        # the value's rounding error exceeds REL_TOL at moderate x here, so the
         # solver must stop on its bracket instead of raising
         tail = LevyTail.generalized_gamma(alpha)
         ys = np.geomspace(1e-12, 1e3, 200)

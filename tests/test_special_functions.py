@@ -13,7 +13,6 @@ import pytest
 
 from nbpriors import (
     DomainError,
-    Precision,
     exp_integral_e1,
     gamma_quantile_upper,
     gamma_quantile_upper_many,
@@ -169,16 +168,3 @@ class TestGammaQuantileUpper:
         with pytest.raises(DomainError):
             gamma_quantile_upper(-1.0, 0.5)
 
-
-class TestPrecision:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            Precision(rel_tol=0.0)
-        with pytest.raises(DomainError):
-            Precision(abs_tol=-1.0)
-        with pytest.raises(DomainError):
-            Precision(max_iter=0)
-
-    def test_defaults(self):
-        p = Precision()
-        assert p.rel_tol == 1e-12 and p.abs_tol == 0.0 and p.max_iter >= 1
