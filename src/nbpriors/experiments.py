@@ -187,7 +187,7 @@ def build_measure(
                 if n is None:
                     raise DomainError("extended_dp needs a level n (params or fixed_count truncation)")
             return sample_extended_dp_finite(
-                ExtendedDpParams(concentration=params["concentration"], r=int(params.get("r", 0)), n=int(n)),
+                ExtendedDpParams(concentration=params["concentration"], r=params.get("r", 0), n=int(n)),
                 base, seed,
             )
         if process == "pdp_stick":
@@ -427,6 +427,8 @@ def clustering_growth(
     n_grid = [int(n) for n in n_grid]
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise DomainError("n_grid must be strictly increasing")
+    if process == "dirichlet" and n_grid and n_grid[0] < 2:
+        raise DomainError(f"dirichlet normalizes K_n by log n, so n_grid must start at 2 or more, got {n_grid[0]}")
     if base is None:
         base = uniform_base()
     if truncation is None:

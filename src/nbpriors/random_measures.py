@@ -206,7 +206,7 @@ class ExtendedDpParams:
     def __post_init__(self):
         if not (math.isfinite(float(self.concentration)) and float(self.concentration) > 0):
             raise DomainError(f"concentration must be positive, got {self.concentration}")
-        if int(self.r) < 0:
+        if not (float(self.r) >= 0 and float(self.r).is_integer()):
             raise DomainError(f"r must be a nonnegative integer, got {self.r}")
         if int(self.n) <= int(self.r) + 1:
             raise DomainError(f"need n > r + 1, got n={self.n}, r={self.r}")

@@ -102,6 +102,16 @@ class TestSample:
         assert from_flags.stdout == from_config.stdout
         assert DiscreteMeasure.from_json(from_flags.stdout).provenance["params"]["concentration"] == 3.0
 
+    def test_extended_dp_order_must_be_a_nonnegative_integer(self):
+        base = ("sample", "--process", "extended_dp", "--theta", "3", "--n", "50", "--seed", "1")
+        for bad in ("2.5", "-0.5"):
+            res = run_cli(*base, "--r", bad)
+            assert res.returncode == 1, res.stdout
+            assert "r must be a nonnegative integer" in res.stderr
+        res = run_cli(*base, "--r", "2")
+        assert res.returncode == 0, res.stderr
+        assert DiscreteMeasure.from_json(res.stdout).provenance["params"]["r"] == 2
+
     def test_unreadable_config(self):
         res = run_cli("sample", "--config", "/nonexistent/cfg.json", "--process", "dirichlet")
         assert res.returncode == 1
@@ -218,6 +228,14 @@ class TestWeightsAndClusters:
         res = run_cli("clusters", "--process", "stable", "--alpha", "0.5", "--n-grid", "20,40", "--reps", "5")
         assert res.returncode == 0, res.stderr
         assert GrowthDiagnostic.from_dict(json.loads(res.stdout)).params == {"alpha": 0.5}
+
+    def test_dirichlet_clusters_reject_n_of_1(self):
+        res = run_cli("clusters", "--n-grid", "1", "--reps", "2", "--seed", "1")
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:") and "n_grid" in res.stderr
+        assert "Traceback" not in res.stderr
+        res = run_cli("clusters", "--process", "stable", "--alpha", "0.5", "--n-grid", "1", "--reps", "2")
+        assert res.returncode == 0, res.stderr
 
     def test_bad_grid_flag(self):
         res = run_cli("clusters", "--n-grid", "50,zebra", "--theta", "3", "--seed", "1")
