@@ -367,6 +367,17 @@ def _selftest_checks():
         assert series.points[0] < tail_support_bound(LevyTail.gamma(3.0))
         return True
 
+    def block_equals_single_draws():
+        from .experiments import build_measures
+
+        trunc = TruncationPolicy.fixed(200)
+        seeds = [(41, i) for i in range(3)]
+        for process, params in (("dirichlet", {"theta": 3.0}), ("pdp_series", {"alpha": 0.9, "theta": 10.0, "r": 11})):
+            block = build_measures(process, params, trunc, seeds)
+            singles = [build_measure(process, params, trunc, seed) for seed in seeds]
+            assert [m.to_json() for m in block] == [m.to_json() for m in singles]
+        return True
+
     def stick_breaking_mean():
         total = 0.0
         reps = 400
@@ -393,6 +404,7 @@ def _selftest_checks():
         ("Dirichlet mean property", dp_mean_property),
         ("support bound consistency", support_bound_consistency),
         ("stick-breaking first-weight mean", stick_breaking_mean),
+        ("a 3-replication block equals three single draws", block_equals_single_draws),
     ]
 
 

@@ -31,3 +31,13 @@ class CapabilityError(NbpError, RuntimeError):
 
 class DegenerateTruncationError(NbpError, ValueError):
     """A truncation policy retained fewer than two points."""
+
+
+def as_number(name: str, value, kind=float):
+    """``kind(value)`` for a parameter read from a caller or a config file;
+    a value that does not convert raises DomainError naming the parameter."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        expected = "an integer" if kind is int else "a real number"
+        raise DomainError(f"{name} must be {expected}, got {value!r}") from exc

@@ -3,8 +3,10 @@ benchmark-grid reproduction, weight profiles, and distinct-count growth
 diagnostics.
 
 Replications derive their seeds as (master_seed, replication_index) and
-run one after another in index order; a replication's draws depend only
-on its own seed.
+are drawn in index order.  Fixed-count normalized series are drawn a
+block of replications at a time, with one tail inversion for the whole
+block; a replication's draws still depend only on its own seed, so it is
+bit-identical to drawing it alone.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import replication_seed, seed_tuple
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError, DomainError, as_number
 from .levy_tails import LevyTail
 from .point_processes import TruncationPolicy
 from .random_measures import (
@@ -26,18 +28,26 @@ from .random_measures import (
     DiscreteMeasure,
     ExtendedDpParams,
     PdpParams,
+    SeriesProcess,
     distinct_count,
     draw_from_measure,
-    sample_dp,
     sample_extended_dp_finite,
-    sample_pdp_series,
     sample_pdp_stick_breaking,
-    sample_pkp,
-    sample_stable_normalized,
+    series_measure,
+    series_points,
     uniform_base,
 )
 
 PROCESSES = ("dirichlet", "extended_dp", "pkp", "pdp_series", "pdp_stick", "stable")
+
+# the processes whose weights are normalized negative binomial points
+_SERIES_PROCESSES = ("dirichlet", "pkp", "pdp_series", "stable")
+
+# Points per batched draw of fixed-count replications: 64 replications of
+# the bundled grid's 400 points.  Longer series take fewer replications per
+# block, so a block's memory stays near max(_BLOCK_POINTS, n) points
+# whatever the replication count.
+_BLOCK_POINTS = 64 * 400
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +155,21 @@ class ExperimentResult:
         )
 
 
-def build_measure(
+def build_measures(
     process: str,
     params: dict,
     truncation: TruncationPolicy | None,
-    seed,
+    seeds,
     base: BaseMeasure | None = None,
-) -> DiscreteMeasure:
-    """Construct one measure realization for a declarative process spec.
+) -> list[DiscreteMeasure]:
+    """One measure realization per seed, in seed order, for a declarative process spec.
+
+    The normalized-series processes (dirichlet, stable, pkp, pdp_series)
+    draw their points through ``series_points``, which under fixed-count
+    truncation inverts the points of all seeds at once, and normalize
+    each seed's points into its own measure; the other processes draw
+    seed by seed.  Measure i is bit-identical to ``build_measure`` with
+    seed i, and the first seed that fails raises.
 
     For ``pdp_series`` an explicit ``r`` in the parameters selects the
     truncated arrival-ratio series with exactly that order (the benchmark
@@ -161,54 +178,104 @@ def build_measure(
     """
     if base is None:
         base = uniform_base()
+    seeds = list(seeds)
     try:
-        if process == "dirichlet":
-            return sample_dp(params["theta"], base, _need_trunc(truncation), seed)
-        if process == "stable":
-            return sample_stable_normalized(params["alpha"], base, _need_trunc(truncation), seed)
-        if process == "pkp":
-            tail = LevyTail.from_dict(params["tail"]) if isinstance(params.get("tail"), dict) else params["tail"]
-            return sample_pkp(
-                params["r"], tail, base, _need_trunc(truncation), seed,
-                randomized=params.get("randomized"),
-            )
-        if process == "pdp_series":
-            alpha = params["alpha"]
-            if params.get("r") is not None:
-                tail = LevyTail.generalized_gamma(alpha)
-                return sample_pkp(params["r"], tail, base, _need_trunc(truncation), seed)
-            return sample_pdp_series(
-                PdpParams(alpha=alpha, theta=params["theta"]), base, _need_trunc(truncation), seed
-            )
+        series = _series_process(process, params)
+        if series is not None:
+            trunc = _need_trunc(truncation)
+            draws = series_points(series, trunc, seeds)
+            return [series_measure(series, base, trunc, seed, draw) for seed, draw in zip(seeds, draws)]
         if process == "extended_dp":
             n = params.get("n")
             if n is None:
                 n = _need_trunc(truncation).n
                 if n is None:
                     raise DomainError("extended_dp needs a level n (params or fixed_count truncation)")
-            return sample_extended_dp_finite(
-                ExtendedDpParams(concentration=params["concentration"], r=params.get("r", 0), n=int(n)),
-                base, seed,
+            ext = ExtendedDpParams(
+                concentration=params["concentration"], r=params.get("r", 0), n=as_number("n", n, int)
             )
+            return [sample_extended_dp_finite(ext, base, seed) for seed in seeds]
         if process == "pdp_stick":
             sticks = params.get("sticks")
             if sticks is None:
                 sticks = _need_trunc(truncation).n
                 if sticks is None:
                     raise DomainError("pdp_stick needs a stick count (params or fixed_count truncation)")
-            return sample_pdp_stick_breaking(
-                params["alpha"], params["theta"], base, int(sticks),
-                bool(params.get("ranked", False)), seed,
-            )
+            alpha, theta = _real(params, "alpha"), _real(params, "theta")
+            sticks, ranked = as_number("sticks", sticks, int), bool(params.get("ranked", False))
+            return [sample_pdp_stick_breaking(alpha, theta, base, sticks, ranked, seed) for seed in seeds]
     except KeyError as exc:
         raise DomainError(f"process {process!r} is missing parameter {exc}") from exc
     raise DomainError(f"unknown process {process!r}; expected one of {PROCESSES}")
+
+
+def build_measure(
+    process: str,
+    params: dict,
+    truncation: TruncationPolicy | None,
+    seed,
+    base: BaseMeasure | None = None,
+) -> DiscreteMeasure:
+    """Construct one measure realization for a declarative process spec:
+    ``build_measures`` with one seed."""
+    return build_measures(process, params, truncation, [seed], base)[0]
+
+
+def _real(params: dict, key: str) -> float:
+    return as_number(key, params[key])
+
+
+def _series_process(process: str, params: dict) -> SeriesProcess | None:
+    """The normalized-series form of a declarative spec; None for the other processes."""
+    if process == "dirichlet":
+        return SeriesProcess.dirichlet(_real(params, "theta"))
+    if process == "stable":
+        return SeriesProcess.stable(_real(params, "alpha"))
+    if process == "pkp":
+        tail = LevyTail.from_dict(params["tail"]) if isinstance(params.get("tail"), dict) else params["tail"]
+        return SeriesProcess.pkp(_real(params, "r"), tail, params.get("randomized"))
+    if process == "pdp_series":
+        alpha = _real(params, "alpha")
+        if params.get("r") is not None:
+            return SeriesProcess.pkp(_real(params, "r"), LevyTail.generalized_gamma(alpha))
+        return SeriesProcess.pdp(PdpParams(alpha=alpha, theta=_real(params, "theta")))
+    return None
 
 
 def _need_trunc(truncation: TruncationPolicy | None) -> TruncationPolicy:
     if truncation is None:
         raise DomainError("this process needs a truncation policy")
     return truncation
+
+
+def _replicate(process: str, params: dict, truncation: TruncationPolicy | None, seeds: list, base: BaseMeasure):
+    """Yield each seed's measure, or the exception its draw raised, in seed order.
+
+    Fixed-count normalized series are drawn ``build_measures`` block by
+    block, at most ``_BLOCK_POINTS`` points or one seed per block; a block
+    that raises is drawn again seed by seed, so each failure stays with its
+    own seed.  Other processes and the epsilon rule are drawn seed by seed.
+    """
+    rows = 1
+    if process in _SERIES_PROCESSES and truncation is not None and truncation.mode == "fixed_count":
+        rows = max(1, _BLOCK_POINTS // int(truncation.n))
+    for start in range(0, len(seeds), rows):
+        block = seeds[start:start + rows]
+        if len(block) > 1:
+            try:
+                measures = build_measures(process, params, truncation, block, base)
+            except Exception:  # noqa: BLE001 - redrawn seed by seed below
+                pass
+            else:
+                yield from measures
+                continue
+        for seed in block:
+            try:
+                measure = build_measure(process, params, truncation, seed, base)
+            except Exception as exc:  # noqa: BLE001 - the caller records or raises it
+                yield exc
+            else:
+                yield measure
 
 
 def run_ks_experiment(
@@ -227,10 +294,11 @@ def run_ks_experiment(
     reps = int(spec.replications)
     values = np.full(reps, np.nan)
     failures: list[str] = []
-    for i in range(reps):
-        seed_i = replication_seed(spec.master_seed, i)
+    seeds = [replication_seed(spec.master_seed, i) for i in range(reps)]
+    for i, m in enumerate(_replicate(spec.process, spec.params, spec.truncation, seeds, base)):
         try:
-            m = build_measure(spec.process, spec.params, spec.truncation, seed_i, base)
+            if isinstance(m, Exception):
+                raise m
             values[i] = kolmogorov_distance(m, base)
         except Exception as exc:  # noqa: BLE001 - failures are part of the result
             failures.append(f"replication {i}: {exc}")
@@ -352,12 +420,16 @@ def weight_profile(
     if base is None:
         base = uniform_base()
     r_grid = [int(r) for r in r_grid]
+    if not r_grid:
+        raise DomainError("r_grid must name at least one order r")
     out = np.zeros((len(r_grid), int(top_k)))
     for gi, r in enumerate(r_grid):
         trunc = TruncationPolicy.fixed(r + int(points_per_r))
         acc = np.zeros(int(top_k))
-        for rep in range(int(replications)):
-            m = sample_pkp(r, tail, base, trunc, seed_tuple(seed) + (gi, rep))
+        seeds = [seed_tuple(seed) + (gi, rep) for rep in range(int(replications))]
+        for m in _replicate("pkp", {"r": r, "tail": tail}, trunc, seeds, base):
+            if isinstance(m, Exception):
+                raise m
             acc += m.weights[: int(top_k)]  # series order is decreasing
         out[gi] = acc / int(replications)
     return WeightProfile(
@@ -425,9 +497,11 @@ def clustering_growth(
     families by n^alpha.
     """
     n_grid = [int(n) for n in n_grid]
+    if not n_grid:
+        raise DomainError("n_grid must name at least one sample size")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise DomainError("n_grid must be strictly increasing")
-    if process == "dirichlet" and n_grid and n_grid[0] < 2:
+    if process == "dirichlet" and n_grid[0] < 2:
         raise DomainError(f"dirichlet normalizes K_n by log n, so n_grid must start at 2 or more, got {n_grid[0]}")
     if base is None:
         base = uniform_base()
@@ -440,9 +514,10 @@ def clustering_growth(
     kn_means = []
     for ni, n in enumerate(n_grid):
         total = 0
-        for rep in range(int(replications)):
-            seed_i = seed_tuple(seed) + (ni, rep)
-            m = build_measure(process, params, truncation, seed_i, base)
+        seeds = [seed_tuple(seed) + (ni, rep) for rep in range(int(replications))]
+        for seed_i, m in zip(seeds, _replicate(process, params, truncation, seeds, base)):
+            if isinstance(m, Exception):
+                raise m
             total += distinct_count(draw_from_measure(m, n, seed_i))
         kn_means.append(total / int(replications))
     if process == "dirichlet":
@@ -522,9 +597,13 @@ def rank_weight_equivalence_test(
 
     lhs = np.empty(replications)
     rhs = np.empty(replications)
-    pdp = PdpParams(alpha=float(alpha), theta=float(theta))
-    for i in range(replications):
-        m = sample_pdp_series(pdp, base, truncation, seed_tuple(seed) + (0, i))
+    series = _replicate(
+        "pdp_series", {"alpha": float(alpha), "theta": float(theta)}, truncation,
+        [seed_tuple(seed) + (0, i) for i in range(replications)], base,
+    )
+    for i, m in enumerate(series):
+        if isinstance(m, Exception):
+            raise m
         lhs[i] = float(np.max(m.weights))
         s = sample_pdp_stick_breaking(
             s_alpha, s_theta, base, int(sticks), True, seed_tuple(seed) + (1, i)

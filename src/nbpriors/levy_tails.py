@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sp
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, as_number
 from .special_functions import EULER_GAMMA, log_upper_gamma, log_upper_gamma_inverse
 
 KINDS = ("stable", "gamma", "generalized_gamma")
@@ -52,12 +52,12 @@ class LevyTail:
         if self.kind not in KINDS:
             raise DomainError(f"unknown tail kind {self.kind!r}; expected one of {KINDS}")
         if self.kind in ("stable", "generalized_gamma"):
-            if self.alpha is None or not (0.0 < float(self.alpha) < 1.0):
+            if self.alpha is None or not (0.0 < as_number("alpha", self.alpha) < 1.0):
                 raise DomainError(f"{self.kind} tail needs alpha in (0,1), got {self.alpha}")
             if self.theta is not None:
                 raise DomainError(f"{self.kind} tail does not take theta")
         else:
-            if self.theta is None or not (math.isfinite(float(self.theta)) and float(self.theta) > 0):
+            if self.theta is None or not (0.0 < as_number("theta", self.theta) < math.inf):
                 raise DomainError(f"gamma tail needs theta > 0, got {self.theta}")
             if self.alpha is not None:
                 raise DomainError("gamma tail does not take alpha")

@@ -33,6 +33,7 @@ from .errors import (
     DomainError,
     NumericError,
     ResourceLimitError,
+    as_number,
 )
 from .levy_tails import LevyTail, log_tail_inverse
 
@@ -61,15 +62,15 @@ class TruncationPolicy:
     def __post_init__(self):
         if self.mode not in ("fixed_count", "epsilon_rule"):
             raise DomainError(f"unknown truncation mode {self.mode!r}")
-        if int(self.hard_cap) < 1:
+        if as_number("hard_cap", self.hard_cap, int) < 1:
             raise DomainError("hard_cap must be positive")
         if self.mode == "fixed_count":
-            if self.n is None or int(self.n) < 1:
+            if self.n is None or as_number("n", self.n, int) < 1:
                 raise DomainError(f"fixed_count needs a positive index bound n, got {self.n}")
             if self.epsilon is not None:
                 raise DomainError("fixed_count does not take epsilon")
         else:
-            if self.epsilon is None or not (0.0 < float(self.epsilon) < 1.0):
+            if self.epsilon is None or not (0.0 < as_number("epsilon", self.epsilon) < 1.0):
                 raise DomainError(f"epsilon_rule needs epsilon in (0,1), got {self.epsilon}")
             if self.n is not None:
                 raise DomainError("epsilon_rule does not take n")
@@ -157,7 +158,7 @@ class NbpConfig:
     truncation: TruncationPolicy
 
     def __post_init__(self):
-        r = float(self.r)
+        r = as_number("r", self.r)
         if not (math.isfinite(r) and r >= 0):
             raise DomainError(f"order r must be a nonnegative real, got {self.r}")
 
@@ -206,6 +207,78 @@ def write_points_csv(points, first_index: int = 1, file=None) -> str | None:
     return None
 
 
+def _resolve_path(r: float, randomized: bool | None) -> bool:
+    """Whether order r samples on the randomized path; see ``sample_nbp_points``."""
+    is_integer = r == math.floor(r)
+    if randomized is None:
+        randomized = not is_integer
+    if randomized and r == 0.0:
+        raise DomainError("the randomized path needs r > 0")
+    if not randomized and not is_integer:
+        raise DomainError(f"the integer-order path needs integer r, got {r}")
+    return randomized
+
+
+def _levels(r: float, randomized: bool, seed) -> tuple[np.random.Generator, float, int]:
+    """One seed's arrival generator, the divisor of its levels Γ_i / divisor,
+    and the series index of its first retained point.
+
+    On the integer path the first r arrivals are drawn here and the divisor
+    is Γ_r; the remaining arrivals continue from it.
+    """
+    rng = spawn_generator(seed, STREAM_ARRIVALS)
+    if randomized:
+        mix_rng = spawn_generator(seed, STREAM_MIXING)
+        divisor = float(mix_rng.gamma(r, 1.0))
+        if not (math.isfinite(divisor) and divisor > 0.0):
+            # a tiny order r can underflow the gamma draw to an exact zero
+            raise NumericError(f"gamma mixing draw degenerated to {divisor} at r={r}")
+        return rng, divisor, 1
+    if r == 0.0:
+        return rng, 1.0, 1  # Gamma_0 = 1 convention: the plain Poisson random measure
+    head = np.cumsum(rng.standard_exponential(int(r)))
+    return rng, float(head[-1]), int(r) + 1
+
+
+def sample_fixed_count_log_points(
+    cfg: NbpConfig,
+    seeds,
+    randomized: bool | None = None,
+) -> tuple[np.ndarray, int]:
+    """ln of the fixed-count points of each seed, as one (len(seeds), keep) array,
+    and the series index of its first column.
+
+    Each seed draws its own levels, as ``sample_nbp_points`` does; then all
+    of them are inverted by one ``log_tail_inverse`` call.  The inverse
+    solves every point on its own, so row i is bit-identical to the draw
+    of seed i alone.
+    """
+    r = float(cfg.r)
+    randomized = _resolve_path(r, randomized)
+    trunc = cfg.truncation
+    if trunc.mode != "fixed_count":
+        raise DomainError(f"fixed-count sampling needs a fixed_count truncation, got {trunc.mode}")
+    seeds = list(seeds)
+    if not seeds:
+        raise DomainError("fixed-count sampling needs at least one seed")
+    levels = None
+    for row, seed in enumerate(seeds):
+        rng, divisor, first_index = _levels(r, randomized, seed)
+        keep = int(trunc.n) - (first_index - 1)
+        if keep < 2:
+            raise DegenerateTruncationError(
+                f"fixed_count n={trunc.n} retains {max(keep, 0)} points past index {first_index - 1}"
+            )
+        if keep > trunc.hard_cap:
+            raise ResourceLimitError(f"fixed_count would retain {keep} points, above hard_cap={trunc.hard_cap}")
+        if levels is None:
+            levels = np.empty((len(seeds), keep))
+        incr = rng.standard_exponential(keep)
+        tail_arrivals = divisor + np.cumsum(incr) if first_index > 1 else np.cumsum(incr)
+        levels[row] = tail_arrivals / divisor
+    return log_tail_inverse(cfg.tail, levels.ravel()).reshape(levels.shape), first_index
+
+
 def sample_nbp_points(
     cfg: NbpConfig,
     seed,
@@ -216,56 +289,23 @@ def sample_nbp_points(
     ``randomized=None`` picks the integer-order arrival-ratio path when r
     is a nonnegative integer and the gamma-randomized path otherwise;
     pass ``True`` to force the randomized path (any r > 0), ``False`` to
-    insist on the integer path.
+    insist on the integer path.  Under ``fixed_count`` truncation this is
+    ``sample_fixed_count_log_points`` with one seed.
     """
-    r = float(cfg.r)
-    is_integer = r == math.floor(r)
-    if randomized is None:
-        randomized = not is_integer
-    if randomized and r == 0.0:
-        raise DomainError("the randomized path needs r > 0")
-    if not randomized and not is_integer:
-        raise DomainError(f"the integer-order path needs integer r, got {r}")
-
-    rng = spawn_generator(seed, STREAM_ARRIVALS)
-    offset = 0
-    if randomized:
-        mix_rng = spawn_generator(seed, STREAM_MIXING)
-        divisor = float(mix_rng.gamma(r, 1.0))
-        if not (math.isfinite(divisor) and divisor > 0.0):
-            # a tiny order r can underflow the gamma draw to an exact zero
-            raise NumericError(f"gamma mixing draw degenerated to {divisor} at r={r}")
-        first_index = 1
-    elif r == 0.0:
-        divisor = 1.0  # Gamma_0 = 1 convention: the plain Poisson random measure
-        first_index = 1
-    else:
-        offset = int(r)
-        head = np.cumsum(rng.standard_exponential(offset))
-        divisor = float(head[-1])
-        first_index = offset + 1
-
     trunc = cfg.truncation
     if trunc.mode == "fixed_count":
-        keep = int(trunc.n) - (first_index - 1)
-        if keep < 2:
-            raise DegenerateTruncationError(
-                f"fixed_count n={trunc.n} retains {max(keep, 0)} points past index {first_index - 1}"
-            )
-        if keep > trunc.hard_cap:
-            raise ResourceLimitError(f"fixed_count would retain {keep} points, above hard_cap={trunc.hard_cap}")
-        incr = rng.standard_exponential(keep)
-        tail_arrivals = divisor + np.cumsum(incr) if offset else np.cumsum(incr)
-        log_pts = log_tail_inverse(cfg.tail, tail_arrivals / divisor)
-        return PointSeries(log_pts, first_index, "fixed_count")
+        log_pts, first_index = sample_fixed_count_log_points(cfg, [seed], randomized)
+        return PointSeries(log_pts[0], first_index, "fixed_count")
 
+    r = float(cfg.r)
+    rng, divisor, first_index = _levels(r, _resolve_path(r, randomized), seed)
     # epsilon rule: grow in fixed-size chunks so the draw sequence is
     # independent of where the rule fires
     eps = float(trunc.epsilon)
     chunks: list[np.ndarray] = []
     running_sum = 0.0
     retained = 0
-    last_arrival = divisor if offset else 0.0
+    last_arrival = divisor if first_index > 1 else 0.0
     while True:
         incr = rng.standard_exponential(_CHUNK)
         incr[0] += last_arrival

@@ -43,9 +43,16 @@ from ._rng import (
 from .errors import (
     DegenerateTruncationError,
     DomainError,
+    as_number,
 )
 from .levy_tails import LevyTail
-from .point_processes import NbpConfig, TruncationPolicy, sample_nbp_points
+from .point_processes import (
+    NbpConfig,
+    PointSeries,
+    TruncationPolicy,
+    sample_fixed_count_log_points,
+    sample_nbp_points,
+)
 from .special_functions import gamma_quantile_upper_many
 
 SCHEMA_VERSION = 1
@@ -185,9 +192,10 @@ class PdpParams:
     theta: float
 
     def __post_init__(self):
-        if not (0.0 < float(self.alpha) < 1.0):
+        if not (0.0 < as_number("alpha", self.alpha) < 1.0):
             raise DomainError(f"alpha must lie in (0,1), got {self.alpha}")
-        if not (math.isfinite(float(self.theta)) and float(self.theta) > 0):
+        theta = as_number("theta", self.theta)
+        if not (math.isfinite(theta) and theta > 0):
             raise DomainError(f"theta must be positive (the series route needs theta > 0), got {self.theta}")
 
     @property
@@ -204,11 +212,13 @@ class ExtendedDpParams:
     n: int
 
     def __post_init__(self):
-        if not (math.isfinite(float(self.concentration)) and float(self.concentration) > 0):
+        concentration = as_number("concentration", self.concentration)
+        if not (math.isfinite(concentration) and concentration > 0):
             raise DomainError(f"concentration must be positive, got {self.concentration}")
-        if not (float(self.r) >= 0 and float(self.r).is_integer()):
+        r = as_number("r", self.r)
+        if not (r >= 0 and r.is_integer()):
             raise DomainError(f"r must be a nonnegative integer, got {self.r}")
-        if int(self.n) <= int(self.r) + 1:
+        if as_number("n", self.n, int) <= int(r) + 1:
             raise DomainError(f"need n > r + 1, got n={self.n}, r={self.r}")
 
 
@@ -244,25 +254,74 @@ def _measure_from_log_weights(log_w: np.ndarray, atoms: np.ndarray, provenance: 
     return DiscreteMeasure(atoms=atoms, weights=w, provenance=provenance, sorted_by_weight=sorted_by_weight)
 
 
-def _sample_normalized_series(
-    process: str,
-    params: dict,
-    r: float,
-    tail: LevyTail,
+@dataclass(frozen=True)
+class SeriesProcess:
+    """A process whose weights are the normalized negative binomial points:
+    its provenance name and parameters, order r, tail and sampling path."""
+
+    process: str
+    params: dict
+    r: float
+    tail: LevyTail
+    randomized: bool | None = None
+
+    @classmethod
+    def pkp(cls, r: float, tail: LevyTail, randomized: bool | None = None) -> "SeriesProcess":
+        params = {"r": float(r), "tail": tail.to_dict()}
+        if randomized is not None:
+            params["randomized"] = bool(randomized)
+        return cls("pkp", params, r, tail, randomized)
+
+    @classmethod
+    def dirichlet(cls, theta: float) -> "SeriesProcess":
+        return cls("dirichlet", {"theta": float(theta)}, 0.0, LevyTail.gamma(theta))
+
+    @classmethod
+    def stable(cls, alpha: float) -> "SeriesProcess":
+        return cls("stable", {"alpha": float(alpha)}, 0.0, LevyTail.stable(alpha))
+
+    @classmethod
+    def pdp(cls, params: PdpParams) -> "SeriesProcess":
+        payload = {"alpha": float(params.alpha), "theta": float(params.theta), "r": params.r_derived}
+        return cls("pdp_series", payload, params.r_derived, LevyTail.generalized_gamma(params.alpha), True)
+
+
+def series_points(series: SeriesProcess, trunc: TruncationPolicy, seeds) -> list[PointSeries]:
+    """The truncated point sequence of ``series`` for each seed, in seed order.
+
+    Under ``fixed_count`` truncation the points of all seeds are inverted
+    together by ``sample_fixed_count_log_points``; the epsilon rule draws
+    seed by seed.  Either way draw i is bit-identical to the draw of seed
+    i alone.  The first seed that fails raises.
+    """
+    cfg = NbpConfig(r=series.r, tail=series.tail, truncation=trunc)
+    if trunc.mode == "fixed_count":
+        log_points, first_index = sample_fixed_count_log_points(cfg, seeds, series.randomized)
+        return [PointSeries(row, first_index, "fixed_count") for row in log_points]
+    return [sample_nbp_points(cfg, seed, series.randomized) for seed in seeds]
+
+
+def series_measure(
+    series: SeriesProcess,
     base: BaseMeasure,
     trunc: TruncationPolicy,
     seed,
-    randomized: bool | None,
+    draw: PointSeries,
 ) -> DiscreteMeasure:
-    series = sample_nbp_points(NbpConfig(r=r, tail=tail, truncation=trunc), seed, randomized)
-    if len(series) < 2:
-        raise DegenerateTruncationError(f"truncation retained {len(series)} points; need at least 2")
+    """The measure of one seed's draw: its points normalized into weights,
+    in series order, on atoms drawn from ``base`` on the seed's atom stream."""
+    if len(draw) < 2:
+        raise DegenerateTruncationError(f"truncation retained {len(draw)} points; need at least 2")
     atom_rng = spawn_generator(seed, STREAM_ATOMS)
-    atoms = np.asarray(base.sampler(atom_rng, len(series)), dtype=float)
-    prov = _provenance(process, params, trunc, seed, series.truncation_warning)
-    prov["stopped_by"] = series.stopped_by
+    atoms = np.asarray(base.sampler(atom_rng, len(draw)), dtype=float)
+    prov = _provenance(series.process, series.params, trunc, seed, draw.truncation_warning)
+    prov["stopped_by"] = draw.stopped_by
     prov["base"] = base.label
-    return _measure_from_log_weights(series.log_points, atoms, prov, sorted_by_weight=True)
+    return _measure_from_log_weights(draw.log_points, atoms, prov, sorted_by_weight=True)
+
+
+def _sample_one(series: SeriesProcess, base: BaseMeasure, trunc: TruncationPolicy, seed) -> DiscreteMeasure:
+    return series_measure(series, base, trunc, seed, series_points(series, trunc, [seed])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +343,7 @@ def sample_pkp(
     atoms are drawn from ``base`` on an independent stream.  ``randomized``
     selects the sampling path as in :func:`sample_nbp_points`.
     """
-    params = {"r": float(r), "tail": tail.to_dict()}
-    if randomized is not None:
-        params["randomized"] = bool(randomized)
-    return _sample_normalized_series("pkp", params, r, tail, base, trunc, seed, randomized)
+    return _sample_one(SeriesProcess.pkp(r, tail, randomized), base, trunc, seed)
 
 
 def sample_dp(
@@ -297,10 +353,7 @@ def sample_dp(
     seed,
 ) -> DiscreteMeasure:
     """Dirichlet process draw: the r = 0 series with the gamma tail."""
-    tail = LevyTail.gamma(theta)
-    return _sample_normalized_series(
-        "dirichlet", {"theta": float(theta)}, 0.0, tail, base, trunc, seed, None
-    )
+    return _sample_one(SeriesProcess.dirichlet(theta), base, trunc, seed)
 
 
 def sample_stable_normalized(
@@ -310,10 +363,7 @@ def sample_stable_normalized(
     seed,
 ) -> DiscreteMeasure:
     """Normalized stable process draw: weights proportional to Γ_i^{-1/alpha}."""
-    tail = LevyTail.stable(alpha)
-    return _sample_normalized_series(
-        "stable", {"alpha": float(alpha)}, 0.0, tail, base, trunc, seed, None
-    )
+    return _sample_one(SeriesProcess.stable(alpha), base, trunc, seed)
 
 
 def sample_pdp_series(
@@ -331,11 +381,7 @@ def sample_pdp_series(
     than PD(alpha, theta), while the randomized path reproduces the full
     subordinator jump sequence and matches stick-breaking in distribution.
     """
-    tail = LevyTail.generalized_gamma(params.alpha)
-    payload = {"alpha": float(params.alpha), "theta": float(params.theta), "r": params.r_derived}
-    return _sample_normalized_series(
-        "pdp_series", payload, params.r_derived, tail, base, trunc, seed, True
-    )
+    return _sample_one(SeriesProcess.pdp(params), base, trunc, seed)
 
 
 def sample_extended_dp_finite(

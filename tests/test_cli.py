@@ -112,6 +112,19 @@ class TestSample:
         assert res.returncode == 0, res.stderr
         assert DiscreteMeasure.from_json(res.stdout).provenance["params"]["r"] == 2
 
+    @pytest.mark.parametrize("process, params", [
+        ("dirichlet", {"theta": "x"}),
+        ("extended_dp", {"concentration": 3, "r": "x"}),
+    ])
+    def test_non_numeric_config_value_is_a_domain_error(self, process, params, tmp_path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"process": process, "params": params,
+                                   "truncation": {"mode": "fixed_count", "n": 50}, "seed": 1}))
+        res = run_cli("sample", "--config", str(cfg))
+        assert res.returncode == 1, res.stdout
+        assert res.stderr.startswith("error:") and "'x'" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_unreadable_config(self):
         res = run_cli("sample", "--config", "/nonexistent/cfg.json", "--process", "dirichlet")
         assert res.returncode == 1
@@ -236,6 +249,16 @@ class TestWeightsAndClusters:
         assert "Traceback" not in res.stderr
         res = run_cli("clusters", "--process", "stable", "--alpha", "0.5", "--n-grid", "1", "--reps", "2")
         assert res.returncode == 0, res.stderr
+
+    @pytest.mark.parametrize("args", [
+        ("clusters", "--n-grid", ""),
+        ("weights", "--r-grid", ""),
+    ])
+    def test_empty_grid_is_a_domain_error(self, args):
+        res = run_cli(*args, "--reps", "2", "--seed", "1", "--output", "csv")
+        assert res.returncode == 1, res.stdout
+        assert res.stderr.startswith("error:") and "grid" in res.stderr
+        assert res.stdout == ""
 
     def test_bad_grid_flag(self):
         res = run_cli("clusters", "--n-grid", "50,zebra", "--theta", "3", "--seed", "1")

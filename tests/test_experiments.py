@@ -28,7 +28,8 @@ from nbpriors import (
     uniform_base,
     weight_profile,
 )
-from nbpriors._rng import replication_seed
+from nbpriors import experiments, point_processes, random_measures
+from nbpriors._rng import replication_seed, seed_tuple, spawn_generator
 
 from oracles import dp_expected_distinct, ks_distance_brute
 
@@ -156,6 +157,118 @@ class TestRunKsExperiment:
         assert "wall_time" in res.to_dict(include_timing=True)
 
 
+class TestReplicationEngine:
+    """Fixed-count series replications are drawn in blocks, their points inverted together."""
+
+    N = 400
+    # three replications past the first block at n = 400
+    REPS = experiments._BLOCK_POINTS // N + 3
+
+    SERIES = [
+        ("dirichlet", {"theta": 3.0}),
+        ("stable", {"alpha": 0.5}),
+        ("pkp", {"r": 3, "tail": {"kind": "gamma", "theta": 2.0}}),
+        ("pdp_series", {"alpha": 0.9, "theta": 10.0, "r": 11}),
+        ("pdp_series", {"alpha": 0.5, "theta": 2.0}),
+    ]
+
+    @staticmethod
+    def per_draw(spec):
+        """Each replication's KS value or failure string, drawn with its own build_measure call."""
+        values, failures = [], []
+        for i in range(spec.replications):
+            try:
+                m = build_measure(spec.process, spec.params, spec.truncation, replication_seed(spec.master_seed, i))
+            except Exception as exc:  # noqa: BLE001 - compared with the recorded failures
+                failures.append(f"replication {i}: {exc}")
+            else:
+                values.append(kolmogorov_distance(m, UB))
+        return values, failures
+
+    @staticmethod
+    def batched(spec, monkeypatch):
+        """run_ks_experiment's result and the KS values it computed, in order."""
+        seen = []
+
+        def recording(measure, base):
+            seen.append(kolmogorov_distance(measure, base))
+            return seen[-1]
+
+        monkeypatch.setattr(experiments, "kolmogorov_distance", recording)
+        return run_ks_experiment(spec), seen
+
+    @pytest.mark.parametrize("process, params", SERIES)
+    def test_each_replication_equals_its_own_draw(self, process, params, monkeypatch):
+        spec = ExperimentSpec(process, params, self.REPS, TruncationPolicy.fixed(self.N), 61)
+        res, seen = self.batched(spec, monkeypatch)
+        values, failures = self.per_draw(spec)
+        assert failures == res.failures == []
+        assert len(seen) == self.REPS
+        assert seen == values  # exact float equality, replication by replication
+
+    def test_measures_equal_their_own_draws(self):
+        trunc = TruncationPolicy.fixed(self.N)
+        seeds = [(5, i) for i in range(3)]
+        for process, params in self.SERIES:
+            block = experiments.build_measures(process, params, trunc, seeds)
+            singles = [build_measure(process, params, trunc, seed) for seed in seeds]
+            assert [m.to_json() for m in block] == [m.to_json() for m in singles]
+
+    @pytest.mark.parametrize("r", [1e-3, 3e-3])
+    def test_failures_stay_with_their_replication(self, r, monkeypatch):
+        # a tiny randomized order degenerates the mixing draw on some seeds, and at
+        # r = 3e-3 overflows other seeds' levels inside the block's inversion
+        params = {"r": r, "tail": {"kind": "stable", "alpha": 0.5}, "randomized": True}
+        spec = ExperimentSpec("pkp", params, 70, TruncationPolicy.fixed(50), 3)
+        with np.errstate(over="ignore"):
+            res, seen = self.batched(spec, monkeypatch)
+            values, failures = self.per_draw(spec)
+        assert 0 < len(failures) < 70
+        assert res.failures == failures
+        assert seen == values
+
+    def test_a_row_that_keeps_one_point_fails_as_per_draw(self):
+        # n <= r + 1 keeps fewer than two points on every seed
+        spec = ExperimentSpec("pdp_series", {"alpha": 0.9, "theta": 10.0, "r": self.N - 1}, self.REPS,
+                              TruncationPolicy.fixed(self.N), 8)
+        res = run_ks_experiment(spec)
+        values, failures = self.per_draw(spec)
+        assert values == []
+        assert res.failures == failures
+        assert len(failures) == self.REPS
+        assert math.isnan(res.mean_distance)
+
+    def test_weight_profile_equals_the_per_draw_sum(self):
+        from nbpriors import sample_pkp
+
+        tail, top_k, reps = LevyTail.gamma(3.0), 5, self.REPS
+        profile = weight_profile(tail, [0, 3], top_k=top_k, replications=reps, seed=7, points_per_r=self.N)
+        for gi, r in enumerate([0, 3]):
+            acc = np.zeros(top_k)
+            for rep in range(reps):
+                m = sample_pkp(r, tail, UB, TruncationPolicy.fixed(r + self.N), seed_tuple(7) + (gi, rep))
+                acc += m.weights[:top_k]
+            assert np.array_equal(profile.mean_weights[gi], acc / reps)
+
+    @pytest.mark.parametrize("params, spawns", [
+        ({"r": 3, "tail": {"kind": "gamma", "theta": 2.0}}, 2),  # arrivals and atoms
+        ({"r": 3, "tail": {"kind": "gamma", "theta": 2.0}, "randomized": True}, 3),  # and the mixing draw
+    ])
+    def test_spawns_per_replication(self, params, spawns, monkeypatch):
+        calls = []
+
+        def counting(seed, stream_tag):
+            calls.append((seed_tuple(seed), stream_tag))
+            return spawn_generator(seed, stream_tag)
+
+        for module in (point_processes, random_measures):
+            monkeypatch.setattr(module, "spawn_generator", counting)
+        spec = ExperimentSpec("pkp", params, self.REPS, TruncationPolicy.fixed(self.N), 12)
+        assert not run_ks_experiment(spec).failures
+        assert len(calls) == spawns * self.REPS
+        assert len(set(calls)) == len(calls)
+
+
 class TestKsTable:
     ROWS = [{"alpha": 0.5, "theta": 1, "r": 2}, {"alpha": 0.9, "theta": 10, "r": 11}]
 
@@ -188,6 +301,8 @@ class TestWeightProfile:
     def test_validation(self):
         with pytest.raises(DomainError):
             weight_profile(LevyTail.gamma(3.0), [0], top_k=0, replications=5, seed=1)
+        with pytest.raises(DomainError, match="r_grid"):
+            weight_profile(LevyTail.gamma(3.0), [], top_k=10, replications=5, seed=1)
         with pytest.raises(DomainError):
             weight_profile(LevyTail.gamma(3.0), [0], top_k=10, replications=5, seed=1, points_per_r=4)
 
@@ -216,6 +331,9 @@ class TestClusteringGrowth:
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             clustering_growth("dirichlet", {"theta": 1.0}, [100, 100], 10, 1)
+        for process, params in (("dirichlet", {"theta": 1.0}), ("stable", {"alpha": 0.5})):
+            with pytest.raises(DomainError, match="n_grid"):
+                clustering_growth(process, params, [], 10, 1)
 
 
 class TestEquivalence:
