@@ -370,9 +370,13 @@ def _selftest_checks():
     def block_equals_single_draws():
         from .experiments import build_measures
 
-        trunc = TruncationPolicy.fixed(200)
+        fixed, eps = TruncationPolicy.fixed(200), TruncationPolicy.epsilon_rule(1e-6)
         seeds = [(41, i) for i in range(3)]
-        for process, params in (("dirichlet", {"theta": 3.0}), ("pdp_series", {"alpha": 0.9, "theta": 10.0, "r": 11})):
+        for process, params, trunc in (
+            ("dirichlet", {"theta": 3.0}, fixed),
+            ("pdp_series", {"alpha": 0.9, "theta": 10.0, "r": 11}, fixed),
+            ("pdp_series", {"alpha": 0.5, "theta": 2.0}, eps),
+        ):
             block = build_measures(process, params, trunc, seeds)
             singles = [build_measure(process, params, trunc, seed) for seed in seeds]
             assert [m.to_json() for m in block] == [m.to_json() for m in singles]

@@ -3,10 +3,10 @@ benchmark-grid reproduction, weight profiles, and distinct-count growth
 diagnostics.
 
 Replications derive their seeds as (master_seed, replication_index) and
-are drawn in index order.  Fixed-count normalized series are drawn a
-block of replications at a time, with one tail inversion for the whole
-block; a replication's draws still depend only on its own seed, so it is
-bit-identical to drawing it alone.
+are drawn in index order.  Normalized series are drawn a block of
+replications at a time, with one tail inversion for the whole block
+(per round of the epsilon rule); a replication's draws still depend only
+on its own seed, so it is bit-identical to drawing it alone.
 """
 
 from __future__ import annotations
@@ -48,6 +48,11 @@ _SERIES_PROCESSES = ("dirichlet", "pkp", "pdp_series", "stable")
 # block, so a block's memory stays near max(_BLOCK_POINTS, n) points
 # whatever the replication count.
 _BLOCK_POINTS = 64 * 400
+
+# Seeds per batched draw of epsilon-rule replications.  Each round inverts
+# the next _CHUNK points of every live seed, so at most 8 x 1,024 points at
+# once; a block keeps up to 8 x hard_cap retained points until it ends.
+_EPSILON_BLOCK = 8
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +170,8 @@ def build_measures(
     """One measure realization per seed, in seed order, for a declarative process spec.
 
     The normalized-series processes (dirichlet, stable, pkp, pdp_series)
-    draw their points through ``series_points``, which under fixed-count
-    truncation inverts the points of all seeds at once, and normalize
+    draw their points through ``series_points``, which inverts the points
+    of all seeds at once (per round of the epsilon rule), and normalize
     each seed's points into its own measure; the other processes draw
     seed by seed.  Measure i is bit-identical to ``build_measure`` with
     seed i, and the first seed that fails raises.
@@ -251,14 +256,18 @@ def _need_trunc(truncation: TruncationPolicy | None) -> TruncationPolicy:
 def _replicate(process: str, params: dict, truncation: TruncationPolicy | None, seeds: list, base: BaseMeasure):
     """Yield each seed's measure, or the exception its draw raised, in seed order.
 
-    Fixed-count normalized series are drawn ``build_measures`` block by
-    block, at most ``_BLOCK_POINTS`` points or one seed per block; a block
-    that raises is drawn again seed by seed, so each failure stays with its
-    own seed.  Other processes and the epsilon rule are drawn seed by seed.
+    Normalized series are drawn ``build_measures`` block by block: under
+    fixed-count truncation at most ``_BLOCK_POINTS`` points or one seed per
+    block, under the epsilon rule ``_EPSILON_BLOCK`` seeds.  A block that
+    raises is drawn again seed by seed, so each failure stays with its own
+    seed.  Other processes are drawn seed by seed.
     """
     rows = 1
-    if process in _SERIES_PROCESSES and truncation is not None and truncation.mode == "fixed_count":
-        rows = max(1, _BLOCK_POINTS // int(truncation.n))
+    if process in _SERIES_PROCESSES and truncation is not None:
+        if truncation.mode == "fixed_count":
+            rows = max(1, _BLOCK_POINTS // truncation.n)
+        else:
+            rows = _EPSILON_BLOCK
     for start in range(0, len(seeds), rows):
         block = seeds[start:start + rows]
         if len(block) > 1:
@@ -413,6 +422,8 @@ def weight_profile(
     base: BaseMeasure | None = None,
 ) -> WeightProfile:
     """Mean of the ``top_k`` largest weights across replications, per order r."""
+    if int(replications) < 1:
+        raise DomainError("replications must be at least 1")
     if int(top_k) < 1:
         raise DomainError("top_k must be at least 1")
     if int(points_per_r) < max(int(top_k), 2):
@@ -496,6 +507,8 @@ def clustering_growth(
     The Dirichlet process is normalized by log n; the stable-index
     families by n^alpha.
     """
+    if int(replications) < 1:
+        raise DomainError("replications must be at least 1")
     n_grid = [int(n) for n in n_grid]
     if not n_grid:
         raise DomainError("n_grid must name at least one sample size")

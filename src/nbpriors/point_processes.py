@@ -12,13 +12,20 @@ flavors:
   mirroring the full jump sequence of the subordinator picture.
 
 r = 0 reduces to the plain Poisson random measure (Γ_0 = 1 convention).
+
+``sample_log_points`` draws the sequences of a block of seeds and
+inverts their levels with one ``log_tail_inverse`` call: once for the
+whole block under fixed-count truncation, once per round of ``_CHUNK``
+points under the epsilon rule.  Each seed keeps its own generators and
+stopping state, so its sequence is bit-identical to drawing it alone;
+``sample_nbp_points`` is that sampler with one seed.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,7 +46,7 @@ from .levy_tails import LevyTail, log_tail_inverse
 
 MAX_ARRIVALS = 100_000_000  # ~800 MB of float64, hard memory bound
 
-_CHUNK = 1024  # draw size for the epsilon stopping rule; fixed for determinism
+_CHUNK = 1024  # points per seed per epsilon-rule round; fixed for determinism
 
 
 @dataclass(frozen=True)
@@ -60,18 +67,25 @@ class TruncationPolicy:
     hard_cap: int = 1_000_000
 
     def __post_init__(self):
+        # the converted values are stored (the dataclass is frozen), so a
+        # config string such as "100" compares as the number it passed as
         if self.mode not in ("fixed_count", "epsilon_rule"):
             raise DomainError(f"unknown truncation mode {self.mode!r}")
-        if as_number("hard_cap", self.hard_cap, int) < 1:
+        object.__setattr__(self, "hard_cap", as_number("hard_cap", self.hard_cap, int))
+        if self.hard_cap < 1:
             raise DomainError("hard_cap must be positive")
         if self.mode == "fixed_count":
-            if self.n is None or as_number("n", self.n, int) < 1:
+            n = None if self.n is None else as_number("n", self.n, int)
+            if n is None or n < 1:
                 raise DomainError(f"fixed_count needs a positive index bound n, got {self.n}")
+            object.__setattr__(self, "n", n)
             if self.epsilon is not None:
                 raise DomainError("fixed_count does not take epsilon")
         else:
-            if self.epsilon is None or not (0.0 < as_number("epsilon", self.epsilon) < 1.0):
+            eps = None if self.epsilon is None else as_number("epsilon", self.epsilon)
+            if eps is None or not (0.0 < eps < 1.0):
                 raise DomainError(f"epsilon_rule needs epsilon in (0,1), got {self.epsilon}")
+            object.__setattr__(self, "epsilon", eps)
             if self.n is not None:
                 raise DomainError("epsilon_rule does not take n")
 
@@ -240,43 +254,111 @@ def _levels(r: float, randomized: bool, seed) -> tuple[np.random.Generator, floa
     return rng, float(head[-1]), int(r) + 1
 
 
-def sample_fixed_count_log_points(
+def sample_log_points(
     cfg: NbpConfig,
     seeds,
     randomized: bool | None = None,
-) -> tuple[np.ndarray, int]:
-    """ln of the fixed-count points of each seed, as one (len(seeds), keep) array,
-    and the series index of its first column.
+) -> list[PointSeries]:
+    """The truncated negative binomial point sequence of each seed, in seed order.
 
-    Each seed draws its own levels, as ``sample_nbp_points`` does; then all
-    of them are inverted by one ``log_tail_inverse`` call.  The inverse
-    solves every point on its own, so row i is bit-identical to the draw
-    of seed i alone.
+    Each seed draws its own levels Γ_i / divisor from its own generators
+    (``_levels``); the levels of all seeds are inverted together, so one
+    ``log_tail_inverse`` call serves the whole block (per round of the
+    epsilon rule).  The inverse solves every point on its own and the
+    stopping rule runs row by row, so draw i is bit-identical to the draw
+    of seed i alone.  The first seed that fails raises.
     """
     r = float(cfg.r)
     randomized = _resolve_path(r, randomized)
-    trunc = cfg.truncation
-    if trunc.mode != "fixed_count":
-        raise DomainError(f"fixed-count sampling needs a fixed_count truncation, got {trunc.mode}")
     seeds = list(seeds)
     if not seeds:
-        raise DomainError("fixed-count sampling needs at least one seed")
-    levels = None
-    for row, seed in enumerate(seeds):
-        rng, divisor, first_index = _levels(r, randomized, seed)
-        keep = int(trunc.n) - (first_index - 1)
-        if keep < 2:
-            raise DegenerateTruncationError(
-                f"fixed_count n={trunc.n} retains {max(keep, 0)} points past index {first_index - 1}"
-            )
-        if keep > trunc.hard_cap:
-            raise ResourceLimitError(f"fixed_count would retain {keep} points, above hard_cap={trunc.hard_cap}")
-        if levels is None:
-            levels = np.empty((len(seeds), keep))
+        raise DomainError("sampling needs at least one seed")
+    states = [_levels(r, randomized, seed) for seed in seeds]
+    if cfg.truncation.mode == "fixed_count":
+        return _fixed_count(cfg, states)
+    return _epsilon_rule(cfg, states)
+
+
+def _fixed_count(cfg: NbpConfig, states: list) -> list[PointSeries]:
+    """Arrival indices first_index .. n of every seed, inverted as one (seeds, keep) array."""
+    trunc = cfg.truncation
+    first_index = states[0][2]
+    keep = trunc.n - (first_index - 1)
+    if keep < 2:
+        raise DegenerateTruncationError(
+            f"fixed_count n={trunc.n} retains {max(keep, 0)} points past index {first_index - 1}"
+        )
+    if keep > trunc.hard_cap:
+        raise ResourceLimitError(f"fixed_count would retain {keep} points, above hard_cap={trunc.hard_cap}")
+    levels = np.empty((len(states), keep))
+    for row, (rng, divisor, _) in enumerate(states):
         incr = rng.standard_exponential(keep)
         tail_arrivals = divisor + np.cumsum(incr) if first_index > 1 else np.cumsum(incr)
         levels[row] = tail_arrivals / divisor
-    return log_tail_inverse(cfg.tail, levels.ravel()).reshape(levels.shape), first_index
+    log_points = log_tail_inverse(cfg.tail, levels.ravel()).reshape(levels.shape)
+    return [PointSeries(row, first_index, "fixed_count") for row in log_points]
+
+
+@dataclass
+class _EpsilonRow:
+    """One seed's progress through the epsilon rule."""
+
+    rng: np.random.Generator
+    divisor: float
+    last_arrival: float
+    running_sum: float = 0.0
+    retained: int = 0
+    chunks: list = field(default_factory=list)
+
+    def next_levels(self) -> np.ndarray:
+        incr = self.rng.standard_exponential(_CHUNK)
+        incr[0] += self.last_arrival
+        arrivals = np.cumsum(incr)
+        self.last_arrival = float(arrivals[-1])
+        return arrivals / self.divisor
+
+    def take(self, log_pts: np.ndarray, trunc: TruncationPolicy, first_index: int) -> PointSeries | None:
+        """Apply the stopping rule to the next chunk; the finished series, or None to go on."""
+        pts = np.exp(log_pts)
+        ratios = pts / (self.running_sum + np.cumsum(pts))
+        below = np.flatnonzero(ratios < trunc.epsilon)
+        if below.size:
+            cut = int(below[0]) + 1  # the triggering index is retained
+            self.chunks.append(log_pts[:cut])
+            self.retained += cut
+            if self.retained <= trunc.hard_cap:
+                return PointSeries(np.concatenate(self.chunks), first_index, "epsilon_rule")
+        else:
+            self.chunks.append(log_pts)
+            self.retained += _CHUNK
+            self.running_sum += float(np.sum(pts))
+        if self.retained >= trunc.hard_cap:
+            total = np.concatenate(self.chunks)[: trunc.hard_cap]
+            return PointSeries(total, first_index, "hard_cap", truncation_warning=True)
+        return None
+
+
+def _epsilon_rule(cfg: NbpConfig, states: list) -> list[PointSeries]:
+    """Grow every seed's series in ``_CHUNK``-point chunks until the rule or the hard cap stops it.
+
+    Each round draws the next chunk of every live seed and inverts them
+    with one call; the ratio test then runs on each row alone.  A seed's
+    chunks come from its own generator, so its draws do not depend on
+    where the rule fires, for it or for the other seeds.
+    """
+    first_index = states[0][2]
+    rows = [_EpsilonRow(rng, divisor, divisor if first_index > 1 else 0.0) for rng, divisor, _ in states]
+    out: list[PointSeries | None] = [None] * len(rows)
+    live = list(range(len(rows)))
+    while live:
+        levels = np.empty((len(live), _CHUNK))
+        for k, i in enumerate(live):
+            levels[k] = rows[i].next_levels()
+        log_block = log_tail_inverse(cfg.tail, levels.ravel()).reshape(levels.shape)
+        for i, log_pts in zip(live, log_block):
+            out[i] = rows[i].take(log_pts, cfg.truncation, first_index)
+        live = [i for i in live if out[i] is None]
+    return out
 
 
 def sample_nbp_points(
@@ -289,42 +371,7 @@ def sample_nbp_points(
     ``randomized=None`` picks the integer-order arrival-ratio path when r
     is a nonnegative integer and the gamma-randomized path otherwise;
     pass ``True`` to force the randomized path (any r > 0), ``False`` to
-    insist on the integer path.  Under ``fixed_count`` truncation this is
-    ``sample_fixed_count_log_points`` with one seed.
+    insist on the integer path.  This is ``sample_log_points`` with one
+    seed: a single draw is a block of one, under either truncation.
     """
-    trunc = cfg.truncation
-    if trunc.mode == "fixed_count":
-        log_pts, first_index = sample_fixed_count_log_points(cfg, [seed], randomized)
-        return PointSeries(log_pts[0], first_index, "fixed_count")
-
-    r = float(cfg.r)
-    rng, divisor, first_index = _levels(r, _resolve_path(r, randomized), seed)
-    # epsilon rule: grow in fixed-size chunks so the draw sequence is
-    # independent of where the rule fires
-    eps = float(trunc.epsilon)
-    chunks: list[np.ndarray] = []
-    running_sum = 0.0
-    retained = 0
-    last_arrival = divisor if first_index > 1 else 0.0
-    while True:
-        incr = rng.standard_exponential(_CHUNK)
-        incr[0] += last_arrival
-        arrivals = np.cumsum(incr)
-        last_arrival = float(arrivals[-1])
-        log_pts = log_tail_inverse(cfg.tail, arrivals / divisor)
-        pts = np.exp(log_pts)
-        ratios = pts / (running_sum + np.cumsum(pts))
-        below = np.flatnonzero(ratios < eps)
-        if below.size:
-            cut = int(below[0]) + 1  # the triggering index is retained
-            chunks.append(log_pts[:cut])
-            retained += cut
-            if retained <= trunc.hard_cap:
-                return PointSeries(np.concatenate(chunks), first_index, "epsilon_rule")
-        else:
-            chunks.append(log_pts)
-            retained += _CHUNK
-            running_sum += float(np.sum(pts))
-        if retained >= trunc.hard_cap:
-            total = np.concatenate(chunks)[: trunc.hard_cap]
-            return PointSeries(total, first_index, "hard_cap", truncation_warning=True)
+    return sample_log_points(cfg, [seed], randomized)[0]

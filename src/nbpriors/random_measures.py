@@ -50,8 +50,7 @@ from .point_processes import (
     NbpConfig,
     PointSeries,
     TruncationPolicy,
-    sample_fixed_count_log_points,
-    sample_nbp_points,
+    sample_log_points,
 )
 from .special_functions import gamma_quantile_upper_many
 
@@ -287,18 +286,12 @@ class SeriesProcess:
 
 
 def series_points(series: SeriesProcess, trunc: TruncationPolicy, seeds) -> list[PointSeries]:
-    """The truncated point sequence of ``series`` for each seed, in seed order.
-
-    Under ``fixed_count`` truncation the points of all seeds are inverted
-    together by ``sample_fixed_count_log_points``; the epsilon rule draws
-    seed by seed.  Either way draw i is bit-identical to the draw of seed
+    """The truncated point sequence of ``series`` for each seed, in seed order:
+    ``sample_log_points``, whose draw i is bit-identical to the draw of seed
     i alone.  The first seed that fails raises.
     """
     cfg = NbpConfig(r=series.r, tail=series.tail, truncation=trunc)
-    if trunc.mode == "fixed_count":
-        log_points, first_index = sample_fixed_count_log_points(cfg, seeds, series.randomized)
-        return [PointSeries(row, first_index, "fixed_count") for row in log_points]
-    return [sample_nbp_points(cfg, seed, series.randomized) for seed in seeds]
+    return sample_log_points(cfg, seeds, series.randomized)
 
 
 def series_measure(

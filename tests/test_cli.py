@@ -125,6 +125,22 @@ class TestSample:
         assert res.stderr.startswith("error:") and "'x'" in res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("process, params, truncation", [
+        ("dirichlet", {"theta": 3}, {"mode": "fixed_count", "n": 50}),
+        # the cap binds: these points stop by the rule only after about 2,000
+        ("pdp_series", {"alpha": 0.5, "theta": 2}, {"mode": "epsilon_rule", "epsilon": 1e-6}),
+    ])
+    def test_config_hard_cap_string_acts_as_its_number(self, process, params, truncation, tmp_path):
+        outputs = []
+        for hard_cap in ("100", 100):
+            cfg = tmp_path / f"cfg_{hard_cap!r}.json"
+            cfg.write_text(json.dumps({"process": process, "params": params, "seed": 1,
+                                       "truncation": {**truncation, "hard_cap": hard_cap}}))
+            res = run_cli("sample", "--config", str(cfg))
+            assert res.returncode == 0, res.stderr
+            outputs.append(res.stdout)
+        assert outputs[0] == outputs[1]
+
     def test_unreadable_config(self):
         res = run_cli("sample", "--config", "/nonexistent/cfg.json", "--process", "dirichlet")
         assert res.returncode == 1
@@ -258,6 +274,17 @@ class TestWeightsAndClusters:
         res = run_cli(*args, "--reps", "2", "--seed", "1", "--output", "csv")
         assert res.returncode == 1, res.stdout
         assert res.stderr.startswith("error:") and "grid" in res.stderr
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("args", [
+        ("weights", "--r-grid", "0"),
+        ("clusters",),
+    ])
+    def test_zero_replications_is_a_domain_error(self, args):
+        res = run_cli(*args, "--reps", "0", "--seed", "1")
+        assert res.returncode == 1, res.stdout
+        assert res.stderr.startswith("error:") and "replications" in res.stderr
+        assert "Traceback" not in res.stderr
         assert res.stdout == ""
 
     def test_bad_grid_flag(self):

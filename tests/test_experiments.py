@@ -158,11 +158,13 @@ class TestRunKsExperiment:
 
 
 class TestReplicationEngine:
-    """Fixed-count series replications are drawn in blocks, their points inverted together."""
+    """Series replications are drawn in blocks, their points inverted together."""
 
     N = 400
     # three replications past the first block at n = 400
     REPS = experiments._BLOCK_POINTS // N + 3
+    # three replications past the first epsilon-rule block
+    EPS_REPS = experiments._EPSILON_BLOCK + 3
 
     SERIES = [
         ("dirichlet", {"theta": 3.0}),
@@ -250,11 +252,9 @@ class TestReplicationEngine:
                 acc += m.weights[:top_k]
             assert np.array_equal(profile.mean_weights[gi], acc / reps)
 
-    @pytest.mark.parametrize("params, spawns", [
-        ({"r": 3, "tail": {"kind": "gamma", "theta": 2.0}}, 2),  # arrivals and atoms
-        ({"r": 3, "tail": {"kind": "gamma", "theta": 2.0}, "randomized": True}, 3),  # and the mixing draw
-    ])
-    def test_spawns_per_replication(self, params, spawns, monkeypatch):
+    @staticmethod
+    def count_spawns(monkeypatch):
+        """A list that records every (seed, stream) generator spawned from here on."""
         calls = []
 
         def counting(seed, stream_tag):
@@ -263,10 +263,106 @@ class TestReplicationEngine:
 
         for module in (point_processes, random_measures):
             monkeypatch.setattr(module, "spawn_generator", counting)
+        return calls
+
+    @pytest.mark.parametrize("params, spawns", [
+        ({"r": 3, "tail": {"kind": "gamma", "theta": 2.0}}, 2),  # arrivals and atoms
+        ({"r": 3, "tail": {"kind": "gamma", "theta": 2.0}, "randomized": True}, 3),  # and the mixing draw
+    ])
+    def test_spawns_per_replication(self, params, spawns, monkeypatch):
+        calls = self.count_spawns(monkeypatch)
         spec = ExperimentSpec("pkp", params, self.REPS, TruncationPolicy.fixed(self.N), 12)
         assert not run_ks_experiment(spec).failures
         assert len(calls) == spawns * self.REPS
         assert len(set(calls)) == len(calls)
+
+    @staticmethod
+    def engine_and_single_draws(process, params, trunc, master_seed):
+        """The engine's measures (or failure strings) and each seed's own build_measure, in order."""
+        seeds = [replication_seed(master_seed, i) for i in range(TestReplicationEngine.EPS_REPS)]
+
+        def as_text(m):
+            return f"{type(m).__name__}: {m}" if isinstance(m, Exception) else m.to_json()
+
+        singles = []
+        for seed in seeds:
+            try:
+                singles.append(build_measure(process, params, trunc, seed))
+            except Exception as exc:  # noqa: BLE001 - compared with the engine's failures
+                singles.append(exc)
+        engine = list(experiments._replicate(process, params, trunc, seeds, UB))
+        return [as_text(m) for m in engine], [as_text(m) for m in singles]
+
+    @pytest.mark.parametrize("process, params", [
+        ("pdp_series", {"alpha": 0.5, "theta": 2.0}),  # randomized path
+        ("stable", {"alpha": 0.5}),
+        ("dirichlet", {"theta": 3.0}),
+    ])
+    def test_epsilon_replications_equal_their_own_draws(self, process, params):
+        engine, singles = self.engine_and_single_draws(process, params, TruncationPolicy.epsilon_rule(1e-6), 61)
+        assert len(engine) == self.EPS_REPS
+        assert engine == singles
+
+    def test_epsilon_block_mixes_rule_and_hard_cap_stops(self):
+        # at epsilon 1e-6 these seeds stop between 600 and 2,500 points, so a
+        # cap of 1,500 stops some rows by the rule and the others by the cap
+        trunc = TruncationPolicy.epsilon_rule(1e-6, hard_cap=1500)
+        engine, singles = self.engine_and_single_draws("pdp_series", {"alpha": 0.5, "theta": 2.0}, trunc, 61)
+        assert engine == singles
+        stops = [json.loads(text)["provenance"] for text in engine]
+        block = stops[: experiments._EPSILON_BLOCK]
+        assert {p["stopped_by"] for p in block} == {"epsilon_rule", "hard_cap"}
+        for p in stops:
+            assert p["truncation_warning"] == (p["stopped_by"] == "hard_cap")
+
+    def test_epsilon_failures_stay_with_their_replication(self, monkeypatch):
+        # a tiny randomized order degenerates the mixing draw on some seeds and
+        # underflows every point of others, which then run to the hard cap
+        params = {"r": 1e-3, "tail": {"kind": "stable", "alpha": 0.5}, "randomized": True}
+        spec = ExperimentSpec("pkp", params, self.EPS_REPS, TruncationPolicy.epsilon_rule(1e-6, hard_cap=2048), 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res, seen = self.batched(spec, monkeypatch)
+            values, failures = self.per_draw(spec)
+        assert 0 < len(failures) < self.EPS_REPS
+        assert res.failures == failures
+        assert seen == values
+
+    @pytest.mark.parametrize("process, params, spawns", [
+        ("pdp_series", {"alpha": 0.5, "theta": 2.0}, 3),  # arrivals, mixing draw and atoms
+        ("stable", {"alpha": 0.5}, 2),  # arrivals and atoms
+    ])
+    def test_epsilon_spawns_per_replication(self, process, params, spawns, monkeypatch):
+        calls = self.count_spawns(monkeypatch)
+        spec = ExperimentSpec(process, params, self.EPS_REPS, TruncationPolicy.epsilon_rule(1e-6), 12)
+        assert not run_ks_experiment(spec).failures
+        assert len(calls) == spawns * self.EPS_REPS
+        assert len(set(calls)) == len(calls)
+
+    def test_epsilon_rounds_share_one_inversion(self, monkeypatch):
+        """One tail inversion per round of a block, and every chunk inverted once."""
+        calls, points = [], []
+        inverse = point_processes.log_tail_inverse
+
+        def counting(tail, y):
+            calls.append(1)
+            points.append(np.size(y))
+            return inverse(tail, y)
+
+        monkeypatch.setattr(point_processes, "log_tail_inverse", counting)
+        params, reps, seed = {"alpha": 0.5, "theta": 2.0}, self.EPS_REPS, 19
+        trunc = TruncationPolicy.epsilon_rule(1e-7, hard_cap=50_000)  # clustering_growth's default
+        chunks = []
+        for rep in range(reps):  # a single draw inverts once per chunk
+            calls.clear()
+            build_measure("pdp_series", params, trunc, seed_tuple(seed) + (0, rep))
+            chunks.append(len(calls))
+        calls.clear()
+        points.clear()
+        clustering_growth("pdp_series", params, [100], reps, seed)
+        block = experiments._EPSILON_BLOCK
+        rounds = sum(max(chunks[start:start + block]) for start in range(0, reps, block))
+        assert len(calls) == rounds < sum(chunks)
+        assert sum(points) == point_processes._CHUNK * sum(chunks)
 
 
 class TestKsTable:
