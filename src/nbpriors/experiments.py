@@ -21,7 +21,7 @@ import numpy as np
 from ._rng import replication_seed, seed_tuple
 from .errors import CapabilityError, DomainError, as_number
 from .levy_tails import LevyTail
-from .point_processes import TruncationPolicy
+from .point_processes import NbpConfig, TruncationPolicy, sample_log_points
 from .random_measures import (
     SCHEMA_VERSION,
     BaseMeasure,
@@ -34,7 +34,6 @@ from .random_measures import (
     sample_extended_dp_finite,
     sample_pdp_stick_breaking,
     series_measure,
-    series_points,
     uniform_base,
 )
 
@@ -170,7 +169,7 @@ def build_measures(
     """One measure realization per seed, in seed order, for a declarative process spec.
 
     The normalized-series processes (dirichlet, stable, pkp, pdp_series)
-    draw their points through ``series_points``, which inverts the points
+    draw their points through ``sample_log_points``, which inverts the points
     of all seeds at once (per round of the epsilon rule), and normalize
     each seed's points into its own measure; the other processes draw
     seed by seed.  Measure i is bit-identical to ``build_measure`` with
@@ -188,7 +187,8 @@ def build_measures(
         series = _series_process(process, params)
         if series is not None:
             trunc = _need_trunc(truncation)
-            draws = series_points(series, trunc, seeds)
+            cfg = NbpConfig(r=series.r, tail=series.tail, truncation=trunc)
+            draws = sample_log_points(cfg, seeds, series.randomized)
             return [series_measure(series, base, trunc, seed, draw) for seed, draw in zip(seeds, draws)]
         if process == "extended_dp":
             n = params.get("n")

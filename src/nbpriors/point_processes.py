@@ -13,19 +13,20 @@ flavors:
 
 r = 0 reduces to the plain Poisson random measure (Γ_0 = 1 convention).
 
-``sample_log_points`` draws the sequences of a block of seeds and
-inverts their levels with one ``log_tail_inverse`` call: once for the
-whole block under fixed-count truncation, once per round of ``_CHUNK``
-points under the epsilon rule.  Each seed keeps its own generators and
-stopping state, so its sequence is bit-identical to drawing it alone;
-``sample_nbp_points`` is that sampler with one seed.
+Every arrival comes from one per-seed stream (``_Arrivals``), so
+``gamma_arrivals``, the series levels and the extended DP draw the same
+Γ_1, Γ_2, ... of a seed.  ``sample_log_points`` draws a block of seeds in
+one round loop, one ``log_tail_inverse`` call per round: a fixed-count
+draw is one round, the epsilon rule takes rounds of ``_CHUNK`` points.  A
+seed's sequence is bit-identical to drawing it alone, under either
+truncation; ``sample_nbp_points`` is that sampler with one seed.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,20 +138,35 @@ class ArrivalStream:
         return self.arrivals.size
 
 
+class _Arrivals:
+    """One seed's unit-rate arrivals Γ_1 < Γ_2 < ..., drawn on demand from
+    its ``STREAM_ARRIVALS`` generator."""
+
+    def __init__(self, seed):
+        self._rng = spawn_generator(seed, STREAM_ARRIVALS)
+        self._last = 0.0
+
+    def next(self, count: int) -> np.ndarray:
+        """The next ``count`` arrivals: ``count`` more exponentials, continuing the running sum."""
+        incr = self._rng.standard_exponential(count)
+        incr[0] += self._last
+        arrivals = np.cumsum(incr)
+        self._last = float(arrivals[-1])
+        return arrivals
+
+
 def gamma_arrivals(seed, count: int) -> ArrivalStream:
     """First ``count`` arrivals of a unit-rate Poisson process.
 
     Deterministic given the seed; the increments are i.i.d. unit-mean
-    exponentials.
+    exponentials from the arrival stream every sampler of the seed uses.
     """
     count = int(count)
     if count < 1:
         raise DomainError(f"count must be at least 1, got {count}")
     if count > MAX_ARRIVALS:
         raise ResourceLimitError(f"count {count} exceeds the hard bound {MAX_ARRIVALS}")
-    rng = spawn_generator(seed, STREAM_ARRIVALS)
-    arrivals = np.cumsum(rng.standard_exponential(count))
-    return ArrivalStream(arrivals=arrivals, seed=seed_tuple(seed))
+    return ArrivalStream(arrivals=_Arrivals(seed).next(count), seed=seed_tuple(seed))
 
 
 def sample_prm_points(tail: LevyTail, stream: ArrivalStream) -> np.ndarray:
@@ -233,25 +249,51 @@ def _resolve_path(r: float, randomized: bool | None) -> bool:
     return randomized
 
 
-def _levels(r: float, randomized: bool, seed) -> tuple[np.random.Generator, float, int]:
-    """One seed's arrival generator, the divisor of its levels Γ_i / divisor,
-    and the series index of its first retained point.
+class _Row:
+    """One seed's levels Γ_i / divisor and its progress through the truncation.
 
     On the integer path the first r arrivals are drawn here and the divisor
-    is Γ_r; the remaining arrivals continue from it.
+    is Γ_r; the levels continue from Γ_{r+1}.
     """
-    rng = spawn_generator(seed, STREAM_ARRIVALS)
-    if randomized:
-        mix_rng = spawn_generator(seed, STREAM_MIXING)
-        divisor = float(mix_rng.gamma(r, 1.0))
-        if not (math.isfinite(divisor) and divisor > 0.0):
-            # a tiny order r can underflow the gamma draw to an exact zero
-            raise NumericError(f"gamma mixing draw degenerated to {divisor} at r={r}")
-        return rng, divisor, 1
-    if r == 0.0:
-        return rng, 1.0, 1  # Gamma_0 = 1 convention: the plain Poisson random measure
-    head = np.cumsum(rng.standard_exponential(int(r)))
-    return rng, float(head[-1]), int(r) + 1
+
+    def __init__(self, seed, r: float, randomized: bool):
+        self.arrivals = _Arrivals(seed)
+        if randomized:
+            self.divisor = float(spawn_generator(seed, STREAM_MIXING).gamma(r, 1.0))
+            if not (math.isfinite(self.divisor) and self.divisor > 0.0):
+                # a tiny order r can underflow the gamma draw to an exact zero
+                raise NumericError(f"gamma mixing draw degenerated to {self.divisor} at r={r}")
+        elif r == 0.0:
+            self.divisor = 1.0  # Gamma_0 = 1 convention: the plain Poisson random measure
+        else:
+            self.divisor = float(self.arrivals.next(int(r))[-1])
+        self.shift = 0.0
+        self.scaled_sum = 0.0
+        self.chunks: list[np.ndarray] = []
+
+    def next_levels(self, count: int) -> np.ndarray:
+        return self.arrivals.next(count) / self.divisor
+
+    def take(self, log_pts: np.ndarray, trunc: TruncationPolicy, first_index: int) -> PointSeries | None:
+        """Apply the truncation to the next round's points; the finished series, or None to go on."""
+        if trunc.mode == "fixed_count":
+            return PointSeries(log_pts, first_index, "fixed_count")
+        if not self.chunks:
+            self.shift = float(log_pts[0])
+        # scaled by the row's first point, so the ratios stay defined when every point underflows
+        pts = np.exp(log_pts - self.shift)
+        ratios = pts / (self.scaled_sum + np.cumsum(pts))
+        below = np.flatnonzero(ratios < trunc.epsilon)
+        # the triggering index is retained
+        self.chunks.append(log_pts[: int(below[0]) + 1] if below.size else log_pts)
+        self.scaled_sum += float(np.sum(pts))
+        retained = sum(map(len, self.chunks))
+        if below.size and retained <= trunc.hard_cap:
+            return PointSeries(np.concatenate(self.chunks), first_index, "epsilon_rule")
+        if retained >= trunc.hard_cap:
+            total = np.concatenate(self.chunks)[: trunc.hard_cap]
+            return PointSeries(total, first_index, "hard_cap", truncation_warning=True)
+        return None
 
 
 def sample_log_points(
@@ -261,102 +303,39 @@ def sample_log_points(
 ) -> list[PointSeries]:
     """The truncated negative binomial point sequence of each seed, in seed order.
 
-    Each seed draws its own levels Γ_i / divisor from its own generators
-    (``_levels``); the levels of all seeds are inverted together, so one
-    ``log_tail_inverse`` call serves the whole block (per round of the
-    epsilon rule).  The inverse solves every point on its own and the
-    stopping rule runs row by row, so draw i is bit-identical to the draw
-    of seed i alone.  The first seed that fails raises.
+    Each round inverts the next levels Γ_i / divisor of every seed still
+    running with one ``log_tail_inverse`` call, then truncates row by row:
+    a fixed-count draw is one round of its retained count, the epsilon
+    rule takes ``_CHUNK``-point rounds until the rule or the hard cap
+    stops the seed.  The inverse solves every point on its own, so draw i
+    is bit-identical to the draw of seed i alone, and a fixed-count draw
+    is a prefix of the epsilon-rule draw of its seed.  The first seed
+    that fails raises.
     """
     r = float(cfg.r)
     randomized = _resolve_path(r, randomized)
     seeds = list(seeds)
     if not seeds:
         raise DomainError("sampling needs at least one seed")
-    states = [_levels(r, randomized, seed) for seed in seeds]
-    if cfg.truncation.mode == "fixed_count":
-        return _fixed_count(cfg, states)
-    return _epsilon_rule(cfg, states)
-
-
-def _fixed_count(cfg: NbpConfig, states: list) -> list[PointSeries]:
-    """Arrival indices first_index .. n of every seed, inverted as one (seeds, keep) array."""
     trunc = cfg.truncation
-    first_index = states[0][2]
-    keep = trunc.n - (first_index - 1)
-    if keep < 2:
-        raise DegenerateTruncationError(
-            f"fixed_count n={trunc.n} retains {max(keep, 0)} points past index {first_index - 1}"
-        )
-    if keep > trunc.hard_cap:
-        raise ResourceLimitError(f"fixed_count would retain {keep} points, above hard_cap={trunc.hard_cap}")
-    levels = np.empty((len(states), keep))
-    for row, (rng, divisor, _) in enumerate(states):
-        incr = rng.standard_exponential(keep)
-        tail_arrivals = divisor + np.cumsum(incr) if first_index > 1 else np.cumsum(incr)
-        levels[row] = tail_arrivals / divisor
-    log_points = log_tail_inverse(cfg.tail, levels.ravel()).reshape(levels.shape)
-    return [PointSeries(row, first_index, "fixed_count") for row in log_points]
-
-
-@dataclass
-class _EpsilonRow:
-    """One seed's progress through the epsilon rule."""
-
-    rng: np.random.Generator
-    divisor: float
-    last_arrival: float
-    running_sum: float = 0.0
-    retained: int = 0
-    chunks: list = field(default_factory=list)
-
-    def next_levels(self) -> np.ndarray:
-        incr = self.rng.standard_exponential(_CHUNK)
-        incr[0] += self.last_arrival
-        arrivals = np.cumsum(incr)
-        self.last_arrival = float(arrivals[-1])
-        return arrivals / self.divisor
-
-    def take(self, log_pts: np.ndarray, trunc: TruncationPolicy, first_index: int) -> PointSeries | None:
-        """Apply the stopping rule to the next chunk; the finished series, or None to go on."""
-        pts = np.exp(log_pts)
-        ratios = pts / (self.running_sum + np.cumsum(pts))
-        below = np.flatnonzero(ratios < trunc.epsilon)
-        if below.size:
-            cut = int(below[0]) + 1  # the triggering index is retained
-            self.chunks.append(log_pts[:cut])
-            self.retained += cut
-            if self.retained <= trunc.hard_cap:
-                return PointSeries(np.concatenate(self.chunks), first_index, "epsilon_rule")
-        else:
-            self.chunks.append(log_pts)
-            self.retained += _CHUNK
-            self.running_sum += float(np.sum(pts))
-        if self.retained >= trunc.hard_cap:
-            total = np.concatenate(self.chunks)[: trunc.hard_cap]
-            return PointSeries(total, first_index, "hard_cap", truncation_warning=True)
-        return None
-
-
-def _epsilon_rule(cfg: NbpConfig, states: list) -> list[PointSeries]:
-    """Grow every seed's series in ``_CHUNK``-point chunks until the rule or the hard cap stops it.
-
-    Each round draws the next chunk of every live seed and inverts them
-    with one call; the ratio test then runs on each row alone.  A seed's
-    chunks come from its own generator, so its draws do not depend on
-    where the rule fires, for it or for the other seeds.
-    """
-    first_index = states[0][2]
-    rows = [_EpsilonRow(rng, divisor, divisor if first_index > 1 else 0.0) for rng, divisor, _ in states]
+    rows = [_Row(seed, r, randomized) for seed in seeds]
+    first_index = 1 if randomized else int(r) + 1
+    count = _CHUNK
+    if trunc.mode == "fixed_count":
+        count = trunc.n - (first_index - 1)
+        if count < 2:
+            raise DegenerateTruncationError(
+                f"fixed_count n={trunc.n} retains {max(count, 0)} points past index {first_index - 1}"
+            )
+        if count > trunc.hard_cap:
+            raise ResourceLimitError(f"fixed_count would retain {count} points, above hard_cap={trunc.hard_cap}")
     out: list[PointSeries | None] = [None] * len(rows)
     live = list(range(len(rows)))
     while live:
-        levels = np.empty((len(live), _CHUNK))
-        for k, i in enumerate(live):
-            levels[k] = rows[i].next_levels()
+        levels = np.stack([rows[i].next_levels(count) for i in live])
         log_block = log_tail_inverse(cfg.tail, levels.ravel()).reshape(levels.shape)
         for i, log_pts in zip(live, log_block):
-            out[i] = rows[i].take(log_pts, cfg.truncation, first_index)
+            out[i] = rows[i].take(log_pts, trunc, first_index)
         live = [i for i in live if out[i] is None]
     return out
 

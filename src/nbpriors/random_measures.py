@@ -50,6 +50,7 @@ from .point_processes import (
     NbpConfig,
     PointSeries,
     TruncationPolicy,
+    gamma_arrivals,
     sample_log_points,
 )
 from .special_functions import gamma_quantile_upper_many
@@ -285,15 +286,6 @@ class SeriesProcess:
         return cls("pdp_series", payload, params.r_derived, LevyTail.generalized_gamma(params.alpha), True)
 
 
-def series_points(series: SeriesProcess, trunc: TruncationPolicy, seeds) -> list[PointSeries]:
-    """The truncated point sequence of ``series`` for each seed, in seed order:
-    ``sample_log_points``, whose draw i is bit-identical to the draw of seed
-    i alone.  The first seed that fails raises.
-    """
-    cfg = NbpConfig(r=series.r, tail=series.tail, truncation=trunc)
-    return sample_log_points(cfg, seeds, series.randomized)
-
-
 def series_measure(
     series: SeriesProcess,
     base: BaseMeasure,
@@ -314,7 +306,8 @@ def series_measure(
 
 
 def _sample_one(series: SeriesProcess, base: BaseMeasure, trunc: TruncationPolicy, seed) -> DiscreteMeasure:
-    return series_measure(series, base, trunc, seed, series_points(series, trunc, [seed])[0])
+    cfg = NbpConfig(r=series.r, tail=series.tail, truncation=trunc)
+    return series_measure(series, base, trunc, seed, sample_log_points(cfg, [seed], series.randomized)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +378,17 @@ def sample_extended_dp_finite(
     """Finite approximation of the order-r extended Dirichlet process.
 
     Weights are gamma-survival quantiles: with shape concentration/n and
-    arrivals Γ, weight i is the x solving Q(shape, x) = Γ_i/(Γ_r Γ_{n+1})
-    for i = r+1 .. n, computed in log domain and normalized by
-    log-sum-exp.  Any quantile argument outside (0, 1) raises a
-    DomainError; no internal resampling is attempted, so behavior stays
-    deterministic.  (For r = 0 the arguments are in (0, 1) almost surely;
-    for r >= 1 the event Γ_r Γ_{n+1} < Γ_n has positive probability.)
+    the seed's arrivals Γ_1 .. Γ_{n+1} (``gamma_arrivals``, the stream the
+    series samplers draw from), weight i is the x solving
+    Q(shape, x) = Γ_i/(Γ_r Γ_{n+1}) for i = r+1 .. n, computed in log
+    domain and normalized by log-sum-exp.  Any quantile argument outside
+    (0, 1) raises a DomainError; no internal resampling is attempted, so
+    behavior stays deterministic.  (For r = 0 the arguments are in (0, 1)
+    almost surely; for r >= 1 the event Γ_r Γ_{n+1} < Γ_n has positive
+    probability.)
     """
     n, r = int(params.n), int(params.r)
-    rng = spawn_generator(seed, STREAM_ARRIVALS)
-    arrivals = np.cumsum(rng.standard_exponential(n + 1))
+    arrivals = gamma_arrivals(seed, n + 1).arrivals
     divisor = arrivals[r - 1] if r >= 1 else 1.0  # Gamma_0 = 1 convention
     u = arrivals[r:n] / (divisor * arrivals[n])
     if not np.all((u > 0.0) & (u < 1.0)):

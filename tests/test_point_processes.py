@@ -19,6 +19,7 @@ from nbpriors import (
     tail_inverse,
     tail_support_bound,
 )
+from nbpriors._rng import replication_seed
 from nbpriors.point_processes import MAX_ARRIVALS
 
 
@@ -210,6 +211,29 @@ class TestTruncation:
         # the rule fires at the first sub-threshold relative weight, inclusively
         assert ratios[stop - 1] < eps
         assert np.all(ratios[: stop - 1] >= eps)
+
+    @pytest.mark.parametrize("r", [3, 11])
+    @pytest.mark.parametrize("tail", [LevyTail.gamma(3.0), LevyTail.generalized_gamma(0.5)], ids=["gamma", "gg"])
+    def test_fixed_count_is_the_epsilon_rule_prefix(self, r, tail):
+        # a point does not depend on the truncation that cut its series: the
+        # rule cannot fire at epsilon 1e-300, so the hard cap cuts at 1,024
+        fixed = sample_nbp_points(NbpConfig(r=r, tail=tail, truncation=TruncationPolicy.fixed(r + 1024)), 1)
+        eps = TruncationPolicy.epsilon_rule(1e-300, hard_cap=1024)
+        rule = sample_nbp_points(NbpConfig(r=r, tail=tail, truncation=eps), 1)
+        assert rule.stopped_by == "hard_cap" and len(rule) == 1024
+        assert np.array_equal(fixed.log_points, rule.log_points)
+
+    def test_epsilon_rule_fires_on_underflowed_points(self):
+        # every point of this draw underflows to 0 in linear domain; the rule
+        # still sees their ratios and stops long before the cap
+        cfg = NbpConfig(
+            r=1e-3, tail=LevyTail.stable(0.5), truncation=TruncationPolicy.epsilon_rule(1e-6, hard_cap=2048)
+        )
+        series = sample_nbp_points(cfg, replication_seed(3, 1), randomized=True)
+        assert np.all(series.points == 0.0)
+        assert series.stopped_by == "epsilon_rule"
+        assert not series.truncation_warning
+        assert len(series) == 521
 
     def test_epsilon_rule_minimum_two_points(self):
         cfg = NbpConfig(
