@@ -25,7 +25,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import DomainError, NbpError, NumericError
+from .errors import DomainError, NbpError, NumericError, as_number
 from .experiments import (
     build_measure,
     clustering_growth,
@@ -64,7 +64,7 @@ def _load_config(path: str | None) -> dict:
 def _resolve_seed(args, config: dict) -> int:
     if args.seed is not None:
         return int(args.seed)
-    return int(config.get("seed", 0))
+    return as_number("seed", config.get("seed", 0), int)
 
 
 def _resolve_out(path: str | None):

@@ -351,17 +351,26 @@ def run_ks_table(
 
 
 def load_ks_grid(data: dict) -> tuple[list[dict], int, int]:
-    """Validate a benchmark-grid config dict: rows, index bound n, replications."""
+    """Validate a benchmark-grid config dict: rows, index bound n, replications.
+
+    Each row comes back as numbers: real alpha and theta, integer r.
+    """
     try:
         rows = list(data["rows"])
         n = int(data["n"])
         replications = int(data["replications"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"grid config needs 'rows', 'n', 'replications': {exc}") from exc
+    checked = []
     for row in rows:
-        if not {"alpha", "theta", "r"} <= set(row):
+        if not (isinstance(row, dict) and {"alpha", "theta", "r"} <= set(row)):
             raise DomainError(f"grid row {row!r} needs alpha, theta, r")
-    return rows, n, replications
+        r = as_number("r", row["r"])
+        if not (r >= 0 and r.is_integer()):
+            raise DomainError(f"grid row {row!r}: r must be a nonnegative integer")
+        alpha, theta = as_number("alpha", row["alpha"]), as_number("theta", row["theta"])
+        checked.append({"alpha": alpha, "theta": theta, "r": int(r)})
+    return checked, n, replications
 
 
 def parse_ks_table_result(data: dict) -> list[dict]:

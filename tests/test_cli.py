@@ -141,6 +141,14 @@ class TestSample:
             outputs.append(res.stdout)
         assert outputs[0] == outputs[1]
 
+    def test_non_numeric_config_seed_is_a_domain_error(self, tmp_path):
+        cfg = tmp_path / "seed.json"
+        cfg.write_text(json.dumps({"process": "dirichlet", "params": {"theta": 3}, "seed": "x"}))
+        res = run_cli("sample", "--config", str(cfg), "--n", "50")
+        assert res.returncode == 1, res.stdout
+        assert res.stderr.startswith("error:") and "seed must be an integer" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_unreadable_config(self):
         res = run_cli("sample", "--config", "/nonexistent/cfg.json", "--process", "dirichlet")
         assert res.returncode == 1
@@ -196,6 +204,20 @@ class TestKsTable:
         for row in payload["rows"]:
             assert row["spec"]["process"] == "pdp_series"
             assert row["spec"]["truncation"]["n"] == 80
+
+    @pytest.mark.parametrize("row, message", [
+        ({"alpha": "x", "theta": 1, "r": 2}, "alpha must be a real number"),
+        (0.5, "needs alpha, theta, r"),
+        ({"alpha": 0.5, "theta": 1, "r": 2.5}, "r must be a nonnegative integer"),
+    ], ids=["non_numeric_alpha", "row_not_an_object", "fractional_r"])
+    def test_bad_grid_row_is_a_domain_error(self, row, message, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({**TINY_GRID, "rows": [row]}))
+        res = run_cli("ks-table", "--config", str(path), "--seed", "42")
+        assert res.returncode == 1, res.stdout
+        assert res.stderr.startswith("error:") and message in res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
 
     def test_default_grid_shape(self):
         from nbpriors.cli import default_grid_config
