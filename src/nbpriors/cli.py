@@ -24,6 +24,7 @@ import sys
 from importlib import resources
 
 import numpy as np
+import scipy.special as sp
 
 from .errors import DomainError, NbpError, NumericError, as_number
 from .experiments import (
@@ -262,6 +263,12 @@ def _selftest_checks():
         assert abs(sf.gamma_survival(1.0, math.log(2.0)) - 0.5) < 1e-13
         return True
 
+    def kernel_switch_agreement():
+        for shape in (0.1, 0.5, 0.9):  # an installed scipy whose two kernels disagree at x* fails here
+            x = sp.gammaincinv(shape, sf._P_SWITCH)
+            assert abs(math.log1p(-sp.gammainc(shape, x)) - math.log(sp.gammaincc(shape, x))) <= 1e-13, shape
+        return True
+
     def survival_roundtrip():
         for shape in (1e-3, 0.1, 1.0):
             for y in (0.05, 0.3, 0.5, 0.7, 0.95):
@@ -395,6 +402,7 @@ def _selftest_checks():
 
     return [
         ("special function reference values", special_function_values),
+        ("lower- and upper-ratio kernels agree at the switch", kernel_switch_agreement),
         ("survival quantile roundtrip", survival_roundtrip),
         ("tail value/inverse roundtrip", tail_roundtrips),
         ("stable tail closed form", stable_closed_form),

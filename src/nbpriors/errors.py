@@ -34,10 +34,13 @@ class DegenerateTruncationError(NbpError, ValueError):
 
 
 def as_number(name: str, value, kind=float):
-    """``kind(value)`` for a parameter read from a caller or a config file;
-    a value that does not convert raises DomainError naming the parameter."""
+    """``kind(value)`` for a parameter read from a caller or a config file; a value that does
+    not convert, or a real with a fractional part where ``kind`` is int, raises DomainError."""
     try:
-        return kind(value)
+        number = kind(value)
+        if kind is int and not isinstance(value, str) and number != value:
+            raise ValueError("fractional part")
+        return number
     except (TypeError, ValueError, OverflowError) as exc:
         expected = "an integer" if kind is int else "a real number"
         raise DomainError(f"{name} must be {expected}, got {value!r}") from exc

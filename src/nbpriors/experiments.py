@@ -113,7 +113,7 @@ class ExperimentSpec:
         return cls(
             process=data["process"],
             params=dict(data.get("params", {})),
-            replications=int(data["replications"]),
+            replications=as_number("replications", data["replications"], int),
             truncation=TruncationPolicy.from_dict(trunc) if trunc else None,
             master_seed=tuple(data.get("master_seed", [0])),
         )
@@ -356,10 +356,8 @@ def load_ks_grid(data: dict) -> tuple[list[dict], int, int]:
     Each row comes back as numbers: real alpha and theta, integer r.
     """
     try:
-        rows = list(data["rows"])
-        n = int(data["n"])
-        replications = int(data["replications"])
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, n, replications = list(data["rows"]), data["n"], data["replications"]
+    except (KeyError, TypeError) as exc:
         raise DomainError(f"grid config needs 'rows', 'n', 'replications': {exc}") from exc
     checked = []
     for row in rows:
@@ -370,7 +368,7 @@ def load_ks_grid(data: dict) -> tuple[list[dict], int, int]:
             raise DomainError(f"grid row {row!r}: r must be a nonnegative integer")
         alpha, theta = as_number("alpha", row["alpha"]), as_number("theta", row["theta"])
         checked.append({"alpha": alpha, "theta": theta, "r": int(r)})
-    return checked, n, replications
+    return checked, as_number("n", n, int), as_number("replications", replications, int)
 
 
 def parse_ks_table_result(data: dict) -> list[dict]:

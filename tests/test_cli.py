@@ -149,6 +149,20 @@ class TestSample:
         assert res.stderr.startswith("error:") and "seed must be an integer" in res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("config, message", [
+        ({"seed": 2.7, "truncation": {"mode": "fixed_count", "n": 50}}, "seed must be an integer, got 2.7"),
+        ({"seed": 1, "truncation": {"mode": "fixed_count", "n": 10.9}}, "n must be an integer, got 10.9"),
+        ({"seed": 1, "truncation": {"mode": "fixed_count", "n": 50, "hard_cap": 99.9}},
+         "hard_cap must be an integer, got 99.9"),
+    ], ids=["seed", "n", "hard_cap"])
+    def test_fractional_config_integer_is_a_domain_error(self, config, message, tmp_path):
+        cfg = tmp_path / "frac.json"
+        cfg.write_text(json.dumps({"process": "dirichlet", "params": {"theta": 3}, **config}))
+        res = run_cli("sample", "--config", str(cfg))
+        assert res.returncode == 1, res.stdout
+        assert res.stderr.startswith("error:") and message in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_unreadable_config(self):
         res = run_cli("sample", "--config", "/nonexistent/cfg.json", "--process", "dirichlet")
         assert res.returncode == 1
@@ -216,6 +230,16 @@ class TestKsTable:
         res = run_cli("ks-table", "--config", str(path), "--seed", "42")
         assert res.returncode == 1, res.stdout
         assert res.stderr.startswith("error:") and message in res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("field, value", [("n", 80.5), ("replications", 6.7)])
+    def test_fractional_grid_integer_is_a_domain_error(self, field, value, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({**TINY_GRID, field: value}))
+        res = run_cli("ks-table", "--config", str(path), "--seed", "42")
+        assert res.returncode == 1, res.stdout
+        assert res.stderr.startswith("error:") and f"{field} must be an integer, got {value}" in res.stderr
         assert "Traceback" not in res.stderr
         assert res.stdout == ""
 

@@ -2,9 +2,11 @@
 
 import json
 import math
+import types
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats as st
 
 from nbpriors import (
@@ -28,7 +30,7 @@ from nbpriors import (
     uniform_base,
     weight_profile,
 )
-from nbpriors import experiments, point_processes, random_measures
+from nbpriors import experiments, point_processes, random_measures, special_functions
 from nbpriors._rng import replication_seed, seed_tuple, spawn_generator
 
 from oracles import dp_expected_distinct, ks_distance_brute
@@ -93,6 +95,16 @@ class TestExperimentSpec:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec.to_dict()))
         assert load_experiment_spec(path).to_dict() == spec.to_dict()
+
+    @pytest.mark.parametrize("replications", [400, 400.0, "400"])
+    def test_spec_replications_read_as_an_integer(self, replications):
+        data = {"process": "dirichlet", "params": {"theta": 3.0}, "replications": replications}
+        assert ExperimentSpec.from_dict(data).to_dict()["replications"] == 400
+
+    def test_fractional_spec_replications_is_a_domain_error(self):
+        data = {"process": "dirichlet", "params": {"theta": 3.0}, "replications": 6.7}
+        with pytest.raises(DomainError, match="replications must be an integer, got 6.7"):
+            ExperimentSpec.from_dict(data)
 
     def test_spec_with_a_worker_count_still_loads(self, tmp_path):
         # spec files written before replications ran only serially carry "parallelism"
@@ -383,6 +395,37 @@ class TestKsTable:
             load_ks_grid({"rows": [{"alpha": 0.1}], "n": 4, "replications": 5})
         with pytest.raises(DomainError):
             load_ks_grid({"n": 4})
+
+    def test_grid_row_skips_the_upper_ratio_kernel(self, monkeypatch):
+        """Row (0.9, 100, 111) takes every ln Q from the lower-ratio kernel, at most 4.1 evaluations per point."""
+        elements = {"gammainc": 0, "gammaincc": 0}
+        points = []
+
+        def counted(name):
+            kernel = getattr(scipy.special, name)
+
+            def wrapper(*args):
+                out = kernel(*args)
+                elements[name] += int(np.size(out))
+                return out
+
+            return wrapper
+
+        proxy = types.SimpleNamespace(**vars(scipy.special))
+        for name in elements:
+            setattr(proxy, name, counted(name))
+        monkeypatch.setattr(special_functions, "sp", proxy)
+        inverse = point_processes.log_tail_inverse
+
+        def counting(tail, y):
+            points.append(np.size(y))
+            return inverse(tail, y)
+
+        monkeypatch.setattr(point_processes, "log_tail_inverse", counting)
+        run_ks_table([{"alpha": 0.9, "theta": 100, "r": 111}], n=400, replications=15, master_seed=1)
+        assert sum(points) == 15 * (400 - 111)  # indices r+1 .. n on the integer-order path
+        assert elements["gammaincc"] == 0
+        assert elements["gammainc"] <= 4.1 * sum(points)
 
 
 class TestWeightProfile:

@@ -10,6 +10,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special as sp
 
 from nbpriors import (
     DomainError,
@@ -21,7 +22,7 @@ from nbpriors import (
     upper_incomplete_gamma,
 )
 
-from nbpriors.special_functions import log_upper_gamma
+from nbpriors.special_functions import _P_SWITCH, log_upper_gamma
 from oracles import gamma_survival_quad, upper_gamma_quad
 
 
@@ -81,6 +82,17 @@ class TestLogUpperGamma:
         x = np.geomspace(0.3, 25.0, 25)
         expected = np.array([float(mp.log(upper_gamma_quad(a, v))) for v in x])
         assert np.max(np.abs(log_upper_gamma(a, x) - expected)) < 1e-11
+
+    @pytest.mark.parametrize("a", [-0.9, -0.5, -0.1, 0.0075, 0.5, 5.0])
+    def test_across_the_kernel_switch(self, a):
+        # x* is where P reaches the switch for the shape scipy sees: a + 1 in the recurrence, a itself above 0
+        shape = a + 1.0 if a < 0 else a
+        x = sp.gammaincinv(shape, _P_SWITCH) * np.geomspace(0.25, 4.0, 17)
+        got = log_upper_gamma(a, x)
+        expected = np.array([float(mp.log(upper_gamma_quad(a, v))) for v in x])
+        assert np.max(np.abs(got - expected)) < 1e-12
+        singles = np.concatenate([log_upper_gamma(a, x[i:i + 1]) for i in range(x.size)])
+        assert got.tobytes() == singles.tobytes()
 
 
 class TestExpIntegral:
