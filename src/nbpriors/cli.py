@@ -276,6 +276,7 @@ def _selftest_checks():
                 x = math.exp(t)
                 if x > 0:
                     assert abs(sf.gamma_survival(shape, x) - y) < 1e-10
+        assert abs(sf.gamma_quantile_upper(1e-3, 0.525) + 745.0168685457792) <= 1e-9  # a subnormal x, from the expansion
         return True
 
     def tail_roundtrips():

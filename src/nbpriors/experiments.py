@@ -93,7 +93,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.process not in PROCESSES:
             raise DomainError(f"unknown process {self.process!r}; expected one of {PROCESSES}")
-        if int(self.replications) < 1:
+        self.replications = as_number("replications", self.replications, int)
+        if self.replications < 1:
             raise DomainError("replications must be at least 1")
 
     def to_dict(self) -> dict:
@@ -101,7 +102,7 @@ class ExperimentSpec:
             "schema_version": SCHEMA_VERSION,
             "process": self.process,
             "params": self.params,
-            "replications": int(self.replications),
+            "replications": self.replications,
             "truncation": self.truncation.to_dict() if self.truncation is not None else None,
             "master_seed": list(seed_tuple(self.master_seed)),
         }
@@ -113,7 +114,7 @@ class ExperimentSpec:
         return cls(
             process=data["process"],
             params=dict(data.get("params", {})),
-            replications=as_number("replications", data["replications"], int),
+            replications=data["replications"],
             truncation=TruncationPolicy.from_dict(trunc) if trunc else None,
             master_seed=tuple(data.get("master_seed", [0])),
         )
@@ -300,10 +301,9 @@ def run_ks_experiment(
     if base is None:
         base = uniform_base()
     t0 = time.perf_counter()
-    reps = int(spec.replications)
-    values = np.full(reps, np.nan)
+    values = np.full(spec.replications, np.nan)
     failures: list[str] = []
-    seeds = [replication_seed(spec.master_seed, i) for i in range(reps)]
+    seeds = [replication_seed(spec.master_seed, i) for i in range(spec.replications)]
     for i, m in enumerate(_replicate(spec.process, spec.params, spec.truncation, seeds, base)):
         try:
             if isinstance(m, Exception):
@@ -318,7 +318,7 @@ def run_ks_experiment(
     return ExperimentResult(
         mean_distance=mean,
         std_error=std_error,
-        replications=reps,
+        replications=spec.replications,
         wall_time=time.perf_counter() - t0,
         spec_echo=spec,
         failures=failures,
@@ -337,13 +337,14 @@ def run_ks_table(
     Row k runs under master seed (master_seed, k) with the fixed-index
     truncation ``n``, reproducing the truncated-series benchmark design.
     """
+    truncation, replications = TruncationPolicy.fixed(n), as_number("replications", replications, int)
     results = []
     for k, row in enumerate(rows):
         spec = ExperimentSpec(
             process="pdp_series",
             params={"alpha": float(row["alpha"]), "theta": float(row["theta"]), "r": int(row["r"])},
-            replications=int(replications),
-            truncation=TruncationPolicy.fixed(int(n)),
+            replications=replications,
+            truncation=truncation,
             master_seed=seed_tuple(master_seed) + (k,),
         )
         results.append(run_ks_experiment(spec, base))
@@ -429,31 +430,33 @@ def weight_profile(
     base: BaseMeasure | None = None,
 ) -> WeightProfile:
     """Mean of the ``top_k`` largest weights across replications, per order r."""
-    if int(replications) < 1:
+    replications, top_k = as_number("replications", replications, int), as_number("top_k", top_k, int)
+    points_per_r = as_number("points_per_r", points_per_r, int)
+    if replications < 1:
         raise DomainError("replications must be at least 1")
-    if int(top_k) < 1:
+    if top_k < 1:
         raise DomainError("top_k must be at least 1")
-    if int(points_per_r) < max(int(top_k), 2):
+    if points_per_r < max(top_k, 2):
         raise DomainError("points_per_r must cover top_k and at least 2 points")
     if base is None:
         base = uniform_base()
-    r_grid = [int(r) for r in r_grid]
+    r_grid = [as_number("r", r, int) for r in r_grid]
     if not r_grid:
         raise DomainError("r_grid must name at least one order r")
-    out = np.zeros((len(r_grid), int(top_k)))
+    out = np.zeros((len(r_grid), top_k))
     for gi, r in enumerate(r_grid):
-        trunc = TruncationPolicy.fixed(r + int(points_per_r))
-        acc = np.zeros(int(top_k))
-        seeds = [seed_tuple(seed) + (gi, rep) for rep in range(int(replications))]
+        trunc = TruncationPolicy.fixed(r + points_per_r)
+        acc = np.zeros(top_k)
+        seeds = [seed_tuple(seed) + (gi, rep) for rep in range(replications)]
         for m in _replicate("pkp", {"r": r, "tail": tail}, trunc, seeds, base):
             if isinstance(m, Exception):
                 raise m
-            acc += m.weights[: int(top_k)]  # series order is decreasing
-        out[gi] = acc / int(replications)
+            acc += m.weights[:top_k]  # series order is decreasing
+        out[gi] = acc / replications
     return WeightProfile(
         r_grid=r_grid,
-        top_k=int(top_k),
-        replications=int(replications),
+        top_k=top_k,
+        replications=replications,
         tail=tail.to_dict(),
         mean_weights=out,
     )
@@ -514,9 +517,10 @@ def clustering_growth(
     The Dirichlet process is normalized by log n; the stable-index
     families by n^alpha.
     """
-    if int(replications) < 1:
+    replications = as_number("replications", replications, int)
+    if replications < 1:
         raise DomainError("replications must be at least 1")
-    n_grid = [int(n) for n in n_grid]
+    n_grid = [as_number("n", n, int) for n in n_grid]
     if not n_grid:
         raise DomainError("n_grid must name at least one sample size")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
@@ -534,12 +538,12 @@ def clustering_growth(
     kn_means = []
     for ni, n in enumerate(n_grid):
         total = 0
-        seeds = [seed_tuple(seed) + (ni, rep) for rep in range(int(replications))]
+        seeds = [seed_tuple(seed) + (ni, rep) for rep in range(replications)]
         for seed_i, m in zip(seeds, _replicate(process, params, truncation, seeds, base)):
             if isinstance(m, Exception):
                 raise m
             total += distinct_count(draw_from_measure(m, n, seed_i))
-        kn_means.append(total / int(replications))
+        kn_means.append(total / replications)
     if process == "dirichlet":
         normalizer = "log_n"
         scale = [math.log(n) for n in n_grid]
@@ -553,7 +557,7 @@ def clustering_growth(
         kn_means=kn_means,
         normalizer=normalizer,
         ratios=ratios,
-        replications=int(replications),
+        replications=replications,
         process=process,
         params=dict(params),
     )
@@ -605,7 +609,7 @@ def rank_weight_equivalence_test(
     # this is its only user
     import scipy.stats as st
 
-    replications = int(replications)
+    replications, sticks = as_number("replications", replications, int), as_number("sticks", sticks, int)
     if replications < 100:
         raise DomainError("need at least 100 replications per side")
     if truncation is None:
@@ -626,7 +630,7 @@ def rank_weight_equivalence_test(
             raise m
         lhs[i] = float(np.max(m.weights))
         s = sample_pdp_stick_breaking(
-            s_alpha, s_theta, base, int(sticks), True, seed_tuple(seed) + (1, i)
+            s_alpha, s_theta, base, sticks, True, seed_tuple(seed) + (1, i)
         )
         rhs[i] = float(np.max(s.weights))
     ks = st.ks_2samp(lhs, rhs, method="asymp")
@@ -640,7 +644,7 @@ def rank_weight_equivalence_test(
             "theta": float(theta),
             "stick_alpha": s_alpha,
             "stick_theta": s_theta,
-            "sticks": int(sticks),
+            "sticks": sticks,
         },
     )
 

@@ -11,10 +11,11 @@ generalized-gamma kinds are one family, c Γ(-alpha, x) with alpha = 0 and
 c = theta for gamma, evaluated by one log Γ(a, x) and inverted by
 ``special_functions.log_upper_gamma_inverse``, the one Newton solver that
 also inverts the gamma survival function of the extended Dirichlet
-process; this module supplies the seeds.  L^{-1} maps Poisson arrival
-levels to jump sizes point by point, in linear and log domain: gamma-kind
-jumps decay like exp(-y/theta) and underflow long before stopping rules
-are done with them.
+process.  This module supplies the seeds; the solver decides which are
+final (those below ln x = -40).  L^{-1} maps Poisson arrival levels to
+jump sizes point by point, in linear and log domain: gamma-kind jumps
+decay like exp(-y/theta) and underflow long before stopping rules are
+done with them.
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ from .errors import DomainError, NumericError, as_number
 from .special_functions import EULER_GAMMA, log_upper_gamma, log_upper_gamma_inverse
 
 KINDS = ("stable", "gamma", "generalized_gamma")
-
-# a small-x seed below this ln x is final: the term it drops is O(x)
-# relative, far below REL_TOL, and a subnormal x cannot resolve it
-_SEED_FINAL_MAX = -40.0
 
 
 @dataclass(frozen=True)
@@ -145,7 +142,8 @@ def log_tail_inverse(tail: LevyTail, y) -> np.ndarray:
         return -np.log(y) / tail.alpha
     log_c, alpha = _family(tail)
     ly = np.log(y)
-    # small x: L ~ theta (-ln x - gamma) for alpha = 0, else x^{-alpha}/Γ(1-alpha) - 1
+    # small x: L ~ theta (-ln x - gamma) for alpha = 0, else x^{-alpha}/Γ(1-alpha) - 1;
+    # the solver keeps this seed as it is below ln x = -40
     if alpha == 0.0:
         t = -y / math.exp(log_c) - EULER_GAMMA
     else:
@@ -154,7 +152,7 @@ def log_tail_inverse(tail: LevyTail, y) -> np.ndarray:
     # that seed is at least ln 0.61, so it is always refined
     w = np.maximum(log_c - ly, 1.0)
     t = np.where(w > 1.0, np.log(w - (1.0 + alpha) * np.log(w)), t)
-    return log_upper_gamma_inverse(-alpha, log_c, ly, t, t >= _SEED_FINAL_MAX)
+    return log_upper_gamma_inverse(-alpha, log_c, ly, t)
 
 
 def tail_inverse(tail: LevyTail, y: float) -> float:

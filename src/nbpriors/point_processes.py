@@ -92,11 +92,11 @@ class TruncationPolicy:
 
     @classmethod
     def fixed(cls, n: int, hard_cap: int = 1_000_000) -> "TruncationPolicy":
-        return cls(mode="fixed_count", n=int(n), hard_cap=int(hard_cap))
+        return cls(mode="fixed_count", n=n, hard_cap=hard_cap)
 
     @classmethod
     def epsilon_rule(cls, epsilon: float, hard_cap: int = 1_000_000) -> "TruncationPolicy":
-        return cls(mode="epsilon_rule", epsilon=float(epsilon), hard_cap=int(hard_cap))
+        return cls(mode="epsilon_rule", epsilon=epsilon, hard_cap=hard_cap)
 
     def to_dict(self) -> dict:
         out = {"mode": self.mode, "hard_cap": int(self.hard_cap)}
@@ -161,7 +161,7 @@ def gamma_arrivals(seed, count: int) -> ArrivalStream:
     Deterministic given the seed; the increments are i.i.d. unit-mean
     exponentials from the arrival stream every sampler of the seed uses.
     """
-    count = int(count)
+    count = as_number("count", count, int)
     if count < 1:
         raise DomainError(f"count must be at least 1, got {count}")
     if count > MAX_ARRIVALS:

@@ -428,7 +428,7 @@ def sample_pdp_stick_breaking(
     """
     alpha = float(alpha)
     theta = float(theta)
-    sticks = int(sticks)
+    sticks = as_number("sticks", sticks, int)
     if not (0.0 <= alpha < 1.0):
         raise DomainError(f"alpha must lie in [0,1), got {alpha}")
     if not (math.isfinite(theta) and theta > -alpha):
@@ -476,7 +476,7 @@ def sample_pdp_stick_breaking(
 
 def draw_from_measure(measure: DiscreteMeasure, k: int, seed) -> np.ndarray:
     """k i.i.d. categorical draws from the measure's atoms by weight."""
-    k = int(k)
+    k = as_number("k", k, int)
     if k < 1:
         raise DomainError(f"k must be at least 1, got {k}")
     rng = spawn_generator(seed, STREAM_DRAWS)

@@ -1,12 +1,12 @@
 """Special functions backing the Lévy tails and the finite
 extended-Dirichlet-process approximation.
 
-Provides log-gamma, the upper incomplete gamma function Γ(a, x) for
-a > -1 (E1 being Γ(0, x)), the gamma survival function Q(a, x), and one
-safeguarded Newton solver for ln c + ln Γ(a, x) = ln y.  That solver
-inverts both the Lévy tails c Γ(-alpha, x) of ``levy_tails`` and the
-survival function Q(a, x) = Γ(a, x)/Γ(a).  ``REL_TOL`` and ``MAX_ITER``
-fix the stopping rules of the continued fraction and of the solver.
+Provides log-gamma, Γ(a, x) for a > -1 (E1 being Γ(0, x)), the gamma
+survival function Q(a, x), and one safeguarded Newton solver for
+ln c + ln Γ(a, x) = ln y, which inverts both the Lévy tails c Γ(-alpha, x)
+of ``levy_tails`` and Q(a, x) = Γ(a, x)/Γ(a) and alone decides which seeds
+are final (those below ln x = -40).  ``REL_TOL`` and ``MAX_ITER`` fix the
+stopping rules of the continued fraction and of the solver.
 
 Every ln Q(s, x) comes from ``_log_q``, one scipy kernel per point chosen
 by its own x (DiDonato & Morris, ACM TOMS 12, 1986): log1p(-gammainc)
@@ -32,13 +32,13 @@ from .errors import DomainError, NumericError
 
 EULER_GAMMA = 0.5772156649015328606
 
-_LOG_TINY = math.log(1e-300)
-
 _EPS = float(np.finfo(float).eps)
 
 # stopping rule of the continued fraction and of the Newton inverse
 REL_TOL = 1e-12
 MAX_ITER = 100
+# a solver seed below this ln x is final (see log_upper_gamma_inverse)
+_SEED_FINAL_MAX = -40.0
 
 _P_SWITCH = 0.9
 
@@ -174,21 +174,18 @@ def gamma_survival(shape: float, x: float) -> float:
     x = float(x)
     if not (math.isfinite(x) and x >= 0):
         raise DomainError(f"x must be a nonnegative finite real, got {x}")
-    if x == 0.0:
-        return 1.0
     return math.exp(_log_q(shape, np.asarray([x]))[0])
 
 
 def gamma_quantile_upper(shape: float, y: float) -> float:
     """Log-domain inverse of the gamma survival function.
 
-    Returns ln x where Q(shape, x) = y, for y in (0, 1).  Wherever
-    x > 1e-300, ``log_upper_gamma_inverse`` resolves it to
-    |ln Q(shape, x) - ln y| <= ``REL_TOL``; below that, the small-x
-    expansion P(a, x) ≈ x^a / Γ(a+1) is exact to machine precision and is
-    returned as it is.
+    Returns ln x where Q(shape, x) = y, for y in (0, 1).  Below
+    ln x = -40 the small-x expansion P(a, x) ≈ x^a / Γ(a+1) is exact to
+    machine precision and is returned as it is; above,
+    ``log_upper_gamma_inverse`` resolves it to
+    |ln Q(shape, x) - ln y| <= ``REL_TOL``.
     """
-    shape = _check_positive("shape", shape)
     y = float(y)
     if not (0.0 < y < 1.0):
         raise DomainError(f"y must lie strictly inside (0,1), got {y}")
@@ -202,23 +199,23 @@ def gamma_quantile_upper_many(shape: float, y) -> np.ndarray:
     if y.size and not np.all((y > 0.0) & (y < 1.0)):
         raise DomainError("all survival levels must lie strictly inside (0,1)")
 
-    with np.errstate(divide="ignore", over="ignore"):
-        x0 = sp.gammainccinv(shape, y)
-    seeded = np.isfinite(x0) & (x0 > 0.0)
-    t = np.where(
-        seeded,
-        np.log(np.where(seeded, x0, 1.0)),
-        (np.log1p(-y) + sp.gammaln(shape + 1.0)) / shape,
-    )
+    # small x: P(a, x) ≈ x^a / Γ(a+1), final below _SEED_FINAL_MAX; scipy seeds the rest
+    t = (np.log1p(-y) + sp.gammaln(shape + 1.0)) / shape
+    far = t >= _SEED_FINAL_MAX
+    t[far] = np.log(sp.gammainccinv(shape, y[far]))
     # Q = Γ(shape, x) / Γ(shape), so c = 1/Γ(shape)
-    return log_upper_gamma_inverse(shape, -sp.gammaln(shape), np.log(y), t, t > _LOG_TINY)
+    return log_upper_gamma_inverse(shape, -sp.gammaln(shape), np.log(y), t)
 
 
-def log_upper_gamma_inverse(a: float, log_c: float, log_y, t0, active) -> np.ndarray:
+def log_upper_gamma_inverse(a: float, log_c: float, log_y, t0) -> np.ndarray:
     """Solve ln c + ln Γ(a, e^t) = ln y for t = ln x, elementwise, for scalar a > -1.
 
-    ``t0`` holds the caller's seeds; only the points where ``active`` is
-    true are refined, the others are returned as seeded.  Newton on
+    ``t0`` holds the caller's seeds.  A seed below ln x = -40
+    (``_SEED_FINAL_MAX``) is returned as it is: the callers seed there
+    with a small-x expansion whose dropped term is O(x) relative, below
+    e^-40 ≈ 4e-18 and so below double rounding, and Newton cannot improve
+    on it; below ln x ≈ -708, x is subnormal and too coarse to carry the
+    root at all.  Every other point is refined by Newton on
     h(t) = ln c + ln Γ(a, e^t) - ln y, with d ln Γ(a, e^t)/dt =
     -x^a e^{-x} / Γ(a, x).  Every point keeps its own bracket and stops on
     its own, once |h| <= ``REL_TOL`` or its bracket is narrower than
@@ -228,7 +225,7 @@ def log_upper_gamma_inverse(a: float, log_c: float, log_y, t0, active) -> np.nda
     raises a NumericError.
     """
     t = np.array(t0, dtype=float)
-    active = np.array(active, dtype=bool)
+    active = t >= _SEED_FINAL_MAX
     lo = np.full_like(t, -np.inf)
     hi = np.full_like(t, np.inf)
     for _ in range(MAX_ITER):

@@ -30,6 +30,14 @@ def gamma_survival_quad(shape, x):
     return upper_gamma_quad(shape, x) / mp.gamma(mp.mpf(repr(float(shape))))
 
 
+def log_gamma_quantile_root(shape, y):
+    """ln x solving ln P(shape, x) = log1p(-y) at 40 digits, for the double y; also deep in the subnormal range."""
+    a = mp.mpf(repr(float(shape)))
+    target = mp.log1p(-mp.mpf(repr(float(y))))
+    seed = (target + mp.loggamma(a + 1)) / a
+    return mp.findroot(lambda t: mp.log(mp.gammainc(a, 0, mp.exp(t), regularized=True)) - target, seed)
+
+
 def e1_lentz(x, tol=1e-14, max_iter=500):
     """E1(x) = e^{-x} / (x + 1 - 1/(x + 3 - 4/(x + 5 - 9/(...)))), x ≳ 1."""
     x = float(x)

@@ -20,6 +20,8 @@ from nbpriors import (
     TruncationPolicy,
     build_measure,
     clustering_growth,
+    draw_from_measure,
+    gamma_arrivals,
     kolmogorov_distance,
     load_experiment_spec,
     load_ks_grid,
@@ -96,10 +98,16 @@ class TestExperimentSpec:
         path.write_text(json.dumps(spec.to_dict()))
         assert load_experiment_spec(path).to_dict() == spec.to_dict()
 
-    @pytest.mark.parametrize("replications", [400, 400.0, "400"])
+    @pytest.mark.parametrize("replications", [400, 400.0, "400", np.int64(400)])
     def test_spec_replications_read_as_an_integer(self, replications):
         data = {"process": "dirichlet", "params": {"theta": 3.0}, "replications": replications}
         assert ExperimentSpec.from_dict(data).to_dict()["replications"] == 400
+        assert ExperimentSpec("dirichlet", {"theta": 3.0}, replications, None, 0).replications == 400
+
+    @pytest.mark.parametrize("replications", [6.7, 0.5])
+    def test_fractional_python_spec_replications_is_a_domain_error(self, replications):
+        with pytest.raises(DomainError, match=f"replications must be an integer, got {replications}"):
+            ExperimentSpec("dirichlet", {"theta": 3.0}, replications, TruncationPolicy.fixed(50), 0)
 
     def test_fractional_spec_replications_is_a_domain_error(self):
         data = {"process": "dirichlet", "params": {"theta": 3.0}, "replications": 6.7}
@@ -396,6 +404,12 @@ class TestKsTable:
         with pytest.raises(DomainError):
             load_ks_grid({"n": 4})
 
+    @pytest.mark.parametrize("kwargs", [{"n": 80.5}, {"replications": 3.7}], ids=["n", "replications"])
+    def test_fractional_integer_argument_is_a_domain_error(self, kwargs):
+        args = {"n": 80, "replications": 3, **kwargs}
+        with pytest.raises(DomainError, match="must be an integer"):
+            run_ks_table(self.ROWS, master_seed=5, **args)
+
     def test_grid_row_skips_the_upper_ratio_kernel(self, monkeypatch):
         """Row (0.9, 100, 111) takes every ln Q from the lower-ratio kernel, at most 4.1 evaluations per point."""
         elements = {"gammainc": 0, "gammaincc": 0}
@@ -445,6 +459,16 @@ class TestWeightProfile:
         with pytest.raises(DomainError):
             weight_profile(LevyTail.gamma(3.0), [0], top_k=10, replications=5, seed=1, points_per_r=4)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"r_grid": [0, 2.5]}, {"top_k": 2.5}, {"replications": 6.7}, {"points_per_r": 50.9}],
+        ids=["r_grid", "top_k", "replications", "points_per_r"],
+    )
+    def test_fractional_integer_argument_is_a_domain_error(self, kwargs):
+        args = {"r_grid": [0, 2], "top_k": 2, "replications": 6, "points_per_r": 50, **kwargs}
+        with pytest.raises(DomainError, match="must be an integer"):
+            weight_profile(LevyTail.gamma(3.0), seed=1, **args)
+
 
 class TestClusteringGrowth:
     def test_dirichlet_growth(self):
@@ -474,11 +498,25 @@ class TestClusteringGrowth:
             with pytest.raises(DomainError, match="n_grid"):
                 clustering_growth(process, params, [], 10, 1)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"n_grid": [10, 20.7]}, {"replications": 3.9}], ids=["n_grid", "replications"]
+    )
+    def test_fractional_integer_argument_is_a_domain_error(self, kwargs):
+        args = {"n_grid": [10, 20], "replications": 3, **kwargs}
+        with pytest.raises(DomainError, match="must be an integer"):
+            clustering_growth("dirichlet", {"theta": 3.0}, seed=1, truncation=TruncationPolicy.fixed(50), **args)
+
 
 class TestEquivalence:
     def test_replication_floor(self):
         with pytest.raises(DomainError):
             rank_weight_equivalence_test(0.5, 2.0, 99, 1)
+
+    @pytest.mark.parametrize("kwargs", [{"replications": 100.9}, {"sticks": 200.7}], ids=["replications", "sticks"])
+    def test_fractional_integer_argument_is_a_domain_error(self, kwargs):
+        args = {"replications": 100, "sticks": 200, **kwargs}
+        with pytest.raises(DomainError, match="must be an integer"):
+            rank_weight_equivalence_test(0.5, 2.0, seed=1, truncation=TruncationPolicy.fixed(50), **args)
 
     def test_series_matches_sticks_smoke(self):
         report = rank_weight_equivalence_test(
@@ -520,6 +558,25 @@ class TestEquivalence:
             s = sample_pdp_stick_breaking(0.5, 2.0, UB, 1500, True, (44, i))
             sticks[i] = s.weights[1]
         assert st.ks_2samp(series, sticks, method="asymp").pvalue > 0.001
+
+
+@pytest.mark.parametrize("value", [400, 400.0, "400", np.int64(400)], ids=["int", "float", "str", "int64"])
+def test_integer_arguments_accept_every_integral_form(value):
+    fixed, eps = TruncationPolicy.fixed(value, hard_cap=value), TruncationPolicy.epsilon_rule(1e-6, hard_cap=value)
+    assert (fixed.n, fixed.hard_cap, eps.hard_cap) == (400, 400, 400)
+    assert gamma_arrivals(1, value).arrivals.size == 400
+    sticks = sample_pdp_stick_breaking(0.5, 2.0, UB, value, False, 1)
+    assert sticks.provenance["params"]["sticks"] == 400
+    assert draw_from_measure(sticks, value, 1).size == 400
+    row = [{"alpha": 0.5, "theta": 1.0, "r": 2}]
+    result = run_ks_table(row, n=value, replications=value, master_seed=1)[0]
+    assert (result.replications, result.spec_echo.truncation.n) == (400, 400)
+    profile = weight_profile(LevyTail.gamma(3.0), [0], top_k=value, replications=1, seed=1, points_per_r=value)
+    assert profile.top_k == 400 and profile.mean_weights.shape == (1, 400)
+    diag = clustering_growth("dirichlet", {"theta": 3.0}, [value], value, 1, truncation=TruncationPolicy.fixed(20))
+    assert (diag.n_grid, diag.replications) == ([400], 400)
+    report = rank_weight_equivalence_test(0.5, 2.0, value, 1, truncation=TruncationPolicy.fixed(20), sticks=value)
+    assert (report.n_lhs, report.params["sticks"]) == (400, 400)
 
 
 class TestBuildMeasure:

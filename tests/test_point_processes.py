@@ -36,6 +36,19 @@ class TestTruncationPolicy:
         with pytest.raises(DomainError):
             TruncationPolicy(mode="epsilon_rule", epsilon=0.1, hard_cap=0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: TruncationPolicy.fixed(10.9),
+            lambda: TruncationPolicy.fixed(10, hard_cap=99.9),
+            lambda: TruncationPolicy.epsilon_rule(1e-6, hard_cap=99.9),
+        ],
+        ids=["fixed_n", "fixed_hard_cap", "epsilon_hard_cap"],
+    )
+    def test_fractional_integer_argument_is_a_domain_error(self, make):
+        with pytest.raises(DomainError, match="must be an integer"):
+            make()
+
     def test_dict_roundtrip(self):
         for policy in (TruncationPolicy.fixed(400), TruncationPolicy.epsilon_rule(1e-6, hard_cap=5000)):
             assert TruncationPolicy.from_dict(policy.to_dict()) == policy
@@ -64,6 +77,11 @@ class TestGammaArrivals:
             gamma_arrivals(1, 0)
         with pytest.raises(ResourceLimitError):
             gamma_arrivals(1, MAX_ARRIVALS + 1)
+
+    @pytest.mark.parametrize("count", [5.5, 1.5])
+    def test_fractional_count_is_a_domain_error(self, count):
+        with pytest.raises(DomainError, match=f"count must be an integer, got {count}"):
+            gamma_arrivals(1, count)
 
     def test_law_of_large_numbers(self):
         # mean of Gamma_n / n over many replications, n = 1e4

@@ -1,9 +1,11 @@
 """Unit tests for the random measure constructors."""
 
 import math
+import types
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats as st
 
 from nbpriors import (
@@ -26,6 +28,7 @@ from nbpriors import (
     sample_stable_normalized,
     uniform_base,
 )
+from nbpriors import special_functions
 
 from oracles import dp_expected_distinct
 
@@ -194,6 +197,34 @@ class TestExtendedDp:
         m2 = sample_extended_dp_finite(ExtendedDpParams(3.0, 1, 50), UB, 4)
         assert np.array_equal(m1.weights, m2.weights)
 
+    def test_quantiles_seeded_below_ln_x_minus_40_skip_scipy_and_newton(self, monkeypatch):
+        """Seed 5 at n = 2,000: only the 119 levels seeded at ln x >= -40 reach gammainccinv, and
+        the solver evaluates Γ(a, x) at most 0.1 times per level.  Counts only, no timing."""
+        counts = {"gammainccinv": 0, "log_upper_gamma": 0}
+        inverse, log_upper_gamma = scipy.special.gammainccinv, special_functions.log_upper_gamma
+
+        def counted_inverse(a, y):
+            counts["gammainccinv"] += int(np.size(y))
+            return inverse(a, y)
+
+        def counted_log_upper_gamma(a, x):
+            counts["log_upper_gamma"] += int(np.size(x))
+            return log_upper_gamma(a, x)
+
+        proxy = types.SimpleNamespace(**vars(scipy.special))
+        proxy.gammainccinv = counted_inverse
+        monkeypatch.setattr(special_functions, "sp", proxy)
+        monkeypatch.setattr(special_functions, "log_upper_gamma", counted_log_upper_gamma)
+        n, theta, seed = 2000, 3.0, 5
+        sample_extended_dp_finite(ExtendedDpParams(theta, 0, n), UB, seed)
+
+        arrivals = gamma_arrivals(seed, n + 1).arrivals
+        shape = theta / n
+        closed_form = (np.log1p(-arrivals[:n] / arrivals[n]) + scipy.special.gammaln(shape + 1.0)) / shape
+        assert np.count_nonzero(closed_form >= -40.0) == 119
+        assert counts["gammainccinv"] == 119
+        assert counts["log_upper_gamma"] <= 0.1 * n
+
 
 class TestPdpSeries:
     def test_params(self):
@@ -217,6 +248,11 @@ class TestPdpSeries:
 
 
 class TestStickBreaking:
+    @pytest.mark.parametrize("sticks", [10.8, 1.5])
+    def test_fractional_sticks_is_a_domain_error(self, sticks):
+        with pytest.raises(DomainError, match=f"sticks must be an integer, got {sticks}"):
+            sample_pdp_stick_breaking(0.5, 2.0, UB, sticks, False, 1)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             sample_pdp_stick_breaking(1.0, 1.0, UB, 10, False, 1)
@@ -320,6 +356,12 @@ class TestDraws:
         m = DiscreteMeasure(np.array([0.5]), np.array([1.0]))
         with pytest.raises(DomainError):
             draw_from_measure(m, 0, 1)
+
+    @pytest.mark.parametrize("k", [2.5, 399.5])
+    def test_fractional_draw_count_is_a_domain_error(self, k):
+        m = DiscreteMeasure(np.array([0.5]), np.array([1.0]))
+        with pytest.raises(DomainError, match=f"k must be an integer, got {k}"):
+            draw_from_measure(m, k, 1)
 
 
 class TestDistinctCount:

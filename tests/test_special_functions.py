@@ -22,12 +22,28 @@ from nbpriors import (
     upper_incomplete_gamma,
 )
 
-from nbpriors.special_functions import _P_SWITCH, log_upper_gamma
-from oracles import gamma_survival_quad, upper_gamma_quad
+from nbpriors.special_functions import _P_SWITCH, log_upper_gamma, log_upper_gamma_inverse
+from oracles import gamma_survival_quad, log_gamma_quantile_root, upper_gamma_quad
 
 
 def rel_err(got, expected):
     return abs(got - expected) / abs(expected)
+
+
+def levels_seeded_at(shape, t):
+    """Survival levels y whose closed-form seed (log1p(-y) + ln Γ(shape+1)) / shape is t."""
+    return -np.expm1(shape * np.asarray(t) - sp.gammaln(shape + 1.0))
+
+
+# levels around the solver's final-seed bound ln x = -40, and for the two
+# smallest shapes levels whose x is subnormal
+SEED_EDGE_LEVELS = {
+    a: np.concatenate([
+        levels_seeded_at(a, np.linspace(-45.0, -35.0, 11)),
+        levels_seeded_at(a, np.linspace(-745.0, -708.0, 5)) if a < 2e-3 else [],
+    ])
+    for a in (1e-3, 0.0015, 0.0075, 0.05)
+}
 
 
 class TestLogGamma:
@@ -167,13 +183,31 @@ class TestGammaQuantileUpper:
                     continue
                 assert abs(gamma_survival(shape, x) - y) <= 1e-9
 
+    @pytest.mark.parametrize("shape", sorted(SEED_EDGE_LEVELS))
+    def test_seed_edge_against_mpmath_root(self, shape):
+        # the levels that seed just below ln x = -40 are final as seeded, those just above are refined
+        # x is subnormal at these two pinned levels; a scipy seed used to leave both 0.58-0.68 off
+        y = np.append(SEED_EDGE_LEVELS[shape], {1e-3: [0.525], 0.0015: [0.6726805711551208]}.get(shape, []))
+        got = np.array([gamma_quantile_upper(shape, float(v)) for v in y])
+        expected = np.array([float(log_gamma_quantile_root(shape, v)) for v in y])
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
     def test_vectorized_matches_scalar(self):
-        # at the small shapes, levels near 1 put x below the solver mask x > 1e-300; the rest lie above it
-        y = np.concatenate([[1e-300, 1e-100, 1e-20], np.linspace(0.05, 0.95, 11), [1 - 1e-10, 1 - 1e-16]])
+        # at the small shapes, levels near 1 put ln x below the solver's final-seed bound -40; the rest lie above it
+        y = np.concatenate(
+            [[1e-300, 1e-100, 1e-20], np.linspace(0.05, 0.95, 11), [1 - 1e-10, 1 - 1e-16], *SEED_EDGE_LEVELS.values()]
+        )
         for shape in (1e-3, 3 / 2000, 0.25, 5.0):
             many = gamma_quantile_upper_many(shape, y)
             each = np.array([gamma_quantile_upper(shape, float(v)) for v in y])
             assert np.array_equal(many, each), shape
+
+    def test_solver_keeps_a_seed_below_the_bound_and_refines_one_above(self):
+        a = 0.5
+        log_y = np.log([0.5, 0.5])
+        t = log_upper_gamma_inverse(a, -sp.gammaln(a), log_y, np.array([-50.0, -10.0]))
+        assert t[0].tobytes() == np.float64(-50.0).tobytes()
+        assert abs(t[1] - float(log_gamma_quantile_root(a, 0.5))) <= 1e-12
 
     def test_domain(self):
         for bad in (0.0, 1.0, -0.2, 1.7):
