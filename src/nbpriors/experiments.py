@@ -7,6 +7,12 @@ are drawn in index order.  Normalized series are drawn a block of
 replications at a time, with one tail inversion for the whole block
 (per round of the epsilon rule); a replication's draws still depend only
 on its own seed, so it is bit-identical to drawing it alone.
+
+Under fixed-count truncation the Kolmogorov-distance and weight-profile
+studies reduce a block without building measures: each row is normalized
+by ``normalized_weights``, and one sort and one cumulative sum give every
+row's distance (``_ks_rows``).  A block that fails is drawn again seed by
+seed, so each failure stays with its replication.
 """
 
 from __future__ import annotations
@@ -18,10 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import replication_seed, seed_tuple
+from ._rng import STREAM_ATOMS, replication_seed, seed_tuple, spawn_generator
 from .errors import CapabilityError, DomainError, as_number
 from .levy_tails import LevyTail
-from .point_processes import NbpConfig, TruncationPolicy, sample_log_points
+from .point_processes import TruncationPolicy
 from .random_measures import (
     SCHEMA_VERSION,
     BaseMeasure,
@@ -31,8 +37,10 @@ from .random_measures import (
     SeriesProcess,
     distinct_count,
     draw_from_measure,
+    normalized_weights,
     sample_extended_dp_finite,
     sample_pdp_stick_breaking,
+    series_draws,
     series_measure,
     uniform_base,
 )
@@ -59,21 +67,31 @@ _EPSILON_BLOCK = 8
 
 
 def kolmogorov_distance(measure: DiscreteMeasure, base: BaseMeasure) -> float:
-    """Exact sup-distance between the measure's CDF and the base CDF.
+    """Exact sup-distance between the measure's CDF and the base CDF: ``_ks_rows`` with one row."""
+    return float(_ks_rows(measure.weights[np.newaxis], measure.atoms[np.newaxis], base)[0])
 
-    For a step function F against a continuous H the supremum is attained
-    at atom locations, approached from the left or the right, so with
-    atoms sorted ascending and cumulative weights W_j it equals
-    max_j max(|W_j - H(x_j)|, |W_{j-1} - H(x_j)|) with W_0 = 0.
+
+def _ks_rows(weights: np.ndarray, atoms: np.ndarray, base: BaseMeasure) -> np.ndarray:
+    """Kolmogorov distance of each row's discrete measure to the base CDF.
+
+    Row i of ``weights`` and ``atoms`` (equal shapes) is one measure;
+    weights may include exact zeros.  For a step function F against a
+    continuous H the supremum is attained at atom locations, approached
+    from the left or the right, so with a row's atoms sorted ascending and
+    cumulative weights W_j it equals
+    max_j max(|W_j - H(x_j)|, |W_{j-1} - H(x_j)|) with W_0 = 0.  Tied
+    atoms and zero weights only add candidates that lie between two of
+    these, so up to rounding they leave the maximum unchanged.
     """
     if base.cdf is None:
         raise CapabilityError(f"base measure {base.label!r} has no CDF; cannot compute the distance")
-    atoms, inverse = np.unique(measure.atoms, return_inverse=True)
-    w = np.bincount(inverse, weights=measure.weights, minlength=atoms.size)
-    cum = np.cumsum(w)
-    h = np.asarray(base.cdf(atoms), dtype=float)
-    left = np.concatenate(([0.0], cum[:-1]))
-    return float(max(np.max(np.abs(cum - h)), np.max(np.abs(left - h))))
+    order = np.argsort(atoms, axis=1)
+    x = np.take_along_axis(atoms, order, axis=1)
+    cum = np.cumsum(np.take_along_axis(weights, order, axis=1), axis=1)
+    h = np.asarray(base.cdf(x.ravel()), dtype=float).reshape(x.shape)
+    left = np.zeros_like(cum)
+    left[:, 1:] = cum[:, :-1]
+    return np.maximum(np.max(np.abs(cum - h), axis=1), np.max(np.abs(left - h), axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +202,12 @@ def build_measures(
     if base is None:
         base = uniform_base()
     seeds = list(seeds)
+    series = _series_process(process, params)
+    if series is not None:
+        trunc = _need_trunc(truncation)
+        draws = series_draws(series, trunc, seeds)
+        return [series_measure(series, base, trunc, seed, draw) for seed, draw in zip(seeds, draws)]
     try:
-        series = _series_process(process, params)
-        if series is not None:
-            trunc = _need_trunc(truncation)
-            cfg = NbpConfig(r=series.r, tail=series.tail, truncation=trunc)
-            draws = sample_log_points(cfg, seeds, series.randomized)
-            return [series_measure(series, base, trunc, seed, draw) for seed, draw in zip(seeds, draws)]
         if process == "extended_dp":
             n = params.get("n")
             if n is None:
@@ -211,7 +228,7 @@ def build_measures(
             sticks, ranked = as_number("sticks", sticks, int), bool(params.get("ranked", False))
             return [sample_pdp_stick_breaking(alpha, theta, base, sticks, ranked, seed) for seed in seeds]
     except KeyError as exc:
-        raise DomainError(f"process {process!r} is missing parameter {exc}") from exc
+        raise _missing_parameter(process, exc) from exc
     raise DomainError(f"unknown process {process!r}; expected one of {PROCESSES}")
 
 
@@ -231,21 +248,35 @@ def _real(params: dict, key: str) -> float:
     return as_number(key, params[key])
 
 
+def _missing_parameter(process: str, exc: KeyError) -> DomainError:
+    return DomainError(f"process {process!r} is missing parameter {exc}")
+
+
 def _series_process(process: str, params: dict) -> SeriesProcess | None:
     """The normalized-series form of a declarative spec; None for the other processes."""
-    if process == "dirichlet":
-        return SeriesProcess.dirichlet(_real(params, "theta"))
-    if process == "stable":
-        return SeriesProcess.stable(_real(params, "alpha"))
-    if process == "pkp":
-        tail = LevyTail.from_dict(params["tail"]) if isinstance(params.get("tail"), dict) else params["tail"]
-        return SeriesProcess.pkp(_real(params, "r"), tail, params.get("randomized"))
-    if process == "pdp_series":
-        alpha = _real(params, "alpha")
-        if params.get("r") is not None:
-            return SeriesProcess.pkp(_real(params, "r"), LevyTail.generalized_gamma(alpha))
-        return SeriesProcess.pdp(PdpParams(alpha=alpha, theta=_real(params, "theta")))
+    try:
+        if process == "dirichlet":
+            return SeriesProcess.dirichlet(_real(params, "theta"))
+        if process == "stable":
+            return SeriesProcess.stable(_real(params, "alpha"))
+        if process == "pkp":
+            tail = LevyTail.from_dict(params["tail"]) if isinstance(params.get("tail"), dict) else params["tail"]
+            return SeriesProcess.pkp(_real(params, "r"), tail, params.get("randomized"))
+        if process == "pdp_series":
+            alpha = _real(params, "alpha")
+            if params.get("r") is not None:
+                return SeriesProcess.pkp(_real(params, "r"), LevyTail.generalized_gamma(alpha))
+            return SeriesProcess.pdp(PdpParams(alpha=alpha, theta=_real(params, "theta")))
+    except KeyError as exc:
+        raise _missing_parameter(process, exc) from exc
     return None
+
+
+def _weight_rows(process: str, params: dict, trunc: TruncationPolicy, seeds: list) -> np.ndarray:
+    """Each seed's fixed-count series draw as one row of normalized weights,
+    in series order; a weight that underflows stays an exact zero."""
+    draws = series_draws(_series_process(process, params), trunc, seeds)
+    return np.stack([normalized_weights(draw.log_points) for draw in draws])
 
 
 def _need_trunc(truncation: TruncationPolicy | None) -> TruncationPolicy:
@@ -254,14 +285,16 @@ def _need_trunc(truncation: TruncationPolicy | None) -> TruncationPolicy:
     return truncation
 
 
-def _replicate(process: str, params: dict, truncation: TruncationPolicy | None, seeds: list, base: BaseMeasure):
-    """Yield each seed's measure, or the exception its draw raised, in seed order.
+def _replicate(process: str, truncation: TruncationPolicy | None, seeds: list, draw):
+    """Yield each seed's result of ``draw(block)``, or the exception its draw raised, in seed order.
 
-    Normalized series are drawn ``build_measures`` block by block: under
-    fixed-count truncation at most ``_BLOCK_POINTS`` points or one seed per
-    block, under the epsilon rule ``_EPSILON_BLOCK`` seeds.  A block that
-    raises is drawn again seed by seed, so each failure stays with its own
-    seed.  Other processes are drawn seed by seed.
+    ``draw`` maps a list of seeds to one result per seed, for example
+    ``build_measures`` on them.  Normalized series are drawn block by
+    block: under fixed-count truncation at most ``_BLOCK_POINTS`` points
+    or one seed per block, under the epsilon rule ``_EPSILON_BLOCK``
+    seeds.  A block that raises is drawn again seed by seed, so each
+    failure stays with its own seed.  Other processes are drawn seed by
+    seed.
     """
     rows = 1
     if process in _SERIES_PROCESSES and truncation is not None:
@@ -273,19 +306,46 @@ def _replicate(process: str, params: dict, truncation: TruncationPolicy | None, 
         block = seeds[start:start + rows]
         if len(block) > 1:
             try:
-                measures = build_measures(process, params, truncation, block, base)
+                results = draw(block)
             except Exception:  # noqa: BLE001 - redrawn seed by seed below
                 pass
             else:
-                yield from measures
+                yield from results
                 continue
         for seed in block:
             try:
-                measure = build_measure(process, params, truncation, seed, base)
+                (result,) = draw([seed])
             except Exception as exc:  # noqa: BLE001 - the caller records or raises it
                 yield exc
             else:
-                yield measure
+                yield result
+
+
+def _ks_values(spec: ExperimentSpec, base: BaseMeasure) -> tuple[np.ndarray, list[str]]:
+    """Each replication's Kolmogorov distance (NaN where it failed) and the failure messages, in index order.
+
+    Fixed-count series reduce a block at once, each row on atoms drawn
+    from its own seed's atom stream; other processes build each measure
+    and take its distance.
+    """
+    process, params, trunc = spec.process, spec.params, spec.truncation
+    if process in _SERIES_PROCESSES and trunc is not None and trunc.mode == "fixed_count":
+        def draw(block):
+            weights = _weight_rows(process, params, trunc, block)
+            atoms = [base.sampler(spawn_generator(seed, STREAM_ATOMS), weights.shape[1]) for seed in block]
+            return _ks_rows(weights, np.asarray(atoms, dtype=float), base)
+    else:
+        def draw(block):
+            return [kolmogorov_distance(m, base) for m in build_measures(process, params, trunc, block, base)]
+    values = np.full(spec.replications, np.nan)
+    failures: list[str] = []
+    seeds = [replication_seed(spec.master_seed, i) for i in range(spec.replications)]
+    for i, value in enumerate(_replicate(process, trunc, seeds, draw)):
+        if isinstance(value, Exception):
+            failures.append(f"replication {i}: {value}")
+        else:
+            values[i] = value
+    return values, failures
 
 
 def run_ks_experiment(
@@ -301,17 +361,7 @@ def run_ks_experiment(
     if base is None:
         base = uniform_base()
     t0 = time.perf_counter()
-    values = np.full(spec.replications, np.nan)
-    failures: list[str] = []
-    seeds = [replication_seed(spec.master_seed, i) for i in range(spec.replications)]
-    for i, m in enumerate(_replicate(spec.process, spec.params, spec.truncation, seeds, base)):
-        try:
-            if isinstance(m, Exception):
-                raise m
-            values[i] = kolmogorov_distance(m, base)
-        except Exception as exc:  # noqa: BLE001 - failures are part of the result
-            failures.append(f"replication {i}: {exc}")
-
+    values, failures = _ks_values(spec, base)
     ok = values[np.isfinite(values)]
     mean = float(np.mean(ok)) if ok.size else float("nan")
     std_error = float(np.std(ok, ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else 0.0
@@ -342,7 +392,7 @@ def run_ks_table(
     for k, row in enumerate(rows):
         spec = ExperimentSpec(
             process="pdp_series",
-            params={"alpha": float(row["alpha"]), "theta": float(row["theta"]), "r": int(row["r"])},
+            params={"alpha": float(row["alpha"]), "theta": float(row["theta"]), "r": as_number("r", row["r"], int)},
             replications=replications,
             truncation=truncation,
             master_seed=seed_tuple(master_seed) + (k,),
@@ -427,9 +477,11 @@ def weight_profile(
     replications: int,
     seed,
     points_per_r: int = 400,
-    base: BaseMeasure | None = None,
 ) -> WeightProfile:
-    """Mean of the ``top_k`` largest weights across replications, per order r."""
+    """Mean of the ``top_k`` largest weights across replications, per order r.
+
+    A weight that underflows counts as 0.0.  No atoms are drawn.
+    """
     replications, top_k = as_number("replications", replications, int), as_number("top_k", top_k, int)
     points_per_r = as_number("points_per_r", points_per_r, int)
     if replications < 1:
@@ -438,20 +490,23 @@ def weight_profile(
         raise DomainError("top_k must be at least 1")
     if points_per_r < max(top_k, 2):
         raise DomainError("points_per_r must cover top_k and at least 2 points")
-    if base is None:
-        base = uniform_base()
     r_grid = [as_number("r", r, int) for r in r_grid]
     if not r_grid:
         raise DomainError("r_grid must name at least one order r")
     out = np.zeros((len(r_grid), top_k))
     for gi, r in enumerate(r_grid):
         trunc = TruncationPolicy.fixed(r + points_per_r)
+        params = {"r": r, "tail": tail}
         acc = np.zeros(top_k)
         seeds = [seed_tuple(seed) + (gi, rep) for rep in range(replications)]
-        for m in _replicate("pkp", {"r": r, "tail": tail}, trunc, seeds, base):
-            if isinstance(m, Exception):
-                raise m
-            acc += m.weights[:top_k]  # series order is decreasing
+
+        def draw(block):
+            return _weight_rows("pkp", params, trunc, block)[:, :top_k]  # series order is decreasing
+
+        for row in _replicate("pkp", trunc, seeds, draw):
+            if isinstance(row, Exception):
+                raise row
+            acc += row
         out[gi] = acc / replications
     return WeightProfile(
         r_grid=r_grid,
@@ -539,7 +594,10 @@ def clustering_growth(
     for ni, n in enumerate(n_grid):
         total = 0
         seeds = [seed_tuple(seed) + (ni, rep) for rep in range(replications)]
-        for seed_i, m in zip(seeds, _replicate(process, params, truncation, seeds, base)):
+        measures = _replicate(
+            process, truncation, seeds, lambda block: build_measures(process, params, truncation, block, base)
+        )
+        for seed_i, m in zip(seeds, measures):
             if isinstance(m, Exception):
                 raise m
             total += distinct_count(draw_from_measure(m, n, seed_i))
@@ -621,9 +679,10 @@ def rank_weight_equivalence_test(
 
     lhs = np.empty(replications)
     rhs = np.empty(replications)
+    params = {"alpha": float(alpha), "theta": float(theta)}
     series = _replicate(
-        "pdp_series", {"alpha": float(alpha), "theta": float(theta)}, truncation,
-        [seed_tuple(seed) + (0, i) for i in range(replications)], base,
+        "pdp_series", truncation, [seed_tuple(seed) + (0, i) for i in range(replications)],
+        lambda block: build_measures("pdp_series", params, truncation, block, base),
     )
     for i, m in enumerate(series):
         if isinstance(m, Exception):

@@ -3,9 +3,9 @@
 All constructors produce a :class:`DiscreteMeasure`: finitely many atoms
 with strictly positive weights summing to one, plus a provenance record
 sufficient to reproduce the draw.  Weight vectors are computed in log
-domain and normalized with a log-sum-exp reduction; entries whose
-normalized weight underflows to an exact zero are dropped together with
-their atoms.
+domain and normalized by one row normaliser, ``normalized_weights``: a
+log-sum-exp reduction that keeps underflowed weights as exact zeros.  A
+measure drops those entries together with their atoms.
 
 The sampler family:
 
@@ -238,17 +238,30 @@ def _provenance(process: str, params: dict, truncation, seed, warning: bool) -> 
     }
 
 
-def _measure_from_log_weights(log_w: np.ndarray, atoms: np.ndarray, provenance: dict, sorted_by_weight: bool) -> DiscreteMeasure:
+def normalized_weights(log_w: np.ndarray) -> np.ndarray:
+    """Weights proportional to exp(log_w), summing to one, in the same order.
+
+    A weight that underflows stays an exact zero.  Fewer than two
+    representable weights raise a DegenerateTruncationError; a NaN or
+    +inf log-weight leaves none.  Past that check every weight is finite
+    and the largest is at least 1/len(log_w), so the nonzero weights meet
+    the weight invariants of a :class:`DiscreteMeasure` without a check.
+    """
     # subtract the whole log normalizer before exponentiating: dividing
     # exp(log_w - top) by its sum would flush subnormal weights to zero
-    top = np.max(log_w)
-    w = np.exp(log_w - (top + math.log(np.sum(np.exp(log_w - top)))))
-    keep = w > 0.0
-    if keep.sum() < 2:
+    top = log_w.max()
+    w = np.exp(log_w - (top + math.log(np.exp(log_w - top).sum())))
+    if np.count_nonzero(w > 0.0) < 2:
         raise DegenerateTruncationError("fewer than two atoms carry representable weight")
+    w /= math.fsum(w.tolist())
+    return w
+
+
+def _measure_from_log_weights(log_w: np.ndarray, atoms: np.ndarray, provenance: dict, sorted_by_weight: bool) -> DiscreteMeasure:
+    w = normalized_weights(log_w)
+    keep = w > 0.0
     w = w[keep]
     atoms = atoms[keep]
-    w = w / math.fsum(w.tolist())
     if sorted_by_weight and not np.all(np.diff(w) < 0):
         sorted_by_weight = False  # repeated log-points can tie after rounding
     return DiscreteMeasure(atoms=atoms, weights=w, provenance=provenance, sorted_by_weight=sorted_by_weight)
@@ -305,9 +318,14 @@ def series_measure(
     return _measure_from_log_weights(draw.log_points, atoms, prov, sorted_by_weight=True)
 
 
-def _sample_one(series: SeriesProcess, base: BaseMeasure, trunc: TruncationPolicy, seed) -> DiscreteMeasure:
+def series_draws(series: SeriesProcess, trunc: TruncationPolicy, seeds: list) -> list[PointSeries]:
+    """Each seed's truncated point series of ``series``, all inverted together."""
     cfg = NbpConfig(r=series.r, tail=series.tail, truncation=trunc)
-    return series_measure(series, base, trunc, seed, sample_log_points(cfg, [seed], series.randomized)[0])
+    return sample_log_points(cfg, seeds, series.randomized)
+
+
+def _sample_one(series: SeriesProcess, base: BaseMeasure, trunc: TruncationPolicy, seed) -> DiscreteMeasure:
+    return series_measure(series, base, trunc, seed, series_draws(series, trunc, [seed])[0])
 
 
 # ---------------------------------------------------------------------------

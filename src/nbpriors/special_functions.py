@@ -193,9 +193,9 @@ def gamma_quantile_upper(shape: float, y: float) -> float:
 
 
 def gamma_quantile_upper_many(shape: float, y) -> np.ndarray:
-    """Vectorized ``gamma_quantile_upper`` over an array of survival levels."""
+    """Vectorized ``gamma_quantile_upper`` over an array of survival levels; a scalar level gives a 1-element array."""
     shape = _check_positive("shape", shape)
-    y = np.asarray(y, dtype=float)
+    y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.size and not np.all((y > 0.0) & (y < 1.0)):
         raise DomainError("all survival levels must lie strictly inside (0,1)")
 

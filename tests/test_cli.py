@@ -266,6 +266,16 @@ class TestWeightsAndClusters:
         assert profile.mean_weights.shape == (2, 10)
         assert profile.mean_weights[0].sum() <= 1.0
 
+    def test_weights_with_underflowed_weights(self):
+        # at theta = 0.01 some draws keep fewer than ten representable weights; those count as 0.0
+        from nbpriors import WeightProfile
+
+        res = run_cli("weights", "--theta", "0.01", "--reps", "5", "--seed", "1")
+        assert res.returncode == 0, res.stderr
+        profile = WeightProfile.from_dict(json.loads(res.stdout))
+        assert profile.mean_weights.shape == (4, 10)
+        assert (profile.mean_weights >= 0.0).all()
+
     def test_weights_csv(self):
         from nbpriors.cli import parse_csv_table
 

@@ -64,6 +64,45 @@ class TestKolmogorovDistance:
         m = DiscreteMeasure(np.array([0.5, 0.5]), np.array([0.6, 0.4]))
         assert kolmogorov_distance(m, UB) == pytest.approx(0.5, abs=1e-15)
 
+    @staticmethod
+    def unique_based(atoms, weights):
+        """The distance as it was computed before the block reduction: merge tied atoms, then one cumsum."""
+        xs, inverse = np.unique(atoms, return_inverse=True)
+        cum = np.cumsum(np.bincount(inverse, weights=weights, minlength=xs.size))
+        h = UB.cdf(xs)
+        left = np.concatenate(([0.0], cum[:-1]))
+        return float(max(np.max(np.abs(cum - h)), np.max(np.abs(left - h))))
+
+    @staticmethod
+    def random_block(rng, rows, size):
+        atoms = rng.random((rows, size))
+        w = rng.random((rows, size)) ** 4
+        return w / w.sum(axis=1, keepdims=True), atoms
+
+    def test_one_row_equals_the_unique_based_value(self):
+        rng = np.random.default_rng(4)
+        for size in (1, 2, 7, 400):
+            for _ in range(20):
+                w, atoms = self.random_block(rng, 1, size)
+                expected = self.unique_based(atoms[0], w[0])
+                assert experiments._ks_rows(w, atoms, UB)[0] == expected
+                assert kolmogorov_distance(DiscreteMeasure(atoms[0], w[0]), UB) == expected
+
+    def test_zero_weight_columns_change_no_row(self):
+        rng = np.random.default_rng(5)
+        w, atoms = self.random_block(rng, 30, 50)
+        padded_w = np.concatenate([w, np.zeros((30, 20))], axis=1)
+        padded_atoms = np.concatenate([atoms, rng.random((30, 20))], axis=1)
+        assert np.array_equal(experiments._ks_rows(padded_w, padded_atoms, UB), experiments._ks_rows(w, atoms, UB))
+
+    def test_rows_agree_with_dense_grid_oracle(self):
+        rng = np.random.default_rng(6)
+        for size in (1, 3, 40):
+            w, atoms = self.random_block(rng, 10, size)
+            rows = experiments._ks_rows(w, atoms, UB)
+            for i in range(10):
+                assert abs(rows[i] - ks_distance_brute(atoms[i], w[i], UB.cdf)) <= 1e-9
+
     def test_agrees_with_dense_grid_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
@@ -208,25 +247,22 @@ class TestReplicationEngine:
         return values, failures
 
     @staticmethod
-    def batched(spec, monkeypatch):
-        """run_ks_experiment's result and the KS values it computed, in order."""
-        seen = []
-
-        def recording(measure, base):
-            seen.append(kolmogorov_distance(measure, base))
-            return seen[-1]
-
-        monkeypatch.setattr(experiments, "kolmogorov_distance", recording)
-        return run_ks_experiment(spec), seen
+    def batched(spec):
+        """The KS values the engine computed for the replications that did not fail, in order, and its failures."""
+        values, failures = experiments._ks_values(spec, UB)
+        assert len(values) == spec.replications
+        assert np.count_nonzero(np.isnan(values)) == len(failures)
+        return [float(v) for v in values if not math.isnan(v)], failures
 
     @pytest.mark.parametrize("process, params", SERIES)
-    def test_each_replication_equals_its_own_draw(self, process, params, monkeypatch):
+    def test_each_replication_equals_its_own_draw(self, process, params):
         spec = ExperimentSpec(process, params, self.REPS, TruncationPolicy.fixed(self.N), 61)
-        res, seen = self.batched(spec, monkeypatch)
+        seen, engine_failures = self.batched(spec)
         values, failures = self.per_draw(spec)
-        assert failures == res.failures == []
+        assert failures == engine_failures == []
         assert len(seen) == self.REPS
         assert seen == values  # exact float equality, replication by replication
+        assert run_ks_experiment(spec).mean_distance == float(np.mean(values))
 
     def test_measures_equal_their_own_draws(self):
         trunc = TruncationPolicy.fixed(self.N)
@@ -237,16 +273,17 @@ class TestReplicationEngine:
             assert [m.to_json() for m in block] == [m.to_json() for m in singles]
 
     @pytest.mark.parametrize("r", [1e-3, 3e-3])
-    def test_failures_stay_with_their_replication(self, r, monkeypatch):
+    def test_failures_stay_with_their_replication(self, r):
         # a tiny randomized order degenerates the mixing draw on some seeds, and at
         # r = 3e-3 overflows other seeds' levels inside the block's inversion
         params = {"r": r, "tail": {"kind": "stable", "alpha": 0.5}, "randomized": True}
         spec = ExperimentSpec("pkp", params, 70, TruncationPolicy.fixed(50), 3)
         with np.errstate(over="ignore"):
-            res, seen = self.batched(spec, monkeypatch)
+            seen, engine_failures = self.batched(spec)
             values, failures = self.per_draw(spec)
+            assert run_ks_experiment(spec).failures == failures
         assert 0 < len(failures) < 70
-        assert res.failures == failures
+        assert engine_failures == failures
         assert seen == values
 
     def test_a_row_that_keeps_one_point_fails_as_per_draw(self):
@@ -272,6 +309,23 @@ class TestReplicationEngine:
                 acc += m.weights[:top_k]
             assert np.array_equal(profile.mean_weights[gi], acc / reps)
 
+    def test_weight_profile_counts_underflowed_weights_as_zeros(self):
+        from nbpriors import sample_pkp
+
+        # at theta = 0.01 the weights fall so fast that some draws keep fewer than top_k of them
+        tail, top_k, reps = LevyTail.gamma(0.01), 10, 5
+        profile = weight_profile(tail, [0, 3], top_k=top_k, replications=reps, seed=1)
+        short = 0
+        for gi, r in enumerate([0, 3]):
+            acc = np.zeros(top_k)
+            for rep in range(reps):
+                m = sample_pkp(r, tail, UB, TruncationPolicy.fixed(r + 400), seed_tuple(1) + (gi, rep))
+                kept = m.weights[:top_k]
+                short += kept.size < top_k
+                acc += np.concatenate([kept, np.zeros(top_k - kept.size)])
+            assert np.array_equal(profile.mean_weights[gi], acc / reps)
+        assert short > 0
+
     @staticmethod
     def count_spawns(monkeypatch):
         """A list that records every (seed, stream) generator spawned from here on."""
@@ -281,7 +335,7 @@ class TestReplicationEngine:
             calls.append((seed_tuple(seed), stream_tag))
             return spawn_generator(seed, stream_tag)
 
-        for module in (point_processes, random_measures):
+        for module in (point_processes, random_measures, experiments):
             monkeypatch.setattr(module, "spawn_generator", counting)
         return calls
 
@@ -310,7 +364,9 @@ class TestReplicationEngine:
                 singles.append(build_measure(process, params, trunc, seed))
             except Exception as exc:  # noqa: BLE001 - compared with the engine's failures
                 singles.append(exc)
-        engine = list(experiments._replicate(process, params, trunc, seeds, UB))
+        engine = list(experiments._replicate(
+            process, trunc, seeds, lambda block: experiments.build_measures(process, params, trunc, block, UB)
+        ))
         return [as_text(m) for m in engine], [as_text(m) for m in singles]
 
     @pytest.mark.parametrize("process, params", [
@@ -335,16 +391,16 @@ class TestReplicationEngine:
         for p in stops:
             assert p["truncation_warning"] == (p["stopped_by"] == "hard_cap")
 
-    def test_epsilon_failures_stay_with_their_replication(self, monkeypatch):
+    def test_epsilon_failures_stay_with_their_replication(self):
         # a tiny randomized order degenerates the mixing draw on some seeds and
         # underflows every point of others, which then run to the hard cap
         params = {"r": 1e-3, "tail": {"kind": "stable", "alpha": 0.5}, "randomized": True}
         spec = ExperimentSpec("pkp", params, self.EPS_REPS, TruncationPolicy.epsilon_rule(1e-6, hard_cap=2048), 3)
         with np.errstate(over="ignore", invalid="ignore"):
-            res, seen = self.batched(spec, monkeypatch)
+            seen, engine_failures = self.batched(spec)
             values, failures = self.per_draw(spec)
         assert 0 < len(failures) < self.EPS_REPS
-        assert res.failures == failures
+        assert engine_failures == failures
         assert seen == values
 
     @pytest.mark.parametrize("process, params, spawns", [
@@ -409,6 +465,10 @@ class TestKsTable:
         args = {"n": 80, "replications": 3, **kwargs}
         with pytest.raises(DomainError, match="must be an integer"):
             run_ks_table(self.ROWS, master_seed=5, **args)
+
+    def test_fractional_row_r_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="must be an integer"):
+            run_ks_table([{"alpha": 0.5, "theta": 1.0, "r": 2.5}], n=50, replications=2, master_seed=1)
 
     def test_grid_row_skips_the_upper_ratio_kernel(self, monkeypatch):
         """Row (0.9, 100, 111) takes every ln Q from the lower-ratio kernel, at most 4.1 evaluations per point."""

@@ -15,6 +15,7 @@ from nbpriors import (
     DomainError,
     ExtendedDpParams,
     LevyTail,
+    NbpConfig,
     PdpParams,
     TruncationPolicy,
     distinct_count,
@@ -22,13 +23,14 @@ from nbpriors import (
     gamma_arrivals,
     sample_dp,
     sample_extended_dp_finite,
+    sample_nbp_points,
     sample_pdp_series,
     sample_pdp_stick_breaking,
     sample_pkp,
     sample_stable_normalized,
     uniform_base,
 )
-from nbpriors import special_functions
+from nbpriors import random_measures, special_functions
 
 from oracles import dp_expected_distinct
 
@@ -74,6 +76,30 @@ class TestDiscreteMeasure:
     def test_csv_header_enforced(self):
         with pytest.raises(DomainError):
             DiscreteMeasure.from_csv("a,b\n1,2\n")
+
+
+class TestNormalizedWeights:
+    def test_underflowed_weights_stay_zeros(self):
+        w = random_measures.normalized_weights(np.array([0.0, -1.0, -800.0, -900.0]))
+        assert w.shape == (4,)
+        assert np.array_equal(w[2:], [0.0, 0.0])
+        assert w[0] > w[1] > 0.0
+        assert math.fsum(w.tolist()) == pytest.approx(1.0, abs=1e-15)
+
+    def test_a_measure_keeps_the_nonzero_part_of_its_row(self):
+        # at theta = 0.01 most of the 400 weights underflow
+        tail, trunc = LevyTail.gamma(0.01), TruncationPolicy.fixed(400)
+        draw = sample_nbp_points(NbpConfig(r=0, tail=tail, truncation=trunc), 3)
+        row = random_measures.normalized_weights(draw.log_points)
+        m = sample_pkp(0, tail, UB, trunc, 3)
+        assert row.size == 400 > m.weights.size
+        assert np.array_equal(m.weights, row[row > 0.0])
+
+    @pytest.mark.parametrize("log_w", [[0.0, -800.0, -900.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]])
+    def test_fewer_than_two_representable_weights(self, log_w):
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(DegenerateTruncationError, match="fewer than two atoms carry representable weight"):
+                random_measures.normalized_weights(np.array(log_w))
 
 
 class TestSamplePkp:

@@ -192,6 +192,11 @@ class TestGammaQuantileUpper:
         expected = np.array([float(log_gamma_quantile_root(shape, v)) for v in y])
         assert np.max(np.abs(got - expected)) <= 1e-12
 
+    def test_scalar_level_gives_one_element(self):
+        got = gamma_quantile_upper_many(0.5, 0.3)
+        assert got.shape == (1,)
+        assert got[0] == gamma_quantile_upper(0.5, 0.3)
+
     def test_vectorized_matches_scalar(self):
         # at the small shapes, levels near 1 put ln x below the solver's final-seed bound -40; the rest lie above it
         y = np.concatenate(
