@@ -28,6 +28,7 @@ import scipy.special as sp
 
 from .errors import DomainError, NbpError, NumericError, as_number
 from .experiments import (
+    PROCESSES,
     build_measure,
     clustering_growth,
     kolmogorov_distance,
@@ -85,8 +86,14 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _emit_table(args, payload: dict, header: list[str], rows) -> None:
+    """Write ``payload`` as JSON, or ``rows`` under ``header`` as CSV: integers as they are, reals by repr."""
+    if args.output == "json":
+        text = json.dumps(payload, sort_keys=True, indent=2)
+    else:
+        lines = [",".join(str(v) if isinstance(v, (int, np.integer)) else repr(float(v)) for v in row) for row in rows]
+        text = "\n".join([",".join(header), *lines])
+    _emit(text + "\n", _resolve_out(args.out))
 
 
 def parse_csv_table(text: str) -> list[dict]:
@@ -96,7 +103,7 @@ def parse_csv_table(text: str) -> list[dict]:
         raise DomainError("empty CSV table")
     header = lines[0].split(",")
     rows = []
-    for ln in lines[1:]:
+    for i, ln in enumerate(lines[1:], start=1):
         cells = ln.split(",")
         if len(cells) != len(header):
             raise DomainError(f"CSV row has {len(cells)} cells, header has {len(header)}")
@@ -105,7 +112,10 @@ def parse_csv_table(text: str) -> list[dict]:
             try:
                 value = int(cell)
             except ValueError:
-                value = float(cell)
+                try:
+                    value = float(cell)
+                except ValueError as exc:
+                    raise DomainError(f"CSV row {i}, column {key!r}: {cell!r} is not a number") from exc
             row[key] = value
         rows.append(row)
     return rows
@@ -167,37 +177,15 @@ def _cmd_ks_table(args) -> int:
     seed = _resolve_seed(args, config)
     results = run_ks_table(rows, n, replications, seed)
 
-    table = []
-    for row, res in zip(rows, results):
-        table.append(
-            {
-                "alpha": float(row["alpha"]),
-                "theta": float(row["theta"]),
-                "r": int(row["r"]),
-                "mean_distance": res.mean_distance,
-                "std_error": res.std_error,
-                "replications": res.replications,
-                "failures": list(res.failures),
-                "spec": res.spec_echo.to_dict(),
-            }
-        )
-    if args.output == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "n": int(n),
-            "replications": int(replications),
-            "seed": int(seed),
-            "rows": table,
-        }
-        _emit(_json_text(payload), _resolve_out(args.out))
-    else:
-        lines = ["alpha,theta,r,mean_distance,std_error,replications"]
-        for row in table:
-            lines.append(
-                f"{row['alpha']!r},{row['theta']!r},{row['r']},"
-                f"{row['mean_distance']!r},{row['std_error']!r},{row['replications']}"
-            )
-        _emit("\n".join(lines) + "\n", _resolve_out(args.out))
+    table = [
+        {**row, "mean_distance": res.mean_distance, "std_error": res.std_error, "replications": res.replications,
+         "failures": list(res.failures), "spec": res.spec_echo.to_dict()}
+        for row, res in zip(rows, results)  # load_ks_grid gives real alpha and theta and an integer r
+    ]
+    payload = {"schema_version": SCHEMA_VERSION, "n": int(n), "replications": int(replications), "seed": int(seed),
+               "rows": table}
+    header = ["alpha", "theta", "r", "mean_distance", "std_error", "replications"]
+    _emit_table(args, payload, header, [[row[key] for key in header] for row in table])
     return 0
 
 
@@ -211,13 +199,8 @@ def _cmd_weights(args) -> int:
         _resolve_seed(args, _load_config(args.config)),
         points_per_r=args.points_per_r,
     )
-    if args.output == "json":
-        _emit(_json_text(profile.to_dict()), _resolve_out(args.out))
-    else:
-        lines = ["r," + ",".join(f"w{k + 1}" for k in range(profile.top_k))]
-        for r, row in zip(profile.r_grid, profile.mean_weights):
-            lines.append(f"{r}," + ",".join(repr(float(v)) for v in row))
-        _emit("\n".join(lines) + "\n", _resolve_out(args.out))
+    header = ["r"] + [f"w{k + 1}" for k in range(profile.top_k)]
+    _emit_table(args, profile.to_dict(), header, [[r, *row] for r, row in zip(profile.r_grid, profile.mean_weights)])
     return 0
 
 
@@ -233,13 +216,7 @@ def _cmd_clusters(args) -> int:
         args.process, params, _parse_int_list(args.n_grid), args.reps,
         _resolve_seed(args, _load_config(args.config)),
     )
-    if args.output == "json":
-        _emit(_json_text(diag.to_dict()), _resolve_out(args.out))
-    else:
-        lines = ["n,kn_mean,ratio"]
-        for n, k, ratio in zip(diag.n_grid, diag.kn_means, diag.ratios):
-            lines.append(f"{n},{k!r},{ratio!r}")
-        _emit("\n".join(lines) + "\n", _resolve_out(args.out))
+    _emit_table(args, diag.to_dict(), ["n", "kn_mean", "ratio"], zip(diag.n_grid, diag.kn_means, diag.ratios))
     return 0
 
 
@@ -276,7 +253,8 @@ def _selftest_checks():
                 x = math.exp(t)
                 if x > 0:
                     assert abs(sf.gamma_survival(shape, x) - y) < 1e-10
-        assert abs(sf.gamma_quantile_upper(1e-3, 0.525) + 745.0168685457792) <= 1e-9  # a subnormal x, from the expansion
+        # a subnormal x, from the expansion
+        assert abs(sf.gamma_quantile_upper(1e-3, 0.525) + 745.0168685457792) <= 1e-9
         return True
 
     def tail_roundtrips():
@@ -384,6 +362,8 @@ def _selftest_checks():
             ("dirichlet", {"theta": 3.0}, fixed),
             ("pdp_series", {"alpha": 0.9, "theta": 10.0, "r": 11}, fixed),
             ("pdp_series", {"alpha": 0.5, "theta": 2.0}, eps),
+            ("extended_dp", {"concentration": 3.0}, fixed),
+            ("pdp_stick", {"alpha": 0.5, "theta": 2.0, "ranked": True}, fixed),
         ):
             block = build_measures(process, params, trunc, seeds)
             singles = [build_measure(process, params, trunc, seed) for seed in seeds]
@@ -459,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="emit one measure realization")
     add_common(p)
-    p.add_argument("--process", choices=("dirichlet", "extended_dp", "pkp", "pdp_series", "pdp_stick", "stable"))
+    p.add_argument("--process", choices=PROCESSES)
     p.add_argument("--alpha", type=float)
     p.add_argument("--theta", type=float, help="theta; for extended_dp, its concentration")
     p.add_argument("--r", type=float)

@@ -3,16 +3,14 @@ benchmark-grid reproduction, weight profiles, and distinct-count growth
 diagnostics.
 
 Replications derive their seeds as (master_seed, replication_index) and
-are drawn in index order.  Normalized series are drawn a block of
-replications at a time, with one tail inversion for the whole block
-(per round of the epsilon rule); a replication's draws still depend only
-on its own seed, so it is bit-identical to drawing it alone.
-
-Under fixed-count truncation the Kolmogorov-distance and weight-profile
-studies reduce a block without building measures: each row is normalized
-by ``normalized_weights``, and one sort and one cumulative sum give every
-row's distance (``_ks_rows``).  A block that fails is drawn again seed by
-seed, so each failure stays with its replication.
+are drawn in index order, a block of replications at a time: every
+process is one block sampler (``_family``), and a replication's draws
+depend only on its own seed, so it is bit-identical to drawing it alone.
+A block that fails is drawn again seed by seed, so each failure stays
+with its replication.  The Kolmogorov-distance, weight-profile and
+equivalence studies reduce a block's normalized weight rows without
+building measures: one sort and one cumulative sum give every row's
+distance (``_ks_rows``).
 """
 
 from __future__ import annotations
@@ -21,6 +19,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -35,20 +34,20 @@ from .random_measures import (
     ExtendedDpParams,
     PdpParams,
     SeriesProcess,
+    StickBreaking,
     distinct_count,
     draw_from_measure,
-    normalized_weights,
-    sample_extended_dp_finite,
-    sample_pdp_stick_breaking,
+    extended_dp_measure,
+    extended_dp_weights,
     series_draws,
     series_measure,
+    series_weights,
+    stick_breaking_measure,
+    stick_breaking_weights,
     uniform_base,
 )
 
 PROCESSES = ("dirichlet", "extended_dp", "pkp", "pdp_series", "pdp_stick", "stable")
-
-# the processes whose weights are normalized negative binomial points
-_SERIES_PROCESSES = ("dirichlet", "pkp", "pdp_series", "stable")
 
 # Points per batched draw of fixed-count replications: 64 replications of
 # the bundled grid's 400 points.  Longer series take fewer replications per
@@ -128,6 +127,9 @@ class ExperimentSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
         """Read a spec dict; keys it does not read are ignored, so older spec files still load."""
+        missing = [key for key in ("process", "replications") if key not in data]
+        if missing:
+            raise DomainError(f"experiment spec lacks field {missing[0]!r}")
         trunc = data.get("truncation")
         return cls(
             process=data["process"],
@@ -178,6 +180,94 @@ class ExperimentResult:
         )
 
 
+@dataclass(frozen=True)
+class _Family:
+    """A declarative spec as one block sampler: ``draw(seeds)`` gives one draw per seed, ``row(draw)``
+    its normalized weights in draw order (underflowed weights as zeros), ``measure(base, seed, draw)``
+    its measure, and ``width`` the row width that sizes a block (None under the epsilon rule)."""
+
+    draw: Callable[[list], list]
+    row: Callable[[object], np.ndarray]
+    measure: Callable[[BaseMeasure, object, object], DiscreteMeasure]
+    width: int | None
+
+    def rows(self, seeds: list) -> list[np.ndarray]:
+        return [self.row(d) for d in self.draw(seeds)]
+
+    def measures(self, seeds: list, base: BaseMeasure) -> list[DiscreteMeasure]:
+        return [self.measure(base, seed, d) for seed, d in zip(seeds, self.draw(seeds))]
+
+
+def _family(process: str, params: dict, truncation: TruncationPolicy | None) -> _Family:
+    """The block sampler of a declarative process spec.
+
+    For ``pdp_series`` an explicit ``r`` in the parameters selects the
+    truncated arrival-ratio series with exactly that order (the benchmark
+    grid's convention); without it the order is theta/alpha on the
+    gamma-randomized path, which is the faithful Poisson-Dirichlet law.
+    """
+    try:
+        if process == "extended_dp":
+            n = _size(params, "n", truncation, "extended_dp needs a level n")
+            ext = ExtendedDpParams(concentration=params["concentration"], r=params.get("r", 0),
+                                   n=as_number("n", n, int))
+            return _Family(
+                lambda seeds: extended_dp_weights(ext, seeds), np.asarray,
+                lambda base, seed, w: extended_dp_measure(ext, base, seed, w), int(ext.n) - int(ext.r),
+            )
+        if process == "pdp_stick":
+            sticks = _size(params, "sticks", truncation, "pdp_stick needs a stick count")
+            alpha, theta = _real(params, "alpha"), _real(params, "theta")
+            sb = StickBreaking(alpha, theta, as_number("sticks", sticks, int), bool(params.get("ranked", False)))
+            return _Family(
+                lambda seeds: stick_breaking_weights(sb, seeds), np.asarray,
+                lambda base, seed, w: stick_breaking_measure(sb, base, seed, w), sb.sticks + 1,
+            )
+        if process == "dirichlet":
+            series = SeriesProcess.dirichlet(_real(params, "theta"))
+        elif process == "stable":
+            series = SeriesProcess.stable(_real(params, "alpha"))
+        elif process == "pkp":
+            tail = LevyTail.from_dict(params["tail"]) if isinstance(params.get("tail"), dict) else params["tail"]
+            series = SeriesProcess.pkp(_real(params, "r"), tail, params.get("randomized"))
+        elif process == "pdp_series":
+            alpha = _real(params, "alpha")
+            if params.get("r") is not None:
+                series = SeriesProcess.pkp(_real(params, "r"), LevyTail.generalized_gamma(alpha))
+            else:
+                series = SeriesProcess.pdp(PdpParams(alpha=alpha, theta=_real(params, "theta")))
+        else:
+            raise DomainError(f"unknown process {process!r}; expected one of {PROCESSES}")
+    except KeyError as exc:
+        raise DomainError(f"process {process!r} is missing parameter {exc}") from exc
+    trunc = _need_trunc(truncation)
+    return _Family(
+        lambda seeds: series_draws(series, trunc, seeds), series_weights,
+        lambda base, seed, d: series_measure(series, base, trunc, seed, d),
+        trunc.n if trunc.mode == "fixed_count" else None,
+    )
+
+
+def _size(params: dict, key: str, truncation: TruncationPolicy | None, missing: str):
+    """``params[key]``, else the fixed-count truncation's n."""
+    size = params.get(key)
+    if size is None:
+        size = _need_trunc(truncation).n
+        if size is None:
+            raise DomainError(f"{missing} (params or fixed_count truncation)")
+    return size
+
+
+def _real(params: dict, key: str) -> float:
+    return as_number(key, params[key])
+
+
+def _need_trunc(truncation: TruncationPolicy | None) -> TruncationPolicy:
+    if truncation is None:
+        raise DomainError("this process needs a truncation policy")
+    return truncation
+
+
 def build_measures(
     process: str,
     params: dict,
@@ -187,49 +277,13 @@ def build_measures(
 ) -> list[DiscreteMeasure]:
     """One measure realization per seed, in seed order, for a declarative process spec.
 
-    The normalized-series processes (dirichlet, stable, pkp, pdp_series)
-    draw their points through ``sample_log_points``, which inverts the points
-    of all seeds at once (per round of the epsilon rule), and normalize
-    each seed's points into its own measure; the other processes draw
-    seed by seed.  Measure i is bit-identical to ``build_measure`` with
-    seed i, and the first seed that fails raises.
-
-    For ``pdp_series`` an explicit ``r`` in the parameters selects the
-    truncated arrival-ratio series with exactly that order (the benchmark
-    grid's convention); without it the order is theta/alpha on the
-    gamma-randomized path, which is the faithful Poisson-Dirichlet law.
+    The seeds are drawn as one block: the series processes invert all
+    seeds' points at once (per round of the epsilon rule), the extended
+    Dirichlet process solves all seeds' quantiles at once, and stick
+    breaking takes one cumulative product.  Measure i is bit-identical to
+    ``build_measure`` with seed i, and the first seed that fails raises.
     """
-    if base is None:
-        base = uniform_base()
-    seeds = list(seeds)
-    series = _series_process(process, params)
-    if series is not None:
-        trunc = _need_trunc(truncation)
-        draws = series_draws(series, trunc, seeds)
-        return [series_measure(series, base, trunc, seed, draw) for seed, draw in zip(seeds, draws)]
-    try:
-        if process == "extended_dp":
-            n = params.get("n")
-            if n is None:
-                n = _need_trunc(truncation).n
-                if n is None:
-                    raise DomainError("extended_dp needs a level n (params or fixed_count truncation)")
-            ext = ExtendedDpParams(
-                concentration=params["concentration"], r=params.get("r", 0), n=as_number("n", n, int)
-            )
-            return [sample_extended_dp_finite(ext, base, seed) for seed in seeds]
-        if process == "pdp_stick":
-            sticks = params.get("sticks")
-            if sticks is None:
-                sticks = _need_trunc(truncation).n
-                if sticks is None:
-                    raise DomainError("pdp_stick needs a stick count (params or fixed_count truncation)")
-            alpha, theta = _real(params, "alpha"), _real(params, "theta")
-            sticks, ranked = as_number("sticks", sticks, int), bool(params.get("ranked", False))
-            return [sample_pdp_stick_breaking(alpha, theta, base, sticks, ranked, seed) for seed in seeds]
-    except KeyError as exc:
-        raise _missing_parameter(process, exc) from exc
-    raise DomainError(f"unknown process {process!r}; expected one of {PROCESSES}")
+    return _family(process, params, truncation).measures(list(seeds), uniform_base() if base is None else base)
 
 
 def build_measure(
@@ -244,64 +298,16 @@ def build_measure(
     return build_measures(process, params, truncation, [seed], base)[0]
 
 
-def _real(params: dict, key: str) -> float:
-    return as_number(key, params[key])
-
-
-def _missing_parameter(process: str, exc: KeyError) -> DomainError:
-    return DomainError(f"process {process!r} is missing parameter {exc}")
-
-
-def _series_process(process: str, params: dict) -> SeriesProcess | None:
-    """The normalized-series form of a declarative spec; None for the other processes."""
-    try:
-        if process == "dirichlet":
-            return SeriesProcess.dirichlet(_real(params, "theta"))
-        if process == "stable":
-            return SeriesProcess.stable(_real(params, "alpha"))
-        if process == "pkp":
-            tail = LevyTail.from_dict(params["tail"]) if isinstance(params.get("tail"), dict) else params["tail"]
-            return SeriesProcess.pkp(_real(params, "r"), tail, params.get("randomized"))
-        if process == "pdp_series":
-            alpha = _real(params, "alpha")
-            if params.get("r") is not None:
-                return SeriesProcess.pkp(_real(params, "r"), LevyTail.generalized_gamma(alpha))
-            return SeriesProcess.pdp(PdpParams(alpha=alpha, theta=_real(params, "theta")))
-    except KeyError as exc:
-        raise _missing_parameter(process, exc) from exc
-    return None
-
-
-def _weight_rows(process: str, params: dict, trunc: TruncationPolicy, seeds: list) -> np.ndarray:
-    """Each seed's fixed-count series draw as one row of normalized weights,
-    in series order; a weight that underflows stays an exact zero."""
-    draws = series_draws(_series_process(process, params), trunc, seeds)
-    return np.stack([normalized_weights(draw.log_points) for draw in draws])
-
-
-def _need_trunc(truncation: TruncationPolicy | None) -> TruncationPolicy:
-    if truncation is None:
-        raise DomainError("this process needs a truncation policy")
-    return truncation
-
-
-def _replicate(process: str, truncation: TruncationPolicy | None, seeds: list, draw):
+def _replicate(width: int | None, seeds: list, draw):
     """Yield each seed's result of ``draw(block)``, or the exception its draw raised, in seed order.
 
-    ``draw`` maps a list of seeds to one result per seed, for example
-    ``build_measures`` on them.  Normalized series are drawn block by
-    block: under fixed-count truncation at most ``_BLOCK_POINTS`` points
-    or one seed per block, under the epsilon rule ``_EPSILON_BLOCK``
-    seeds.  A block that raises is drawn again seed by seed, so each
-    failure stays with its own seed.  Other processes are drawn seed by
-    seed.
+    ``draw`` maps a list of seeds to one result per seed, for example a
+    family's ``rows``.  Blocks hold at most ``_BLOCK_POINTS`` row entries
+    or one seed, or ``_EPSILON_BLOCK`` seeds when ``width`` is None (the
+    epsilon rule).  A block that raises is drawn again seed by seed, so
+    each failure stays with its own seed.
     """
-    rows = 1
-    if process in _SERIES_PROCESSES and truncation is not None:
-        if truncation.mode == "fixed_count":
-            rows = max(1, _BLOCK_POINTS // truncation.n)
-        else:
-            rows = _EPSILON_BLOCK
+    rows = _EPSILON_BLOCK if width is None else max(1, _BLOCK_POINTS // width)
     for start in range(0, len(seeds), rows):
         block = seeds[start:start + rows]
         if len(block) > 1:
@@ -324,23 +330,30 @@ def _replicate(process: str, truncation: TruncationPolicy | None, seeds: list, d
 def _ks_values(spec: ExperimentSpec, base: BaseMeasure) -> tuple[np.ndarray, list[str]]:
     """Each replication's Kolmogorov distance (NaN where it failed) and the failure messages, in index order.
 
-    Fixed-count series reduce a block at once, each row on atoms drawn
-    from its own seed's atom stream; other processes build each measure
-    and take its distance.
+    A block's rows are reduced at once, each on atoms drawn from its own
+    seed's atom stream.  A shorter row of the block is padded with zero
+    weights on copies of its first atom, which leaves its distance exact.
+    A spec that cannot be drawn records its error on every replication.
     """
-    process, params, trunc = spec.process, spec.params, spec.truncation
-    if process in _SERIES_PROCESSES and trunc is not None and trunc.mode == "fixed_count":
-        def draw(block):
-            weights = _weight_rows(process, params, trunc, block)
-            atoms = [base.sampler(spawn_generator(seed, STREAM_ATOMS), weights.shape[1]) for seed in block]
-            return _ks_rows(weights, np.asarray(atoms, dtype=float), base)
-    else:
-        def draw(block):
-            return [kolmogorov_distance(m, base) for m in build_measures(process, params, trunc, block, base)]
-    values = np.full(spec.replications, np.nan)
-    failures: list[str] = []
     seeds = [replication_seed(spec.master_seed, i) for i in range(spec.replications)]
-    for i, value in enumerate(_replicate(process, trunc, seeds, draw)):
+    values = np.full(spec.replications, np.nan)
+    try:
+        family = _family(spec.process, spec.params, spec.truncation)
+    except Exception as exc:  # noqa: BLE001 - recorded for every replication
+        return values, [f"replication {i}: {exc}" for i in range(spec.replications)]
+
+    def draw(block):
+        rows = family.rows(block)
+        weights = np.zeros((len(rows), max(row.size for row in rows)))
+        atoms = np.empty_like(weights)
+        for i, (seed, row) in enumerate(zip(block, rows)):
+            weights[i, :row.size] = row
+            atoms[i, :row.size] = base.sampler(spawn_generator(seed, STREAM_ATOMS), row.size)
+            atoms[i, row.size:] = atoms[i, 0]
+        return _ks_rows(weights, atoms, base)
+
+    failures: list[str] = []
+    for i, value in enumerate(_replicate(family.width, seeds, draw)):
         if isinstance(value, Exception):
             failures.append(f"replication {i}: {value}")
         else:
@@ -404,12 +417,15 @@ def run_ks_table(
 def load_ks_grid(data: dict) -> tuple[list[dict], int, int]:
     """Validate a benchmark-grid config dict: rows, index bound n, replications.
 
-    Each row comes back as numbers: real alpha and theta, integer r.
+    Each row comes back as numbers: alpha in (0, 1), finite theta > 0 (what
+    ``PdpParams`` accepts) and integer r; there must be at least one row.
     """
     try:
         rows, n, replications = list(data["rows"]), data["n"], data["replications"]
     except (KeyError, TypeError) as exc:
         raise DomainError(f"grid config needs 'rows', 'n', 'replications': {exc}") from exc
+    if not rows:
+        raise DomainError("grid config needs at least one row")
     checked = []
     for row in rows:
         if not (isinstance(row, dict) and {"alpha", "theta", "r"} <= set(row)):
@@ -418,6 +434,8 @@ def load_ks_grid(data: dict) -> tuple[list[dict], int, int]:
         if not (r >= 0 and r.is_integer()):
             raise DomainError(f"grid row {row!r}: r must be a nonnegative integer")
         alpha, theta = as_number("alpha", row["alpha"]), as_number("theta", row["theta"])
+        if not (0.0 < alpha < 1.0 and math.isfinite(theta) and theta > 0.0):
+            raise DomainError(f"grid row {row!r}: need alpha in (0,1) and a finite theta > 0")
         checked.append({"alpha": alpha, "theta": theta, "r": int(r)})
     return checked, as_number("n", n, int), as_number("replications", replications, int)
 
@@ -495,15 +513,11 @@ def weight_profile(
         raise DomainError("r_grid must name at least one order r")
     out = np.zeros((len(r_grid), top_k))
     for gi, r in enumerate(r_grid):
-        trunc = TruncationPolicy.fixed(r + points_per_r)
-        params = {"r": r, "tail": tail}
+        family = _family("pkp", {"r": r, "tail": tail}, TruncationPolicy.fixed(r + points_per_r))
         acc = np.zeros(top_k)
         seeds = [seed_tuple(seed) + (gi, rep) for rep in range(replications)]
-
-        def draw(block):
-            return _weight_rows("pkp", params, trunc, block)[:, :top_k]  # series order is decreasing
-
-        for row in _replicate("pkp", trunc, seeds, draw):
+        # series order is decreasing, so a row's first top_k weights are its largest
+        for row in _replicate(family.width, seeds, lambda block: [w[:top_k] for w in family.rows(block)]):
             if isinstance(row, Exception):
                 raise row
             acc += row
@@ -590,14 +604,14 @@ def clustering_growth(
             if process == "dirichlet"
             else TruncationPolicy.epsilon_rule(1e-7, hard_cap=50_000)
         )
+    family = _family(process, params, truncation)
+    if process != "dirichlet" and "alpha" not in params:
+        raise DomainError(f"{process} normalizes K_n by n^alpha, so its params need 'alpha'")
     kn_means = []
     for ni, n in enumerate(n_grid):
         total = 0
         seeds = [seed_tuple(seed) + (ni, rep) for rep in range(replications)]
-        measures = _replicate(
-            process, truncation, seeds, lambda block: build_measures(process, params, truncation, block, base)
-        )
-        for seed_i, m in zip(seeds, measures):
+        for seed_i, m in zip(seeds, _replicate(family.width, seeds, lambda block: family.measures(block, base))):
             if isinstance(m, Exception):
                 raise m
             total += distinct_count(draw_from_measure(m, n, seed_i))
@@ -655,13 +669,14 @@ def rank_weight_equivalence_test(
     sticks: int = 3000,
     stick_alpha: float | None = None,
     stick_theta: float | None = None,
-    base: BaseMeasure | None = None,
 ) -> EquivalenceReport:
     """Two-sample KS test: tail-series largest weight vs ranked stick-breaking.
 
     ``stick_alpha`` / ``stick_theta`` override the stick-breaking side
     (handy as a power check with deliberately mismatched parameters).
-    P-values use the asymptotic Kolmogorov distribution.
+    P-values use the asymptotic Kolmogorov distribution.  Both sides take
+    each replication's largest weight from its weight row, so no atoms
+    are drawn.
     """
     # imported here: scipy.stats is most of the package's import time, and
     # this is its only user
@@ -672,26 +687,21 @@ def rank_weight_equivalence_test(
         raise DomainError("need at least 100 replications per side")
     if truncation is None:
         truncation = TruncationPolicy.fixed(3000)
-    if base is None:
-        base = uniform_base()
     s_alpha = alpha if stick_alpha is None else float(stick_alpha)
     s_theta = theta if stick_theta is None else float(stick_theta)
 
-    lhs = np.empty(replications)
-    rhs = np.empty(replications)
-    params = {"alpha": float(alpha), "theta": float(theta)}
-    series = _replicate(
-        "pdp_series", truncation, [seed_tuple(seed) + (0, i) for i in range(replications)],
-        lambda block: build_measures("pdp_series", params, truncation, block, base),
-    )
-    for i, m in enumerate(series):
-        if isinstance(m, Exception):
-            raise m
-        lhs[i] = float(np.max(m.weights))
-        s = sample_pdp_stick_breaking(
-            s_alpha, s_theta, base, sticks, True, seed_tuple(seed) + (1, i)
-        )
-        rhs[i] = float(np.max(s.weights))
+    def largest(family, side):
+        seeds = [seed_tuple(seed) + (side, i) for i in range(replications)]
+        out = np.empty(replications)
+        for i, w in enumerate(_replicate(family.width, seeds, lambda block: [row.max() for row in family.rows(block)])):
+            if isinstance(w, Exception):
+                raise w
+            out[i] = w
+        return out
+
+    series = _family("pdp_series", {"alpha": float(alpha), "theta": float(theta)}, truncation)
+    stick = _family("pdp_stick", {"alpha": s_alpha, "theta": s_theta, "sticks": sticks, "ranked": True}, None)
+    lhs, rhs = largest(series, 0), largest(stick, 1)
     ks = st.ks_2samp(lhs, rhs, method="asymp")
     return EquivalenceReport(
         statistic=float(ks.statistic),

@@ -2,10 +2,14 @@
 
 All constructors produce a :class:`DiscreteMeasure`: finitely many atoms
 with strictly positive weights summing to one, plus a provenance record
-sufficient to reproduce the draw.  Weight vectors are computed in log
-domain and normalized by one row normaliser, ``normalized_weights``: a
-log-sum-exp reduction that keeps underflowed weights as exact zeros.  A
-measure drops those entries together with their atoms.
+sufficient to reproduce the draw.  Each family is a block sampler from a
+list of seeds to one normalized weight row per seed, in draw order, with
+underflowed weights kept as exact zeros (``series_weights`` of
+``series_draws``, ``extended_dp_weights``, ``stick_breaking_weights``);
+a row depends only on its own seed.  One assembly turns a seed's row
+into its measure: atoms from the seed's atom stream, ranked if asked,
+zero weights dropped with their atoms.  The single-draw constructors
+call their block sampler with one seed.
 
 The sampler family:
 
@@ -142,14 +146,17 @@ class DiscreteMeasure:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DiscreteMeasure":
-        try:
-            return cls(
-                atoms=np.asarray(data["atoms"], dtype=float),
-                weights=np.asarray(data["weights"], dtype=float),
-                provenance=data.get("provenance", {}),
-            )
-        except KeyError as exc:
-            raise DomainError(f"measure JSON lacks field {exc}") from exc
+        if not isinstance(data, dict):
+            raise DomainError(f"measure JSON must be an object, got {type(data).__name__}")
+        arrays = {}
+        for key in ("atoms", "weights"):
+            if key not in data:
+                raise DomainError(f"measure JSON lacks field {key!r}")
+            try:
+                arrays[key] = np.asarray(data[key], dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"measure JSON field {key!r} must hold numbers: {exc}") from exc
+        return cls(provenance=data.get("provenance", {}), **arrays)
 
     def to_json(self, **dumps_kwargs) -> str:
         kwargs = {"sort_keys": True}
@@ -158,7 +165,11 @@ class DiscreteMeasure:
 
     @classmethod
     def from_json(cls, text: str) -> "DiscreteMeasure":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"measure JSON does not parse: {exc}") from exc
+        return cls.from_json_dict(data)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -173,10 +184,13 @@ class DiscreteMeasure:
         if not lines or lines[0] != "atom,weight":
             raise DomainError("measure CSV must start with an 'atom,weight' header")
         atoms, weights = [], []
-        for ln in lines[1:]:
-            a, w = ln.split(",")
-            atoms.append(float(a))
-            weights.append(float(w))
+        for i, ln in enumerate(lines[1:], start=1):
+            try:
+                a, w = map(float, ln.split(","))
+            except ValueError as exc:
+                raise DomainError(f"measure CSV row {i} is not two numbers 'atom,weight': {ln!r}") from exc
+            atoms.append(a)
+            weights.append(w)
         return cls(atoms=np.asarray(atoms), weights=np.asarray(weights))
 
 
@@ -257,14 +271,22 @@ def normalized_weights(log_w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _measure_from_log_weights(log_w: np.ndarray, atoms: np.ndarray, provenance: dict, sorted_by_weight: bool) -> DiscreteMeasure:
-    w = normalized_weights(log_w)
-    keep = w > 0.0
-    w = w[keep]
-    atoms = atoms[keep]
-    if sorted_by_weight and not np.all(np.diff(w) < 0):
-        sorted_by_weight = False  # repeated log-points can tie after rounding
-    return DiscreteMeasure(atoms=atoms, weights=w, provenance=provenance, sorted_by_weight=sorted_by_weight)
+def _assemble(weights: np.ndarray, base: BaseMeasure, seed, provenance: dict, sorted_by_weight: bool,
+              ranked: bool = False) -> DiscreteMeasure:
+    """The measure of one seed's normalized weights: one atom per weight,
+    drawn from ``base`` on the seed's atom stream; with ``ranked`` the
+    pairs sorted by decreasing weight (stable); zero weights dropped with
+    their atoms.  ``sorted_by_weight`` holds only if the weights kept
+    strictly decrease, since repeated points can tie after rounding."""
+    atoms = np.asarray(base.sampler(spawn_generator(seed, STREAM_ATOMS), weights.size), dtype=float)
+    if ranked:
+        order = np.argsort(-weights, kind="stable")
+        weights, atoms = weights[order], atoms[order]
+    keep = weights > 0.0
+    weights, atoms = weights[keep], atoms[keep]
+    provenance["base"] = base.label
+    sorted_by_weight = sorted_by_weight and bool(np.all(np.diff(weights) < 0))
+    return DiscreteMeasure(atoms=atoms, weights=weights, provenance=provenance, sorted_by_weight=sorted_by_weight)
 
 
 @dataclass(frozen=True)
@@ -299,6 +321,13 @@ class SeriesProcess:
         return cls("pdp_series", payload, params.r_derived, LevyTail.generalized_gamma(params.alpha), True)
 
 
+def series_weights(draw: PointSeries) -> np.ndarray:
+    """One seed's draw as normalized weights in series order; a weight that underflows stays an exact zero."""
+    if len(draw) < 2:
+        raise DegenerateTruncationError(f"truncation retained {len(draw)} points; need at least 2")
+    return normalized_weights(draw.log_points)
+
+
 def series_measure(
     series: SeriesProcess,
     base: BaseMeasure,
@@ -308,14 +337,9 @@ def series_measure(
 ) -> DiscreteMeasure:
     """The measure of one seed's draw: its points normalized into weights,
     in series order, on atoms drawn from ``base`` on the seed's atom stream."""
-    if len(draw) < 2:
-        raise DegenerateTruncationError(f"truncation retained {len(draw)} points; need at least 2")
-    atom_rng = spawn_generator(seed, STREAM_ATOMS)
-    atoms = np.asarray(base.sampler(atom_rng, len(draw)), dtype=float)
     prov = _provenance(series.process, series.params, trunc, seed, draw.truncation_warning)
     prov["stopped_by"] = draw.stopped_by
-    prov["base"] = base.label
-    return _measure_from_log_weights(draw.log_points, atoms, prov, sorted_by_weight=True)
+    return _assemble(series_weights(draw), base, seed, prov, sorted_by_weight=True)
 
 
 def series_draws(series: SeriesProcess, trunc: TruncationPolicy, seeds: list) -> list[PointSeries]:
@@ -388,44 +412,91 @@ def sample_pdp_series(
     return _sample_one(SeriesProcess.pdp(params), base, trunc, seed)
 
 
-def sample_extended_dp_finite(
-    params: ExtendedDpParams,
-    base: BaseMeasure,
-    seed,
-) -> DiscreteMeasure:
-    """Finite approximation of the order-r extended Dirichlet process.
+def extended_dp_weights(params: ExtendedDpParams, seeds: list) -> list[np.ndarray]:
+    """Each seed's normalized weights of the finite approximation of the order-r extended Dirichlet process.
 
     Weights are gamma-survival quantiles: with shape concentration/n and
     the seed's arrivals Γ_1 .. Γ_{n+1} (``gamma_arrivals``, the stream the
     series samplers draw from), weight i is the x solving
     Q(shape, x) = Γ_i/(Γ_r Γ_{n+1}) for i = r+1 .. n, computed in log
-    domain and normalized by log-sum-exp.  Any quantile argument outside
-    (0, 1) raises a DomainError; no internal resampling is attempted, so
-    behavior stays deterministic.  (For r = 0 the arguments are in (0, 1)
-    almost surely; for r >= 1 the event Γ_r Γ_{n+1} < Γ_n has positive
-    probability.)
+    domain and normalized by log-sum-exp; a weight that underflows stays a
+    zero.  All seeds' levels go through one ``gamma_quantile_upper_many``
+    call, which solves each level on its own, so a row is bit-identical to
+    its seed's draw alone.  Any quantile argument outside (0, 1) raises a
+    DomainError; no internal resampling is attempted, so behavior stays
+    deterministic.  (For r = 0 the arguments are in (0, 1) almost surely;
+    for r >= 1 the event Γ_r Γ_{n+1} < Γ_n has positive probability.)
     """
     n, r = int(params.n), int(params.r)
-    arrivals = gamma_arrivals(seed, n + 1).arrivals
-    divisor = arrivals[r - 1] if r >= 1 else 1.0  # Gamma_0 = 1 convention
-    u = arrivals[r:n] / (divisor * arrivals[n])
-    if not np.all((u > 0.0) & (u < 1.0)):
-        raise DomainError(
-            f"quantile arguments left (0,1) for this realization (r={r}, n={n}); "
-            "the finite approximation is undefined here"
-        )
-    log_w = gamma_quantile_upper_many(float(params.concentration) / n, u)
-    atom_rng = spawn_generator(seed, STREAM_ATOMS)
-    atoms = np.asarray(base.sampler(atom_rng, n - r), dtype=float)
-    prov = _provenance(
-        "extended_dp",
-        {"concentration": float(params.concentration), "r": r, "n": n},
-        None,
-        seed,
-        False,
-    )
-    prov["base"] = base.label
-    return _measure_from_log_weights(log_w, atoms, prov, sorted_by_weight=False)
+    levels = []
+    for seed in seeds:
+        arrivals = gamma_arrivals(seed, n + 1).arrivals
+        divisor = arrivals[r - 1] if r >= 1 else 1.0  # Gamma_0 = 1 convention
+        u = arrivals[r:n] / (divisor * arrivals[n])
+        if not np.all((u > 0.0) & (u < 1.0)):
+            raise DomainError(
+                f"quantile arguments left (0,1) for this realization (r={r}, n={n}); "
+                "the finite approximation is undefined here"
+            )
+        levels.append(u)
+    log_w = gamma_quantile_upper_many(float(params.concentration) / n, np.concatenate(levels))
+    return [normalized_weights(row) for row in log_w.reshape(len(seeds), n - r)]
+
+
+def extended_dp_measure(params: ExtendedDpParams, base: BaseMeasure, seed, weights: np.ndarray) -> DiscreteMeasure:
+    """The measure of one seed's ``extended_dp_weights`` row."""
+    payload = {"concentration": float(params.concentration), "r": int(params.r), "n": int(params.n)}
+    prov = _provenance("extended_dp", payload, None, seed, False)
+    return _assemble(weights, base, seed, prov, sorted_by_weight=False)
+
+
+def sample_extended_dp_finite(params: ExtendedDpParams, base: BaseMeasure, seed) -> DiscreteMeasure:
+    """Finite approximation of the order-r extended Dirichlet process: ``extended_dp_weights`` for one seed."""
+    return extended_dp_measure(params, base, seed, extended_dp_weights(params, [seed])[0])
+
+
+@dataclass(frozen=True)
+class StickBreaking:
+    """GEM(alpha, theta) stick breaking truncated at ``sticks`` breaks, ranked or in break order."""
+
+    alpha: float
+    theta: float
+    sticks: int
+    ranked: bool = False
+
+    def __post_init__(self):
+        alpha, theta, sticks = float(self.alpha), float(self.theta), as_number("sticks", self.sticks, int)
+        if not (0.0 <= alpha < 1.0):
+            raise DomainError(f"alpha must lie in [0,1), got {alpha}")
+        if not (math.isfinite(theta) and theta > -alpha):
+            raise DomainError(f"theta must exceed -alpha, got {theta}")
+        if sticks < 1:
+            raise DomainError(f"sticks must be at least 1, got {sticks}")
+        for name, value in zip(("alpha", "theta", "sticks", "ranked"), (alpha, theta, sticks, bool(self.ranked))):
+            object.__setattr__(self, name, value)
+
+
+def stick_breaking_weights(sb: StickBreaking, seeds: list) -> list[np.ndarray]:
+    """Each seed's stick weights, normalized, in break order, the residual mass last.
+
+    Each seed's fractions come from its own arrival stream; one 2-D
+    cumulative product over the block gives every row's remaining mass.
+    """
+    shapes = sb.theta + sb.alpha * np.arange(1, sb.sticks + 1)
+    betas = np.stack([spawn_generator(seed, STREAM_ARRIVALS).beta(1.0 - sb.alpha, shapes) for seed in seeds])
+    remaining = np.cumprod(1.0 - betas, axis=1)
+    weights = np.empty((len(seeds), sb.sticks + 1))
+    weights[:, 0] = betas[:, 0]
+    weights[:, 1:sb.sticks] = betas[:, 1:] * remaining[:, :-1]
+    weights[:, sb.sticks] = remaining[:, -1]  # residual-mass closure atom
+    return [row / math.fsum(row.tolist()) for row in weights]
+
+
+def stick_breaking_measure(sb: StickBreaking, base: BaseMeasure, seed, weights: np.ndarray) -> DiscreteMeasure:
+    """The measure of one seed's ``stick_breaking_weights`` row, ranked if ``sb.ranked``."""
+    prov = _provenance("pdp_stick", {"alpha": sb.alpha, "theta": sb.theta, "sticks": sb.sticks, "ranked": sb.ranked},
+                       None, seed, False)
+    return _assemble(weights, base, seed, prov, sorted_by_weight=sb.ranked, ranked=sb.ranked)
 
 
 def sample_pdp_stick_breaking(
@@ -444,48 +515,8 @@ def sample_pdp_stick_breaking(
     ``ranked`` the weights are sorted in decreasing order (the ranked law
     is the Poisson-Dirichlet distribution).
     """
-    alpha = float(alpha)
-    theta = float(theta)
-    sticks = as_number("sticks", sticks, int)
-    if not (0.0 <= alpha < 1.0):
-        raise DomainError(f"alpha must lie in [0,1), got {alpha}")
-    if not (math.isfinite(theta) and theta > -alpha):
-        raise DomainError(f"theta must exceed -alpha, got {theta}")
-    if sticks < 1:
-        raise DomainError(f"sticks must be at least 1, got {sticks}")
-
-    stick_rng = spawn_generator(seed, STREAM_ARRIVALS)
-    betas = stick_rng.beta(1.0 - alpha, theta + alpha * np.arange(1, sticks + 1))
-    remaining = np.cumprod(1.0 - betas)
-    weights = np.empty(sticks + 1)
-    weights[0] = betas[0]
-    weights[1:sticks] = betas[1:] * remaining[:-1]
-    weights[sticks] = remaining[-1]  # residual-mass closure atom
-
-    atom_rng = spawn_generator(seed, STREAM_ATOMS)
-    atoms = np.asarray(base.sampler(atom_rng, sticks + 1), dtype=float)
-
-    keep = weights > 0.0
-    weights = weights[keep]
-    atoms = atoms[keep]
-    weights = weights / math.fsum(weights.tolist())
-
-    sorted_flag = False
-    if ranked:
-        order = np.argsort(-weights, kind="stable")
-        weights = weights[order]
-        atoms = atoms[order]
-        sorted_flag = bool(np.all(np.diff(weights) < 0))
-
-    prov = _provenance(
-        "pdp_stick",
-        {"alpha": alpha, "theta": theta, "sticks": sticks, "ranked": bool(ranked)},
-        None,
-        seed,
-        False,
-    )
-    prov["base"] = base.label
-    return DiscreteMeasure(atoms=atoms, weights=weights, provenance=prov, sorted_by_weight=sorted_flag)
+    sb = StickBreaking(alpha, theta, sticks, ranked)
+    return stick_breaking_measure(sb, base, seed, stick_breaking_weights(sb, [seed])[0])
 
 
 # ---------------------------------------------------------------------------

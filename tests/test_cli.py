@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import nbpriors
-from nbpriors import DiscreteMeasure
+from nbpriors import DiscreteMeasure, DomainError
 
 # Directory holding the nbpriors package these tests import (``src`` in a checkout).
 PACKAGE_ROOT = str(Path(nbpriors.__file__).resolve().parents[1])
@@ -212,6 +212,16 @@ class TestKsTable:
         assert len(rows) == 2
         assert all(0.0 < row["mean_distance"] < 1.0 for row in rows)
 
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1,x\n", "CSV row 1, column 'b': 'x' is not a number"),
+        ("a,b\n1,2\n3\n", "CSV row has 1 cells, header has 2"),
+    ], ids=["non_numeric", "short_row"])
+    def test_bad_csv_table_is_a_domain_error(self, text, message):
+        from nbpriors.cli import parse_csv_table
+
+        with pytest.raises(DomainError, match=message):
+            parse_csv_table(text)
+
     def test_json_rows_embed_spec(self, grid_path):
         res = run_cli("ks-table", "--config", grid_path, "--seed", "42")
         payload = json.loads(res.stdout)
@@ -223,7 +233,9 @@ class TestKsTable:
         ({"alpha": "x", "theta": 1, "r": 2}, "alpha must be a real number"),
         (0.5, "needs alpha, theta, r"),
         ({"alpha": 0.5, "theta": 1, "r": 2.5}, "r must be a nonnegative integer"),
-    ], ids=["non_numeric_alpha", "row_not_an_object", "fractional_r"])
+        ({"alpha": 1.5, "theta": 1, "r": 2}, "need alpha in (0,1) and a finite theta > 0"),
+        ({"alpha": 0.5, "theta": 0, "r": 2}, "need alpha in (0,1) and a finite theta > 0"),
+    ], ids=["non_numeric_alpha", "row_not_an_object", "fractional_r", "alpha_out_of_range", "theta_not_positive"])
     def test_bad_grid_row_is_a_domain_error(self, row, message, tmp_path):
         path = tmp_path / "grid.json"
         path.write_text(json.dumps({**TINY_GRID, "rows": [row]}))
@@ -231,6 +243,14 @@ class TestKsTable:
         assert res.returncode == 1, res.stdout
         assert res.stderr.startswith("error:") and message in res.stderr
         assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+
+    def test_empty_grid_rows_is_a_domain_error(self, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({**TINY_GRID, "rows": []}))
+        res = run_cli("ks-table", "--config", str(path), "--seed", "42")
+        assert res.returncode == 1, res.stdout
+        assert res.stderr == "error: grid config needs at least one row\n"
         assert res.stdout == ""
 
     @pytest.mark.parametrize("field, value", [("n", 80.5), ("replications", 6.7)])

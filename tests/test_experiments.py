@@ -33,7 +33,7 @@ from nbpriors import (
     weight_profile,
 )
 from nbpriors import experiments, point_processes, random_measures, special_functions
-from nbpriors._rng import replication_seed, seed_tuple, spawn_generator
+from nbpriors._rng import STREAM_ATOMS, replication_seed, seed_tuple, spawn_generator
 
 from oracles import dp_expected_distinct, ks_distance_brute
 
@@ -148,6 +148,14 @@ class TestExperimentSpec:
         with pytest.raises(DomainError, match=f"replications must be an integer, got {replications}"):
             ExperimentSpec("dirichlet", {"theta": 3.0}, replications, TruncationPolicy.fixed(50), 0)
 
+    @pytest.mark.parametrize("data, field", [
+        ({"process": "dirichlet"}, "replications"),
+        ({"replications": 5}, "process"),
+    ])
+    def test_spec_missing_field_is_a_domain_error(self, data, field):
+        with pytest.raises(DomainError, match=f"experiment spec lacks field '{field}'"):
+            ExperimentSpec.from_dict(data)
+
     def test_fractional_spec_replications_is_a_domain_error(self):
         data = {"process": "dirichlet", "params": {"theta": 3.0}, "replications": 6.7}
         with pytest.raises(DomainError, match="replications must be an integer, got 6.7"):
@@ -225,12 +233,15 @@ class TestReplicationEngine:
     # three replications past the first epsilon-rule block
     EPS_REPS = experiments._EPSILON_BLOCK + 3
 
+    # the extended DP takes its level n, and stick breaking its stick count, from fixed(N)
     SERIES = [
         ("dirichlet", {"theta": 3.0}),
         ("stable", {"alpha": 0.5}),
         ("pkp", {"r": 3, "tail": {"kind": "gamma", "theta": 2.0}}),
         ("pdp_series", {"alpha": 0.9, "theta": 10.0, "r": 11}),
         ("pdp_series", {"alpha": 0.5, "theta": 2.0}),
+        ("extended_dp", {"concentration": 3.0}),
+        ("pdp_stick", {"alpha": 0.5, "theta": 2.0, "ranked": True}),
     ]
 
     @staticmethod
@@ -283,6 +294,15 @@ class TestReplicationEngine:
             values, failures = self.per_draw(spec)
             assert run_ks_experiment(spec).failures == failures
         assert 0 < len(failures) < 70
+        assert engine_failures == failures
+        assert seen == values
+
+    def test_extended_dp_failures_stay_with_their_replication(self):
+        # at r = 1 the event Gamma_1 Gamma_{n+1} < Gamma_n leaves some seeds undefined
+        spec = ExperimentSpec("extended_dp", {"concentration": 3.0, "r": 1, "n": 50}, self.REPS, None, 4)
+        seen, engine_failures = self.batched(spec)
+        values, failures = self.per_draw(spec)
+        assert 0 < len(failures) < self.REPS
         assert engine_failures == failures
         assert seen == values
 
@@ -365,7 +385,8 @@ class TestReplicationEngine:
             except Exception as exc:  # noqa: BLE001 - compared with the engine's failures
                 singles.append(exc)
         engine = list(experiments._replicate(
-            process, trunc, seeds, lambda block: experiments.build_measures(process, params, trunc, block, UB)
+            experiments._family(process, params, trunc).width, seeds,
+            lambda block: experiments.build_measures(process, params, trunc, block, UB),
         ))
         return [as_text(m) for m in engine], [as_text(m) for m in singles]
 
@@ -551,6 +572,15 @@ class TestClusteringGrowth:
         assert diag.normalizer == "n_pow_alpha"
         assert diag.ratios[0] == pytest.approx(diag.kn_means[0] / math.sqrt(50))
 
+    @pytest.mark.parametrize("process, params", [
+        ("extended_dp", {"concentration": 3.0, "n": 50}),
+        ("pkp", {"r": 2, "tail": {"kind": "gamma", "theta": 3.0}}),
+    ])
+    def test_power_normalizer_needs_alpha(self, process, params, monkeypatch):
+        monkeypatch.setattr(experiments, "_replicate", None)  # fails before any sampling
+        with pytest.raises(DomainError, match="need 'alpha'"):
+            clustering_growth(process, params, [10, 20], 2, 0)
+
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             clustering_growth("dirichlet", {"theta": 1.0}, [100, 100], 10, 1)
@@ -590,6 +620,18 @@ class TestEquivalence:
             0.5, 2.0, 400, 2025, truncation=TruncationPolicy.fixed(1500), sticks=1500, stick_theta=20.0
         )
         assert report.p_value < 0.001
+
+    def test_statistic_equals_the_per_draw_recomputation(self, monkeypatch):
+        calls = TestReplicationEngine.count_spawns(monkeypatch)
+        trunc, reps = TruncationPolicy.fixed(200), 130
+        report = rank_weight_equivalence_test(0.5, 2.0, reps, 6, truncation=trunc, sticks=300, stick_theta=3.0)
+        assert calls and all(stream != STREAM_ATOMS for _, stream in calls)  # no atoms drawn
+        monkeypatch.undo()
+        lhs = [build_measure("pdp_series", {"alpha": 0.5, "theta": 2.0}, trunc, (6, 0, i)).weights.max()
+               for i in range(reps)]
+        rhs = [sample_pdp_stick_breaking(0.5, 3.0, UB, 300, True, (6, 1, i)).weights.max() for i in range(reps)]
+        ks = st.ks_2samp(lhs, rhs, method="asymp")
+        assert (report.statistic, report.p_value) == (ks.statistic, ks.pvalue)
 
     def test_same_law_self_test(self):
         # sticks against sticks with independent seeds: same distribution

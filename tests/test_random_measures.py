@@ -77,6 +77,23 @@ class TestDiscreteMeasure:
         with pytest.raises(DomainError):
             DiscreteMeasure.from_csv("a,b\n1,2\n")
 
+    @pytest.mark.parametrize("text", ["atom,weight\n0.5,0.5,1\n", "atom,weight\n0.5,x\n", "atom,weight\n0.5\n"],
+                             ids=["three_cells", "non_numeric", "one_cell"])
+    def test_csv_bad_row_is_a_domain_error(self, text):
+        with pytest.raises(DomainError, match="measure CSV row 1 is not two numbers"):
+            DiscreteMeasure.from_csv(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1,2]", "measure JSON must be an object, got list"),
+        ('{"atoms": [0.5, 0.25], "weights": ["a", 0.5]}', "measure JSON field 'weights' must hold numbers"),
+        ('{"atoms": {"x": 1}, "weights": [1.0]}', "measure JSON field 'atoms' must hold numbers"),
+        ('{"atoms": [0.5]}', "measure JSON lacks field 'weights'"),
+        ('{"atoms": [0.5]', "measure JSON does not parse"),
+    ], ids=["list", "non_numeric_weights", "object_atoms", "missing_weights", "truncated"])
+    def test_json_bad_input_is_a_domain_error(self, text, message):
+        with pytest.raises(DomainError, match=message):
+            DiscreteMeasure.from_json(text)
+
 
 class TestNormalizedWeights:
     def test_underflowed_weights_stay_zeros(self):
