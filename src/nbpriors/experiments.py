@@ -7,10 +7,10 @@ are drawn in index order, a block of replications at a time: every
 process is one block sampler (``_family``), and a replication's draws
 depend only on its own seed, so it is bit-identical to drawing it alone.
 A block that fails is drawn again seed by seed, so each failure stays
-with its replication.  The Kolmogorov-distance, weight-profile and
-equivalence studies reduce a block's normalized weight rows without
-building measures: one sort and one cumulative sum give every row's
-distance (``_ks_rows``).
+with its replication.  Every study reduces a block's normalized weight
+rows without building measures: one sort and one cumulative sum give
+every row's distance (``_ks_rows``), and K_n counts the categories drawn
+from each row.  Only ``build_measures`` assembles measures.
 """
 
 from __future__ import annotations
@@ -35,10 +35,9 @@ from .random_measures import (
     PdpParams,
     SeriesProcess,
     StickBreaking,
-    distinct_count,
-    draw_from_measure,
     extended_dp_measure,
     extended_dp_weights,
+    row_distinct_count,
     series_draws,
     series_measure,
     series_weights,
@@ -184,12 +183,13 @@ class ExperimentResult:
 class _Family:
     """A declarative spec as one block sampler: ``draw(seeds)`` gives one draw per seed, ``row(draw)``
     its normalized weights in draw order (underflowed weights as zeros), ``measure(base, seed, draw)``
-    its measure, and ``width`` the row width that sizes a block (None under the epsilon rule)."""
+    its measure, ``width`` the row width of a block (None under the epsilon rule), ``index`` its stable index."""
 
     draw: Callable[[list], list]
     row: Callable[[object], np.ndarray]
     measure: Callable[[BaseMeasure, object, object], DiscreteMeasure]
     width: int | None
+    index: float
 
     def rows(self, seeds: list) -> list[np.ndarray]:
         return [self.row(d) for d in self.draw(seeds)]
@@ -209,19 +209,17 @@ def _family(process: str, params: dict, truncation: TruncationPolicy | None) -> 
     try:
         if process == "extended_dp":
             n = _size(params, "n", truncation, "extended_dp needs a level n")
-            ext = ExtendedDpParams(concentration=params["concentration"], r=params.get("r", 0),
-                                   n=as_number("n", n, int))
+            ext = ExtendedDpParams(params["concentration"], params.get("r", 0), n)
             return _Family(
                 lambda seeds: extended_dp_weights(ext, seeds), np.asarray,
-                lambda base, seed, w: extended_dp_measure(ext, base, seed, w), int(ext.n) - int(ext.r),
+                lambda base, seed, w: extended_dp_measure(ext, base, seed, w), ext.n - ext.r, 0.0,
             )
         if process == "pdp_stick":
             sticks = _size(params, "sticks", truncation, "pdp_stick needs a stick count")
-            alpha, theta = _real(params, "alpha"), _real(params, "theta")
-            sb = StickBreaking(alpha, theta, as_number("sticks", sticks, int), bool(params.get("ranked", False)))
+            sb = StickBreaking(params["alpha"], params["theta"], sticks, bool(params.get("ranked", False)))
             return _Family(
                 lambda seeds: stick_breaking_weights(sb, seeds), np.asarray,
-                lambda base, seed, w: stick_breaking_measure(sb, base, seed, w), sb.sticks + 1,
+                lambda base, seed, w: stick_breaking_measure(sb, base, seed, w), sb.sticks + 1, sb.alpha,
             )
         if process == "dirichlet":
             series = SeriesProcess.dirichlet(_real(params, "theta"))
@@ -244,7 +242,7 @@ def _family(process: str, params: dict, truncation: TruncationPolicy | None) -> 
     return _Family(
         lambda seeds: series_draws(series, trunc, seeds), series_weights,
         lambda base, seed, d: series_measure(series, base, trunc, seed, d),
-        trunc.n if trunc.mode == "fixed_count" else None,
+        trunc.n if trunc.mode == "fixed_count" else None, series.tail.alpha or 0.0,
     )
 
 
@@ -537,11 +535,11 @@ def weight_profile(
 
 @dataclass
 class GrowthDiagnostic:
-    """Mean distinct-count K_n on a sample-size grid with a growth normalizer."""
+    """Mean distinct-count K_n on a sample-size grid, over ``log_n`` at stable index 0, else ``n_pow_alpha``."""
 
     n_grid: list[int]
     kn_means: list[float]
-    normalizer: str  # "log_n" or "n_pow_alpha"
+    normalizer: str
     ratios: list[float]
     replications: int
     process: str
@@ -579,12 +577,10 @@ def clustering_growth(
     replications: int,
     seed,
     truncation: TruncationPolicy | None = None,
-    base: BaseMeasure | None = None,
 ) -> GrowthDiagnostic:
-    """Mean K_n for each n, drawing n observations from a fresh realization.
-
-    The Dirichlet process is normalized by log n; the stable-index
-    families by n^alpha.
+    """Mean K_n for each n: the distinct categories among n draws from a fresh weight row, drawn
+    from seed (seed, ni, rep) without atoms.  K_n is divided by log n where the family's stable
+    index is 0 (gamma tails, the extended DP, alpha = 0 sticks), else by n^index.
     """
     replications = as_number("replications", replications, int)
     if replications < 1:
@@ -594,35 +590,27 @@ def clustering_growth(
         raise DomainError("n_grid must name at least one sample size")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise DomainError("n_grid must be strictly increasing")
-    if process == "dirichlet" and n_grid[0] < 2:
-        raise DomainError(f"dirichlet normalizes K_n by log n, so n_grid must start at 2 or more, got {n_grid[0]}")
-    if base is None:
-        base = uniform_base()
-    if truncation is None:
-        truncation = (
-            TruncationPolicy.fixed(3000)
-            if process == "dirichlet"
-            else TruncationPolicy.epsilon_rule(1e-7, hard_cap=50_000)
-        )
+    if n_grid[0] < 1:
+        raise DomainError(f"n_grid sizes must be at least 1, got {n_grid[0]}")
+    if truncation is None:  # the process name picks only the default truncation
+        eps = TruncationPolicy.epsilon_rule(1e-7, hard_cap=50_000)
+        truncation = TruncationPolicy.fixed(3000) if process == "dirichlet" else eps
     family = _family(process, params, truncation)
-    if process != "dirichlet" and "alpha" not in params:
-        raise DomainError(f"{process} normalizes K_n by n^alpha, so its params need 'alpha'")
+    if family.index == 0 and n_grid[0] < 2:
+        raise DomainError(f"{process} normalizes K_n by log n, so n_grid must start at 2 or more, got {n_grid[0]}")
     kn_means = []
     for ni, n in enumerate(n_grid):
         total = 0
         seeds = [seed_tuple(seed) + (ni, rep) for rep in range(replications)]
-        for seed_i, m in zip(seeds, _replicate(family.width, seeds, lambda block: family.measures(block, base))):
-            if isinstance(m, Exception):
-                raise m
-            total += distinct_count(draw_from_measure(m, n, seed_i))
+        for seed_i, row in zip(seeds, _replicate(family.width, seeds, family.rows)):
+            if isinstance(row, Exception):
+                raise row
+            total += row_distinct_count(row, n, seed_i)
         kn_means.append(total / replications)
-    if process == "dirichlet":
-        normalizer = "log_n"
-        scale = [math.log(n) for n in n_grid]
+    if family.index == 0:
+        normalizer, scale = "log_n", [math.log(n) for n in n_grid]
     else:
-        normalizer = "n_pow_alpha"
-        alpha = float(params["alpha"])
-        scale = [n ** alpha for n in n_grid]
+        normalizer, scale = "n_pow_alpha", [n ** family.index for n in n_grid]
     ratios = [k / s for k, s in zip(kn_means, scale)]
     return GrowthDiagnostic(
         n_grid=n_grid,

@@ -232,8 +232,11 @@ class ExtendedDpParams:
         r = as_number("r", self.r)
         if not (r >= 0 and r.is_integer()):
             raise DomainError(f"r must be a nonnegative integer, got {self.r}")
-        if as_number("n", self.n, int) <= int(r) + 1:
+        n = as_number("n", self.n, int)
+        if n <= r + 1:
             raise DomainError(f"need n > r + 1, got n={self.n}, r={self.r}")
+        for name, value in zip(("concentration", "r", "n"), (concentration, int(r), n)):
+            object.__setattr__(self, name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +430,7 @@ def extended_dp_weights(params: ExtendedDpParams, seeds: list) -> list[np.ndarra
     deterministic.  (For r = 0 the arguments are in (0, 1) almost surely;
     for r >= 1 the event Γ_r Γ_{n+1} < Γ_n has positive probability.)
     """
-    n, r = int(params.n), int(params.r)
+    n, r = params.n, params.r
     levels = []
     for seed in seeds:
         arrivals = gamma_arrivals(seed, n + 1).arrivals
@@ -439,13 +442,13 @@ def extended_dp_weights(params: ExtendedDpParams, seeds: list) -> list[np.ndarra
                 "the finite approximation is undefined here"
             )
         levels.append(u)
-    log_w = gamma_quantile_upper_many(float(params.concentration) / n, np.concatenate(levels))
+    log_w = gamma_quantile_upper_many(params.concentration / n, np.concatenate(levels))
     return [normalized_weights(row) for row in log_w.reshape(len(seeds), n - r)]
 
 
 def extended_dp_measure(params: ExtendedDpParams, base: BaseMeasure, seed, weights: np.ndarray) -> DiscreteMeasure:
     """The measure of one seed's ``extended_dp_weights`` row."""
-    payload = {"concentration": float(params.concentration), "r": int(params.r), "n": int(params.n)}
+    payload = {"concentration": params.concentration, "r": params.r, "n": params.n}
     prov = _provenance("extended_dp", payload, None, seed, False)
     return _assemble(weights, base, seed, prov, sorted_by_weight=False)
 
@@ -465,7 +468,8 @@ class StickBreaking:
     ranked: bool = False
 
     def __post_init__(self):
-        alpha, theta, sticks = float(self.alpha), float(self.theta), as_number("sticks", self.sticks, int)
+        alpha, theta = as_number("alpha", self.alpha), as_number("theta", self.theta)
+        sticks = as_number("sticks", self.sticks, int)
         if not (0.0 <= alpha < 1.0):
             raise DomainError(f"alpha must lie in [0,1), got {alpha}")
         if not (math.isfinite(theta) and theta > -alpha):
@@ -523,16 +527,27 @@ def sample_pdp_stick_breaking(
 # sampling from a realized measure
 
 
-def draw_from_measure(measure: DiscreteMeasure, k: int, seed) -> np.ndarray:
-    """k i.i.d. categorical draws from the measure's atoms by weight."""
+def _categorical(weights: np.ndarray, k: int, seed) -> np.ndarray:
+    """Indices of k i.i.d. draws by normalized ``weights`` on the seed's draw stream; the cumulative
+    weights are 1.0 from the last nonzero weight on, so a zero weight is never drawn."""
     k = as_number("k", k, int)
     if k < 1:
         raise DomainError(f"k must be at least 1, got {k}")
     rng = spawn_generator(seed, STREAM_DRAWS)
-    cum = np.cumsum(measure.weights)
-    cum[-1] = 1.0
-    idx = np.searchsorted(cum, rng.random(k), side="right")
-    return measure.atoms[np.minimum(idx, measure.atoms.size - 1)]
+    cum = np.cumsum(weights)
+    cum[np.flatnonzero(weights)[-1]:] = 1.0
+    return np.searchsorted(cum, rng.random(k), side="right")
+
+
+def draw_from_measure(measure: DiscreteMeasure, k: int, seed) -> np.ndarray:
+    """k i.i.d. categorical draws from the measure's atoms by weight."""
+    return measure.atoms[_categorical(measure.weights, k, seed)]
+
+
+def row_distinct_count(weights: np.ndarray, k: int, seed) -> int:
+    """The distinct categories among k draws from a weight row: ``distinct_count(draw_from_measure(m, k,
+    seed))`` on a diffuse base, for the measure m of the row's nonzero weights in row order."""
+    return int(np.unique(_categorical(weights, k, seed)).size)
 
 
 def distinct_count(draws) -> int:

@@ -112,6 +112,16 @@ class TestSample:
         assert res.returncode == 0, res.stderr
         assert DiscreteMeasure.from_json(res.stdout).provenance["params"]["r"] == 2
 
+    def test_extended_dp_order_read_as_a_real_acts_as_its_integer(self, tmp_path):
+        cfg = tmp_path / "extended.json"
+        cfg.write_text(json.dumps({"process": "extended_dp", "params": {"concentration": 3, "r": "2.0"}, "seed": 3}))
+        from_config = run_cli("sample", "--config", str(cfg), "--n", "50")
+        from_flags = run_cli("sample", "--process", "extended_dp", "--theta", "3", "--r", "2", "--n", "50",
+                             "--seed", "3")
+        assert "Traceback" not in from_config.stderr
+        assert (from_config.returncode, from_config.stdout, from_config.stderr) == (
+            from_flags.returncode, from_flags.stdout, from_flags.stderr)
+
     @pytest.mark.parametrize("process, params", [
         ("dirichlet", {"theta": "x"}),
         ("extended_dp", {"concentration": 3, "r": "x"}),

@@ -20,6 +20,7 @@ from nbpriors import (
     TruncationPolicy,
     build_measure,
     clustering_growth,
+    distinct_count,
     draw_from_measure,
     gamma_arrivals,
     kolmogorov_distance,
@@ -572,21 +573,76 @@ class TestClusteringGrowth:
         assert diag.normalizer == "n_pow_alpha"
         assert diag.ratios[0] == pytest.approx(diag.kn_means[0] / math.sqrt(50))
 
-    @pytest.mark.parametrize("process, params", [
-        ("extended_dp", {"concentration": 3.0, "n": 50}),
-        ("pkp", {"r": 2, "tail": {"kind": "gamma", "theta": 3.0}}),
-    ])
-    def test_power_normalizer_needs_alpha(self, process, params, monkeypatch):
-        monkeypatch.setattr(experiments, "_replicate", None)  # fails before any sampling
-        with pytest.raises(DomainError, match="need 'alpha'"):
-            clustering_growth(process, params, [10, 20], 2, 0)
+    EPS = TruncationPolicy.epsilon_rule(1e-7, hard_cap=50_000)  # the default for every process but dirichlet
 
-    def test_grid_validation(self):
+    @pytest.mark.parametrize("process, params, truncation", [
+        ("dirichlet", {"theta": 3.0}, TruncationPolicy.fixed(300)),
+        ("pdp_series", {"alpha": 0.5, "theta": 2.0}, None),
+        ("pdp_series", {"alpha": 0.9, "theta": 10.0, "r": 11}, TruncationPolicy.fixed(400)),
+        ("stable", {"alpha": 0.5}, TruncationPolicy.fixed(300)),
+        ("extended_dp", {"concentration": 3.0, "n": 300}, None),
+        ("pdp_stick", {"alpha": 0.5, "theta": 2.0, "sticks": 300}, None),
+        ("pdp_stick", {"alpha": 0.0, "theta": 0.01, "sticks": 2000}, None),
+        ("pdp_stick", {"alpha": 0.0, "theta": 0.5, "sticks": 2000}, None),
+        ("pkp", {"r": 2, "tail": {"kind": "gamma", "theta": 3.0}}, TruncationPolicy.fixed(300)),
+    ], ids=["dirichlet", "pdp_series_eps", "pdp_series_r11", "stable", "extended_dp", "pdp_stick",
+            "pdp_stick_theta0.01_underflow", "pdp_stick_theta0.5_underflow", "pkp_gamma"])
+    def test_kn_equals_the_per_draw_count(self, process, params, truncation, monkeypatch):
+        """K_n of the weight rows is exactly the count of categorical draws from each per-seed measure."""
+        n_grid, reps, seed = [5, 60], 6, 23
+        calls = TestReplicationEngine.count_spawns(monkeypatch)
+        diag = clustering_growth(process, params, n_grid, reps, seed, truncation)
+        assert calls and all(stream != STREAM_ATOMS for _, stream in calls)  # no atoms drawn
+        monkeypatch.undo()
+        trunc = truncation or self.EPS
+        expected = []
+        for ni, n in enumerate(n_grid):
+            counts = [distinct_count(draw_from_measure(build_measure(process, params, trunc, (seed, ni, rep)), n,
+                                                       (seed, ni, rep))) for rep in range(reps)]
+            expected.append(sum(counts) / reps)
+        assert diag.kn_means == expected
+        if params.get("sticks") == 2000:  # rows with underflowed zeros, which the measures drop
+            assert len(build_measure(process, params, trunc, (seed, 0, 0))) < params["sticks"] + 1
+
+    @pytest.mark.parametrize("process, params", [
+        ("extended_dp", {"concentration": 3.0, "r": 0, "n": 2000}),
+        ("pdp_stick", {"alpha": 0.0, "theta": 3.0, "sticks": 3000}),
+    ])
+    def test_index_zero_families_grow_like_the_dirichlet_process(self, process, params):
+        """E K_n = sum of theta/(theta+i-1) for i = 1..n, a sum of independent Bernoulli
+        indicators, so the exact variance of K_n gives the standard error of the mean."""
+        reps, theta = 400, 3.0
+        diag = clustering_growth(process, params, [20, 200], reps, 1)
+        assert diag.normalizer == "log_n"
+        assert diag.ratios == [k / math.log(n) for k, n in zip(diag.kn_means, diag.n_grid)]
+        for n, mean in zip(diag.n_grid, diag.kn_means):
+            p = theta / (theta + np.arange(n))
+            assert abs(mean - p.sum()) <= 4 * math.sqrt(np.sum(p * (1 - p)) / reps)
+
+    @pytest.mark.parametrize("process, params, index", [
+        ("pkp", {"r": 2, "tail": {"kind": "generalized_gamma", "alpha": 0.3}}, 0.3),
+        ("pdp_stick", {"alpha": 0.4, "theta": 1.0, "sticks": 200}, 0.4),
+    ])
+    def test_power_index_comes_from_the_family(self, process, params, index):
+        diag = clustering_growth(process, params, [10, 20], 3, 0, TruncationPolicy.fixed(200))
+        assert diag.normalizer == "n_pow_alpha"
+        assert diag.ratios == [k / n ** index for k, n in zip(diag.kn_means, diag.n_grid)]
+
+    def test_grid_validation(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_replicate", None)  # every case fails before any sampling
         with pytest.raises(DomainError):
             clustering_growth("dirichlet", {"theta": 1.0}, [100, 100], 10, 1)
         for process, params in (("dirichlet", {"theta": 1.0}), ("stable", {"alpha": 0.5})):
             with pytest.raises(DomainError, match="n_grid"):
                 clustering_growth(process, params, [], 10, 1)
+        for n_grid in ([0, 10], [-3, 10]):
+            with pytest.raises(DomainError, match="at least 1"):
+                clustering_growth("pdp_series", {"alpha": 0.5, "theta": 2.0}, n_grid, 40, 1)
+        for process, params in (("extended_dp", {"concentration": 3.0, "n": 50}),
+                                ("pkp", {"r": 2, "tail": {"kind": "gamma", "theta": 3.0}}),
+                                ("pdp_stick", {"alpha": 0.0, "theta": 3.0, "sticks": 50})):
+            with pytest.raises(DomainError, match="log n"):
+                clustering_growth(process, params, [1, 10], 2, 0, TruncationPolicy.fixed(50))
 
     @pytest.mark.parametrize(
         "kwargs", [{"n_grid": [10, 20.7]}, {"replications": 3.9}], ids=["n_grid", "replications"]

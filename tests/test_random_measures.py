@@ -215,6 +215,13 @@ class TestExtendedDp:
         with pytest.raises(DomainError):
             ExtendedDpParams(1.0, 5, 6)
 
+    def test_params_store_the_values_they_read(self):
+        params = ExtendedDpParams(3, "1.0", "50")
+        assert (params.concentration, params.r, params.n) == (3.0, 1, 50)
+        assert [type(v) for v in (params.concentration, params.r, params.n)] == [float, int, int]
+        read = sample_extended_dp_finite(ExtendedDpParams(3.0, "1.0", 50), UB, 4)
+        assert read.to_json() == sample_extended_dp_finite(ExtendedDpParams(3.0, 1, 50), UB, 4).to_json()
+
     def test_normalization(self):
         m = sample_extended_dp_finite(ExtendedDpParams(3.0, 0, 200), UB, 31)
         assert abs(weight_sum(m) - 1.0) <= 1e-12
@@ -303,6 +310,11 @@ class TestStickBreaking:
             sample_pdp_stick_breaking(0.5, -0.5, UB, 10, False, 1)
         with pytest.raises(DomainError):
             sample_pdp_stick_breaking(0.0, 1.0, UB, 0, False, 1)
+
+    @pytest.mark.parametrize("alpha, theta, name", [("x", 1.0, "alpha"), (0.5, None, "theta")])
+    def test_non_numeric_parameter_is_a_domain_error(self, alpha, theta, name):
+        with pytest.raises(DomainError, match=f"{name} must be a real number"):
+            sample_pdp_stick_breaking(alpha, theta, UB, 10, False, 1)
 
     def test_residual_closure(self):
         m = sample_pdp_stick_breaking(0.3, 2.0, UB, 5, False, 7)
@@ -394,6 +406,13 @@ class TestDraws:
             if distinct_count(draws) < draws.size:
                 with_ties += 1
         assert with_ties >= 90
+
+    def test_zero_weights_of_a_row_are_never_drawn(self):
+        row = np.array([0.25, 0.0, 0.25, 0.0, 0.5, 0.0, 0.0])
+        assert set(random_measures._categorical(row, 5000, 3).tolist()) == {0, 2, 4}
+        assert random_measures.row_distinct_count(row, 5000, 3) == 3
+        m = DiscreteMeasure(np.array([0.1, 0.2, 0.3]), row[row > 0])
+        assert np.array_equal(draw_from_measure(m, 5000, 3), m.atoms[random_measures._categorical(row, 5000, 3) // 2])
 
     def test_draw_domain(self):
         m = DiscreteMeasure(np.array([0.5]), np.array([1.0]))
