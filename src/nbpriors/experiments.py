@@ -3,14 +3,15 @@ benchmark-grid reproduction, weight profiles, and distinct-count growth
 diagnostics.
 
 Replications derive their seeds as (master_seed, replication_index) and
-are drawn in index order, a block of replications at a time: every
-process is one block sampler (``_family``), and a replication's draws
-depend only on its own seed, so it is bit-identical to drawing it alone.
-A block that fails is drawn again seed by seed, so each failure stays
-with its replication.  Every study reduces a block's normalized weight
-rows without building measures: one sort and one cumulative sum give
-every row's distance (``_ks_rows``), and K_n counts the categories drawn
-from each row.  Only ``build_measures`` assembles measures.
+are drawn in index order, a block of replications at a time: ``_family``
+reads a declarative spec into the process's sampler record, and a
+replication's draws depend only on its own seed, so it is bit-identical
+to drawing it alone.  A block that fails is drawn again seed by seed, so
+each failure stays with its replication.  Every study reduces a block's
+normalized weight rows (``_replicate``) without building measures: one sort
+and one cumulative sum give every row's distance (``_ks_rows``), and K_n
+counts the categories drawn from each row.  Only ``build_measures``
+assembles measures.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._rng import STREAM_ATOMS, replication_seed, seed_tuple, spawn_generator
-from .errors import CapabilityError, DomainError, as_number
+from .errors import CapabilityError, DegenerateTruncationError, DomainError, as_number
 from .levy_tails import LevyTail
 from .point_processes import TruncationPolicy
 from .random_measures import (
@@ -35,15 +35,9 @@ from .random_measures import (
     PdpParams,
     SeriesProcess,
     StickBreaking,
-    extended_dp_measure,
-    extended_dp_weights,
     row_distinct_count,
-    series_draws,
-    series_measure,
-    series_weights,
-    stick_breaking_measure,
-    stick_breaking_weights,
     uniform_base,
+    weights_row,
 )
 
 PROCESSES = ("dirichlet", "extended_dp", "pkp", "pdp_series", "pdp_stick", "stable")
@@ -179,27 +173,8 @@ class ExperimentResult:
         )
 
 
-@dataclass(frozen=True)
-class _Family:
-    """A declarative spec as one block sampler: ``draw(seeds)`` gives one draw per seed, ``row(draw)``
-    its normalized weights in draw order (underflowed weights as zeros), ``measure(base, seed, draw)``
-    its measure, ``width`` the row width of a block (None under the epsilon rule), ``index`` its stable index."""
-
-    draw: Callable[[list], list]
-    row: Callable[[object], np.ndarray]
-    measure: Callable[[BaseMeasure, object, object], DiscreteMeasure]
-    width: int | None
-    index: float
-
-    def rows(self, seeds: list) -> list[np.ndarray]:
-        return [self.row(d) for d in self.draw(seeds)]
-
-    def measures(self, seeds: list, base: BaseMeasure) -> list[DiscreteMeasure]:
-        return [self.measure(base, seed, d) for seed, d in zip(seeds, self.draw(seeds))]
-
-
-def _family(process: str, params: dict, truncation: TruncationPolicy | None) -> _Family:
-    """The block sampler of a declarative process spec.
+def _family(process: str, params: dict, truncation: TruncationPolicy | None):
+    """The sampler record (``SeriesProcess``, ``ExtendedDpParams``, ``StickBreaking``) of a declarative spec.
 
     For ``pdp_series`` an explicit ``r`` in the parameters selects the
     truncated arrival-ratio series with exactly that order (the benchmark
@@ -209,18 +184,10 @@ def _family(process: str, params: dict, truncation: TruncationPolicy | None) -> 
     try:
         if process == "extended_dp":
             n = _size(params, "n", truncation, "extended_dp needs a level n")
-            ext = ExtendedDpParams(params["concentration"], params.get("r", 0), n)
-            return _Family(
-                lambda seeds: extended_dp_weights(ext, seeds), np.asarray,
-                lambda base, seed, w: extended_dp_measure(ext, base, seed, w), ext.n - ext.r, 0.0,
-            )
+            return ExtendedDpParams(params["concentration"], params.get("r", 0), n)
         if process == "pdp_stick":
             sticks = _size(params, "sticks", truncation, "pdp_stick needs a stick count")
-            sb = StickBreaking(params["alpha"], params["theta"], sticks, bool(params.get("ranked", False)))
-            return _Family(
-                lambda seeds: stick_breaking_weights(sb, seeds), np.asarray,
-                lambda base, seed, w: stick_breaking_measure(sb, base, seed, w), sb.sticks + 1, sb.alpha,
-            )
+            return StickBreaking(params["alpha"], params["theta"], sticks, bool(params.get("ranked", False)))
         if process == "dirichlet":
             series = SeriesProcess.dirichlet(_real(params, "theta"))
         elif process == "stable":
@@ -238,12 +205,7 @@ def _family(process: str, params: dict, truncation: TruncationPolicy | None) -> 
             raise DomainError(f"unknown process {process!r}; expected one of {PROCESSES}")
     except KeyError as exc:
         raise DomainError(f"process {process!r} is missing parameter {exc}") from exc
-    trunc = _need_trunc(truncation)
-    return _Family(
-        lambda seeds: series_draws(series, trunc, seeds), series_weights,
-        lambda base, seed, d: series_measure(series, base, trunc, seed, d),
-        trunc.n if trunc.mode == "fixed_count" else None, series.tail.alpha or 0.0,
-    )
+    return replace(series, truncation=_need_trunc(truncation))
 
 
 def _size(params: dict, key: str, truncation: TruncationPolicy | None, missing: str):
@@ -281,7 +243,9 @@ def build_measures(
     breaking takes one cumulative product.  Measure i is bit-identical to
     ``build_measure`` with seed i, and the first seed that fails raises.
     """
-    return _family(process, params, truncation).measures(list(seeds), uniform_base() if base is None else base)
+    family, seeds = _family(process, params, truncation), list(seeds)
+    base = uniform_base() if base is None else base
+    return [family.measure(base, seed, d) for seed, d in zip(seeds, family.draw(seeds))]
 
 
 def build_measure(
@@ -296,18 +260,23 @@ def build_measure(
     return build_measures(process, params, truncation, [seed], base)[0]
 
 
-def _replicate(width: int | None, seeds: list, draw):
-    """Yield each seed's result of ``draw(block)``, or the exception its draw raised, in seed order.
+def _replicate(family, seeds: list, reduce=None):
+    """Yield, in seed order, each seed's normalized weight row of the record ``family`` or the error it raised.
 
-    ``draw`` maps a list of seeds to one result per seed, for example a
-    family's ``rows``.  Blocks hold at most ``_BLOCK_POINTS`` row entries
-    or one seed, or ``_EPSILON_BLOCK`` seeds when ``width`` is None (the
-    epsilon rule).  A block that raises is drawn again seed by seed, so
-    each failure stays with its own seed.
+    With ``reduce``, each seed's entry of ``reduce(block, rows)`` is
+    yielded in place of its row.  Blocks hold at most ``_BLOCK_POINTS`` row
+    entries or one seed, or ``_EPSILON_BLOCK`` seeds when the record's
+    ``width`` is None (the epsilon rule).  A block that raises is drawn
+    again seed by seed, so each failure stays with its own seed.
     """
-    rows = _EPSILON_BLOCK if width is None else max(1, _BLOCK_POINTS // width)
-    for start in range(0, len(seeds), rows):
-        block = seeds[start:start + rows]
+
+    def draw(block):
+        rows = [weights_row(d) for d in family.draw(block)]
+        return rows if reduce is None else reduce(block, rows)
+
+    size = _EPSILON_BLOCK if family.width is None else max(1, _BLOCK_POINTS // family.width)
+    for start in range(0, len(seeds), size):
+        block = seeds[start:start + size]
         if len(block) > 1:
             try:
                 results = draw(block)
@@ -340,8 +309,7 @@ def _ks_values(spec: ExperimentSpec, base: BaseMeasure) -> tuple[np.ndarray, lis
     except Exception as exc:  # noqa: BLE001 - recorded for every replication
         return values, [f"replication {i}: {exc}" for i in range(spec.replications)]
 
-    def draw(block):
-        rows = family.rows(block)
+    def distances(block, rows):
         weights = np.zeros((len(rows), max(row.size for row in rows)))
         atoms = np.empty_like(weights)
         for i, (seed, row) in enumerate(zip(block, rows)):
@@ -351,7 +319,7 @@ def _ks_values(spec: ExperimentSpec, base: BaseMeasure) -> tuple[np.ndarray, lis
         return _ks_rows(weights, atoms, base)
 
     failures: list[str] = []
-    for i, value in enumerate(_replicate(family.width, seeds, draw)):
+    for i, value in enumerate(_replicate(family, seeds, distances)):
         if isinstance(value, Exception):
             failures.append(f"replication {i}: {value}")
         else:
@@ -397,19 +365,26 @@ def run_ks_table(
 
     Row k runs under master seed (master_seed, k) with the fixed-index
     truncation ``n``, reproducing the truncated-series benchmark design.
+    A row keeps the n - r points past its order r, so a row with
+    n - r < 2, which no seed can draw, raises a DomainError before any
+    row is sampled.
     """
     truncation, replications = TruncationPolicy.fixed(n), as_number("replications", replications, int)
-    results = []
+    specs = []
     for k, row in enumerate(rows):
-        spec = ExperimentSpec(
+        r = as_number("r", row["r"], int)
+        try:
+            truncation.retained(r + 1)
+        except DegenerateTruncationError as exc:
+            raise DomainError(f"grid row {row!r}: {exc}; need at least 2") from exc
+        specs.append(ExperimentSpec(
             process="pdp_series",
-            params={"alpha": float(row["alpha"]), "theta": float(row["theta"]), "r": as_number("r", row["r"], int)},
+            params={"alpha": float(row["alpha"]), "theta": float(row["theta"]), "r": r},
             replications=replications,
             truncation=truncation,
             master_seed=seed_tuple(master_seed) + (k,),
-        )
-        results.append(run_ks_experiment(spec, base))
-    return results
+        ))
+    return [run_ks_experiment(spec, base) for spec in specs]
 
 
 def load_ks_grid(data: dict) -> tuple[list[dict], int, int]:
@@ -515,10 +490,10 @@ def weight_profile(
         acc = np.zeros(top_k)
         seeds = [seed_tuple(seed) + (gi, rep) for rep in range(replications)]
         # series order is decreasing, so a row's first top_k weights are its largest
-        for row in _replicate(family.width, seeds, lambda block: [w[:top_k] for w in family.rows(block)]):
+        for row in _replicate(family, seeds):
             if isinstance(row, Exception):
                 raise row
-            acc += row
+            acc += row[:top_k]
         out[gi] = acc / replications
     return WeightProfile(
         r_grid=r_grid,
@@ -602,7 +577,7 @@ def clustering_growth(
     for ni, n in enumerate(n_grid):
         total = 0
         seeds = [seed_tuple(seed) + (ni, rep) for rep in range(replications)]
-        for seed_i, row in zip(seeds, _replicate(family.width, seeds, family.rows)):
+        for seed_i, row in zip(seeds, _replicate(family, seeds)):
             if isinstance(row, Exception):
                 raise row
             total += row_distinct_count(row, n, seed_i)
@@ -681,10 +656,10 @@ def rank_weight_equivalence_test(
     def largest(family, side):
         seeds = [seed_tuple(seed) + (side, i) for i in range(replications)]
         out = np.empty(replications)
-        for i, w in enumerate(_replicate(family.width, seeds, lambda block: [row.max() for row in family.rows(block)])):
-            if isinstance(w, Exception):
-                raise w
-            out[i] = w
+        for i, row in enumerate(_replicate(family, seeds)):
+            if isinstance(row, Exception):
+                raise row
+            out[i] = row.max()
         return out
 
     series = _family("pdp_series", {"alpha": float(alpha), "theta": float(theta)}, truncation)

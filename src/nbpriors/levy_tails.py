@@ -124,10 +124,15 @@ def log_tail_value(tail: LevyTail, x) -> np.ndarray:
 
 
 def tail_value(tail: LevyTail, x: float) -> float:
-    """L(x) for scalar x > 0."""
-    value = float(np.exp(log_tail_value(tail, float(x))[0]))
+    """L(x) for scalar x > 0.  Where L(x) underflows double precision a
+    NumericError carries 0.0, where it overflows one carries ln L(x)."""
+    log_value = float(log_tail_value(tail, float(x))[0])
+    with np.errstate(over="ignore"):
+        value = float(np.exp(log_value))
     if value == 0.0:
         raise NumericError(f"tail value underflows double precision at x={x}", best_estimate=0.0)
+    if value == math.inf:
+        raise NumericError(f"tail value overflows double precision at x={x}", best_estimate=log_value)
     return value
 
 

@@ -106,6 +106,15 @@ class TruncationPolicy:
             out["epsilon"] = float(self.epsilon)
         return out
 
+    def retained(self, first_index: int) -> int:
+        """Points a fixed-count truncation keeps from index ``first_index`` on; below 2, a DegenerateTruncationError."""
+        count = self.n - (first_index - 1)
+        if count < 2:
+            raise DegenerateTruncationError(
+                f"fixed_count n={self.n} retains {max(count, 0)} points past index {first_index - 1}"
+            )
+        return count
+
     @classmethod
     def from_dict(cls, data: dict) -> "TruncationPolicy":
         extra = set(data) - {"mode", "n", "epsilon", "hard_cap"}
@@ -322,11 +331,7 @@ def sample_log_points(
     first_index = 1 if randomized else int(r) + 1
     count = _CHUNK
     if trunc.mode == "fixed_count":
-        count = trunc.n - (first_index - 1)
-        if count < 2:
-            raise DegenerateTruncationError(
-                f"fixed_count n={trunc.n} retains {max(count, 0)} points past index {first_index - 1}"
-            )
+        count = trunc.retained(first_index)
         if count > trunc.hard_cap:
             raise ResourceLimitError(f"fixed_count would retain {count} points, above hard_cap={trunc.hard_cap}")
     out: list[PointSeries | None] = [None] * len(rows)

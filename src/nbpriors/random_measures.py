@@ -2,14 +2,14 @@
 
 All constructors produce a :class:`DiscreteMeasure`: finitely many atoms
 with strictly positive weights summing to one, plus a provenance record
-sufficient to reproduce the draw.  Each family is a block sampler from a
-list of seeds to one normalized weight row per seed, in draw order, with
-underflowed weights kept as exact zeros (``series_weights`` of
-``series_draws``, ``extended_dp_weights``, ``stick_breaking_weights``);
-a row depends only on its own seed.  One assembly turns a seed's row
-into its measure: atoms from the seed's atom stream, ranked if asked,
-zero weights dropped with their atoms.  The single-draw constructors
-call their block sampler with one seed.
+sufficient to reproduce the draw.  Each process is one sampler record
+(``SeriesProcess``, ``ExtendedDpParams``, ``StickBreaking``): ``draw``
+gives one draw per seed, depending only on that seed; ``weights_row``
+is a draw's normalized weights in draw order, underflowed weights kept
+as zeros; ``measure`` puts them on atoms from the seed's atom stream,
+ranked if asked, zero weights dropped.  ``width`` is a block's row width
+(None under the epsilon rule), ``index`` the stable index that sets the
+growth of K_n.  The single-draw constructors draw a block of one.
 
 The sampler family:
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -47,14 +47,16 @@ from ._rng import (
 from .errors import (
     DegenerateTruncationError,
     DomainError,
+    ResourceLimitError,
     as_number,
 )
 from .levy_tails import LevyTail
 from .point_processes import (
+    MAX_ARRIVALS,
     NbpConfig,
     PointSeries,
     TruncationPolicy,
-    gamma_arrivals,
+    _Row,
     sample_log_points,
 )
 from .special_functions import gamma_quantile_upper_many
@@ -195,51 +197,6 @@ class DiscreteMeasure:
 
 
 # ---------------------------------------------------------------------------
-# parameter records
-
-
-@dataclass(frozen=True)
-class PdpParams:
-    """Two-parameter Poisson-Dirichlet parameters (alpha, theta), theta > 0."""
-
-    alpha: float
-    theta: float
-
-    def __post_init__(self):
-        if not (0.0 < as_number("alpha", self.alpha) < 1.0):
-            raise DomainError(f"alpha must lie in (0,1), got {self.alpha}")
-        theta = as_number("theta", self.theta)
-        if not (math.isfinite(theta) and theta > 0):
-            raise DomainError(f"theta must be positive (the series route needs theta > 0), got {self.theta}")
-
-    @property
-    def r_derived(self) -> float:
-        return float(self.theta) / float(self.alpha)
-
-
-@dataclass(frozen=True)
-class ExtendedDpParams:
-    """Finite approximation parameters: concentration, order r, level n > r + 1."""
-
-    concentration: float
-    r: int
-    n: int
-
-    def __post_init__(self):
-        concentration = as_number("concentration", self.concentration)
-        if not (math.isfinite(concentration) and concentration > 0):
-            raise DomainError(f"concentration must be positive, got {self.concentration}")
-        r = as_number("r", self.r)
-        if not (r >= 0 and r.is_integer()):
-            raise DomainError(f"r must be a nonnegative integer, got {self.r}")
-        n = as_number("n", self.n, int)
-        if n <= r + 1:
-            raise DomainError(f"need n > r + 1, got n={self.n}, r={self.r}")
-        for name, value in zip(("concentration", "r", "n"), (concentration, int(r), n)):
-            object.__setattr__(self, name, value)
-
-
-# ---------------------------------------------------------------------------
 # shared assembly
 
 
@@ -274,6 +231,16 @@ def normalized_weights(log_w: np.ndarray) -> np.ndarray:
     return w
 
 
+def weights_row(draw) -> np.ndarray:
+    """One seed's draw as normalized weights in draw order, a weight that underflows kept as an
+    exact zero: a series draw's points are normalized, a row drawn normalized is returned as it is."""
+    if not isinstance(draw, PointSeries):
+        return draw
+    if len(draw) < 2:
+        raise DegenerateTruncationError(f"truncation retained {len(draw)} points; need at least 2")
+    return normalized_weights(draw.log_points)
+
+
 def _assemble(weights: np.ndarray, base: BaseMeasure, seed, provenance: dict, sorted_by_weight: bool,
               ranked: bool = False) -> DiscreteMeasure:
     """The measure of one seed's normalized weights: one atom per weight,
@@ -292,16 +259,45 @@ def _assemble(weights: np.ndarray, base: BaseMeasure, seed, provenance: dict, so
     return DiscreteMeasure(atoms=atoms, weights=weights, provenance=provenance, sorted_by_weight=sorted_by_weight)
 
 
+def _one(record, base: BaseMeasure, seed) -> DiscreteMeasure:
+    """The measure of one seed: the record's block sampler with a block of one."""
+    return record.measure(base, seed, record.draw([seed])[0])
+
+
+# ---------------------------------------------------------------------------
+# sampler records
+
+
+@dataclass(frozen=True)
+class PdpParams:
+    """Two-parameter Poisson-Dirichlet parameters (alpha, theta), theta > 0."""
+
+    alpha: float
+    theta: float
+
+    def __post_init__(self):
+        if not (0.0 < as_number("alpha", self.alpha) < 1.0):
+            raise DomainError(f"alpha must lie in (0,1), got {self.alpha}")
+        theta = as_number("theta", self.theta)
+        if not (math.isfinite(theta) and theta > 0):
+            raise DomainError(f"theta must be positive (the series route needs theta > 0), got {self.theta}")
+
+    @property
+    def r_derived(self) -> float:
+        return float(self.theta) / float(self.alpha)
+
+
 @dataclass(frozen=True)
 class SeriesProcess:
-    """A process whose weights are the normalized negative binomial points:
-    its provenance name and parameters, order r, tail and sampling path."""
+    """A process whose weights are the normalized negative binomial points, in series order:
+    its provenance name and parameters, order r, tail, sampling path and truncation."""
 
     process: str
     params: dict
     r: float
     tail: LevyTail
     randomized: bool | None = None
+    truncation: TruncationPolicy | None = None
 
     @classmethod
     def pkp(cls, r: float, tail: LevyTail, randomized: bool | None = None) -> "SeriesProcess":
@@ -323,36 +319,22 @@ class SeriesProcess:
         payload = {"alpha": float(params.alpha), "theta": float(params.theta), "r": params.r_derived}
         return cls("pdp_series", payload, params.r_derived, LevyTail.generalized_gamma(params.alpha), True)
 
+    @property
+    def width(self) -> int | None:
+        return self.truncation.n if self.truncation.mode == "fixed_count" else None
 
-def series_weights(draw: PointSeries) -> np.ndarray:
-    """One seed's draw as normalized weights in series order; a weight that underflows stays an exact zero."""
-    if len(draw) < 2:
-        raise DegenerateTruncationError(f"truncation retained {len(draw)} points; need at least 2")
-    return normalized_weights(draw.log_points)
+    @property
+    def index(self) -> float:
+        return self.tail.alpha or 0.0
 
+    def draw(self, seeds: list) -> list[PointSeries]:
+        """Each seed's truncated point series, all inverted together."""
+        return sample_log_points(NbpConfig(self.r, self.tail, self.truncation), seeds, self.randomized)
 
-def series_measure(
-    series: SeriesProcess,
-    base: BaseMeasure,
-    trunc: TruncationPolicy,
-    seed,
-    draw: PointSeries,
-) -> DiscreteMeasure:
-    """The measure of one seed's draw: its points normalized into weights,
-    in series order, on atoms drawn from ``base`` on the seed's atom stream."""
-    prov = _provenance(series.process, series.params, trunc, seed, draw.truncation_warning)
-    prov["stopped_by"] = draw.stopped_by
-    return _assemble(series_weights(draw), base, seed, prov, sorted_by_weight=True)
-
-
-def series_draws(series: SeriesProcess, trunc: TruncationPolicy, seeds: list) -> list[PointSeries]:
-    """Each seed's truncated point series of ``series``, all inverted together."""
-    cfg = NbpConfig(r=series.r, tail=series.tail, truncation=trunc)
-    return sample_log_points(cfg, seeds, series.randomized)
-
-
-def _sample_one(series: SeriesProcess, base: BaseMeasure, trunc: TruncationPolicy, seed) -> DiscreteMeasure:
-    return series_measure(series, base, trunc, seed, series_draws(series, trunc, [seed])[0])
+    def measure(self, base: BaseMeasure, seed, draw: PointSeries) -> DiscreteMeasure:
+        prov = _provenance(self.process, self.params, self.truncation, seed, draw.truncation_warning)
+        prov["stopped_by"] = draw.stopped_by
+        return _assemble(weights_row(draw), base, seed, prov, sorted_by_weight=True)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +356,7 @@ def sample_pkp(
     atoms are drawn from ``base`` on an independent stream.  ``randomized``
     selects the sampling path as in :func:`sample_nbp_points`.
     """
-    return _sample_one(SeriesProcess.pkp(r, tail, randomized), base, trunc, seed)
+    return _one(replace(SeriesProcess.pkp(r, tail, randomized), truncation=trunc), base, seed)
 
 
 def sample_dp(
@@ -384,7 +366,7 @@ def sample_dp(
     seed,
 ) -> DiscreteMeasure:
     """Dirichlet process draw: the r = 0 series with the gamma tail."""
-    return _sample_one(SeriesProcess.dirichlet(theta), base, trunc, seed)
+    return _one(replace(SeriesProcess.dirichlet(theta), truncation=trunc), base, seed)
 
 
 def sample_stable_normalized(
@@ -394,7 +376,7 @@ def sample_stable_normalized(
     seed,
 ) -> DiscreteMeasure:
     """Normalized stable process draw: weights proportional to Γ_i^{-1/alpha}."""
-    return _sample_one(SeriesProcess.stable(alpha), base, trunc, seed)
+    return _one(replace(SeriesProcess.stable(alpha), truncation=trunc), base, seed)
 
 
 def sample_pdp_series(
@@ -412,55 +394,82 @@ def sample_pdp_series(
     than PD(alpha, theta), while the randomized path reproduces the full
     subordinator jump sequence and matches stick-breaking in distribution.
     """
-    return _sample_one(SeriesProcess.pdp(params), base, trunc, seed)
+    return _one(replace(SeriesProcess.pdp(params), truncation=trunc), base, seed)
 
 
-def extended_dp_weights(params: ExtendedDpParams, seeds: list) -> list[np.ndarray]:
-    """Each seed's normalized weights of the finite approximation of the order-r extended Dirichlet process.
+@dataclass(frozen=True)
+class ExtendedDpParams:
+    """Finite order-r extended Dirichlet process approximation: concentration, order r, r + 1 < n < MAX_ARRIVALS."""
 
-    Weights are gamma-survival quantiles: with shape concentration/n and
-    the seed's arrivals Γ_1 .. Γ_{n+1} (``gamma_arrivals``, the stream the
-    series samplers draw from), weight i is the x solving
-    Q(shape, x) = Γ_i/(Γ_r Γ_{n+1}) for i = r+1 .. n, computed in log
-    domain and normalized by log-sum-exp; a weight that underflows stays a
-    zero.  All seeds' levels go through one ``gamma_quantile_upper_many``
-    call, which solves each level on its own, so a row is bit-identical to
-    its seed's draw alone.  Any quantile argument outside (0, 1) raises a
-    DomainError; no internal resampling is attempted, so behavior stays
-    deterministic.  (For r = 0 the arguments are in (0, 1) almost surely;
-    for r >= 1 the event Γ_r Γ_{n+1} < Γ_n has positive probability.)
-    """
-    n, r = params.n, params.r
-    levels = []
-    for seed in seeds:
-        arrivals = gamma_arrivals(seed, n + 1).arrivals
-        divisor = arrivals[r - 1] if r >= 1 else 1.0  # Gamma_0 = 1 convention
-        u = arrivals[r:n] / (divisor * arrivals[n])
-        if not np.all((u > 0.0) & (u < 1.0)):
-            raise DomainError(
-                f"quantile arguments left (0,1) for this realization (r={r}, n={n}); "
-                "the finite approximation is undefined here"
-            )
-        levels.append(u)
-    log_w = gamma_quantile_upper_many(params.concentration / n, np.concatenate(levels))
-    return [normalized_weights(row) for row in log_w.reshape(len(seeds), n - r)]
+    concentration: float
+    r: int
+    n: int
 
+    index = 0.0  # the gamma tail's
 
-def extended_dp_measure(params: ExtendedDpParams, base: BaseMeasure, seed, weights: np.ndarray) -> DiscreteMeasure:
-    """The measure of one seed's ``extended_dp_weights`` row."""
-    payload = {"concentration": params.concentration, "r": params.r, "n": params.n}
-    prov = _provenance("extended_dp", payload, None, seed, False)
-    return _assemble(weights, base, seed, prov, sorted_by_weight=False)
+    def __post_init__(self):
+        concentration = as_number("concentration", self.concentration)
+        if not (math.isfinite(concentration) and concentration > 0):
+            raise DomainError(f"concentration must be positive, got {self.concentration}")
+        r = as_number("r", self.r)
+        if not (r >= 0 and r.is_integer()):
+            raise DomainError(f"r must be a nonnegative integer, got {self.r}")
+        n = as_number("n", self.n, int)
+        if n <= r + 1:
+            raise DomainError(f"need n > r + 1, got n={self.n}, r={self.r}")
+        if n + 1 > MAX_ARRIVALS:  # a draw holds the arrivals Γ_1 .. Γ_{n+1}
+            raise ResourceLimitError(f"count {n + 1} exceeds the hard bound {MAX_ARRIVALS}")
+        for name, value in zip(("concentration", "r", "n"), (concentration, int(r), n)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def width(self) -> int:
+        return self.n - self.r
+
+    def draw(self, seeds: list) -> list[np.ndarray]:
+        """Each seed's normalized weights of the finite approximation.
+
+        Weights are gamma-survival quantiles: with shape concentration/n and
+        the seed's arrivals Γ_1 .. Γ_{n+1} (the series' integer-path row of
+        order r, with its divisor rule Γ_0 = 1), weight i is the x solving
+        Q(shape, x) = Γ_i/(Γ_r Γ_{n+1}) for i = r+1 .. n, computed in log
+        domain and normalized by log-sum-exp; a weight that underflows stays a
+        zero.  All seeds' levels go through one ``gamma_quantile_upper_many``
+        call, which solves each level on its own, so a row is bit-identical to
+        its seed's draw alone.  Any quantile argument outside (0, 1) raises a
+        DomainError; no internal resampling is attempted, so behavior stays
+        deterministic.  (For r = 0 the arguments are in (0, 1) almost surely;
+        for r >= 1 the event Γ_r Γ_{n+1} < Γ_n has positive probability.)
+        """
+        n, r = self.n, self.r
+        levels = []
+        for seed in seeds:
+            row = _Row(seed, r, randomized=False)
+            arrivals = row.arrivals.next(n + 1 - r)  # Γ_{r+1} .. Γ_{n+1}
+            u = arrivals[:-1] / (row.divisor * arrivals[-1])
+            if not np.all((u > 0.0) & (u < 1.0)):
+                raise DomainError(
+                    f"quantile arguments left (0,1) for this realization (r={r}, n={n}); "
+                    "the finite approximation is undefined here"
+                )
+            levels.append(u)
+        log_w = gamma_quantile_upper_many(self.concentration / n, np.concatenate(levels))
+        return [normalized_weights(w) for w in log_w.reshape(len(seeds), n - r)]
+
+    def measure(self, base: BaseMeasure, seed, draw: np.ndarray) -> DiscreteMeasure:
+        payload = {"concentration": self.concentration, "r": self.r, "n": self.n}
+        prov = _provenance("extended_dp", payload, None, seed, False)
+        return _assemble(draw, base, seed, prov, sorted_by_weight=False)
 
 
 def sample_extended_dp_finite(params: ExtendedDpParams, base: BaseMeasure, seed) -> DiscreteMeasure:
-    """Finite approximation of the order-r extended Dirichlet process: ``extended_dp_weights`` for one seed."""
-    return extended_dp_measure(params, base, seed, extended_dp_weights(params, [seed])[0])
+    """Finite approximation of the order-r extended Dirichlet process: ``ExtendedDpParams.draw`` for one seed."""
+    return _one(params, base, seed)
 
 
 @dataclass(frozen=True)
 class StickBreaking:
-    """GEM(alpha, theta) stick breaking truncated at ``sticks`` breaks, ranked or in break order."""
+    """GEM(alpha, theta) stick breaking truncated at ``sticks`` breaks; the measure is ranked or in break order."""
 
     alpha: float
     theta: float
@@ -479,28 +488,33 @@ class StickBreaking:
         for name, value in zip(("alpha", "theta", "sticks", "ranked"), (alpha, theta, sticks, bool(self.ranked))):
             object.__setattr__(self, name, value)
 
+    @property
+    def width(self) -> int:
+        return self.sticks + 1
 
-def stick_breaking_weights(sb: StickBreaking, seeds: list) -> list[np.ndarray]:
-    """Each seed's stick weights, normalized, in break order, the residual mass last.
+    @property
+    def index(self) -> float:
+        return self.alpha
 
-    Each seed's fractions come from its own arrival stream; one 2-D
-    cumulative product over the block gives every row's remaining mass.
-    """
-    shapes = sb.theta + sb.alpha * np.arange(1, sb.sticks + 1)
-    betas = np.stack([spawn_generator(seed, STREAM_ARRIVALS).beta(1.0 - sb.alpha, shapes) for seed in seeds])
-    remaining = np.cumprod(1.0 - betas, axis=1)
-    weights = np.empty((len(seeds), sb.sticks + 1))
-    weights[:, 0] = betas[:, 0]
-    weights[:, 1:sb.sticks] = betas[:, 1:] * remaining[:, :-1]
-    weights[:, sb.sticks] = remaining[:, -1]  # residual-mass closure atom
-    return [row / math.fsum(row.tolist()) for row in weights]
+    def draw(self, seeds: list) -> list[np.ndarray]:
+        """Each seed's stick weights, normalized, in break order, the residual mass last.
 
+        Each seed's fractions come from its own arrival stream; one 2-D
+        cumulative product over the block gives every row's remaining mass.
+        """
+        shapes = self.theta + self.alpha * np.arange(1, self.sticks + 1)
+        betas = np.stack([spawn_generator(seed, STREAM_ARRIVALS).beta(1.0 - self.alpha, shapes) for seed in seeds])
+        remaining = np.cumprod(1.0 - betas, axis=1)
+        weights = np.empty((len(seeds), self.sticks + 1))
+        weights[:, 0] = betas[:, 0]
+        weights[:, 1:self.sticks] = betas[:, 1:] * remaining[:, :-1]
+        weights[:, self.sticks] = remaining[:, -1]  # residual-mass closure atom
+        return [row / math.fsum(row.tolist()) for row in weights]
 
-def stick_breaking_measure(sb: StickBreaking, base: BaseMeasure, seed, weights: np.ndarray) -> DiscreteMeasure:
-    """The measure of one seed's ``stick_breaking_weights`` row, ranked if ``sb.ranked``."""
-    prov = _provenance("pdp_stick", {"alpha": sb.alpha, "theta": sb.theta, "sticks": sb.sticks, "ranked": sb.ranked},
-                       None, seed, False)
-    return _assemble(weights, base, seed, prov, sorted_by_weight=sb.ranked, ranked=sb.ranked)
+    def measure(self, base: BaseMeasure, seed, draw: np.ndarray) -> DiscreteMeasure:
+        payload = {"alpha": self.alpha, "theta": self.theta, "sticks": self.sticks, "ranked": self.ranked}
+        prov = _provenance("pdp_stick", payload, None, seed, False)
+        return _assemble(draw, base, seed, prov, sorted_by_weight=self.ranked, ranked=self.ranked)
 
 
 def sample_pdp_stick_breaking(
@@ -519,8 +533,7 @@ def sample_pdp_stick_breaking(
     ``ranked`` the weights are sorted in decreasing order (the ranked law
     is the Poisson-Dirichlet distribution).
     """
-    sb = StickBreaking(alpha, theta, sticks, ranked)
-    return stick_breaking_measure(sb, base, seed, stick_breaking_weights(sb, [seed])[0])
+    return _one(StickBreaking(alpha, theta, sticks, ranked), base, seed)
 
 
 # ---------------------------------------------------------------------------

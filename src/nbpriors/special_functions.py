@@ -93,13 +93,19 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
     """Upper incomplete gamma function Γ(a, x) = ∫_x^∞ t^{a-1} e^{-t} dt.
 
     For a in (-1, 0) or (0, ∞) and x > 0, evaluated by ``log_upper_gamma``.
-    Returns Γ(a, x) > 0, or 0.0 where it underflows double precision.
+    Returns Γ(a, x) > 0, or 0.0 where it underflows double precision;
+    where it overflows, raises a NumericError whose ``best_estimate`` is
+    ln Γ(a, x).
     """
     x = _check_positive("x", x)
     a = float(a)
     if not math.isfinite(a) or a == 0.0 or a <= -1.0:
         raise DomainError(f"parameter a must lie in (-1,0) or (0,inf), got {a}")
-    return math.exp(log_upper_gamma(a, np.asarray([x]))[0])
+    log_value = float(log_upper_gamma(a, np.asarray([x]))[0])
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise NumericError(f"Γ(a, x) overflows double precision at a={a}, x={x}", best_estimate=log_value) from None
 
 
 def log_upper_gamma(a: float, x) -> np.ndarray:

@@ -112,6 +112,12 @@ class TestSample:
         assert res.returncode == 0, res.stderr
         assert DiscreteMeasure.from_json(res.stdout).provenance["params"]["r"] == 2
 
+    def test_extended_dp_level_past_the_arrival_bound_is_a_resource_limit(self):
+        res = run_cli("sample", "--process", "extended_dp", "--theta", "3", "--n", "200000000")
+        assert res.returncode == 1, res.stdout
+        assert res.stderr == "error: count 200000001 exceeds the hard bound 100000000\n"
+        assert res.stdout == ""
+
     def test_extended_dp_order_read_as_a_real_acts_as_its_integer(self, tmp_path):
         cfg = tmp_path / "extended.json"
         cfg.write_text(json.dumps({"process": "extended_dp", "params": {"concentration": 3, "r": "2.0"}, "seed": 3}))
@@ -253,6 +259,15 @@ class TestKsTable:
         assert res.returncode == 1, res.stdout
         assert res.stderr.startswith("error:") and message in res.stderr
         assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+
+    def test_row_no_seed_can_draw_is_a_domain_error(self):
+        res = run_cli("ks-table", "--n", "3", "--reps", "2")
+        assert res.returncode == 1, res.stdout
+        assert res.stderr == (
+            "error: grid row {'alpha': 0.1, 'theta': 1.0, 'r': 10}: fixed_count n=3 retains 0 points past index 10; "
+            "need at least 2\n"
+        )
         assert res.stdout == ""
 
     def test_empty_grid_rows_is_a_domain_error(self, tmp_path):

@@ -12,6 +12,7 @@ import scipy.stats as st
 from nbpriors import (
     BaseMeasure,
     CapabilityError,
+    DegenerateTruncationError,
     DiscreteMeasure,
     DomainError,
     ExperimentResult,
@@ -216,6 +217,11 @@ class TestRunKsExperiment:
         assert 0 < len(res.failures) < 12
         assert math.isfinite(res.mean_distance)
 
+    def test_unbuildable_spec_fails_every_replication(self):
+        res = run_ks_experiment(ExperimentSpec("dirichlet", {}, 3, TruncationPolicy.fixed(50), 0))
+        assert res.failures == [f"replication {i}: process 'dirichlet' is missing parameter 'theta'" for i in range(3)]
+        assert math.isnan(res.mean_distance)
+
     def test_result_dict_roundtrip(self):
         res = run_ks_experiment(self.make_spec(reps=4))
         again = ExperimentResult.from_dict(res.to_dict())
@@ -223,6 +229,29 @@ class TestRunKsExperiment:
         assert again.spec_echo.to_dict() == res.spec_echo.to_dict()
         assert "wall_time" not in res.to_dict()
         assert "wall_time" in res.to_dict(include_timing=True)
+
+
+class TestSamplerLaw:
+    """Every sampler record against an exact law: under PD(alpha, theta), and so under the
+    Dirichlet process (alpha = 0), E sum w_i^2 = (1 - alpha)/(1 + theta) (Pitman,
+    Combinatorial Stochastic Processes, 2006)."""
+
+    REPS = 400
+
+    @pytest.mark.parametrize("process, params, truncation, alpha, theta", [
+        ("dirichlet", {"theta": 3.0}, TruncationPolicy.fixed(400), 0.0, 3.0),
+        ("pdp_stick", {"alpha": 0.0, "theta": 3.0, "sticks": 3000}, None, 0.0, 3.0),
+        ("extended_dp", {"concentration": 3.0, "n": 2000}, None, 0.0, 3.0),
+        ("pdp_series", {"alpha": 0.5, "theta": 2.0}, TruncationPolicy.epsilon_rule(1e-7, hard_cap=50_000), 0.5, 2.0),
+        ("pdp_stick", {"alpha": 0.5, "theta": 2.0, "sticks": 3000}, None, 0.5, 2.0),
+    ], ids=["dirichlet", "dp_sticks", "extended_dp", "pdp_series", "pdp_sticks"])
+    def test_mean_sum_of_squared_weights(self, process, params, truncation, alpha, theta):
+        family = experiments._family(process, params, truncation)
+        seeds = [(20261019, i) for i in range(self.REPS)]
+        rows = experiments._replicate(family, seeds)
+        sums = np.array([float(np.sum(row ** 2)) for row in rows])
+        exact = (1.0 - alpha) / (1.0 + theta)
+        assert abs(sums.mean() - exact) <= 4 * sums.std(ddof=1) / math.sqrt(self.REPS)
 
 
 class TestReplicationEngine:
@@ -386,8 +415,8 @@ class TestReplicationEngine:
             except Exception as exc:  # noqa: BLE001 - compared with the engine's failures
                 singles.append(exc)
         engine = list(experiments._replicate(
-            experiments._family(process, params, trunc).width, seeds,
-            lambda block: experiments.build_measures(process, params, trunc, block, UB),
+            experiments._family(process, params, trunc), seeds,
+            lambda block, rows: experiments.build_measures(process, params, trunc, block, UB),
         ))
         return [as_text(m) for m in engine], [as_text(m) for m in singles]
 
@@ -487,6 +516,15 @@ class TestKsTable:
         args = {"n": 80, "replications": 3, **kwargs}
         with pytest.raises(DomainError, match="must be an integer"):
             run_ks_table(self.ROWS, master_seed=5, **args)
+
+    def test_row_no_seed_can_draw_is_rejected_before_any_row_is_sampled(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_replicate", None)  # sampling the first row would fail
+        rows = [{"alpha": 0.5, "theta": 1.0, "r": 2}, {"alpha": 0.5, "theta": 1.0, "r": 59}]
+        with pytest.raises(DomainError) as info:
+            run_ks_table(rows, n=60, replications=2, master_seed=1)
+        assert str(info.value) == (
+            f"grid row {rows[1]!r}: fixed_count n=60 retains 1 points past index 59; need at least 2"
+        )
 
     def test_fractional_row_r_is_a_domain_error(self):
         with pytest.raises(DomainError, match="must be an integer"):
@@ -749,6 +787,12 @@ class TestBuildMeasure:
     def test_missing_truncation(self):
         with pytest.raises(DomainError):
             build_measure("dirichlet", {"theta": 3.0}, None, 0)
+
+    def test_series_row_of_one_point_is_degenerate(self):
+        trunc = TruncationPolicy.epsilon_rule(1e-6, hard_cap=1)
+        with pytest.raises(DegenerateTruncationError) as info:
+            build_measure("dirichlet", {"theta": 3.0}, trunc, 1)
+        assert str(info.value) == "truncation retained 1 points; need at least 2"
 
     def test_pdp_series_explicit_r_uses_arrival_ratio_series(self):
         m = build_measure(

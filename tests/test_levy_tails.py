@@ -78,6 +78,11 @@ class TestValues:
         # (0.5/sqrt(pi)) * Gamma(-0.5, 1): recurrence plus quadrature oracle
         assert rel_err(tail_value(LevyTail.generalized_gamma(0.5), 1.0), 0.050254541660012221) < 1e-11
 
+    def test_overflow_is_a_numeric_error_carrying_the_log(self):
+        with pytest.raises(NumericError, match="overflows double precision") as info:
+            tail_value(LevyTail.stable(0.99), 5e-324)
+        assert info.value.best_estimate == pytest.approx(-0.99 * math.log(5e-324), rel=1e-14)  # L(x) = x^{-alpha}
+
     def test_domain(self):
         for tail in ALL_TAILS:
             with pytest.raises(DomainError):

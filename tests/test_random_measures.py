@@ -17,6 +17,7 @@ from nbpriors import (
     LevyTail,
     NbpConfig,
     PdpParams,
+    ResourceLimitError,
     TruncationPolicy,
     distinct_count,
     draw_from_measure,
@@ -31,6 +32,7 @@ from nbpriors import (
     uniform_base,
 )
 from nbpriors import random_measures, special_functions
+from nbpriors.point_processes import MAX_ARRIVALS
 
 from oracles import dp_expected_distinct
 
@@ -214,6 +216,13 @@ class TestExtendedDp:
             ExtendedDpParams(1.0, -1, 100)
         with pytest.raises(DomainError):
             ExtendedDpParams(1.0, 5, 6)
+
+    def test_level_past_the_arrival_bound_is_a_resource_limit(self):
+        # a draw holds n + 1 arrivals, so the bound is checked before any sampling
+        with pytest.raises(ResourceLimitError) as info:
+            ExtendedDpParams(3.0, 0, MAX_ARRIVALS)
+        assert str(info.value) == f"count {MAX_ARRIVALS + 1} exceeds the hard bound {MAX_ARRIVALS}"
+        assert ExtendedDpParams(3.0, 0, MAX_ARRIVALS - 1).n == MAX_ARRIVALS - 1
 
     def test_params_store_the_values_they_read(self):
         params = ExtendedDpParams(3, "1.0", "50")

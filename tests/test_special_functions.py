@@ -14,6 +14,7 @@ import scipy.special as sp
 
 from nbpriors import (
     DomainError,
+    NumericError,
     exp_integral_e1,
     gamma_quantile_upper,
     gamma_quantile_upper_many,
@@ -79,6 +80,13 @@ class TestUpperIncompleteGamma:
             lhs = a * upper_incomplete_gamma(a, x) + math.exp(a * math.log(x) - x)
             rhs = upper_incomplete_gamma(a + 1.0, x)
             assert rel_err(lhs, rhs) < 1e-10
+
+    @pytest.mark.parametrize("a, x", [(171.7, 1.0), (200.0, 10.0)])
+    def test_overflow_is_a_numeric_error_carrying_the_log(self, a, x):
+        with pytest.raises(NumericError, match="overflows double precision") as info:
+            upper_incomplete_gamma(a, x)
+        assert info.value.best_estimate == log_upper_gamma(a, np.asarray([x]))[0]
+        assert info.value.best_estimate == pytest.approx(math.lgamma(a), rel=1e-12)  # Q(a, x) rounds to 1
 
     def test_domain(self):
         with pytest.raises(DomainError):
