@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -163,14 +163,29 @@ class ExperimentResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentResult":
+        name = "experiment result"
         return cls(
-            mean_distance=float(data["mean_distance"]),
-            std_error=float(data["std_error"]),
-            replications=int(data["replications"]),
-            wall_time=float(data.get("wall_time", 0.0)),
-            spec_echo=ExperimentSpec.from_dict(data["spec"]),
-            failures=list(data.get("failures", [])),
+            mean_distance=_field(name, data, "mean_distance", float),
+            std_error=_field(name, data, "std_error", float),
+            replications=_field(name, data, "replications", int),
+            wall_time=_field(name, data, "wall_time", float, 0.0),
+            spec_echo=_field(name, data, "spec", ExperimentSpec.from_dict),
+            failures=_field(name, data, "failures", list, []),
         )
+
+
+def _field(payload: str, data: dict, key: str, read, *default):
+    """``read(data[key])``, or ``read`` of the default where ``key`` is absent and one is given.  A
+    payload that is not an object, a missing field or a value ``read`` rejects raises a DomainError
+    naming the payload and the field."""
+    if not isinstance(data, dict):
+        raise DomainError(f"{payload} must be an object, got {type(data).__name__}")
+    if key not in data and not default:
+        raise DomainError(f"{payload} lacks field {key!r}")
+    try:
+        return read(data.get(key, *default))
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{payload} field {key!r} does not read: {exc}") from exc
 
 
 def _family(process: str, params: dict, truncation: TruncationPolicy | None):
@@ -189,43 +204,31 @@ def _family(process: str, params: dict, truncation: TruncationPolicy | None):
             sticks = _size(params, "sticks", truncation, "pdp_stick needs a stick count")
             return StickBreaking(params["alpha"], params["theta"], sticks, bool(params.get("ranked", False)))
         if process == "dirichlet":
-            series = SeriesProcess.dirichlet(_real(params, "theta"))
-        elif process == "stable":
-            series = SeriesProcess.stable(_real(params, "alpha"))
-        elif process == "pkp":
+            return SeriesProcess.dirichlet(params["theta"], truncation)
+        if process == "stable":
+            return SeriesProcess.stable(params["alpha"], truncation)
+        if process == "pkp":
             tail = LevyTail.from_dict(params["tail"]) if isinstance(params.get("tail"), dict) else params["tail"]
-            series = SeriesProcess.pkp(_real(params, "r"), tail, params.get("randomized"))
-        elif process == "pdp_series":
-            alpha = _real(params, "alpha")
+            return SeriesProcess.pkp(params["r"], tail, truncation, params.get("randomized"))
+        if process == "pdp_series":
             if params.get("r") is not None:
-                series = SeriesProcess.pkp(_real(params, "r"), LevyTail.generalized_gamma(alpha))
-            else:
-                series = SeriesProcess.pdp(PdpParams(alpha=alpha, theta=_real(params, "theta")))
-        else:
-            raise DomainError(f"unknown process {process!r}; expected one of {PROCESSES}")
+                return SeriesProcess.pkp(params["r"], LevyTail.generalized_gamma(params["alpha"]), truncation)
+            return SeriesProcess.pdp(PdpParams(params["alpha"], params["theta"]), truncation)
     except KeyError as exc:
         raise DomainError(f"process {process!r} is missing parameter {exc}") from exc
-    return replace(series, truncation=_need_trunc(truncation))
+    raise DomainError(f"unknown process {process!r}; expected one of {PROCESSES}")
 
 
 def _size(params: dict, key: str, truncation: TruncationPolicy | None, missing: str):
     """``params[key]``, else the fixed-count truncation's n."""
     size = params.get(key)
     if size is None:
-        size = _need_trunc(truncation).n
+        if truncation is None:
+            raise DomainError("this process needs a truncation policy")
+        size = truncation.n
         if size is None:
             raise DomainError(f"{missing} (params or fixed_count truncation)")
     return size
-
-
-def _real(params: dict, key: str) -> float:
-    return as_number(key, params[key])
-
-
-def _need_trunc(truncation: TruncationPolicy | None) -> TruncationPolicy:
-    if truncation is None:
-        raise DomainError("this process needs a truncation policy")
-    return truncation
 
 
 def build_measures(
@@ -420,6 +423,8 @@ def parse_ks_table_result(data: dict) -> list[dict]:
     except (KeyError, TypeError) as exc:
         raise DomainError(f"grid result needs a 'rows' list: {exc}") from exc
     for row in rows:
+        if not isinstance(row, dict):
+            raise DomainError(f"grid result row must be an object, got {row!r}")
         missing = {"alpha", "theta", "r", "mean_distance", "std_error", "replications"} - set(row)
         if missing:
             raise DomainError(f"grid result row lacks fields {sorted(missing)}")
@@ -452,12 +457,13 @@ class WeightProfile:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WeightProfile":
+        name = "weight profile"
         return cls(
-            r_grid=[int(r) for r in data["r_grid"]],
-            top_k=int(data["top_k"]),
-            replications=int(data["replications"]),
-            tail=dict(data["tail"]),
-            mean_weights=np.asarray(data["mean_weights"], dtype=float),
+            r_grid=_field(name, data, "r_grid", lambda v: [int(r) for r in v]),
+            top_k=_field(name, data, "top_k", int),
+            replications=_field(name, data, "replications", int),
+            tail=_field(name, data, "tail", dict),
+            mean_weights=_field(name, data, "mean_weights", lambda v: np.asarray(v, dtype=float)),
         )
 
 
@@ -486,7 +492,7 @@ def weight_profile(
         raise DomainError("r_grid must name at least one order r")
     out = np.zeros((len(r_grid), top_k))
     for gi, r in enumerate(r_grid):
-        family = _family("pkp", {"r": r, "tail": tail}, TruncationPolicy.fixed(r + points_per_r))
+        family = SeriesProcess.pkp(r, tail, TruncationPolicy.fixed(r + points_per_r))
         acc = np.zeros(top_k)
         seeds = [seed_tuple(seed) + (gi, rep) for rep in range(replications)]
         # series order is decreasing, so a row's first top_k weights are its largest
@@ -534,14 +540,15 @@ class GrowthDiagnostic:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GrowthDiagnostic":
+        name = "growth diagnostic"
         return cls(
-            n_grid=[int(n) for n in data["n_grid"]],
-            kn_means=[float(v) for v in data["kn_means"]],
-            normalizer=data["normalizer"],
-            ratios=[float(v) for v in data["ratios"]],
-            replications=int(data["replications"]),
-            process=data["process"],
-            params=dict(data.get("params", {})),
+            n_grid=_field(name, data, "n_grid", lambda v: [int(n) for n in v]),
+            kn_means=_field(name, data, "kn_means", lambda v: [float(k) for k in v]),
+            normalizer=_field(name, data, "normalizer", str),
+            ratios=_field(name, data, "ratios", lambda v: [float(k) for k in v]),
+            replications=_field(name, data, "replications", int),
+            process=_field(name, data, "process", str),
+            params=_field(name, data, "params", dict, {}),
         )
 
 
@@ -662,8 +669,8 @@ def rank_weight_equivalence_test(
             out[i] = row.max()
         return out
 
-    series = _family("pdp_series", {"alpha": float(alpha), "theta": float(theta)}, truncation)
-    stick = _family("pdp_stick", {"alpha": s_alpha, "theta": s_theta, "sticks": sticks, "ranked": True}, None)
+    series = SeriesProcess.pdp(PdpParams(alpha, theta), truncation)
+    stick = StickBreaking(s_alpha, s_theta, sticks, ranked=True)
     lhs, rhs = largest(series, 0), largest(stick, 1)
     ks = st.ks_2samp(lhs, rhs, method="asymp")
     return EquivalenceReport(

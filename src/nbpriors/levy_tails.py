@@ -38,7 +38,8 @@ class LevyTail:
     """A Lévy tail measure, identified by kind and its parameter.
 
     ``alpha`` is the stable index (stable and generalized_gamma kinds),
-    ``theta`` the total-mass parameter of the gamma kind.
+    ``theta`` the total-mass parameter of the gamma kind, stored as the
+    float it was checked as (``LevyTail("stable", "0.5") == LevyTail.stable(0.5)``).
     """
 
     kind: str
@@ -49,34 +50,38 @@ class LevyTail:
         if self.kind not in KINDS:
             raise DomainError(f"unknown tail kind {self.kind!r}; expected one of {KINDS}")
         if self.kind in ("stable", "generalized_gamma"):
-            if self.alpha is None or not (0.0 < as_number("alpha", self.alpha) < 1.0):
-                raise DomainError(f"{self.kind} tail needs alpha in (0,1), got {self.alpha}")
+            alpha = None if self.alpha is None else as_number("alpha", self.alpha)
+            if alpha is None or not (0.0 < alpha < 1.0):
+                raise DomainError(f"{self.kind} tail needs alpha in (0,1), got {alpha}")
             if self.theta is not None:
                 raise DomainError(f"{self.kind} tail does not take theta")
+            object.__setattr__(self, "alpha", alpha)
         else:
-            if self.theta is None or not (0.0 < as_number("theta", self.theta) < math.inf):
-                raise DomainError(f"gamma tail needs theta > 0, got {self.theta}")
+            theta = None if self.theta is None else as_number("theta", self.theta)
+            if theta is None or not (0.0 < theta < math.inf):
+                raise DomainError(f"gamma tail needs theta > 0, got {theta}")
             if self.alpha is not None:
                 raise DomainError("gamma tail does not take alpha")
+            object.__setattr__(self, "theta", theta)
 
     @classmethod
     def stable(cls, alpha: float) -> "LevyTail":
-        return cls(kind="stable", alpha=float(alpha))
+        return cls(kind="stable", alpha=alpha)
 
     @classmethod
     def gamma(cls, theta: float) -> "LevyTail":
-        return cls(kind="gamma", theta=float(theta))
+        return cls(kind="gamma", theta=theta)
 
     @classmethod
     def generalized_gamma(cls, alpha: float) -> "LevyTail":
-        return cls(kind="generalized_gamma", alpha=float(alpha))
+        return cls(kind="generalized_gamma", alpha=alpha)
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
         if self.alpha is not None:
-            out["alpha"] = float(self.alpha)
+            out["alpha"] = self.alpha
         if self.theta is not None:
-            out["theta"] = float(self.theta)
+            out["theta"] = self.theta
         return out
 
     @classmethod

@@ -190,7 +190,7 @@ def sample_prm_points(tail: LevyTail, stream: ArrivalStream) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NbpConfig:
-    """Order r, tail measure, and truncation for the negative binomial sampler."""
+    """Order r (stored as a float), ``LevyTail`` and ``TruncationPolicy`` of the negative binomial sampler, checked."""
 
     r: float
     tail: LevyTail
@@ -199,7 +199,12 @@ class NbpConfig:
     def __post_init__(self):
         r = as_number("r", self.r)
         if not (math.isfinite(r) and r >= 0):
-            raise DomainError(f"order r must be a nonnegative real, got {self.r}")
+            raise DomainError(f"order r must be a nonnegative real, got {r}")
+        if not isinstance(self.tail, LevyTail):
+            raise DomainError(f"tail must be a LevyTail, got {self.tail!r}")
+        if not isinstance(self.truncation, TruncationPolicy):
+            raise DomainError("this process needs a truncation policy")
+        object.__setattr__(self, "r", r)
 
 
 @dataclass
@@ -321,14 +326,13 @@ def sample_log_points(
     is a prefix of the epsilon-rule draw of its seed.  The first seed
     that fails raises.
     """
-    r = float(cfg.r)
-    randomized = _resolve_path(r, randomized)
+    randomized = _resolve_path(cfg.r, randomized)
     seeds = list(seeds)
     if not seeds:
         raise DomainError("sampling needs at least one seed")
     trunc = cfg.truncation
-    rows = [_Row(seed, r, randomized) for seed in seeds]
-    first_index = 1 if randomized else int(r) + 1
+    rows = [_Row(seed, cfg.r, randomized) for seed in seeds]
+    first_index = 1 if randomized else int(cfg.r) + 1
     count = _CHUNK
     if trunc.mode == "fixed_count":
         count = trunc.retained(first_index)

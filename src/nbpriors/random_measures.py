@@ -9,7 +9,10 @@ is a draw's normalized weights in draw order, underflowed weights kept
 as zeros; ``measure`` puts them on atoms from the seed's atom stream,
 ranked if asked, zero weights dropped.  ``width`` is a block's row width
 (None under the epsilon rule), ``index`` the stable index that sets the
-growth of K_n.  The single-draw constructors draw a block of one.
+growth of K_n.  Records are built whole from checked values (a
+``SeriesProcess`` is the ``NbpConfig`` it samples), so bad input raises a
+DomainError before any sampling.  The single-draw constructors draw a
+block of one.
 
 The sampler family:
 
@@ -32,7 +35,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -241,17 +244,14 @@ def weights_row(draw) -> np.ndarray:
     return normalized_weights(draw.log_points)
 
 
-def _assemble(weights: np.ndarray, base: BaseMeasure, seed, provenance: dict, sorted_by_weight: bool,
-              ranked: bool = False) -> DiscreteMeasure:
-    """The measure of one seed's normalized weights: one atom per weight,
-    drawn from ``base`` on the seed's atom stream; with ``ranked`` the
-    pairs sorted by decreasing weight (stable); zero weights dropped with
-    their atoms.  ``sorted_by_weight`` holds only if the weights kept
-    strictly decrease, since repeated points can tie after rounding."""
+def _assemble(weights: np.ndarray, base: BaseMeasure, seed, provenance: dict,
+              sorted_by_weight: bool) -> DiscreteMeasure:
+    """The measure of one seed's normalized weights, in their order: one
+    atom per weight, drawn from ``base`` on the seed's atom stream, zero
+    weights dropped with their atoms.  ``sorted_by_weight`` holds only if
+    the weights kept strictly decrease, since repeated points can tie
+    after rounding."""
     atoms = np.asarray(base.sampler(spawn_generator(seed, STREAM_ATOMS), weights.size), dtype=float)
-    if ranked:
-        order = np.argsort(-weights, kind="stable")
-        weights, atoms = weights[order], atoms[order]
     keep = weights > 0.0
     weights, atoms = weights[keep], atoms[keep]
     provenance["base"] = base.label
@@ -270,54 +270,58 @@ def _one(record, base: BaseMeasure, seed) -> DiscreteMeasure:
 
 @dataclass(frozen=True)
 class PdpParams:
-    """Two-parameter Poisson-Dirichlet parameters (alpha, theta), theta > 0."""
+    """Two-parameter Poisson-Dirichlet parameters (alpha, theta), theta > 0, stored as the floats they were read as."""
 
     alpha: float
     theta: float
 
     def __post_init__(self):
-        if not (0.0 < as_number("alpha", self.alpha) < 1.0):
-            raise DomainError(f"alpha must lie in (0,1), got {self.alpha}")
+        alpha = as_number("alpha", self.alpha)
+        if not (0.0 < alpha < 1.0):
+            raise DomainError(f"alpha must lie in (0,1), got {alpha}")
         theta = as_number("theta", self.theta)
         if not (math.isfinite(theta) and theta > 0):
-            raise DomainError(f"theta must be positive (the series route needs theta > 0), got {self.theta}")
+            raise DomainError(f"theta must be positive (the series route needs theta > 0), got {theta}")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "theta", theta)
 
     @property
     def r_derived(self) -> float:
-        return float(self.theta) / float(self.alpha)
+        return self.theta / self.alpha
 
 
 @dataclass(frozen=True)
-class SeriesProcess:
-    """A process whose weights are the normalized negative binomial points, in series order:
-    its provenance name and parameters, order r, tail, sampling path and truncation."""
+class SeriesProcess(NbpConfig):
+    """A process whose weights are the normalized negative binomial points, in series order: its checked
+    order r, tail and truncation (an ``NbpConfig``), provenance name and parameters, and sampling path."""
 
     process: str
     params: dict
-    r: float
-    tail: LevyTail
     randomized: bool | None = None
-    truncation: TruncationPolicy | None = None
 
     @classmethod
-    def pkp(cls, r: float, tail: LevyTail, randomized: bool | None = None) -> "SeriesProcess":
-        params = {"r": float(r), "tail": tail.to_dict()}
+    def pkp(cls, r: float, tail: LevyTail, truncation: TruncationPolicy,
+            randomized: bool | None = None) -> "SeriesProcess":
+        series = cls(r, tail, truncation, "pkp", {}, randomized)
+        series.params.update(r=series.r, tail=series.tail.to_dict())
         if randomized is not None:
-            params["randomized"] = bool(randomized)
-        return cls("pkp", params, r, tail, randomized)
+            series.params["randomized"] = bool(randomized)
+        return series
 
     @classmethod
-    def dirichlet(cls, theta: float) -> "SeriesProcess":
-        return cls("dirichlet", {"theta": float(theta)}, 0.0, LevyTail.gamma(theta))
+    def dirichlet(cls, theta: float, truncation: TruncationPolicy) -> "SeriesProcess":
+        tail = LevyTail.gamma(theta)
+        return cls(0.0, tail, truncation, "dirichlet", {"theta": tail.theta})
 
     @classmethod
-    def stable(cls, alpha: float) -> "SeriesProcess":
-        return cls("stable", {"alpha": float(alpha)}, 0.0, LevyTail.stable(alpha))
+    def stable(cls, alpha: float, truncation: TruncationPolicy) -> "SeriesProcess":
+        tail = LevyTail.stable(alpha)
+        return cls(0.0, tail, truncation, "stable", {"alpha": tail.alpha})
 
     @classmethod
-    def pdp(cls, params: PdpParams) -> "SeriesProcess":
-        payload = {"alpha": float(params.alpha), "theta": float(params.theta), "r": params.r_derived}
-        return cls("pdp_series", payload, params.r_derived, LevyTail.generalized_gamma(params.alpha), True)
+    def pdp(cls, params: PdpParams, truncation: TruncationPolicy) -> "SeriesProcess":
+        payload = {"alpha": params.alpha, "theta": params.theta, "r": params.r_derived}
+        return cls(params.r_derived, LevyTail.generalized_gamma(params.alpha), truncation, "pdp_series", payload, True)
 
     @property
     def width(self) -> int | None:
@@ -329,7 +333,7 @@ class SeriesProcess:
 
     def draw(self, seeds: list) -> list[PointSeries]:
         """Each seed's truncated point series, all inverted together."""
-        return sample_log_points(NbpConfig(self.r, self.tail, self.truncation), seeds, self.randomized)
+        return sample_log_points(self, seeds, self.randomized)
 
     def measure(self, base: BaseMeasure, seed, draw: PointSeries) -> DiscreteMeasure:
         prov = _provenance(self.process, self.params, self.truncation, seed, draw.truncation_warning)
@@ -356,7 +360,7 @@ def sample_pkp(
     atoms are drawn from ``base`` on an independent stream.  ``randomized``
     selects the sampling path as in :func:`sample_nbp_points`.
     """
-    return _one(replace(SeriesProcess.pkp(r, tail, randomized), truncation=trunc), base, seed)
+    return _one(SeriesProcess.pkp(r, tail, trunc, randomized), base, seed)
 
 
 def sample_dp(
@@ -366,7 +370,7 @@ def sample_dp(
     seed,
 ) -> DiscreteMeasure:
     """Dirichlet process draw: the r = 0 series with the gamma tail."""
-    return _one(replace(SeriesProcess.dirichlet(theta), truncation=trunc), base, seed)
+    return _one(SeriesProcess.dirichlet(theta, trunc), base, seed)
 
 
 def sample_stable_normalized(
@@ -376,7 +380,7 @@ def sample_stable_normalized(
     seed,
 ) -> DiscreteMeasure:
     """Normalized stable process draw: weights proportional to Γ_i^{-1/alpha}."""
-    return _one(replace(SeriesProcess.stable(alpha), truncation=trunc), base, seed)
+    return _one(SeriesProcess.stable(alpha, trunc), base, seed)
 
 
 def sample_pdp_series(
@@ -394,7 +398,7 @@ def sample_pdp_series(
     than PD(alpha, theta), while the randomized path reproduces the full
     subordinator jump sequence and matches stick-breaking in distribution.
     """
-    return _one(replace(SeriesProcess.pdp(params), truncation=trunc), base, seed)
+    return _one(SeriesProcess.pdp(params, trunc), base, seed)
 
 
 @dataclass(frozen=True)
@@ -469,7 +473,8 @@ def sample_extended_dp_finite(params: ExtendedDpParams, base: BaseMeasure, seed)
 
 @dataclass(frozen=True)
 class StickBreaking:
-    """GEM(alpha, theta) stick breaking truncated at ``sticks`` breaks; the measure is ranked or in break order."""
+    """GEM(alpha, theta) stick breaking truncated at ``sticks`` breaks, sticks + 1 <= MAX_ARRIVALS; the measure
+    is ranked or in break order."""
 
     alpha: float
     theta: float
@@ -485,6 +490,8 @@ class StickBreaking:
             raise DomainError(f"theta must exceed -alpha, got {theta}")
         if sticks < 1:
             raise DomainError(f"sticks must be at least 1, got {sticks}")
+        if sticks + 1 > MAX_ARRIVALS:  # a row holds the sticks and the residual mass
+            raise ResourceLimitError(f"count {sticks + 1} exceeds the hard bound {MAX_ARRIVALS}")
         for name, value in zip(("alpha", "theta", "sticks", "ranked"), (alpha, theta, sticks, bool(self.ranked))):
             object.__setattr__(self, name, value)
 
@@ -513,8 +520,8 @@ class StickBreaking:
 
     def measure(self, base: BaseMeasure, seed, draw: np.ndarray) -> DiscreteMeasure:
         payload = {"alpha": self.alpha, "theta": self.theta, "sticks": self.sticks, "ranked": self.ranked}
-        prov = _provenance("pdp_stick", payload, None, seed, False)
-        return _assemble(draw, base, seed, prov, sorted_by_weight=self.ranked, ranked=self.ranked)
+        measure = _assemble(draw, base, seed, _provenance("pdp_stick", payload, None, seed, False), False)
+        return measure.ranked() if self.ranked else measure
 
 
 def sample_pdp_stick_breaking(
@@ -541,11 +548,13 @@ def sample_pdp_stick_breaking(
 
 
 def _categorical(weights: np.ndarray, k: int, seed) -> np.ndarray:
-    """Indices of k i.i.d. draws by normalized ``weights`` on the seed's draw stream; the cumulative
-    weights are 1.0 from the last nonzero weight on, so a zero weight is never drawn."""
+    """Indices of k <= MAX_ARRIVALS i.i.d. draws by normalized ``weights`` on the seed's draw stream; the
+    cumulative weights are 1.0 from the last nonzero weight on, so a zero weight is never drawn."""
     k = as_number("k", k, int)
     if k < 1:
         raise DomainError(f"k must be at least 1, got {k}")
+    if k > MAX_ARRIVALS:
+        raise ResourceLimitError(f"count {k} exceeds the hard bound {MAX_ARRIVALS}")
     rng = spawn_generator(seed, STREAM_DRAWS)
     cum = np.cumsum(weights)
     cum[np.flatnonzero(weights)[-1]:] = 1.0

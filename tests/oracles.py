@@ -1,13 +1,17 @@
 """Independent oracles for the test suite.
 
 Everything here evaluates defining integrals directly (adaptive
-quadrature via mpmath, or a Lentz continued fraction), deliberately
-avoiding the code paths used by the package, so agreement checks are
-two-sided.
+quadrature via mpmath or scipy, or a Lentz continued fraction),
+deliberately avoiding the code paths used by the package, so agreement
+checks are two-sided.
 """
+
+import math
 
 import mpmath as mp
 import numpy as np
+import scipy.integrate
+import scipy.special as sp
 
 mp.mp.dps = 40
 
@@ -80,3 +84,63 @@ def dp_expected_distinct(theta, n):
     """Exact E[K_n] for the Dirichlet process: Σ_{i=0}^{n-1} θ/(θ+i)."""
     i = np.arange(n, dtype=float)
     return float(np.sum(theta / (theta + i)))
+
+
+def expected_sum_sq_weights(tail, r, randomized):
+    """E sum_i w_i^2 of the normalized order-r negative binomial points of ``tail``, by Campbell's formula.
+
+    With jump intensity c nu (nu the tail's Levy measure) and total T = sum_i J_i,
+    E sum J_i^2 / T^2 = int_0^inf u E[c e^{-c psi(u)}] kappa_2(u) du, where
+    psi(u) = int (1 - e^{-ux}) nu(dx) and kappa_2(u) = int x^2 e^{-ux} nu(dx).  The
+    levels Gamma_i / divisor are a Poisson process of rate c = divisor ~ Gamma(r, 1):
+    the mixing draw on the randomized path, Gamma_r on the integer path (given
+    Gamma_r, the levels past index r are 1 plus a rate-Gamma_r Poisson process, so
+    nu is cut to (0, x*), x* = L^{-1}(1)).  Hence E[c e^{-c psi}] = r / (1 + psi)^{r+1},
+    and e^{-psi} at r = 0, whose integer path spans the whole axis.
+
+    Gamma tail (nu = theta x^{-1} e^{-x} dx):
+        psi = theta [ln(1+u) + E1((1+u) x*) - E1(x*)], kappa_2 = theta P(2, (1+u) x*) / (1+u)^2;
+    generalized gamma (nu = alpha / Gamma(1-alpha) x^{-1-alpha} e^{-x} dx):
+        kappa_2 = alpha (1-alpha) (1+u)^{alpha-2} P(2-alpha, (1+u) x*), and psi, integrated by parts,
+        (1+u)^alpha P(1-alpha, (1+u) x*) - P(1-alpha, x*) - x*^{-alpha} (e^{-x*} - e^{-(1+u) x*}) / Gamma(1-alpha);
+    stable (nu = alpha x^{-1-alpha} dx, whole axis only):
+        psi = Gamma(1-alpha) u^alpha, kappa_2 = alpha Gamma(2-alpha) u^{alpha-2}.
+    With x* = inf the incomplete terms drop out.  The integral is taken in t = ln u, with
+    ln(1 + psi) and ln(u^2 kappa_2) evaluated in log domain: on the cut gamma tail the
+    integrand decays only like t^{-(r+1)}, so the range runs far past where u overflows.
+    """
+    from nbpriors.levy_tails import tail_support_bound
+
+    cut = not randomized and r > 0
+    if tail.kind == "stable" and cut:
+        raise ValueError("the oracle covers the stable tail on the whole axis only")
+    x_star = tail_support_bound(tail) if cut else math.inf
+    a = tail.alpha
+
+    def logs(t, log1pu):
+        """ln(1 + psi(u)) and ln(u^2 kappa_2(u)) at u = e^t, log1pu = ln(1 + u)."""
+        z = x_star * math.exp(min(log1pu, 700.0))  # (1+u) x*; P(., z) = 1 and E1(z) = 0 past the clamp
+        if tail.kind == "stable":
+            return np.logaddexp(0.0, math.lgamma(1 - a) + a * t), math.log(a * math.gamma(2 - a)) + a * t
+        log_u2_ratio = 2.0 * (t - log1pu)  # ln (u / (1+u))^2
+        if tail.kind == "gamma":
+            edge = sp.exp1(z) - sp.exp1(x_star) if cut else 0.0
+            psi = tail.theta * (log1pu + edge)
+            return math.log1p(psi), math.log(tail.theta * sp.gammainc(2, z)) + log_u2_ratio
+        b = sp.gammainc(1 - a, x_star)  # 1 + psi = (1+u)^alpha P(1-alpha, z) + 1 - b
+        if cut:
+            b += x_star**-a * (math.exp(-x_star) - math.exp(-z)) / math.gamma(1 - a)
+        log1p_psi = a * log1pu + math.log(sp.gammainc(1 - a, z) + (1 - b) * math.exp(-a * log1pu))
+        return log1p_psi, math.log(a * (1 - a) * sp.gammainc(2 - a, z)) + a * log1pu + log_u2_ratio
+
+    def integrand(t):
+        log1p_psi, log_u2_kappa = logs(t, np.logaddexp(0.0, t))
+        if r == 0:
+            log_mixed = -math.inf if log1p_psi > 700.0 else -math.expm1(log1p_psi)
+        else:
+            log_mixed = math.log(r) - (r + 1) * log1p_psi
+        return math.exp(log_mixed + log_u2_kappa)  # u du = u^2 dt
+
+    opts = {"epsabs": 0.0, "epsrel": 1e-11, "limit": 500}
+    lower = scipy.integrate.quad(integrand, -math.inf, 0.0, **opts)[0]
+    return lower + scipy.integrate.quad(integrand, 0.0, math.inf, **opts)[0]

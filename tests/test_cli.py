@@ -118,6 +118,12 @@ class TestSample:
         assert res.stderr == "error: count 200000001 exceeds the hard bound 100000000\n"
         assert res.stdout == ""
 
+    def test_stick_count_past_the_arrival_bound_is_a_resource_limit(self):
+        res = run_cli("sample", "--process", "pdp_stick", "--alpha", "0.5", "--theta", "2", "--sticks", "2000000000")
+        assert res.returncode == 1, res.stdout
+        assert res.stderr == "error: count 2000000001 exceeds the hard bound 100000000\n"
+        assert res.stdout == ""
+
     def test_extended_dp_order_read_as_a_real_acts_as_its_integer(self, tmp_path):
         cfg = tmp_path / "extended.json"
         cfg.write_text(json.dumps({"process": "extended_dp", "params": {"concentration": 3, "r": "2.0"}, "seed": 3}))
@@ -358,6 +364,12 @@ class TestWeightsAndClusters:
         res = run_cli("clusters", "--process", "stable", "--alpha", "0.5", "--n-grid", "20,40", "--reps", "5")
         assert res.returncode == 0, res.stderr
         assert GrowthDiagnostic.from_dict(json.loads(res.stdout)).params == {"alpha": 0.5}
+
+    def test_sample_size_past_the_arrival_bound_is_a_resource_limit(self):
+        res = run_cli("clusters", "--n-grid", "2000000000", "--reps", "2")
+        assert res.returncode == 1, res.stdout
+        assert res.stderr == "error: count 2000000000 exceeds the hard bound 100000000\n"
+        assert res.stdout == ""
 
     def test_dirichlet_clusters_reject_n_of_1(self):
         res = run_cli("clusters", "--n-grid", "1", "--reps", "2", "--seed", "1")

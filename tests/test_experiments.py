@@ -17,8 +17,10 @@ from nbpriors import (
     DomainError,
     ExperimentResult,
     ExperimentSpec,
+    GrowthDiagnostic,
     LevyTail,
     TruncationPolicy,
+    WeightProfile,
     build_measure,
     clustering_growth,
     distinct_count,
@@ -27,6 +29,7 @@ from nbpriors import (
     kolmogorov_distance,
     load_experiment_spec,
     load_ks_grid,
+    parse_ks_table_result,
     rank_weight_equivalence_test,
     run_ks_experiment,
     run_ks_table,
@@ -37,7 +40,7 @@ from nbpriors import (
 from nbpriors import experiments, point_processes, random_measures, special_functions
 from nbpriors._rng import STREAM_ATOMS, replication_seed, seed_tuple, spawn_generator
 
-from oracles import dp_expected_distinct, ks_distance_brute
+from oracles import dp_expected_distinct, expected_sum_sq_weights, ks_distance_brute
 
 UB = uniform_base()
 
@@ -252,6 +255,57 @@ class TestSamplerLaw:
         sums = np.array([float(np.sum(row ** 2)) for row in rows])
         exact = (1.0 - alpha) / (1.0 + theta)
         assert abs(sums.mean() - exact) <= 4 * sums.std(ddof=1) / math.sqrt(self.REPS)
+
+    @pytest.mark.parametrize("tail, r, randomized, exact", [
+        (LevyTail.generalized_gamma(0.5), 4.0, True, 0.5 / 3.0),  # PD(0.5, 2)
+        (LevyTail.generalized_gamma(0.9), 10.0 / 0.9, True, 0.1 / 11.0),  # PD(0.9, 10)
+        (LevyTail.gamma(3.0), 0, False, 0.25),  # the Dirichlet process
+        (LevyTail.stable(0.5), 0, False, 0.5),  # PD(0.5, 0)
+    ], ids=["pd_0.5_2", "pd_0.9_10", "dirichlet", "stable"])
+    def test_campbell_oracle_reproduces_closed_forms(self, tail, r, randomized, exact):
+        assert expected_sum_sq_weights(tail, r, randomized) == pytest.approx(exact, rel=1e-12)
+
+    # the integer path (ks-table's rows) cuts the Levy measure at L^{-1}(1); the oracle integrates that law
+    @pytest.mark.parametrize("process, params, truncation, tail, r, randomized", [
+        ("pdp_series", {"alpha": 0.1, "theta": 1.0, "r": 10}, TruncationPolicy.fixed(400),
+         LevyTail.generalized_gamma(0.1), 10, False),
+        ("pdp_series", {"alpha": 0.1, "theta": 10.0, "r": 100}, TruncationPolicy.fixed(400),
+         LevyTail.generalized_gamma(0.1), 100, False),
+        ("pdp_series", {"alpha": 0.5, "theta": 1.0, "r": 2}, TruncationPolicy.fixed(400),
+         LevyTail.generalized_gamma(0.5), 2, False),
+        ("pkp", {"r": 3, "tail": {"kind": "gamma", "theta": 3.0}}, TruncationPolicy.fixed(403),
+         LevyTail.gamma(3.0), 3, False),
+        ("pkp", {"r": 10, "tail": {"kind": "gamma", "theta": 3.0}}, TruncationPolicy.fixed(410),
+         LevyTail.gamma(3.0), 10, False),
+        ("pkp", {"r": 2.5, "tail": {"kind": "gamma", "theta": 3.0}, "randomized": True}, TruncationPolicy.fixed(400),
+         LevyTail.gamma(3.0), 2.5, True),
+        ("stable", {"alpha": 0.5}, TruncationPolicy.epsilon_rule(1e-7, hard_cap=50_000),
+         LevyTail.stable(0.5), 0, False),
+        ("dirichlet", {"theta": 3.0}, TruncationPolicy.fixed(400), LevyTail.gamma(3.0), 0, False),
+    ], ids=["pdp_0.1_1_r10", "pdp_0.1_10_r100", "pdp_0.5_1_r2", "gamma_r3", "gamma_r10", "gamma_r2.5_randomized",
+            "stable", "dirichlet"])
+    def test_mean_sum_of_squared_weights_matches_the_campbell_oracle(
+        self, process, params, truncation, tail, r, randomized
+    ):
+        family = experiments._family(process, params, truncation)
+        seeds = [(20261020, i) for i in range(self.REPS)]
+        sums = np.array([float(np.sum(row ** 2)) for row in experiments._replicate(family, seeds)])
+        exact = expected_sum_sq_weights(tail, r, randomized)
+        assert abs(sums.mean() - exact) <= 4 * sums.std(ddof=1) / math.sqrt(self.REPS)
+
+
+class TestPayloadReaders:
+    """A payload reader names the payload and the field it cannot read."""
+
+    @pytest.mark.parametrize("read, data, message", [
+        (WeightProfile.from_dict, {}, "weight profile lacks field 'r_grid'"),
+        (GrowthDiagnostic.from_dict, {"n_grid": [1]}, "growth diagnostic lacks field 'kn_means'"),
+        (ExperimentResult.from_dict, {"mean_distance": "x"}, "experiment result field 'mean_distance' does not read"),
+        (parse_ks_table_result, {"rows": [1]}, "grid result row must be an object, got 1"),
+    ], ids=["weight_profile", "growth_diagnostic", "experiment_result", "ks_table_result"])
+    def test_malformed_payload_is_a_domain_error(self, read, data, message):
+        with pytest.raises(DomainError, match=f"^{message}"):
+            read(data)
 
 
 class TestReplicationEngine:

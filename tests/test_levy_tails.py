@@ -59,6 +59,15 @@ class TestConstruction:
         with pytest.raises(DomainError):
             LevyTail(kind="gamma", theta=None)
 
+    def test_non_numeric_parameter_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="^theta must be a real number, got 'x'$"):
+            LevyTail.gamma("x")
+
+    def test_parameter_is_stored_as_the_float_it_was_read_as(self):
+        assert LevyTail(kind="stable", alpha="0.5") == LevyTail.stable(0.5)
+        assert LevyTail.from_dict({"kind": "generalized_gamma", "alpha": "0.5"}) == LevyTail.generalized_gamma(0.5)
+        assert type(LevyTail(kind="gamma", theta=3).theta) is float
+
     def test_cross_parameter_rejected(self):
         with pytest.raises(DomainError):
             LevyTail(kind="stable", alpha=0.5, theta=1.0)

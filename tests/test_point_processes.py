@@ -147,6 +147,21 @@ class TestNbpPoints:
         with pytest.raises(DomainError):
             NbpConfig(r=-1.0, tail=LevyTail.gamma(1.0), truncation=TruncationPolicy.fixed(10))
 
+    def test_missing_truncation_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="^this process needs a truncation policy$"):
+            sample_nbp_points(NbpConfig(0, LevyTail.gamma(3), None), 1)
+
+    def test_tail_that_is_not_a_levy_tail_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="^tail must be a LevyTail, got"):
+            sample_nbp_points(NbpConfig(0, {"kind": "gamma"}, TruncationPolicy.fixed(10)), 1)
+
+    def test_order_is_stored_as_the_float_it_was_read_as(self):
+        tail, trunc = LevyTail.gamma(3.0), TruncationPolicy.fixed(20)
+        cfg = NbpConfig("2", tail, trunc)
+        assert cfg == NbpConfig(2.0, tail, trunc) and type(cfg.r) is float
+        again = sample_nbp_points(NbpConfig(2, tail, trunc), 4)
+        assert np.array_equal(sample_nbp_points(cfg, 4).log_points, again.log_points)
+
     def test_path_selection_rules(self):
         tail = LevyTail.gamma(1.0)
         trunc = TruncationPolicy.fixed(50)

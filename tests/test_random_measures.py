@@ -173,6 +173,32 @@ class TestSamplePkp:
         assert prov["stopped_by"] == "fixed_count"
 
 
+class TestTypedErrors:
+    """Bad input to a constructor raises a DomainError before any sampling."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: sample_dp(3.0, UB, None, 1),
+        lambda: sample_pkp(2.0, LevyTail.gamma(3.0), UB, None, 1),
+        lambda: sample_stable_normalized(0.5, UB, None, 1),
+        lambda: sample_pdp_series(PdpParams(0.5, 2.0), UB, None, 1),
+    ], ids=["dirichlet", "pkp", "stable", "pdp_series"])
+    def test_missing_truncation(self, call):
+        with pytest.raises(DomainError, match="^this process needs a truncation policy$"):
+            call()
+
+    def test_non_numeric_theta(self):
+        with pytest.raises(DomainError, match="^theta must be a real number, got 'x'$"):
+            sample_dp("x", UB, TruncationPolicy.fixed(10), 1)
+
+    def test_missing_alpha(self):
+        with pytest.raises(DomainError, match=r"^stable tail needs alpha in \(0,1\), got None$"):
+            sample_stable_normalized(None, UB, TruncationPolicy.fixed(10), 1)
+
+    def test_tail_given_as_a_dict(self):
+        with pytest.raises(DomainError, match="^tail must be a LevyTail, got"):
+            sample_pkp(2, {"kind": "gamma", "theta": 3}, UB, TruncationPolicy.fixed(10), 1)
+
+
 class TestSampleDp:
     def test_basic(self):
         m = sample_dp(3.0, UB, TruncationPolicy.fixed(500), 4)
@@ -293,6 +319,12 @@ class TestPdpSeries:
             PdpParams(alpha=0.5, theta=0.0)
         assert PdpParams(alpha=0.5, theta=10.0).r_derived == 20.0
 
+    def test_params_store_the_floats_they_read(self):
+        params = PdpParams("0.5", 2)
+        assert params == PdpParams(0.5, 2.0) and [type(v) for v in (params.alpha, params.theta)] == [float, float]
+        read = sample_pdp_series(params, UB, TruncationPolicy.fixed(50), 4)
+        assert read.to_json() == sample_pdp_series(PdpParams(0.5, 2.0), UB, TruncationPolicy.fixed(50), 4).to_json()
+
     def test_weights_decreasing(self):
         m = sample_pdp_series(PdpParams(0.5, 2.0), UB, TruncationPolicy.fixed(300), 8)
         assert np.all(np.diff(m.weights) < 0)
@@ -324,6 +356,13 @@ class TestStickBreaking:
     def test_non_numeric_parameter_is_a_domain_error(self, alpha, theta, name):
         with pytest.raises(DomainError, match=f"{name} must be a real number"):
             sample_pdp_stick_breaking(alpha, theta, UB, 10, False, 1)
+
+    def test_sticks_past_the_arrival_bound_is_a_resource_limit(self):
+        # a row holds sticks + 1 weights, so the bound is checked before any sampling
+        with pytest.raises(ResourceLimitError) as info:
+            random_measures.StickBreaking(0.5, 2.0, MAX_ARRIVALS)
+        assert str(info.value) == f"count {MAX_ARRIVALS + 1} exceeds the hard bound {MAX_ARRIVALS}"
+        assert random_measures.StickBreaking(0.5, 2.0, MAX_ARRIVALS - 1).width == MAX_ARRIVALS
 
     def test_residual_closure(self):
         m = sample_pdp_stick_breaking(0.3, 2.0, UB, 5, False, 7)
@@ -422,6 +461,24 @@ class TestDraws:
         assert random_measures.row_distinct_count(row, 5000, 3) == 3
         m = DiscreteMeasure(np.array([0.1, 0.2, 0.3]), row[row > 0])
         assert np.array_equal(draw_from_measure(m, 5000, 3), m.atoms[random_measures._categorical(row, 5000, 3) // 2])
+
+    def test_draw_count_past_the_arrival_bound_is_a_resource_limit(self, monkeypatch):
+        # the bound is checked before the draw stream is spawned, so nothing of that size is allocated
+        class Spawned(Exception):
+            pass
+
+        def spawn(seed, stream_tag):
+            raise Spawned
+
+        monkeypatch.setattr(random_measures, "spawn_generator", spawn)
+        row = np.array([0.5, 0.5])
+        with pytest.raises(ResourceLimitError) as info:
+            random_measures.row_distinct_count(row, MAX_ARRIVALS + 1, 1)
+        assert str(info.value) == f"count {MAX_ARRIVALS + 1} exceeds the hard bound {MAX_ARRIVALS}"
+        with pytest.raises(ResourceLimitError):
+            draw_from_measure(DiscreteMeasure(np.array([0.1, 0.2]), row), MAX_ARRIVALS + 1, 1)
+        with pytest.raises(Spawned):
+            random_measures.row_distinct_count(row, MAX_ARRIVALS, 1)
 
     def test_draw_domain(self):
         m = DiscreteMeasure(np.array([0.5]), np.array([1.0]))
