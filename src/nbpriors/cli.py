@@ -354,7 +354,7 @@ def _selftest_checks():
         return True
 
     def block_equals_single_draws():
-        from .experiments import build_measures
+        from .experiments import _family
 
         fixed, eps = TruncationPolicy.fixed(200), TruncationPolicy.epsilon_rule(1e-6)
         seeds = [(41, i) for i in range(3)]
@@ -365,9 +365,9 @@ def _selftest_checks():
             ("extended_dp", {"concentration": 3.0}, fixed),
             ("pdp_stick", {"alpha": 0.5, "theta": 2.0, "ranked": True}, fixed),
         ):
-            block = build_measures(process, params, trunc, seeds)
-            singles = [build_measure(process, params, trunc, seed) for seed in seeds]
-            assert [m.to_json() for m in block] == [m.to_json() for m in singles]
+            record = _family(process, params, trunc)
+            for row, seed in zip(record.draw(seeds), seeds):
+                assert np.array_equal(row, record.draw([seed])[0])
         return True
 
     def stick_breaking_mean():

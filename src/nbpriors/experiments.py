@@ -4,14 +4,15 @@ diagnostics.
 
 Replications derive their seeds as (master_seed, replication_index) and
 are drawn in index order, a block of replications at a time: ``_family``
-reads a declarative spec into the process's sampler record, and a
-replication's draws depend only on its own seed, so it is bit-identical
-to drawing it alone.  A block that fails is drawn again seed by seed, so
-each failure stays with its replication.  Every study reduces a block's
-normalized weight rows (``_replicate``) without building measures: one sort
-and one cumulative sum give every row's distance (``_ks_rows``), and K_n
-counts the categories drawn from each row.  Only ``build_measures``
-assembles measures.
+reads a declarative spec into the process's sampler record, whose
+``draw`` gives each seed's normalized weight row, and a replication's row
+depends only on its own seed, so it is bit-identical to drawing it alone.
+A block that fails is drawn again seed by seed, so each failure stays
+with its replication.  Every study reduces a block's rows
+(``_replicate``) without building measures: one sort and one cumulative
+sum give every row's distance (``_ks_rows``), and K_n counts the
+categories drawn from each row.  Only ``build_measure`` assembles a
+measure, through the record's ``measure``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .random_measures import (
     StickBreaking,
     row_distinct_count,
     uniform_base,
-    weights_row,
 )
 
 PROCESSES = ("dirichlet", "extended_dp", "pkp", "pdp_series", "pdp_stick", "stable")
@@ -170,22 +170,30 @@ class ExperimentResult:
             replications=_field(name, data, "replications", int),
             wall_time=_field(name, data, "wall_time", float, 0.0),
             spec_echo=_field(name, data, "spec", ExperimentSpec.from_dict),
-            failures=_field(name, data, "failures", list, []),
+            failures=_field(name, data, "failures", _list, []),
         )
 
 
 def _field(payload: str, data: dict, key: str, read, *default):
-    """``read(data[key])``, or ``read`` of the default where ``key`` is absent and one is given.  A
-    payload that is not an object, a missing field or a value ``read`` rejects raises a DomainError
-    naming the payload and the field."""
+    """``read(data[key])``, or ``read`` of the default where ``key`` is absent and one is given; ``int``
+    and ``float`` read through ``as_number``, so a count with a fractional part is rejected.  A payload
+    that is not an object, a missing field or a value ``read`` rejects raises a DomainError naming the
+    payload and the field."""
     if not isinstance(data, dict):
         raise DomainError(f"{payload} must be an object, got {type(data).__name__}")
     if key not in data and not default:
         raise DomainError(f"{payload} lacks field {key!r}")
+    value = data.get(key, *default)
     try:
-        return read(data.get(key, *default))
+        return as_number(key, value, read) if read in (int, float) else read(value)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{payload} field {key!r} does not read: {exc}") from exc
+
+
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
 
 
 def _family(process: str, params: dict, truncation: TruncationPolicy | None):
@@ -231,26 +239,6 @@ def _size(params: dict, key: str, truncation: TruncationPolicy | None, missing: 
     return size
 
 
-def build_measures(
-    process: str,
-    params: dict,
-    truncation: TruncationPolicy | None,
-    seeds,
-    base: BaseMeasure | None = None,
-) -> list[DiscreteMeasure]:
-    """One measure realization per seed, in seed order, for a declarative process spec.
-
-    The seeds are drawn as one block: the series processes invert all
-    seeds' points at once (per round of the epsilon rule), the extended
-    Dirichlet process solves all seeds' quantiles at once, and stick
-    breaking takes one cumulative product.  Measure i is bit-identical to
-    ``build_measure`` with seed i, and the first seed that fails raises.
-    """
-    family, seeds = _family(process, params, truncation), list(seeds)
-    base = uniform_base() if base is None else base
-    return [family.measure(base, seed, d) for seed, d in zip(seeds, family.draw(seeds))]
-
-
 def build_measure(
     process: str,
     params: dict,
@@ -258,9 +246,8 @@ def build_measure(
     seed,
     base: BaseMeasure | None = None,
 ) -> DiscreteMeasure:
-    """Construct one measure realization for a declarative process spec:
-    ``build_measures`` with one seed."""
-    return build_measures(process, params, truncation, [seed], base)[0]
+    """Construct one measure realization for a declarative process spec: its record's ``measure``."""
+    return _family(process, params, truncation).measure(uniform_base() if base is None else base, seed)
 
 
 def _replicate(family, seeds: list, reduce=None):
@@ -274,8 +261,7 @@ def _replicate(family, seeds: list, reduce=None):
     """
 
     def draw(block):
-        rows = [weights_row(d) for d in family.draw(block)]
-        return rows if reduce is None else reduce(block, rows)
+        return family.draw(block) if reduce is None else reduce(block, family.draw(block))
 
     size = _EPSILON_BLOCK if family.width is None else max(1, _BLOCK_POINTS // family.width)
     for start in range(0, len(seeds), size):
@@ -416,19 +402,23 @@ def load_ks_grid(data: dict) -> tuple[list[dict], int, int]:
     return checked, as_number("n", n, int), as_number("replications", replications, int)
 
 
+_KS_ROW = {"alpha": float, "theta": float, "r": int, "mean_distance": float, "std_error": float,
+           "replications": int, "failures": _list}
+
+
 def parse_ks_table_result(data: dict) -> list[dict]:
-    """Validate a grid-result payload (the ks-table JSON emission)."""
+    """Validate a grid-result payload (the ks-table JSON emission): its rows, each with its ``_KS_ROW``
+    fields read.  A NaN distance reads, since a row whose replications all fail prints NaN."""
     try:
         rows = list(data["rows"])
     except (KeyError, TypeError) as exc:
         raise DomainError(f"grid result needs a 'rows' list: {exc}") from exc
+    checked = []
     for row in rows:
         if not isinstance(row, dict):
             raise DomainError(f"grid result row must be an object, got {row!r}")
-        missing = {"alpha", "theta", "r", "mean_distance", "std_error", "replications"} - set(row)
-        if missing:
-            raise DomainError(f"grid result row lacks fields {sorted(missing)}")
-    return rows
+        checked.append({**row, **{key: _field("grid result row", row, key, read) for key, read in _KS_ROW.items()}})
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +449,7 @@ class WeightProfile:
     def from_dict(cls, data: dict) -> "WeightProfile":
         name = "weight profile"
         return cls(
-            r_grid=_field(name, data, "r_grid", lambda v: [int(r) for r in v]),
+            r_grid=_field(name, data, "r_grid", lambda v: [as_number("r", r, int) for r in v]),
             top_k=_field(name, data, "top_k", int),
             replications=_field(name, data, "replications", int),
             tail=_field(name, data, "tail", dict),
@@ -542,7 +532,7 @@ class GrowthDiagnostic:
     def from_dict(cls, data: dict) -> "GrowthDiagnostic":
         name = "growth diagnostic"
         return cls(
-            n_grid=_field(name, data, "n_grid", lambda v: [int(n) for n in v]),
+            n_grid=_field(name, data, "n_grid", lambda v: [as_number("n", n, int) for n in v]),
             kn_means=_field(name, data, "kn_means", lambda v: [float(k) for k in v]),
             normalizer=_field(name, data, "normalizer", str),
             ratios=_field(name, data, "ratios", lambda v: [float(k) for k in v]),

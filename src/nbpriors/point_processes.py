@@ -12,6 +12,7 @@ flavors:
   mirroring the full jump sequence of the subordinator picture.
 
 r = 0 reduces to the plain Poisson random measure (Γ_0 = 1 convention).
+The path is a field of the checked ``NbpConfig``, resolved when it is built.
 
 Every arrival comes from one per-seed stream (``_Arrivals``), so
 ``gamma_arrivals``, the series levels and the extended DP draw the same
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -190,11 +191,15 @@ def sample_prm_points(tail: LevyTail, stream: ArrivalStream) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NbpConfig:
-    """Order r (stored as a float), ``LevyTail`` and ``TruncationPolicy`` of the negative binomial sampler, checked."""
+    """Order r (stored as a float), ``LevyTail``, ``TruncationPolicy`` and sampling path of the negative
+    binomial sampler, checked.  ``randomized=None`` takes the integer-order arrival-ratio path when r is
+    an integer and the gamma-randomized path otherwise; ``True`` forces the randomized path (any r > 0),
+    ``False`` insists on the integer path.  The resolved path is stored; an impossible one raises here."""
 
     r: float
     tail: LevyTail
     truncation: TruncationPolicy
+    randomized: bool | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         r = as_number("r", self.r)
@@ -205,6 +210,7 @@ class NbpConfig:
         if not isinstance(self.truncation, TruncationPolicy):
             raise DomainError("this process needs a truncation policy")
         object.__setattr__(self, "r", r)
+        object.__setattr__(self, "randomized", _resolve_path(r, self.randomized))
 
 
 @dataclass
@@ -252,10 +258,9 @@ def write_points_csv(points, first_index: int = 1, file=None) -> str | None:
 
 
 def _resolve_path(r: float, randomized: bool | None) -> bool:
-    """Whether order r samples on the randomized path; see ``sample_nbp_points``."""
+    """Whether order r samples on the randomized path; see ``NbpConfig``."""
     is_integer = r == math.floor(r)
-    if randomized is None:
-        randomized = not is_integer
+    randomized = not is_integer if randomized is None else bool(randomized)
     if randomized and r == 0.0:
         raise DomainError("the randomized path needs r > 0")
     if not randomized and not is_integer:
@@ -310,11 +315,7 @@ class _Row:
         return None
 
 
-def sample_log_points(
-    cfg: NbpConfig,
-    seeds,
-    randomized: bool | None = None,
-) -> list[PointSeries]:
+def sample_log_points(cfg: NbpConfig, seeds) -> list[PointSeries]:
     """The truncated negative binomial point sequence of each seed, in seed order.
 
     Each round inverts the next levels Γ_i / divisor of every seed still
@@ -326,13 +327,12 @@ def sample_log_points(
     is a prefix of the epsilon-rule draw of its seed.  The first seed
     that fails raises.
     """
-    randomized = _resolve_path(cfg.r, randomized)
     seeds = list(seeds)
     if not seeds:
         raise DomainError("sampling needs at least one seed")
     trunc = cfg.truncation
-    rows = [_Row(seed, cfg.r, randomized) for seed in seeds]
-    first_index = 1 if randomized else int(cfg.r) + 1
+    rows = [_Row(seed, cfg.r, cfg.randomized) for seed in seeds]
+    first_index = 1 if cfg.randomized else int(cfg.r) + 1
     count = _CHUNK
     if trunc.mode == "fixed_count":
         count = trunc.retained(first_index)
@@ -349,17 +349,10 @@ def sample_log_points(
     return out
 
 
-def sample_nbp_points(
-    cfg: NbpConfig,
-    seed,
-    randomized: bool | None = None,
-) -> PointSeries:
-    """Sample the truncated negative binomial point sequence.
+def sample_nbp_points(cfg: NbpConfig, seed) -> PointSeries:
+    """Sample the truncated negative binomial point sequence on the config's path.
 
-    ``randomized=None`` picks the integer-order arrival-ratio path when r
-    is a nonnegative integer and the gamma-randomized path otherwise;
-    pass ``True`` to force the randomized path (any r > 0), ``False`` to
-    insist on the integer path.  This is ``sample_log_points`` with one
-    seed: a single draw is a block of one, under either truncation.
+    This is ``sample_log_points`` with one seed: a single draw is a block
+    of one, under either truncation.
     """
-    return sample_log_points(cfg, [seed], randomized)[0]
+    return sample_log_points(cfg, [seed])[0]

@@ -3,16 +3,16 @@
 All constructors produce a :class:`DiscreteMeasure`: finitely many atoms
 with strictly positive weights summing to one, plus a provenance record
 sufficient to reproduce the draw.  Each process is one sampler record
-(``SeriesProcess``, ``ExtendedDpParams``, ``StickBreaking``): ``draw``
-gives one draw per seed, depending only on that seed; ``weights_row``
-is a draw's normalized weights in draw order, underflowed weights kept
-as zeros; ``measure`` puts them on atoms from the seed's atom stream,
-ranked if asked, zero weights dropped.  ``width`` is a block's row width
-(None under the epsilon rule), ``index`` the stable index that sets the
-growth of K_n.  Records are built whole from checked values (a
-``SeriesProcess`` is the ``NbpConfig`` it samples), so bad input raises a
-DomainError before any sampling.  The single-draw constructors draw a
-block of one.
+(``SeriesProcess``, ``ExtendedDpParams``, ``StickBreaking``) with one
+protocol: ``draw(seeds)`` gives each seed's normalized weights in draw
+order, underflowed weights kept as zeros, depending only on that seed;
+``measure(base, seed)`` draws one seed and puts its weights on atoms from
+the seed's atom stream, ranked if asked, zero weights dropped.  ``width``
+is a block's row width (None under the epsilon rule), ``index`` the
+stable index that sets the growth of K_n.  Records are built whole from
+checked values (a ``SeriesProcess`` is the ``NbpConfig`` it samples,
+sampling path included), so bad input raises a DomainError before any
+sampling.  The single-draw constructors are ``measure`` on their record.
 
 The sampler family:
 
@@ -234,14 +234,11 @@ def normalized_weights(log_w: np.ndarray) -> np.ndarray:
     return w
 
 
-def weights_row(draw) -> np.ndarray:
-    """One seed's draw as normalized weights in draw order, a weight that underflows kept as an
-    exact zero: a series draw's points are normalized, a row drawn normalized is returned as it is."""
-    if not isinstance(draw, PointSeries):
-        return draw
-    if len(draw) < 2:
-        raise DegenerateTruncationError(f"truncation retained {len(draw)} points; need at least 2")
-    return normalized_weights(draw.log_points)
+def _series_weights(series: PointSeries) -> np.ndarray:
+    """A series draw's points, normalized in series order; fewer than two points raise."""
+    if len(series) < 2:
+        raise DegenerateTruncationError(f"truncation retained {len(series)} points; need at least 2")
+    return normalized_weights(series.log_points)
 
 
 def _assemble(weights: np.ndarray, base: BaseMeasure, seed, provenance: dict,
@@ -257,11 +254,6 @@ def _assemble(weights: np.ndarray, base: BaseMeasure, seed, provenance: dict,
     provenance["base"] = base.label
     sorted_by_weight = sorted_by_weight and bool(np.all(np.diff(weights) < 0))
     return DiscreteMeasure(atoms=atoms, weights=weights, provenance=provenance, sorted_by_weight=sorted_by_weight)
-
-
-def _one(record, base: BaseMeasure, seed) -> DiscreteMeasure:
-    """The measure of one seed: the record's block sampler with a block of one."""
-    return record.measure(base, seed, record.draw([seed])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +285,15 @@ class PdpParams:
 @dataclass(frozen=True)
 class SeriesProcess(NbpConfig):
     """A process whose weights are the normalized negative binomial points, in series order: its checked
-    order r, tail and truncation (an ``NbpConfig``), provenance name and parameters, and sampling path."""
+    order r, tail, truncation and sampling path (an ``NbpConfig``), and its provenance name and parameters."""
 
     process: str
     params: dict
-    randomized: bool | None = None
 
     @classmethod
     def pkp(cls, r: float, tail: LevyTail, truncation: TruncationPolicy,
             randomized: bool | None = None) -> "SeriesProcess":
-        series = cls(r, tail, truncation, "pkp", {}, randomized)
+        series = cls(r, tail, truncation, "pkp", {}, randomized=randomized)
         series.params.update(r=series.r, tail=series.tail.to_dict())
         if randomized is not None:
             series.params["randomized"] = bool(randomized)
@@ -321,7 +312,8 @@ class SeriesProcess(NbpConfig):
     @classmethod
     def pdp(cls, params: PdpParams, truncation: TruncationPolicy) -> "SeriesProcess":
         payload = {"alpha": params.alpha, "theta": params.theta, "r": params.r_derived}
-        return cls(params.r_derived, LevyTail.generalized_gamma(params.alpha), truncation, "pdp_series", payload, True)
+        tail = LevyTail.generalized_gamma(params.alpha)
+        return cls(params.r_derived, tail, truncation, "pdp_series", payload, randomized=True)
 
     @property
     def width(self) -> int | None:
@@ -331,14 +323,15 @@ class SeriesProcess(NbpConfig):
     def index(self) -> float:
         return self.tail.alpha or 0.0
 
-    def draw(self, seeds: list) -> list[PointSeries]:
-        """Each seed's truncated point series, all inverted together."""
-        return sample_log_points(self, seeds, self.randomized)
+    def draw(self, seeds: list) -> list[np.ndarray]:
+        """Each seed's truncated point series, all inverted together, normalized."""
+        return [_series_weights(series) for series in sample_log_points(self, seeds)]
 
-    def measure(self, base: BaseMeasure, seed, draw: PointSeries) -> DiscreteMeasure:
-        prov = _provenance(self.process, self.params, self.truncation, seed, draw.truncation_warning)
-        prov["stopped_by"] = draw.stopped_by
-        return _assemble(weights_row(draw), base, seed, prov, sorted_by_weight=True)
+    def measure(self, base: BaseMeasure, seed) -> DiscreteMeasure:
+        (series,) = sample_log_points(self, [seed])
+        prov = _provenance(self.process, self.params, self.truncation, seed, series.truncation_warning)
+        prov["stopped_by"] = series.stopped_by
+        return _assemble(_series_weights(series), base, seed, prov, sorted_by_weight=True)
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +351,9 @@ def sample_pkp(
     Weights are the truncated points of the order-r negative binomial
     process divided by their sum, in series order (strictly decreasing);
     atoms are drawn from ``base`` on an independent stream.  ``randomized``
-    selects the sampling path as in :func:`sample_nbp_points`.
+    selects the sampling path as in :class:`NbpConfig`.
     """
-    return _one(SeriesProcess.pkp(r, tail, trunc, randomized), base, seed)
+    return SeriesProcess.pkp(r, tail, trunc, randomized).measure(base, seed)
 
 
 def sample_dp(
@@ -370,7 +363,7 @@ def sample_dp(
     seed,
 ) -> DiscreteMeasure:
     """Dirichlet process draw: the r = 0 series with the gamma tail."""
-    return _one(SeriesProcess.dirichlet(theta, trunc), base, seed)
+    return SeriesProcess.dirichlet(theta, trunc).measure(base, seed)
 
 
 def sample_stable_normalized(
@@ -380,7 +373,7 @@ def sample_stable_normalized(
     seed,
 ) -> DiscreteMeasure:
     """Normalized stable process draw: weights proportional to Γ_i^{-1/alpha}."""
-    return _one(SeriesProcess.stable(alpha, trunc), base, seed)
+    return SeriesProcess.stable(alpha, trunc).measure(base, seed)
 
 
 def sample_pdp_series(
@@ -398,7 +391,7 @@ def sample_pdp_series(
     than PD(alpha, theta), while the randomized path reproduces the full
     subordinator jump sequence and matches stick-breaking in distribution.
     """
-    return _one(SeriesProcess.pdp(params, trunc), base, seed)
+    return SeriesProcess.pdp(params, trunc).measure(base, seed)
 
 
 @dataclass(frozen=True)
@@ -460,15 +453,15 @@ class ExtendedDpParams:
         log_w = gamma_quantile_upper_many(self.concentration / n, np.concatenate(levels))
         return [normalized_weights(w) for w in log_w.reshape(len(seeds), n - r)]
 
-    def measure(self, base: BaseMeasure, seed, draw: np.ndarray) -> DiscreteMeasure:
+    def measure(self, base: BaseMeasure, seed) -> DiscreteMeasure:
         payload = {"concentration": self.concentration, "r": self.r, "n": self.n}
         prov = _provenance("extended_dp", payload, None, seed, False)
-        return _assemble(draw, base, seed, prov, sorted_by_weight=False)
+        return _assemble(self.draw([seed])[0], base, seed, prov, sorted_by_weight=False)
 
 
 def sample_extended_dp_finite(params: ExtendedDpParams, base: BaseMeasure, seed) -> DiscreteMeasure:
     """Finite approximation of the order-r extended Dirichlet process: ``ExtendedDpParams.draw`` for one seed."""
-    return _one(params, base, seed)
+    return params.measure(base, seed)
 
 
 @dataclass(frozen=True)
@@ -518,9 +511,10 @@ class StickBreaking:
         weights[:, self.sticks] = remaining[:, -1]  # residual-mass closure atom
         return [row / math.fsum(row.tolist()) for row in weights]
 
-    def measure(self, base: BaseMeasure, seed, draw: np.ndarray) -> DiscreteMeasure:
+    def measure(self, base: BaseMeasure, seed) -> DiscreteMeasure:
         payload = {"alpha": self.alpha, "theta": self.theta, "sticks": self.sticks, "ranked": self.ranked}
-        measure = _assemble(draw, base, seed, _provenance("pdp_stick", payload, None, seed, False), False)
+        prov = _provenance("pdp_stick", payload, None, seed, False)
+        measure = _assemble(self.draw([seed])[0], base, seed, prov, False)
         return measure.ranked() if self.ranked else measure
 
 
@@ -540,7 +534,7 @@ def sample_pdp_stick_breaking(
     ``ranked`` the weights are sorted in decreasing order (the ranked law
     is the Poisson-Dirichlet distribution).
     """
-    return _one(StickBreaking(alpha, theta, sticks, ranked), base, seed)
+    return StickBreaking(alpha, theta, sticks, ranked).measure(base, seed)
 
 
 # ---------------------------------------------------------------------------

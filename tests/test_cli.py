@@ -112,6 +112,30 @@ class TestSample:
         assert res.returncode == 0, res.stderr
         assert DiscreteMeasure.from_json(res.stdout).provenance["params"]["r"] == 2
 
+    PKP_TAIL = {"kind": "gamma", "theta": 3.0}
+
+    def test_pkp_takes_its_tail_from_the_config(self, tmp_path):
+        cfg = tmp_path / "pkp.json"
+        cfg.write_text(json.dumps({"process": "pkp", "params": {"tail": self.PKP_TAIL}}))
+        res = run_cli("sample", "--config", str(cfg), "--r", "3", "--n", "100", "--seed", "6")
+        assert res.returncode == 0, res.stderr
+        measure = DiscreteMeasure.from_json(res.stdout)
+        assert len(measure) == 97  # indices 4..100
+        assert measure.provenance["params"] == {"r": 3.0, "tail": self.PKP_TAIL}
+
+    def test_pkp_without_a_tail_is_a_domain_error(self):
+        res = run_cli("sample", "--process", "pkp", "--r", "3", "--n", "100", "--seed", "6")
+        assert res.returncode == 1, res.stdout
+        assert res.stderr == "error: process 'pkp' is missing parameter 'tail'\n"
+
+    def test_pkp_randomized_path_at_order_zero_is_a_domain_error(self, tmp_path):
+        cfg = tmp_path / "pkp.json"
+        cfg.write_text(json.dumps({"process": "pkp", "params": {"tail": self.PKP_TAIL, "randomized": True}}))
+        res = run_cli("sample", "--config", str(cfg), "--r", "0", "--n", "20", "--seed", "1")
+        assert res.returncode == 1, res.stdout
+        assert res.stderr == "error: the randomized path needs r > 0\n"
+        assert res.stdout == ""
+
     def test_extended_dp_level_past_the_arrival_bound_is_a_resource_limit(self):
         res = run_cli("sample", "--process", "extended_dp", "--theta", "3", "--n", "200000000")
         assert res.returncode == 1, res.stdout

@@ -225,6 +225,13 @@ class TestRunKsExperiment:
         assert res.failures == [f"replication {i}: process 'dirichlet' is missing parameter 'theta'" for i in range(3)]
         assert math.isnan(res.mean_distance)
 
+    def test_impossible_path_fails_every_replication(self):
+        # the path is checked when the record is built, so no replication is drawn
+        params = {"r": 0, "tail": {"kind": "gamma", "theta": 3.0}, "randomized": True}
+        values, failures = experiments._ks_values(ExperimentSpec("pkp", params, 4, TruncationPolicy.fixed(50), 0), UB)
+        assert failures == [f"replication {i}: the randomized path needs r > 0" for i in range(4)]
+        assert np.all(np.isnan(values))
+
     def test_result_dict_roundtrip(self):
         res = run_ks_experiment(self.make_spec(reps=4))
         again = ExperimentResult.from_dict(res.to_dict())
@@ -297,15 +304,58 @@ class TestSamplerLaw:
 class TestPayloadReaders:
     """A payload reader names the payload and the field it cannot read."""
 
+    PROFILE = {"r_grid": [0, 3], "top_k": 2, "replications": 5, "tail": {}, "mean_weights": [[0.5, 0.2]] * 2}
+    GROWTH = {"n_grid": [10], "kn_means": [3.0], "normalizer": "log_n", "ratios": [1.3], "replications": 5,
+              "process": "dirichlet"}
+    RESULT = {"mean_distance": 0.1, "std_error": 0.01, "replications": 5,
+              "spec": {"process": "dirichlet", "replications": 5}}
+    KS_ROW = {"alpha": 0.5, "theta": 2.0, "r": 3, "mean_distance": 0.1, "std_error": 0.01, "replications": 5,
+              "failures": []}
+
     @pytest.mark.parametrize("read, data, message", [
         (WeightProfile.from_dict, {}, "weight profile lacks field 'r_grid'"),
         (GrowthDiagnostic.from_dict, {"n_grid": [1]}, "growth diagnostic lacks field 'kn_means'"),
         (ExperimentResult.from_dict, {"mean_distance": "x"}, "experiment result field 'mean_distance' does not read"),
         (parse_ks_table_result, {"rows": [1]}, "grid result row must be an object, got 1"),
-    ], ids=["weight_profile", "growth_diagnostic", "experiment_result", "ks_table_result"])
+        (WeightProfile.from_dict, {**PROFILE, "top_k": 2.7},
+         "weight profile field 'top_k' does not read: top_k must be an integer, got 2.7$"),
+        (WeightProfile.from_dict, {**PROFILE, "r_grid": [0.5, 3.9]},
+         "weight profile field 'r_grid' does not read: r must be an integer, got 0.5$"),
+        (WeightProfile.from_dict, {**PROFILE, "replications": 5.5},
+         "weight profile field 'replications' does not read: replications must be an integer, got 5.5$"),
+        (GrowthDiagnostic.from_dict, {**GROWTH, "n_grid": [10.5]},
+         "growth diagnostic field 'n_grid' does not read: n must be an integer, got 10.5$"),
+        (GrowthDiagnostic.from_dict, {**GROWTH, "replications": 5.5},
+         "growth diagnostic field 'replications' does not read: replications must be an integer, got 5.5$"),
+        (ExperimentResult.from_dict, {**RESULT, "replications": 5.5},
+         "experiment result field 'replications' does not read: replications must be an integer, got 5.5$"),
+        (ExperimentResult.from_dict, {**RESULT, "failures": "none"},
+         "experiment result field 'failures' does not read: expected a list, got str$"),
+    ], ids=["weight_profile", "growth_diagnostic", "experiment_result", "ks_table_result",
+            "profile_top_k", "profile_r_grid", "profile_replications", "growth_n_grid", "growth_replications",
+            "result_replications", "result_failures"])
     def test_malformed_payload_is_a_domain_error(self, read, data, message):
         with pytest.raises(DomainError, match=f"^{message}"):
             read(data)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("mean_distance", "x", "mean_distance must be a real number, got 'x'"),
+        ("std_error", None, "std_error must be a real number, got None"),
+        ("alpha", [0.5], r"alpha must be a real number, got \[0.5\]"),
+        ("replications", "y", "replications must be an integer, got 'y'"),
+        ("r", 2.5, "r must be an integer, got 2.5"),
+        ("failures", "none", "expected a list, got str"),
+    ], ids=["mean_distance", "std_error", "alpha", "replications", "r", "failures"])
+    def test_ks_table_row_field_of_the_wrong_type_is_a_domain_error(self, key, value, message):
+        with pytest.raises(DomainError, match=f"^grid result row field '{key}' does not read: {message}$"):
+            parse_ks_table_result({"rows": [{**self.KS_ROW, key: value}]})
+
+    def test_ks_table_row_reads_nan_distances_and_requires_every_field(self):
+        nan_row = {**self.KS_ROW, "mean_distance": float("nan"), "failures": ["replication 0: boom"]}
+        (row,) = parse_ks_table_result({"rows": [nan_row]})
+        assert math.isnan(row["mean_distance"]) and row["failures"] == ["replication 0: boom"]
+        with pytest.raises(DomainError, match="^grid result row lacks field 'failures'$"):
+            parse_ks_table_result({"rows": [{k: v for k, v in self.KS_ROW.items() if k != "failures"}]})
 
 
 class TestReplicationEngine:
@@ -359,13 +409,16 @@ class TestReplicationEngine:
         assert seen == values  # exact float equality, replication by replication
         assert run_ks_experiment(spec).mean_distance == float(np.mean(values))
 
-    def test_measures_equal_their_own_draws(self):
+    def test_rows_equal_their_own_draws(self):
         trunc = TruncationPolicy.fixed(self.N)
         seeds = [(5, i) for i in range(3)]
         for process, params in self.SERIES:
-            block = experiments.build_measures(process, params, trunc, seeds)
-            singles = [build_measure(process, params, trunc, seed) for seed in seeds]
-            assert [m.to_json() for m in block] == [m.to_json() for m in singles]
+            record = experiments._family(process, params, trunc)
+            for seed, row in zip(seeds, experiments._replicate(record, seeds)):
+                assert np.array_equal(row, record.draw([seed])[0])
+                # a seed's measure carries its row's nonzero weights
+                weights = record.measure(UB, seed).weights
+                assert np.array_equal(np.sort(weights), np.sort(row[row > 0.0]))
 
     @pytest.mark.parametrize("r", [1e-3, 3e-3])
     def test_failures_stay_with_their_replication(self, r):
@@ -455,24 +508,20 @@ class TestReplicationEngine:
         assert len(set(calls)) == len(calls)
 
     @staticmethod
-    def engine_and_single_draws(process, params, trunc, master_seed):
-        """The engine's measures (or failure strings) and each seed's own build_measure, in order."""
+    def engine_and_single_draws(record, master_seed):
+        """The engine's rows (or failure strings) and each seed's own ``record.draw([seed])``, in order."""
         seeds = [replication_seed(master_seed, i) for i in range(TestReplicationEngine.EPS_REPS)]
 
-        def as_text(m):
-            return f"{type(m).__name__}: {m}" if isinstance(m, Exception) else m.to_json()
+        def as_list(row):
+            return f"{type(row).__name__}: {row}" if isinstance(row, Exception) else row.tolist()
 
         singles = []
         for seed in seeds:
             try:
-                singles.append(build_measure(process, params, trunc, seed))
+                singles.append(record.draw([seed])[0])
             except Exception as exc:  # noqa: BLE001 - compared with the engine's failures
                 singles.append(exc)
-        engine = list(experiments._replicate(
-            experiments._family(process, params, trunc), seeds,
-            lambda block, rows: experiments.build_measures(process, params, trunc, block, UB),
-        ))
-        return [as_text(m) for m in engine], [as_text(m) for m in singles]
+        return [as_list(row) for row in experiments._replicate(record, seeds)], [as_list(row) for row in singles]
 
     @pytest.mark.parametrize("process, params", [
         ("pdp_series", {"alpha": 0.5, "theta": 2.0}),  # randomized path
@@ -480,7 +529,8 @@ class TestReplicationEngine:
         ("dirichlet", {"theta": 3.0}),
     ])
     def test_epsilon_replications_equal_their_own_draws(self, process, params):
-        engine, singles = self.engine_and_single_draws(process, params, TruncationPolicy.epsilon_rule(1e-6), 61)
+        record = experiments._family(process, params, TruncationPolicy.epsilon_rule(1e-6))
+        engine, singles = self.engine_and_single_draws(record, 61)
         assert len(engine) == self.EPS_REPS
         assert engine == singles
 
@@ -488,13 +538,15 @@ class TestReplicationEngine:
         # at epsilon 1e-6 these seeds stop between 600 and 2,500 points, so a
         # cap of 1,500 stops some rows by the rule and the others by the cap
         trunc = TruncationPolicy.epsilon_rule(1e-6, hard_cap=1500)
-        engine, singles = self.engine_and_single_draws("pdp_series", {"alpha": 0.5, "theta": 2.0}, trunc, 61)
+        record = experiments._family("pdp_series", {"alpha": 0.5, "theta": 2.0}, trunc)
+        engine, singles = self.engine_and_single_draws(record, 61)
         assert engine == singles
-        stops = [json.loads(text)["provenance"] for text in engine]
+        stops = [record.measure(UB, replication_seed(61, i)).provenance for i in range(self.EPS_REPS)]
         block = stops[: experiments._EPSILON_BLOCK]
         assert {p["stopped_by"] for p in block} == {"epsilon_rule", "hard_cap"}
-        for p in stops:
+        for row, p in zip(engine, stops):
             assert p["truncation_warning"] == (p["stopped_by"] == "hard_cap")
+            assert (len(row) == 1500) == (p["stopped_by"] == "hard_cap")
 
     def test_epsilon_failures_stay_with_their_replication(self):
         # a tiny randomized order degenerates the mixing draw on some seeds and

@@ -163,12 +163,20 @@ class TestNbpPoints:
         assert np.array_equal(sample_nbp_points(cfg, 4).log_points, again.log_points)
 
     def test_path_selection_rules(self):
+        # an impossible path is rejected when the config is built, before any draw
         tail = LevyTail.gamma(1.0)
         trunc = TruncationPolicy.fixed(50)
-        with pytest.raises(DomainError):
-            sample_nbp_points(NbpConfig(r=0.0, tail=tail, truncation=trunc), 1, randomized=True)
-        with pytest.raises(DomainError):
-            sample_nbp_points(NbpConfig(r=2.5, tail=tail, truncation=trunc), 1, randomized=False)
+        with pytest.raises(DomainError, match="^the randomized path needs r > 0$"):
+            NbpConfig(r=0.0, tail=tail, truncation=trunc, randomized=True)
+        with pytest.raises(DomainError, match="^the integer-order path needs integer r, got 2.5$"):
+            NbpConfig(r=2.5, tail=tail, truncation=trunc, randomized=False)
+
+    def test_path_is_resolved_and_stored(self):
+        tail, trunc = LevyTail.gamma(1.0), TruncationPolicy.fixed(50)
+        assert NbpConfig(3, tail, trunc).randomized is False
+        assert NbpConfig(2.5, tail, trunc).randomized is True
+        assert NbpConfig(3, tail, trunc, randomized=1).randomized is True
+        assert NbpConfig(3, tail, trunc) == NbpConfig(3, tail, trunc, randomized=False)
 
     def test_randomized_path_deterministic(self):
         tail = LevyTail.generalized_gamma(0.5)
@@ -182,7 +190,7 @@ class TestNbpPoints:
         tail = LevyTail.generalized_gamma(0.5)
         cfg = NbpConfig(r=4.0, tail=tail, truncation=TruncationPolicy.fixed(60))
         series = sample_nbp_points(cfg, 5)
-        randomized = sample_nbp_points(cfg, 5, randomized=True)
+        randomized = sample_nbp_points(NbpConfig(r=4.0, tail=tail, truncation=cfg.truncation, randomized=True), 5)
         assert series.first_index == 5
         assert randomized.first_index == 1
         assert not np.array_equal(series.log_points[: len(randomized)], randomized.log_points[: len(series)])
@@ -260,9 +268,10 @@ class TestTruncation:
         # every point of this draw underflows to 0 in linear domain; the rule
         # still sees their ratios and stops long before the cap
         cfg = NbpConfig(
-            r=1e-3, tail=LevyTail.stable(0.5), truncation=TruncationPolicy.epsilon_rule(1e-6, hard_cap=2048)
+            r=1e-3, tail=LevyTail.stable(0.5), truncation=TruncationPolicy.epsilon_rule(1e-6, hard_cap=2048),
+            randomized=True,
         )
-        series = sample_nbp_points(cfg, replication_seed(3, 1), randomized=True)
+        series = sample_nbp_points(cfg, replication_seed(3, 1))
         assert np.all(series.points == 0.0)
         assert series.stopped_by == "epsilon_rule"
         assert not series.truncation_warning

@@ -198,6 +198,14 @@ class TestTypedErrors:
         with pytest.raises(DomainError, match="^tail must be a LevyTail, got"):
             sample_pkp(2, {"kind": "gamma", "theta": 3}, UB, TruncationPolicy.fixed(10), 1)
 
+    @pytest.mark.parametrize("r, randomized, message", [
+        (0, True, "the randomized path needs r > 0"),
+        (2.5, False, "the integer-order path needs integer r, got 2.5"),
+    ], ids=["randomized_r0", "integer_r2.5"])
+    def test_impossible_path_is_rejected_when_the_record_is_built(self, r, randomized, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            random_measures.SeriesProcess.pkp(r, LevyTail.gamma(3.0), TruncationPolicy.fixed(10), randomized=randomized)
+
 
 class TestSampleDp:
     def test_basic(self):

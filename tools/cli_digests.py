@@ -27,6 +27,8 @@ SAMPLE = [
     "sample --process pdp_series --alpha 0.5 --theta 2 --n 300 --seed 3",
     "sample --process pdp_series --alpha 0.5 --theta 2 --n 300 --r 4 --seed 3",
     "sample --process pdp_series --alpha 0.5 --theta 2 --epsilon 1e-6 --seed 4",
+    "sample --process pdp_series --alpha 0.5 --theta 2 --r 2.5 --n 100 --seed 10",
+    "sample --process pdp_series --alpha 0.5 --theta 2 --r 2.5 --epsilon 1e-6 --seed 10",
     "sample --process stable --alpha 0.5 --epsilon 1e-6 --output csv --seed 5",
     "sample --process pkp --r 3 --n 100 --seed 6",
     "sample --process extended_dp --theta 3 --n 2000 --seed 7",
@@ -41,6 +43,8 @@ SAMPLE = [
     "sample --process dirichlet --theta 3",
     "sample --process stable --n 10",
     "sample --process pdp_stick --alpha 1.5 --theta 2 --sticks 10",
+    "sample --process extended_dp --theta 3 --r 1 --n 50 --seed 1",  # the draw fails
+    "sample --process pdp_series --alpha 0.5 --theta 2 --r 10 --n 10 --seed 1",  # degenerate truncation
 ]
 
 INVOCATIONS = [
