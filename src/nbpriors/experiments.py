@@ -36,6 +36,7 @@ from .random_measures import (
     PdpParams,
     SeriesProcess,
     StickBreaking,
+    drawn_row,
     row_distinct_count,
     uniform_base,
 )
@@ -167,7 +168,7 @@ class ExperimentResult:
         return cls(
             mean_distance=_field(name, data, "mean_distance", float),
             std_error=_field(name, data, "std_error", float),
-            replications=_field(name, data, "replications", int),
+            replications=_field(name, data, "replications", _number("replications", int)),
             wall_time=_field(name, data, "wall_time", float, 0.0),
             spec_echo=_field(name, data, "spec", ExperimentSpec.from_dict),
             failures=_field(name, data, "failures", _list, []),
@@ -175,19 +176,22 @@ class ExperimentResult:
 
 
 def _field(payload: str, data: dict, key: str, read, *default):
-    """``read(data[key])``, or ``read`` of the default where ``key`` is absent and one is given; ``int``
-    and ``float`` read through ``as_number``, so a count with a fractional part is rejected.  A payload
-    that is not an object, a missing field or a value ``read`` rejects raises a DomainError naming the
-    payload and the field."""
+    """``read(data[key])``, or ``read`` of the default where ``key`` is absent and one is given.  A
+    payload that is not an object, a missing field or a value ``read`` rejects raises a DomainError
+    naming the payload and the field."""
     if not isinstance(data, dict):
         raise DomainError(f"{payload} must be an object, got {type(data).__name__}")
     if key not in data and not default:
         raise DomainError(f"{payload} lacks field {key!r}")
-    value = data.get(key, *default)
     try:
-        return as_number(key, value, read) if read in (int, float) else read(value)
+        return read(data.get(key, *default))
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{payload} field {key!r} does not read: {exc}") from exc
+
+
+def _number(key: str, kind=float):
+    """A field reader through ``as_number``: a count with a fractional part is rejected, not truncated."""
+    return lambda value: as_number(key, value, kind)
 
 
 def _list(value) -> list:
@@ -261,7 +265,8 @@ def _replicate(family, seeds: list, reduce=None):
     """
 
     def draw(block):
-        return family.draw(block) if reduce is None else reduce(block, family.draw(block))
+        rows = [drawn_row(row) for row in family.draw(block)]
+        return rows if reduce is None else reduce(block, rows)
 
     size = _EPSILON_BLOCK if family.width is None else max(1, _BLOCK_POINTS // family.width)
     for start in range(0, len(seeds), size):
@@ -402,13 +407,12 @@ def load_ks_grid(data: dict) -> tuple[list[dict], int, int]:
     return checked, as_number("n", n, int), as_number("replications", replications, int)
 
 
-_KS_ROW = {"alpha": float, "theta": float, "r": int, "mean_distance": float, "std_error": float,
-           "replications": int, "failures": _list}
-
-
 def parse_ks_table_result(data: dict) -> list[dict]:
-    """Validate a grid-result payload (the ks-table JSON emission): its rows, each with its ``_KS_ROW``
-    fields read.  A NaN distance reads, since a row whose replications all fail prints NaN."""
+    """Validate a grid-result payload (the ks-table JSON emission): its rows, each with its fields read.
+    A NaN distance reads, since a row whose replications all fail prints NaN."""
+    fields = {"alpha": _number("alpha"), "theta": _number("theta"), "r": _number("r", int),
+              "mean_distance": _number("mean_distance"), "std_error": _number("std_error"),
+              "replications": _number("replications", int), "failures": _list}
     try:
         rows = list(data["rows"])
     except (KeyError, TypeError) as exc:
@@ -417,7 +421,7 @@ def parse_ks_table_result(data: dict) -> list[dict]:
     for row in rows:
         if not isinstance(row, dict):
             raise DomainError(f"grid result row must be an object, got {row!r}")
-        checked.append({**row, **{key: _field("grid result row", row, key, read) for key, read in _KS_ROW.items()}})
+        checked.append({**row, **{key: _field("grid result row", row, key, read) for key, read in fields.items()}})
     return checked
 
 
@@ -450,8 +454,8 @@ class WeightProfile:
         name = "weight profile"
         return cls(
             r_grid=_field(name, data, "r_grid", lambda v: [as_number("r", r, int) for r in v]),
-            top_k=_field(name, data, "top_k", int),
-            replications=_field(name, data, "replications", int),
+            top_k=_field(name, data, "top_k", _number("top_k", int)),
+            replications=_field(name, data, "replications", _number("replications", int)),
             tail=_field(name, data, "tail", dict),
             mean_weights=_field(name, data, "mean_weights", lambda v: np.asarray(v, dtype=float)),
         )
@@ -536,7 +540,7 @@ class GrowthDiagnostic:
             kn_means=_field(name, data, "kn_means", lambda v: [float(k) for k in v]),
             normalizer=_field(name, data, "normalizer", str),
             ratios=_field(name, data, "ratios", lambda v: [float(k) for k in v]),
-            replications=_field(name, data, "replications", int),
+            replications=_field(name, data, "replications", _number("replications", int)),
             process=_field(name, data, "process", str),
             params=_field(name, data, "params", dict, {}),
         )

@@ -241,6 +241,11 @@ def _series_weights(series: PointSeries) -> np.ndarray:
     return normalized_weights(series.log_points)
 
 
+def drawn_row(row: np.ndarray) -> np.ndarray:
+    """A weight row, unchanged: the engine hands each row to a study through it, so the benchmark's trace counts it."""
+    return row
+
+
 def _assemble(weights: np.ndarray, base: BaseMeasure, seed, provenance: dict,
               sorted_by_weight: bool) -> DiscreteMeasure:
     """The measure of one seed's normalized weights, in their order: one
