@@ -359,33 +359,26 @@ def run_ks_table(
 
     Row k runs under master seed (master_seed, k) with the fixed-index
     truncation ``n``, reproducing the truncated-series benchmark design.
-    A row keeps the n - r points past its order r, so a row with
-    n - r < 2, which no seed can draw, raises a DomainError before any
-    row is sampled.
+    Every row is read as ``load_ks_grid`` reads it and its sampler record
+    is built before any row is sampled, so a malformed row, or one that
+    keeps fewer than 2 points (n - r < 2), raises a DomainError naming it.
     """
     truncation, replications = TruncationPolicy.fixed(n), as_number("replications", replications, int)
     specs = []
     for k, row in enumerate(rows):
-        r = as_number("r", row["r"], int)
+        spec = ExperimentSpec("pdp_series", _grid_row(row), replications, truncation, seed_tuple(master_seed) + (k,))
         try:
-            truncation.retained(r + 1)
+            _family(spec.process, spec.params, truncation)
         except DegenerateTruncationError as exc:
             raise DomainError(f"grid row {row!r}: {exc}; need at least 2") from exc
-        specs.append(ExperimentSpec(
-            process="pdp_series",
-            params={"alpha": float(row["alpha"]), "theta": float(row["theta"]), "r": r},
-            replications=replications,
-            truncation=truncation,
-            master_seed=seed_tuple(master_seed) + (k,),
-        ))
+        specs.append(spec)
     return [run_ks_experiment(spec, base) for spec in specs]
 
 
 def load_ks_grid(data: dict) -> tuple[list[dict], int, int]:
     """Validate a benchmark-grid config dict: rows, index bound n, replications.
 
-    Each row comes back as numbers: alpha in (0, 1), finite theta > 0 (what
-    ``PdpParams`` accepts) and integer r; there must be at least one row.
+    Each row comes back as ``_grid_row`` reads it; there must be at least one row.
     """
     try:
         rows, n, replications = list(data["rows"]), data["n"], data["replications"]
@@ -393,18 +386,23 @@ def load_ks_grid(data: dict) -> tuple[list[dict], int, int]:
         raise DomainError(f"grid config needs 'rows', 'n', 'replications': {exc}") from exc
     if not rows:
         raise DomainError("grid config needs at least one row")
-    checked = []
-    for row in rows:
-        if not (isinstance(row, dict) and {"alpha", "theta", "r"} <= set(row)):
-            raise DomainError(f"grid row {row!r} needs alpha, theta, r")
-        r = as_number("r", row["r"])
-        if not (r >= 0 and r.is_integer()):
-            raise DomainError(f"grid row {row!r}: r must be a nonnegative integer")
-        alpha, theta = as_number("alpha", row["alpha"]), as_number("theta", row["theta"])
-        if not (0.0 < alpha < 1.0 and math.isfinite(theta) and theta > 0.0):
-            raise DomainError(f"grid row {row!r}: need alpha in (0,1) and a finite theta > 0")
-        checked.append({"alpha": alpha, "theta": theta, "r": int(r)})
-    return checked, as_number("n", n, int), as_number("replications", replications, int)
+    return [_grid_row(row) for row in rows], as_number("n", n, int), as_number("replications", replications, int)
+
+
+def _grid_row(row) -> dict:
+    """A grid row as numbers: alpha in (0, 1), finite theta > 0 (what ``PdpParams`` accepts) and integer
+    r >= 0.  Anything else raises a DomainError naming the row."""
+    if not (isinstance(row, dict) and {"alpha", "theta", "r"} <= set(row)):
+        raise DomainError(f"grid row {row!r} needs alpha, theta, r")
+    try:
+        r, alpha, theta = (as_number(key, row[key]) for key in ("r", "alpha", "theta"))
+    except DomainError as exc:
+        raise DomainError(f"grid row {row!r}: {exc}") from exc
+    if not (r >= 0 and r.is_integer()):
+        raise DomainError(f"grid row {row!r}: r must be a nonnegative integer")
+    if not (0.0 < alpha < 1.0 and math.isfinite(theta) and theta > 0.0):
+        raise DomainError(f"grid row {row!r}: need alpha in (0,1) and a finite theta > 0")
+    return {"alpha": alpha, "theta": theta, "r": int(r)}
 
 
 def parse_ks_table_result(data: dict) -> list[dict]:
@@ -651,8 +649,6 @@ def rank_weight_equivalence_test(
         raise DomainError("need at least 100 replications per side")
     if truncation is None:
         truncation = TruncationPolicy.fixed(3000)
-    s_alpha = alpha if stick_alpha is None else float(stick_alpha)
-    s_theta = theta if stick_theta is None else float(stick_theta)
 
     def largest(family, side):
         seeds = [seed_tuple(seed) + (side, i) for i in range(replications)]
@@ -663,9 +659,10 @@ def rank_weight_equivalence_test(
             out[i] = row.max()
         return out
 
-    series = SeriesProcess.pdp(PdpParams(alpha, theta), truncation)
-    stick = StickBreaking(s_alpha, s_theta, sticks, ranked=True)
-    lhs, rhs = largest(series, 0), largest(stick, 1)
+    pdp = PdpParams(alpha, theta)
+    stick = StickBreaking(alpha if stick_alpha is None else stick_alpha,
+                          theta if stick_theta is None else stick_theta, sticks, ranked=True)
+    lhs, rhs = largest(SeriesProcess.pdp(pdp, truncation), 0), largest(stick, 1)
     ks = st.ks_2samp(lhs, rhs, method="asymp")
     return EquivalenceReport(
         statistic=float(ks.statistic),
@@ -673,11 +670,11 @@ def rank_weight_equivalence_test(
         n_lhs=replications,
         n_rhs=replications,
         params={
-            "alpha": float(alpha),
-            "theta": float(theta),
-            "stick_alpha": s_alpha,
-            "stick_theta": s_theta,
-            "sticks": sticks,
+            "alpha": pdp.alpha,
+            "theta": pdp.theta,
+            "stick_alpha": stick.alpha,
+            "stick_theta": stick.theta,
+            "sticks": stick.sticks,
         },
     )
 

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.special as sp
 
 from .errors import DomainError, NumericError, as_number
-from .special_functions import EULER_GAMMA, log_upper_gamma, log_upper_gamma_inverse
+from .special_functions import EULER_GAMMA, _as_array, log_upper_gamma, log_upper_gamma_inverse
 
 KINDS = ("stable", "gamma", "generalized_gamma")
 
@@ -102,7 +102,7 @@ class LevyTail:
 
 
 def _as_positive_array(name: str, values) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(values, dtype=float))
+    arr = _as_array(name, values)
     if arr.size and not np.all(np.isfinite(arr) & (arr > 0)):
         raise DomainError(f"{name} must be positive and finite")
     return arr
@@ -131,7 +131,7 @@ def log_tail_value(tail: LevyTail, x) -> np.ndarray:
 def tail_value(tail: LevyTail, x: float) -> float:
     """L(x) for scalar x > 0.  Where L(x) underflows double precision a
     NumericError carries 0.0, where it overflows one carries ln L(x)."""
-    log_value = float(log_tail_value(tail, float(x))[0])
+    log_value = float(log_tail_value(tail, as_number("x", x))[0])
     with np.errstate(over="ignore"):
         value = float(np.exp(log_value))
     if value == 0.0:
@@ -168,7 +168,7 @@ def log_tail_inverse(tail: LevyTail, y) -> np.ndarray:
 def tail_inverse(tail: LevyTail, y: float) -> float:
     """L^{-1}(y) for scalar y > 0, resolved to |ln L(x) - ln y| <= REL_TOL or,
     where L's own rounding error is larger (alpha near 0), to ln x within REL_TOL."""
-    t = log_tail_inverse(tail, float(y))[0]
+    t = log_tail_inverse(tail, as_number("y", y))[0]
     x = float(np.exp(t))
     if x == 0.0:
         raise NumericError(

@@ -56,10 +56,10 @@ class TruncationPolicy:
     """How to cut the infinite point series.
 
     ``fixed_count`` truncates the series at arrival index ``n`` (the sum
-    runs i = r+1 .. n, so n - r points are retained on the integer-order
-    path and n points when the series starts at i = 1).  ``epsilon_rule``
-    stops at the first index whose point, relative to the running sum of
-    retained points, drops below ``epsilon``; that index is included.
+    runs from the path's first index to n; ``NbpConfig.width`` counts the
+    points retained).  ``epsilon_rule`` stops at the first index whose
+    point, relative to the running sum of retained points, drops below
+    ``epsilon``; that index is included.
     ``hard_cap`` bounds the number of retained points in all modes.
     """
 
@@ -106,15 +106,6 @@ class TruncationPolicy:
         if self.epsilon is not None:
             out["epsilon"] = float(self.epsilon)
         return out
-
-    def retained(self, first_index: int) -> int:
-        """Points a fixed-count truncation keeps from index ``first_index`` on; below 2, a DegenerateTruncationError."""
-        count = self.n - (first_index - 1)
-        if count < 2:
-            raise DegenerateTruncationError(
-                f"fixed_count n={self.n} retains {max(count, 0)} points past index {first_index - 1}"
-            )
-        return count
 
     @classmethod
     def from_dict(cls, data: dict) -> "TruncationPolicy":
@@ -194,7 +185,11 @@ class NbpConfig:
     """Order r (stored as a float), ``LevyTail``, ``TruncationPolicy`` and sampling path of the negative
     binomial sampler, checked.  ``randomized=None`` takes the integer-order arrival-ratio path when r is
     an integer and the gamma-randomized path otherwise; ``True`` forces the randomized path (any r > 0),
-    ``False`` insists on the integer path.  The resolved path is stored; an impossible one raises here."""
+    ``False`` insists on the integer path.  The resolved path is stored; an impossible one raises here.
+
+    The path fixes a draw's row shape: ``first_index`` and, under fixed_count, the retained count
+    ``width``.  A truncation that keeps fewer than 2 points (a fixed count, or an epsilon-rule hard cap)
+    raises a DegenerateTruncationError here, and a fixed count above the hard cap a ResourceLimitError."""
 
     r: float
     tail: LevyTail
@@ -209,8 +204,33 @@ class NbpConfig:
             raise DomainError(f"tail must be a LevyTail, got {self.tail!r}")
         if not isinstance(self.truncation, TruncationPolicy):
             raise DomainError("this process needs a truncation policy")
+        is_integer = r == math.floor(r)
+        randomized = not is_integer if self.randomized is None else bool(self.randomized)
+        if randomized and r == 0.0:
+            raise DomainError("the randomized path needs r > 0")
+        if not randomized and not is_integer:
+            raise DomainError(f"the integer-order path needs integer r, got {r}")
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "randomized", _resolve_path(r, self.randomized))
+        object.__setattr__(self, "randomized", randomized)
+        trunc, width = self.truncation, self.width
+        if width is None and trunc.hard_cap < 2:  # the epsilon rule keeps at most hard_cap points
+            raise DegenerateTruncationError(f"truncation retained {trunc.hard_cap} points; need at least 2")
+        if width is not None and width < 2:
+            past = self.first_index - 1
+            raise DegenerateTruncationError(f"fixed_count n={trunc.n} retains {max(width, 0)} points past index {past}")
+        if width is not None and width > trunc.hard_cap:
+            raise ResourceLimitError(f"fixed_count would retain {width} points, above hard_cap={trunc.hard_cap}")
+
+    @property
+    def first_index(self) -> int:
+        """Series index of the first retained point: r + 1 on the integer-order path, 1 on the randomized one."""
+        return 1 if self.randomized else int(self.r) + 1
+
+    @property
+    def width(self) -> int | None:
+        """Points a fixed-count draw retains, indices first_index .. n; None under the epsilon rule."""
+        trunc = self.truncation
+        return trunc.n - self.first_index + 1 if trunc.mode == "fixed_count" else None
 
 
 @dataclass
@@ -255,17 +275,6 @@ def write_points_csv(points, first_index: int = 1, file=None) -> str | None:
     else:
         file.write(text)
     return None
-
-
-def _resolve_path(r: float, randomized: bool | None) -> bool:
-    """Whether order r samples on the randomized path; see ``NbpConfig``."""
-    is_integer = r == math.floor(r)
-    randomized = not is_integer if randomized is None else bool(randomized)
-    if randomized and r == 0.0:
-        raise DomainError("the randomized path needs r > 0")
-    if not randomized and not is_integer:
-        raise DomainError(f"the integer-order path needs integer r, got {r}")
-    return randomized
 
 
 class _Row:
@@ -320,24 +329,20 @@ def sample_log_points(cfg: NbpConfig, seeds) -> list[PointSeries]:
 
     Each round inverts the next levels Γ_i / divisor of every seed still
     running with one ``log_tail_inverse`` call, then truncates row by row:
-    a fixed-count draw is one round of its retained count, the epsilon
+    a fixed-count draw is one round of the config's ``width``, the epsilon
     rule takes ``_CHUNK``-point rounds until the rule or the hard cap
-    stops the seed.  The inverse solves every point on its own, so draw i
-    is bit-identical to the draw of seed i alone, and a fixed-count draw
-    is a prefix of the epsilon-rule draw of its seed.  The first seed
-    that fails raises.
+    stops the seed.  The config checked the row shape when it was built,
+    so every series retains at least 2 points.  The inverse solves every
+    point on its own, so draw i is bit-identical to the draw of seed i
+    alone, and a fixed-count draw is a prefix of the epsilon-rule draw of
+    its seed.  The first seed that fails raises.
     """
     seeds = list(seeds)
     if not seeds:
         raise DomainError("sampling needs at least one seed")
-    trunc = cfg.truncation
+    trunc, first_index = cfg.truncation, cfg.first_index
     rows = [_Row(seed, cfg.r, cfg.randomized) for seed in seeds]
-    first_index = 1 if cfg.randomized else int(cfg.r) + 1
-    count = _CHUNK
-    if trunc.mode == "fixed_count":
-        count = trunc.retained(first_index)
-        if count > trunc.hard_cap:
-            raise ResourceLimitError(f"fixed_count would retain {count} points, above hard_cap={trunc.hard_cap}")
+    count = _CHUNK if cfg.width is None else cfg.width
     out: list[PointSeries | None] = [None] * len(rows)
     live = list(range(len(rows)))
     while live:

@@ -8,11 +8,13 @@ protocol: ``draw(seeds)`` gives each seed's normalized weights in draw
 order, underflowed weights kept as zeros, depending only on that seed;
 ``measure(base, seed)`` draws one seed and puts its weights on atoms from
 the seed's atom stream, ranked if asked, zero weights dropped.  ``width``
-is a block's row width (None under the epsilon rule), ``index`` the
-stable index that sets the growth of K_n.  Records are built whole from
-checked values (a ``SeriesProcess`` is the ``NbpConfig`` it samples,
-sampling path included), so bad input raises a DomainError before any
-sampling.  The single-draw constructors are ``measure`` on their record.
+is the exact length of every row (None under the epsilon rule), ``index``
+the stable index that sets the growth of K_n.  Records are built whole
+from checked values (a ``SeriesProcess`` is the ``NbpConfig`` it samples,
+sampling path and row shape included), so bad input raises before any
+sampling: a DomainError, or a truncation that keeps fewer than 2 points
+or more than its hard cap.  The single-draw constructors are ``measure``
+on their record.
 
 The sampler family:
 
@@ -57,7 +59,6 @@ from .levy_tails import LevyTail
 from .point_processes import (
     MAX_ARRIVALS,
     NbpConfig,
-    PointSeries,
     TruncationPolicy,
     _Row,
     sample_log_points,
@@ -234,13 +235,6 @@ def normalized_weights(log_w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _series_weights(series: PointSeries) -> np.ndarray:
-    """A series draw's points, normalized in series order; fewer than two points raise."""
-    if len(series) < 2:
-        raise DegenerateTruncationError(f"truncation retained {len(series)} points; need at least 2")
-    return normalized_weights(series.log_points)
-
-
 def drawn_row(row: np.ndarray) -> np.ndarray:
     """A weight row, unchanged: the engine hands each row to a study through it, so the benchmark's trace counts it."""
     return row
@@ -290,7 +284,8 @@ class PdpParams:
 @dataclass(frozen=True)
 class SeriesProcess(NbpConfig):
     """A process whose weights are the normalized negative binomial points, in series order: its checked
-    order r, tail, truncation and sampling path (an ``NbpConfig``), and its provenance name and parameters."""
+    order r, tail, truncation, sampling path and row shape (an ``NbpConfig``, whose ``width`` it reports),
+    and its provenance name and parameters."""
 
     process: str
     params: dict
@@ -321,22 +316,18 @@ class SeriesProcess(NbpConfig):
         return cls(params.r_derived, tail, truncation, "pdp_series", payload, randomized=True)
 
     @property
-    def width(self) -> int | None:
-        return self.truncation.n if self.truncation.mode == "fixed_count" else None
-
-    @property
     def index(self) -> float:
         return self.tail.alpha or 0.0
 
     def draw(self, seeds: list) -> list[np.ndarray]:
         """Each seed's truncated point series, all inverted together, normalized."""
-        return [_series_weights(series) for series in sample_log_points(self, seeds)]
+        return [normalized_weights(series.log_points) for series in sample_log_points(self, seeds)]
 
     def measure(self, base: BaseMeasure, seed) -> DiscreteMeasure:
         (series,) = sample_log_points(self, [seed])
         prov = _provenance(self.process, self.params, self.truncation, seed, series.truncation_warning)
         prov["stopped_by"] = series.stopped_by
-        return _assemble(_series_weights(series), base, seed, prov, sorted_by_weight=True)
+        return _assemble(normalized_weights(series.log_points), base, seed, prov, sorted_by_weight=True)
 
 
 # ---------------------------------------------------------------------------

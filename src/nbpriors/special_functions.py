@@ -28,7 +28,7 @@ import math
 import numpy as np
 import scipy.special as sp
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, as_number
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -44,10 +44,15 @@ _P_SWITCH = 0.9
 
 
 def _check_positive(name: str, value) -> float:
-    value = float(value)
+    value = as_number(name, value)
     if not (math.isfinite(value) and value > 0):
         raise DomainError(f"{name} must be a positive finite real, got {value}")
     return value
+
+
+def _as_array(name: str, values) -> np.ndarray:
+    """``values`` as a float array of at least one dimension, converted through ``as_number``."""
+    return np.atleast_1d(as_number(name, values, lambda v: np.asarray(v, dtype=float)))
 
 
 def _log_q(s: float, x) -> np.ndarray:
@@ -98,7 +103,7 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
     ln Γ(a, x).
     """
     x = _check_positive("x", x)
-    a = float(a)
+    a = as_number("a", a)
     if not math.isfinite(a) or a == 0.0 or a <= -1.0:
         raise DomainError(f"parameter a must lie in (-1,0) or (0,inf), got {a}")
     log_value = float(log_upper_gamma(a, np.asarray([x]))[0])
@@ -177,7 +182,7 @@ def gamma_survival(shape: float, x: float) -> float:
     small-shape series internally.
     """
     shape = _check_positive("shape", shape)
-    x = float(x)
+    x = as_number("x", x)
     if not (math.isfinite(x) and x >= 0):
         raise DomainError(f"x must be a nonnegative finite real, got {x}")
     return math.exp(_log_q(shape, np.asarray([x]))[0])
@@ -192,7 +197,7 @@ def gamma_quantile_upper(shape: float, y: float) -> float:
     ``log_upper_gamma_inverse`` resolves it to
     |ln Q(shape, x) - ln y| <= ``REL_TOL``.
     """
-    y = float(y)
+    y = as_number("y", y)
     if not (0.0 < y < 1.0):
         raise DomainError(f"y must lie strictly inside (0,1), got {y}")
     return float(gamma_quantile_upper_many(shape, np.asarray([y]))[0])
@@ -201,7 +206,7 @@ def gamma_quantile_upper(shape: float, y: float) -> float:
 def gamma_quantile_upper_many(shape: float, y) -> np.ndarray:
     """Vectorized ``gamma_quantile_upper`` over an array of survival levels; a scalar level gives a 1-element array."""
     shape = _check_positive("shape", shape)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    y = _as_array("y", y)
     if y.size and not np.all((y > 0.0) & (y < 1.0)):
         raise DomainError("all survival levels must lie strictly inside (0,1)")
 

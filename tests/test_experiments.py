@@ -19,6 +19,7 @@ from nbpriors import (
     ExperimentSpec,
     GrowthDiagnostic,
     LevyTail,
+    ResourceLimitError,
     TruncationPolicy,
     WeightProfile,
     build_measure,
@@ -632,9 +633,26 @@ class TestKsTable:
             f"grid row {rows[1]!r}: fixed_count n=60 retains 1 points past index 59; need at least 2"
         )
 
+    def test_n_above_the_hard_cap_is_rejected_before_any_row_is_sampled(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_replicate", None)  # sampling the first row would fail
+        with pytest.raises(ResourceLimitError, match="^fixed_count would retain 1999998 points, above hard_cap="):
+            run_ks_table(self.ROWS, n=2_000_000, replications=2, master_seed=1)
+
     def test_fractional_row_r_is_a_domain_error(self):
-        with pytest.raises(DomainError, match="must be an integer"):
+        with pytest.raises(DomainError, match="r must be a nonnegative integer"):
             run_ks_table([{"alpha": 0.5, "theta": 1.0, "r": 2.5}], n=50, replications=2, master_seed=1)
+
+    @pytest.mark.parametrize("row, message", [
+        ({"alpha": 0.5, "theta": "x", "r": 2}, "theta must be a real number, got 'x'"),
+        ({"alpha": 0.5, "theta": -1, "r": 2}, "need alpha in (0,1) and a finite theta > 0"),
+        ({"alpha": 0.5, "r": 2}, "needs alpha, theta, r"),
+        ({"alpha": 1.5, "theta": 1.0, "r": 2}, "need alpha in (0,1) and a finite theta > 0"),
+    ], ids=["non_numeric_theta", "negative_theta", "missing_theta", "alpha_out_of_range"])
+    def test_bad_row_is_rejected_before_any_row_is_sampled(self, monkeypatch, row, message):
+        monkeypatch.setattr(experiments, "_replicate", None)  # sampling the first row would fail
+        with pytest.raises(DomainError) as info:
+            run_ks_table([{"alpha": 0.5, "theta": 1.0, "r": 2}, row], 50, 3, 0)
+        assert str(info.value).startswith(f"grid row {row!r}") and message in str(info.value)
 
     def test_grid_row_skips_the_upper_ratio_kernel(self, monkeypatch):
         """Row (0.9, 100, 111) takes every ln Q from the lower-ratio kernel, at most 4.1 evaluations per point."""
@@ -832,6 +850,12 @@ class TestEquivalence:
         rhs = [sample_pdp_stick_breaking(0.5, 3.0, UB, 300, True, (6, 1, i)).weights.max() for i in range(reps)]
         ks = st.ks_2samp(lhs, rhs, method="asymp")
         assert (report.statistic, report.p_value) == (ks.statistic, ks.pvalue)
+        assert report.params == {"alpha": 0.5, "theta": 2.0, "stick_alpha": 0.5, "stick_theta": 3.0, "sticks": 300}
+
+    @pytest.mark.parametrize("key", ["stick_alpha", "stick_theta"])
+    def test_non_numeric_stick_parameter_is_a_domain_error(self, key):
+        with pytest.raises(DomainError, match="must be a real number, got 'x'"):
+            rank_weight_equivalence_test(0.5, 2.0, 100, 1, **{key: "x"})
 
     def test_same_law_self_test(self):
         # sticks against sticks with independent seeds: same distribution

@@ -224,16 +224,37 @@ class TestTruncation:
         assert not series.truncation_warning
 
     def test_fixed_count_degenerate(self):
-        cfg = NbpConfig(r=5.0, tail=LevyTail.gamma(3.0), truncation=TruncationPolicy.fixed(6))
         with pytest.raises(DegenerateTruncationError):
+            cfg = NbpConfig(r=5.0, tail=LevyTail.gamma(3.0), truncation=TruncationPolicy.fixed(6))
             sample_nbp_points(cfg, 1)
 
     def test_fixed_count_hard_cap(self):
-        cfg = NbpConfig(
-            r=0.0, tail=LevyTail.gamma(3.0), truncation=TruncationPolicy(mode="fixed_count", n=100, hard_cap=50)
-        )
         with pytest.raises(ResourceLimitError):
+            cfg = NbpConfig(
+                r=0.0, tail=LevyTail.gamma(3.0), truncation=TruncationPolicy(mode="fixed_count", n=100, hard_cap=50)
+            )
             sample_nbp_points(cfg, 1)
+
+    @pytest.mark.parametrize("r, truncation, error, message", [
+        (5.0, TruncationPolicy.fixed(6), DegenerateTruncationError, "fixed_count n=6 retains 1 points past index 5"),
+        (0.0, TruncationPolicy(mode="fixed_count", n=100, hard_cap=50), ResourceLimitError,
+         "fixed_count would retain 100 points, above hard_cap=50"),
+        (0.0, TruncationPolicy.epsilon_rule(1e-6, hard_cap=1), DegenerateTruncationError,
+         "truncation retained 1 points; need at least 2"),
+    ], ids=["one_point_retained", "above_hard_cap", "epsilon_hard_cap_1"])
+    def test_row_shape_is_checked_when_the_config_is_built(self, r, truncation, error, message):
+        with pytest.raises(error) as info:
+            NbpConfig(r, LevyTail.gamma(3.0), truncation)
+        assert str(info.value) == message
+
+    def test_row_shape_follows_the_path(self):
+        tail, trunc = LevyTail.generalized_gamma(0.5), TruncationPolicy.fixed(400)
+        for cfg, first_index, width in [(NbpConfig(300, tail, trunc), 301, 100),
+                                        (NbpConfig(300, tail, trunc, randomized=True), 1, 400)]:
+            assert (cfg.first_index, cfg.width) == (first_index, width)
+            series = sample_nbp_points(cfg, 3)
+            assert (series.first_index, len(series)) == (first_index, width)
+        assert NbpConfig(300, tail, TruncationPolicy.epsilon_rule(1e-6)).width is None
 
     def test_epsilon_rule_matches_manual_scan(self):
         eps = 1e-4

@@ -206,6 +206,22 @@ class TestTypedErrors:
         with pytest.raises(DomainError, match=f"^{message}$"):
             random_measures.SeriesProcess.pkp(r, LevyTail.gamma(3.0), TruncationPolicy.fixed(10), randomized=randomized)
 
+    @pytest.mark.parametrize("r, truncation, error, message", [
+        (5.0, TruncationPolicy.fixed(6), DegenerateTruncationError, "fixed_count n=6 retains 1 points past index 5"),
+        (0.0, TruncationPolicy(mode="fixed_count", n=100, hard_cap=50), ResourceLimitError,
+         "fixed_count would retain 100 points, above hard_cap=50"),
+    ], ids=["one_point_retained", "above_hard_cap"])
+    def test_row_shape_is_checked_when_the_record_is_built(self, r, truncation, error, message):
+        with pytest.raises(error) as info:
+            random_measures.SeriesProcess.pkp(r, LevyTail.gamma(3.0), truncation)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("randomized, width", [(None, 100), (True, 400)], ids=["integer_path", "randomized"])
+    def test_width_is_the_retained_count(self, randomized, width):
+        trunc = TruncationPolicy.fixed(400)
+        series = random_measures.SeriesProcess.pkp(300, LevyTail.generalized_gamma(0.5), trunc, randomized)
+        assert series.width == width == series.draw([1])[0].size
+
 
 class TestSampleDp:
     def test_basic(self):

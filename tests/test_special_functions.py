@@ -14,12 +14,16 @@ import scipy.special as sp
 
 from nbpriors import (
     DomainError,
+    LevyTail,
     NumericError,
     exp_integral_e1,
     gamma_quantile_upper,
     gamma_quantile_upper_many,
     gamma_survival,
     log_gamma,
+    log_tail_inverse,
+    tail_inverse,
+    tail_value,
     upper_incomplete_gamma,
 )
 
@@ -229,3 +233,23 @@ class TestGammaQuantileUpper:
         with pytest.raises(DomainError):
             gamma_quantile_upper(-1.0, 0.5)
 
+
+GAMMA_TAIL = LevyTail.gamma(3.0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: log_gamma("x"), "a"),
+    (lambda: exp_integral_e1("x"), "x"),
+    (lambda: upper_incomplete_gamma("x", 1.0), "a"),
+    (lambda: upper_incomplete_gamma(0.5, "x"), "x"),
+    (lambda: gamma_survival(1.0, "x"), "x"),
+    (lambda: gamma_quantile_upper(1.0, "x"), "y"),
+    (lambda: gamma_quantile_upper_many(1.0, "x"), "y"),
+    (lambda: tail_value(GAMMA_TAIL, "x"), "x"),
+    (lambda: tail_inverse(GAMMA_TAIL, "x"), "y"),
+    (lambda: log_tail_inverse(GAMMA_TAIL, "x"), "y"),
+], ids=["log_gamma", "exp_integral_e1", "upper_gamma_a", "upper_gamma_x", "gamma_survival", "quantile",
+        "quantile_many", "tail_value", "tail_inverse", "log_tail_inverse"])
+def test_non_numeric_argument_is_a_domain_error(call, name):
+    with pytest.raises(DomainError, match=f"^{name} must be a real number, got 'x'$"):
+        call()

@@ -45,12 +45,15 @@ SAMPLE = [
     "sample --process pdp_stick --alpha 1.5 --theta 2 --sticks 10",
     "sample --process extended_dp --theta 3 --r 1 --n 50 --seed 1",  # the draw fails
     "sample --process pdp_series --alpha 0.5 --theta 2 --r 10 --n 10 --seed 1",  # degenerate truncation
+    "sample --process dirichlet --theta 3 --n 1 --seed 1",  # one point retained
+    "sample --process stable --alpha 0.5 --n 2000000 --seed 1",  # above the hard cap
 ]
 
 INVOCATIONS = [
     *SAMPLE,
     "ks-table --seed 1 --reps 40",
     "ks-table --seed 3 --reps 20 --output csv",
+    "ks-table --n 3 --reps 2",  # a grid row no seed can draw
     "weights --seed 2",
     "weights --theta 0.01 --reps 5 --output csv",
     "clusters",
