@@ -25,17 +25,14 @@ _UINT64_MASK = (1 << 64) - 1
 
 
 def seed_tuple(seed) -> tuple[int, ...]:
-    """Normalize a seed (int or sequence of ints) to a tuple of uint64 words."""
-    if isinstance(seed, (tuple, list)):
-        parts = tuple(seed)
-        if not parts:
-            raise DomainError("seed tuple must not be empty")
-    else:
-        parts = (seed,)
-    try:
-        return tuple(int(p) & _UINT64_MASK for p in parts)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"seed must be an integer or tuple of integers: {seed!r}") from exc
+    """Normalize a seed (an integer or a sequence of integers; a string or a real is neither) to a tuple of
+    uint64 words."""
+    parts = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+    if not parts:
+        raise DomainError("seed tuple must not be empty")
+    if not all(isinstance(p, (int, np.integer)) for p in parts):
+        raise DomainError(f"seed must be an integer or tuple of integers: {seed!r}")
+    return tuple(int(p) & _UINT64_MASK for p in parts)
 
 
 def spawn_generator(seed, stream_tag: int) -> np.random.Generator:

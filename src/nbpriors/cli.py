@@ -26,7 +26,7 @@ from importlib import resources
 import numpy as np
 import scipy.special as sp
 
-from .errors import DomainError, NbpError, NumericError, as_number
+from .errors import DomainError, NbpError, NumericError, as_number, as_object
 from .experiments import (
     PROCESSES,
     build_measure,
@@ -58,9 +58,7 @@ def _load_config(path: str | None) -> dict:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DomainError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise DomainError(f"config {path} must hold a JSON object")
-    return data
+    return as_object(f"config {path}", data)
 
 
 def _resolve_seed(args, config: dict) -> int:
@@ -134,7 +132,7 @@ def _cmd_sample(args) -> int:
     process = pick(args.process, "process")
     if process is None:
         raise DomainError("sample needs --process (or a config with 'process')")
-    params = dict(config.get("params", {}))
+    params = dict(as_object("params", config.get("params", {})))
     # the extended process's concentration is the theta of the Dirichlet process it extends
     theta_key = "concentration" if process == "extended_dp" else "theta"
     for key, value in (("alpha", args.alpha), (theta_key, args.theta), ("r", args.r), ("sticks", args.sticks)):

@@ -44,3 +44,34 @@ def as_number(name: str, value, kind=float):
     except (TypeError, ValueError, OverflowError) as exc:
         expected = "an integer" if kind is int else "a real number"
         raise DomainError(f"{name} must be {expected}, got {value!r}") from exc
+
+
+def as_object(payload: str, data, fields=None) -> dict:
+    """``data``, checked to be a JSON object, with no key outside ``fields`` where they are given; else a
+    DomainError naming the payload.  A string or a list is named by its type, any other value by its repr."""
+    if not isinstance(data, dict):
+        got = type(data).__name__ if isinstance(data, (str, list)) else repr(data)
+        raise DomainError(f"{payload} must be an object, got {got}")
+    extra = fields is not None and set(data) - set(fields)
+    if extra:
+        raise DomainError(f"unknown {payload} fields: {sorted(extra)}")
+    return data
+
+
+def as_list(value, read=None) -> list:
+    """``value``, checked to be a JSON list, each item passed through ``read`` where one is given."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value if read is None else [read(item) for item in value]
+
+
+def read_field(payload: str, data, key: str, read, *default):
+    """``read(data[key])``, or ``read`` of the default where ``key`` is absent and one is given.  A
+    payload that is not an object, a missing field or a value ``read`` rejects raises a DomainError
+    naming the payload and the field."""
+    if key not in as_object(payload, data) and not default:
+        raise DomainError(f"{payload} lacks field {key!r}")
+    try:
+        return read(data.get(key, *default))
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{payload} field {key!r} does not read: {exc}") from exc

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._rng import STREAM_ATOMS, replication_seed, seed_tuple, spawn_generator
-from .errors import CapabilityError, DegenerateTruncationError, DomainError, as_number
+from .errors import CapabilityError, DegenerateTruncationError, DomainError, as_list, as_number, as_object, read_field
 from .levy_tails import LevyTail
 from .point_processes import TruncationPolicy
 from .random_measures import (
@@ -121,16 +120,14 @@ class ExperimentSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
         """Read a spec dict; keys it does not read are ignored, so older spec files still load."""
-        missing = [key for key in ("process", "replications") if key not in data]
-        if missing:
-            raise DomainError(f"experiment spec lacks field {missing[0]!r}")
-        trunc = data.get("truncation")
+        name = "experiment spec"
         return cls(
-            process=data["process"],
-            params=dict(data.get("params", {})),
-            replications=data["replications"],
-            truncation=TruncationPolicy.from_dict(trunc) if trunc else None,
-            master_seed=tuple(data.get("master_seed", [0])),
+            process=read_field(name, data, "process", str),
+            params=dict(read_field(name, data, "params", lambda v: as_object("params", v), {})),
+            replications=read_field(name, data, "replications", _number("replications", int)),
+            truncation=read_field(name, data, "truncation", lambda v: TruncationPolicy.from_dict(v) if v else None,
+                                  None),
+            master_seed=read_field(name, data, "master_seed", seed_tuple, 0),
         )
 
 
@@ -141,7 +138,6 @@ class ExperimentResult:
     mean_distance: float
     std_error: float
     replications: int
-    wall_time: float
     spec_echo: ExperimentSpec
     failures: list = field(default_factory=list)
 
@@ -149,8 +145,8 @@ class ExperimentResult:
     def flagged(self) -> bool:
         return bool(self.failures)
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "schema_version": SCHEMA_VERSION,
             "mean_distance": self.mean_distance,
             "std_error": self.std_error,
@@ -158,46 +154,22 @@ class ExperimentResult:
             "failures": list(self.failures),
             "spec": self.spec_echo.to_dict(),
         }
-        if include_timing:
-            out["wall_time"] = self.wall_time
-        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentResult":
         name = "experiment result"
         return cls(
-            mean_distance=_field(name, data, "mean_distance", float),
-            std_error=_field(name, data, "std_error", float),
-            replications=_field(name, data, "replications", _number("replications", int)),
-            wall_time=_field(name, data, "wall_time", float, 0.0),
-            spec_echo=_field(name, data, "spec", ExperimentSpec.from_dict),
-            failures=_field(name, data, "failures", _list, []),
+            mean_distance=read_field(name, data, "mean_distance", float),
+            std_error=read_field(name, data, "std_error", float),
+            replications=read_field(name, data, "replications", _number("replications", int)),
+            spec_echo=read_field(name, data, "spec", ExperimentSpec.from_dict),
+            failures=read_field(name, data, "failures", as_list, []),
         )
-
-
-def _field(payload: str, data: dict, key: str, read, *default):
-    """``read(data[key])``, or ``read`` of the default where ``key`` is absent and one is given.  A
-    payload that is not an object, a missing field or a value ``read`` rejects raises a DomainError
-    naming the payload and the field."""
-    if not isinstance(data, dict):
-        raise DomainError(f"{payload} must be an object, got {type(data).__name__}")
-    if key not in data and not default:
-        raise DomainError(f"{payload} lacks field {key!r}")
-    try:
-        return read(data.get(key, *default))
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{payload} field {key!r} does not read: {exc}") from exc
 
 
 def _number(key: str, kind=float):
     """A field reader through ``as_number``: a count with a fractional part is rejected, not truncated."""
     return lambda value: as_number(key, value, kind)
-
-
-def _list(value) -> list:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list, got {type(value).__name__}")
-    return value
 
 
 def _family(process: str, params: dict, truncation: TruncationPolicy | None):
@@ -220,7 +192,8 @@ def _family(process: str, params: dict, truncation: TruncationPolicy | None):
         if process == "stable":
             return SeriesProcess.stable(params["alpha"], truncation)
         if process == "pkp":
-            tail = LevyTail.from_dict(params["tail"]) if isinstance(params.get("tail"), dict) else params["tail"]
+            tail = params["tail"]
+            tail = tail if isinstance(tail, LevyTail) else LevyTail.from_dict(tail)
             return SeriesProcess.pkp(params["r"], tail, truncation, params.get("randomized"))
         if process == "pdp_series":
             if params.get("r") is not None:
@@ -288,18 +261,20 @@ def _replicate(family, seeds: list, reduce=None):
                 yield result
 
 
-def _ks_values(spec: ExperimentSpec, base: BaseMeasure) -> tuple[np.ndarray, list[str]]:
+def _ks_values(spec: ExperimentSpec, base: BaseMeasure, family=None) -> tuple[np.ndarray, list[str]]:
     """Each replication's Kolmogorov distance (NaN where it failed) and the failure messages, in index order.
 
-    A block's rows are reduced at once, each on atoms drawn from its own
-    seed's atom stream.  A shorter row of the block is padded with zero
-    weights on copies of its first atom, which leaves its distance exact.
-    A spec that cannot be drawn records its error on every replication.
+    ``family`` is the spec's sampler record, built here where it is not
+    given.  A block's rows are reduced at once, each on atoms drawn from
+    its own seed's atom stream.  A shorter row of the block is padded with
+    zero weights on copies of its first atom, which leaves its distance
+    exact.  A spec that cannot be drawn records its error on every
+    replication.
     """
     seeds = [replication_seed(spec.master_seed, i) for i in range(spec.replications)]
     values = np.full(spec.replications, np.nan)
     try:
-        family = _family(spec.process, spec.params, spec.truncation)
+        family = family or _family(spec.process, spec.params, spec.truncation)
     except Exception as exc:  # noqa: BLE001 - recorded for every replication
         return values, [f"replication {i}: {exc}" for i in range(spec.replications)]
 
@@ -331,10 +306,12 @@ def run_ks_experiment(
     the index-ordered distance array.  Failed replications are recorded and
     excluded from the mean; any failure flags the result.
     """
-    if base is None:
-        base = uniform_base()
-    t0 = time.perf_counter()
-    values, failures = _ks_values(spec, base)
+    return _ks_result(spec, base)
+
+
+def _ks_result(spec: ExperimentSpec, base: BaseMeasure | None, family=None) -> ExperimentResult:
+    """``run_ks_experiment`` on the spec's sampler record ``family``, built here where it is not given."""
+    values, failures = _ks_values(spec, uniform_base() if base is None else base, family)
     ok = values[np.isfinite(values)]
     mean = float(np.mean(ok)) if ok.size else float("nan")
     std_error = float(np.std(ok, ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else 0.0
@@ -342,7 +319,6 @@ def run_ks_experiment(
         mean_distance=mean,
         std_error=std_error,
         replications=spec.replications,
-        wall_time=time.perf_counter() - t0,
         spec_echo=spec,
         failures=failures,
     )
@@ -364,15 +340,14 @@ def run_ks_table(
     keeps fewer than 2 points (n - r < 2), raises a DomainError naming it.
     """
     truncation, replications = TruncationPolicy.fixed(n), as_number("replications", replications, int)
-    specs = []
+    runs = []
     for k, row in enumerate(rows):
         spec = ExperimentSpec("pdp_series", _grid_row(row), replications, truncation, seed_tuple(master_seed) + (k,))
         try:
-            _family(spec.process, spec.params, truncation)
+            runs.append((spec, _family(spec.process, spec.params, truncation)))
         except DegenerateTruncationError as exc:
             raise DomainError(f"grid row {row!r}: {exc}; need at least 2") from exc
-        specs.append(spec)
-    return [run_ks_experiment(spec, base) for spec in specs]
+    return [_ks_result(spec, base, family) for spec, family in runs]
 
 
 def load_ks_grid(data: dict) -> tuple[list[dict], int, int]:
@@ -380,24 +355,21 @@ def load_ks_grid(data: dict) -> tuple[list[dict], int, int]:
 
     Each row comes back as ``_grid_row`` reads it; there must be at least one row.
     """
-    try:
-        rows, n, replications = list(data["rows"]), data["n"], data["replications"]
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"grid config needs 'rows', 'n', 'replications': {exc}") from exc
+    name = "grid config"
+    rows = read_field(name, data, "rows", as_list)
     if not rows:
         raise DomainError("grid config needs at least one row")
-    return [_grid_row(row) for row in rows], as_number("n", n, int), as_number("replications", replications, int)
+    n, replications = (read_field(name, data, key, _number(key, int)) for key in ("n", "replications"))
+    return [_grid_row(row) for row in rows], n, replications
 
 
 def _grid_row(row) -> dict:
     """A grid row as numbers: alpha in (0, 1), finite theta > 0 (what ``PdpParams`` accepts) and integer
     r >= 0.  Anything else raises a DomainError naming the row."""
-    if not (isinstance(row, dict) and {"alpha", "theta", "r"} <= set(row)):
-        raise DomainError(f"grid row {row!r} needs alpha, theta, r")
     try:
-        r, alpha, theta = (as_number(key, row[key]) for key in ("r", "alpha", "theta"))
+        r, alpha, theta = (read_field("row", row, key, _number(key)) for key in ("r", "alpha", "theta"))
     except DomainError as exc:
-        raise DomainError(f"grid row {row!r}: {exc}") from exc
+        raise DomainError(f"grid row {row!r} needs alpha, theta, r: {exc}") from exc
     if not (r >= 0 and r.is_integer()):
         raise DomainError(f"grid row {row!r}: r must be a nonnegative integer")
     if not (0.0 < alpha < 1.0 and math.isfinite(theta) and theta > 0.0):
@@ -410,17 +382,10 @@ def parse_ks_table_result(data: dict) -> list[dict]:
     A NaN distance reads, since a row whose replications all fail prints NaN."""
     fields = {"alpha": _number("alpha"), "theta": _number("theta"), "r": _number("r", int),
               "mean_distance": _number("mean_distance"), "std_error": _number("std_error"),
-              "replications": _number("replications", int), "failures": _list}
-    try:
-        rows = list(data["rows"])
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"grid result needs a 'rows' list: {exc}") from exc
-    checked = []
-    for row in rows:
-        if not isinstance(row, dict):
-            raise DomainError(f"grid result row must be an object, got {row!r}")
-        checked.append({**row, **{key: _field("grid result row", row, key, read) for key, read in fields.items()}})
-    return checked
+              "replications": _number("replications", int), "failures": as_list}
+    name = "grid result row"
+    return [{**as_object(name, row), **{key: read_field(name, row, key, read) for key, read in fields.items()}}
+            for row in read_field("grid result", data, "rows", as_list)]
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +416,11 @@ class WeightProfile:
     def from_dict(cls, data: dict) -> "WeightProfile":
         name = "weight profile"
         return cls(
-            r_grid=_field(name, data, "r_grid", lambda v: [as_number("r", r, int) for r in v]),
-            top_k=_field(name, data, "top_k", _number("top_k", int)),
-            replications=_field(name, data, "replications", _number("replications", int)),
-            tail=_field(name, data, "tail", dict),
-            mean_weights=_field(name, data, "mean_weights", lambda v: np.asarray(v, dtype=float)),
+            r_grid=read_field(name, data, "r_grid", lambda v: as_list(v, _number("r", int))),
+            top_k=read_field(name, data, "top_k", _number("top_k", int)),
+            replications=read_field(name, data, "replications", _number("replications", int)),
+            tail=read_field(name, data, "tail", lambda v: as_object("tail", v)),
+            mean_weights=read_field(name, data, "mean_weights", lambda v: np.asarray(as_list(v), dtype=float)),
         )
 
 
@@ -534,13 +499,13 @@ class GrowthDiagnostic:
     def from_dict(cls, data: dict) -> "GrowthDiagnostic":
         name = "growth diagnostic"
         return cls(
-            n_grid=_field(name, data, "n_grid", lambda v: [as_number("n", n, int) for n in v]),
-            kn_means=_field(name, data, "kn_means", lambda v: [float(k) for k in v]),
-            normalizer=_field(name, data, "normalizer", str),
-            ratios=_field(name, data, "ratios", lambda v: [float(k) for k in v]),
-            replications=_field(name, data, "replications", _number("replications", int)),
-            process=_field(name, data, "process", str),
-            params=_field(name, data, "params", dict, {}),
+            n_grid=read_field(name, data, "n_grid", lambda v: as_list(v, _number("n", int))),
+            kn_means=read_field(name, data, "kn_means", lambda v: as_list(v, float)),
+            normalizer=read_field(name, data, "normalizer", str),
+            ratios=read_field(name, data, "ratios", lambda v: as_list(v, float)),
+            replications=read_field(name, data, "replications", _number("replications", int)),
+            process=read_field(name, data, "process", str),
+            params=read_field(name, data, "params", lambda v: as_object("params", v), {}),
         )
 
 

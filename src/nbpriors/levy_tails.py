@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sp
 
-from .errors import DomainError, NumericError, as_number
+from .errors import DomainError, NumericError, as_number, as_object, read_field
 from .special_functions import EULER_GAMMA, _as_array, log_upper_gamma, log_upper_gamma_inverse
 
 KINDS = ("stable", "gamma", "generalized_gamma")
@@ -86,19 +86,19 @@ class LevyTail:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LevyTail":
-        if "kind" not in data:
-            raise DomainError("tail description needs a 'kind' field")
-        extra = set(data) - {"kind", "alpha", "theta"}
-        if extra:
-            raise DomainError(f"unknown tail fields: {sorted(extra)}")
-        return cls(kind=data["kind"], alpha=data.get("alpha"), theta=data.get("theta"))
+        kind = read_field("tail", as_object("tail", data, ("kind", "alpha", "theta")), "kind", str)
+        return cls(kind=kind, alpha=data.get("alpha"), theta=data.get("theta"))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "LevyTail":
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"tail JSON does not parse: {exc}") from exc
+        return cls.from_dict(data)
 
 
 def _as_positive_array(name: str, values) -> np.ndarray:

@@ -43,12 +43,20 @@ from .errors import (
     NumericError,
     ResourceLimitError,
     as_number,
+    as_object,
 )
 from .levy_tails import LevyTail, log_tail_inverse
 
 MAX_ARRIVALS = 100_000_000  # ~800 MB of float64, hard memory bound
 
 _CHUNK = 1024  # points per seed per epsilon-rule round; fixed for determinism
+
+
+def check_count(count: int) -> int:
+    """``count``, the arrivals or draws one request holds; above ``MAX_ARRIVALS`` a ResourceLimitError."""
+    if count > MAX_ARRIVALS:
+        raise ResourceLimitError(f"count {count} exceeds the hard bound {MAX_ARRIVALS}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -109,9 +117,7 @@ class TruncationPolicy:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TruncationPolicy":
-        extra = set(data) - {"mode", "n", "epsilon", "hard_cap"}
-        if extra:
-            raise DomainError(f"unknown truncation fields: {sorted(extra)}")
+        as_object("truncation", data, ("mode", "n", "epsilon", "hard_cap"))
         return cls(
             mode=data.get("mode", "fixed_count"),
             n=data.get("n"),
@@ -165,9 +171,7 @@ def gamma_arrivals(seed, count: int) -> ArrivalStream:
     count = as_number("count", count, int)
     if count < 1:
         raise DomainError(f"count must be at least 1, got {count}")
-    if count > MAX_ARRIVALS:
-        raise ResourceLimitError(f"count {count} exceeds the hard bound {MAX_ARRIVALS}")
-    return ArrivalStream(arrivals=_Arrivals(seed).next(count), seed=seed_tuple(seed))
+    return ArrivalStream(arrivals=_Arrivals(seed).next(check_count(count)), seed=seed_tuple(seed))
 
 
 def sample_prm_points(tail: LevyTail, stream: ArrivalStream) -> np.ndarray:
@@ -189,7 +193,8 @@ class NbpConfig:
 
     The path fixes a draw's row shape: ``first_index`` and, under fixed_count, the retained count
     ``width``.  A truncation that keeps fewer than 2 points (a fixed count, or an epsilon-rule hard cap)
-    raises a DegenerateTruncationError here, and a fixed count above the hard cap a ResourceLimitError."""
+    raises a DegenerateTruncationError here, and a fixed count above the hard cap, or a draw holding more
+    than ``MAX_ARRIVALS`` arrivals, a ResourceLimitError."""
 
     r: float
     tail: LevyTail
@@ -220,6 +225,7 @@ class NbpConfig:
             raise DegenerateTruncationError(f"fixed_count n={trunc.n} retains {max(width, 0)} points past index {past}")
         if width is not None and width > trunc.hard_cap:
             raise ResourceLimitError(f"fixed_count would retain {width} points, above hard_cap={trunc.hard_cap}")
+        check_count(self.first_index - 1 + (trunc.hard_cap if width is None else width))  # the arrivals a draw holds
 
     @property
     def first_index(self) -> int:

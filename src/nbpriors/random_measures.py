@@ -49,18 +49,13 @@ from ._rng import (
     seed_tuple,
     spawn_generator,
 )
-from .errors import (
-    DegenerateTruncationError,
-    DomainError,
-    ResourceLimitError,
-    as_number,
-)
+from .errors import DegenerateTruncationError, DomainError, as_list, as_number, as_object, read_field
 from .levy_tails import LevyTail
 from .point_processes import (
-    MAX_ARRIVALS,
     NbpConfig,
     TruncationPolicy,
     _Row,
+    check_count,
     sample_log_points,
 )
 from .special_functions import gamma_quantile_upper_many
@@ -152,17 +147,12 @@ class DiscreteMeasure:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DiscreteMeasure":
-        if not isinstance(data, dict):
-            raise DomainError(f"measure JSON must be an object, got {type(data).__name__}")
-        arrays = {}
-        for key in ("atoms", "weights"):
-            if key not in data:
-                raise DomainError(f"measure JSON lacks field {key!r}")
-            try:
-                arrays[key] = np.asarray(data[key], dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise DomainError(f"measure JSON field {key!r} must hold numbers: {exc}") from exc
-        return cls(provenance=data.get("provenance", {}), **arrays)
+        def numbers(value):
+            return np.asarray(as_list(value), dtype=float)
+
+        name = "measure JSON"
+        return cls(atoms=read_field(name, data, "atoms", numbers), weights=read_field(name, data, "weights", numbers),
+                   provenance=read_field(name, data, "provenance", lambda v: as_object("provenance", v), {}))
 
     def to_json(self, **dumps_kwargs) -> str:
         kwargs = {"sort_keys": True}
@@ -410,8 +400,7 @@ class ExtendedDpParams:
         n = as_number("n", self.n, int)
         if n <= r + 1:
             raise DomainError(f"need n > r + 1, got n={self.n}, r={self.r}")
-        if n + 1 > MAX_ARRIVALS:  # a draw holds the arrivals Γ_1 .. Γ_{n+1}
-            raise ResourceLimitError(f"count {n + 1} exceeds the hard bound {MAX_ARRIVALS}")
+        check_count(n + 1)  # a draw holds the arrivals Γ_1 .. Γ_{n+1}
         for name, value in zip(("concentration", "r", "n"), (concentration, int(r), n)):
             object.__setattr__(self, name, value)
 
@@ -479,8 +468,7 @@ class StickBreaking:
             raise DomainError(f"theta must exceed -alpha, got {theta}")
         if sticks < 1:
             raise DomainError(f"sticks must be at least 1, got {sticks}")
-        if sticks + 1 > MAX_ARRIVALS:  # a row holds the sticks and the residual mass
-            raise ResourceLimitError(f"count {sticks + 1} exceeds the hard bound {MAX_ARRIVALS}")
+        check_count(sticks + 1)  # a row holds the sticks and the residual mass
         for name, value in zip(("alpha", "theta", "sticks", "ranked"), (alpha, theta, sticks, bool(self.ranked))):
             object.__setattr__(self, name, value)
 
@@ -540,11 +528,9 @@ def sample_pdp_stick_breaking(
 def _categorical(weights: np.ndarray, k: int, seed) -> np.ndarray:
     """Indices of k <= MAX_ARRIVALS i.i.d. draws by normalized ``weights`` on the seed's draw stream; the
     cumulative weights are 1.0 from the last nonzero weight on, so a zero weight is never drawn."""
-    k = as_number("k", k, int)
+    k = check_count(as_number("k", k, int))
     if k < 1:
         raise DomainError(f"k must be at least 1, got {k}")
-    if k > MAX_ARRIVALS:
-        raise ResourceLimitError(f"count {k} exceeds the hard bound {MAX_ARRIVALS}")
     rng = spawn_generator(seed, STREAM_DRAWS)
     cum = np.cumsum(weights)
     cum[np.flatnonzero(weights)[-1]:] = 1.0

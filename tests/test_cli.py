@@ -209,6 +209,16 @@ class TestSample:
         assert res.stderr.startswith("error:") and message in res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("config, message", [
+        ({"truncation": ["n"]}, "truncation must be an object, got list"),
+        ({"params": [1, 2]}, "params must be an object, got list"),
+    ], ids=["truncation", "params"])
+    def test_config_field_that_is_not_an_object_is_a_domain_error(self, config, message, tmp_path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"process": "dirichlet", "params": {"theta": 3}, "seed": 1, **config}))
+        res = run_cli("sample", "--config", str(cfg), "--n", "50")
+        assert (res.returncode, res.stderr, res.stdout) == (1, f"error: {message}\n", "")
+
     def test_unreadable_config(self):
         res = run_cli("sample", "--config", "/nonexistent/cfg.json", "--process", "dirichlet")
         assert res.returncode == 1
@@ -394,6 +404,12 @@ class TestWeightsAndClusters:
         assert res.returncode == 1, res.stdout
         assert res.stderr == "error: count 2000000000 exceeds the hard bound 100000000\n"
         assert res.stdout == ""
+
+    def test_order_past_the_arrival_bound_is_a_resource_limit(self):
+        # each draw would hold the 200,000,000 arrivals before its 400 points
+        res = run_cli("weights", "--r-grid", "200000000", "--reps", "1")
+        message = "error: count 200000400 exceeds the hard bound 100000000\n"
+        assert (res.returncode, res.stderr, res.stdout) == (1, message, "")
 
     def test_dirichlet_clusters_reject_n_of_1(self):
         res = run_cli("clusters", "--n-grid", "1", "--reps", "2", "--seed", "1")

@@ -211,7 +211,6 @@ class TestRunKsExperiment:
         assert res.mean_distance == pytest.approx(manual.mean(), abs=0)
         assert res.std_error == pytest.approx(manual.std(ddof=1) / math.sqrt(10), abs=0)
         assert not res.flagged
-        assert res.wall_time >= 0.0
 
     def test_failures_recorded_and_flagged(self):
         # r = 1 at small n fails for a sizable share of replications
@@ -238,8 +237,11 @@ class TestRunKsExperiment:
         again = ExperimentResult.from_dict(res.to_dict())
         assert again.mean_distance == res.mean_distance
         assert again.spec_echo.to_dict() == res.spec_echo.to_dict()
-        assert "wall_time" not in res.to_dict()
-        assert "wall_time" in res.to_dict(include_timing=True)
+
+    def test_result_with_a_wall_time_still_loads(self):
+        # results written while a timing field existed carry "wall_time"; readers skip keys they do not read
+        payload = run_ks_experiment(self.make_spec(reps=4)).to_dict()
+        assert ExperimentResult.from_dict({**payload, "wall_time": 1.5}).to_dict() == payload
 
 
 class TestSamplerLaw:
@@ -357,6 +359,97 @@ class TestPayloadReaders:
         assert math.isnan(row["mean_distance"]) and row["failures"] == ["replication 0: boom"]
         with pytest.raises(DomainError, match="^grid result row lacks field 'failures'$"):
             parse_ks_table_result({"rows": [{k: v for k, v in self.KS_ROW.items() if k != "failures"}]})
+
+
+class TestJsonReaders:
+    """Every JSON-object reader checks its payload through one shared field reader."""
+
+    SPEC = {"process": "dirichlet", "params": {"theta": 3.0}, "replications": 5}
+    MEASURE = {"atoms": [0.25, 0.75], "weights": [0.5, 0.5]}
+
+    @staticmethod
+    def readers(tmp_path):
+        def spec_file(value):
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(value))
+            return load_experiment_spec(path)
+
+        return {
+            "spec": ExperimentSpec.from_dict,
+            "spec_file": spec_file,
+            "result": ExperimentResult.from_dict,
+            "truncation": TruncationPolicy.from_dict,
+            "tail": LevyTail.from_dict,
+            "tail_json": lambda value: LevyTail.from_json(json.dumps(value)),
+            "measure": DiscreteMeasure.from_json_dict,
+            "measure_json": lambda value: DiscreteMeasure.from_json(json.dumps(value)),
+            "grid": load_ks_grid,
+            "grid_result": parse_ks_table_result,
+            "profile": WeightProfile.from_dict,
+            "growth": GrowthDiagnostic.from_dict,
+        }
+
+    # each payload with a string where a list belongs; a truncation and a tail hold no list
+    STRING_FOR_LIST = {
+        "spec": {**SPEC, "master_seed": "12"},
+        "spec_file": {**SPEC, "master_seed": "12"},
+        "result": {**TestPayloadReaders.RESULT, "failures": "12"},
+        "measure": {**MEASURE, "atoms": "12"},
+        "measure_json": {**MEASURE, "weights": "12"},
+        "grid": {"rows": "12", "n": 80, "replications": 6},
+        "grid_result": {"rows": "12"},
+        "profile": {**TestPayloadReaders.PROFILE, "r_grid": "12"},
+        "growth": {**TestPayloadReaders.GROWTH, "n_grid": "12"},
+    }
+
+    @pytest.mark.parametrize("reader", ["spec", "spec_file", "result", "truncation", "tail", "tail_json", "measure",
+                                        "measure_json", "grid", "grid_result", "profile", "growth"])
+    @pytest.mark.parametrize("value", [[1, 2], "x", 5, None], ids=["list", "string", "integer", "null"])
+    def test_a_value_that_is_not_an_object_is_a_domain_error(self, reader, value, tmp_path):
+        with pytest.raises(DomainError):
+            self.readers(tmp_path)[reader](value)
+
+    @pytest.mark.parametrize("reader", sorted(STRING_FOR_LIST))
+    def test_a_string_where_a_list_belongs_is_a_domain_error(self, reader, tmp_path):
+        with pytest.raises(DomainError, match="field '(master_seed|failures|atoms|weights|rows|r_grid|n_grid)' "
+                                              "does not read"):
+            self.readers(tmp_path)[reader](self.STRING_FOR_LIST[reader])
+
+    @pytest.mark.parametrize("read, data, message", [
+        (ExperimentSpec.from_dict, ["process"], "experiment spec must be an object, got list"),
+        (ExperimentSpec.from_dict, {**SPEC, "params": [1, 2]},
+         "experiment spec field 'params' does not read: params must be an object, got list"),
+        (ExperimentSpec.from_dict, {**SPEC, "master_seed": "12"},
+         "experiment spec field 'master_seed' does not read: seed must be an integer or tuple of integers: '12'"),
+        (ExperimentSpec.from_dict, {**SPEC, "truncation": ["n"]},
+         "experiment spec field 'truncation' does not read: truncation must be an object, got list"),
+        (TruncationPolicy.from_dict, ["n"], "truncation must be an object, got list"),
+        (TruncationPolicy.from_dict, {"n": 5, "width": 4}, r"unknown truncation fields: \['width'\]"),
+        (LevyTail.from_dict, ["kind"], "tail must be an object, got list"),
+        (LevyTail.from_dict, {"alpha": 0.5}, "tail lacks field 'kind'"),
+        (LevyTail.from_json, "x", "tail JSON does not parse: "),
+        (DiscreteMeasure.from_json_dict, {**MEASURE, "provenance": [1]},
+         "measure JSON field 'provenance' does not read: provenance must be an object, got list"),
+        (WeightProfile.from_dict, {**TestPayloadReaders.PROFILE, "r_grid": "12"},
+         "weight profile field 'r_grid' does not read: expected a list, got str"),
+        (GrowthDiagnostic.from_dict, {**TestPayloadReaders.GROWTH, "n_grid": "12"},
+         "growth diagnostic field 'n_grid' does not read: expected a list, got str"),
+        (GrowthDiagnostic.from_dict, {**TestPayloadReaders.GROWTH, "kn_means": "12"},
+         "growth diagnostic field 'kn_means' does not read: expected a list, got str"),
+        (load_ks_grid, {"n": 80, "replications": 6}, "grid config lacks field 'rows'"),
+        (parse_ks_table_result, {}, "grid result lacks field 'rows'"),
+    ], ids=["spec_list", "spec_params_list", "spec_seed_string", "spec_truncation_list", "truncation_list",
+            "truncation_unknown_field", "tail_list", "tail_without_kind", "tail_json_unparsed",
+            "measure_provenance_list", "profile_r_grid_string", "growth_n_grid_string", "growth_kn_means_string",
+            "grid_without_rows", "grid_result_without_rows"])
+    def test_malformed_payload_names_the_payload_and_field(self, read, data, message):
+        with pytest.raises(DomainError, match=f"^{message}"):
+            read(data)
+
+    def test_integer_master_seed_reads_as_the_constructor_takes_it(self):
+        spec = ExperimentSpec.from_dict({**self.SPEC, "master_seed": 7})
+        assert spec.to_dict() == ExperimentSpec("dirichlet", {"theta": 3.0}, 5, None, 7).to_dict()
+        assert spec.to_dict()["master_seed"] == [7]
 
 
 class TestReplicationEngine:
@@ -608,6 +701,18 @@ class TestKsTable:
         assert len(a) == 2
         assert [r.mean_distance for r in a] == [r.mean_distance for r in b]
         assert all(0.0 < r.mean_distance < 1.0 for r in a)
+
+    def test_each_row_record_is_built_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return family(*args)
+
+        family = experiments._family
+        monkeypatch.setattr(experiments, "_family", counting)
+        run_ks_table(self.ROWS, n=40, replications=2, master_seed=5)
+        assert len(calls) == len(self.ROWS)
 
     def test_grid_loader(self):
         rows, n, reps = load_ks_grid({"rows": self.ROWS, "n": 400, "replications": 500})

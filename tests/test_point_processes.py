@@ -143,6 +143,15 @@ class TestNbpPoints:
             assert series.points[0] < tail_support_bound(tail)
             assert np.all(np.diff(series.log_points) < 0)
 
+    def test_a_draw_holding_more_than_the_arrival_bound_is_a_resource_limit(self):
+        tail = LevyTail.gamma(3.0)
+        NbpConfig(0, tail, TruncationPolicy.fixed(MAX_ARRIVALS, hard_cap=MAX_ARRIVALS))
+        with pytest.raises(ResourceLimitError, match=f"^count {MAX_ARRIVALS + 1} exceeds the hard bound"):
+            NbpConfig(0, tail, TruncationPolicy.fixed(MAX_ARRIVALS + 1, hard_cap=MAX_ARRIVALS + 1))
+        # under the epsilon rule a draw can hold the r arrivals before its first point and hard_cap points
+        with pytest.raises(ResourceLimitError, match=f"^count {MAX_ARRIVALS + 1} exceeds the hard bound"):
+            NbpConfig(1, tail, TruncationPolicy.epsilon_rule(1e-6, hard_cap=MAX_ARRIVALS))
+
     def test_negative_r_rejected(self):
         with pytest.raises(DomainError):
             NbpConfig(r=-1.0, tail=LevyTail.gamma(1.0), truncation=TruncationPolicy.fixed(10))

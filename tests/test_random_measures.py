@@ -87,8 +87,8 @@ class TestDiscreteMeasure:
 
     @pytest.mark.parametrize("text, message", [
         ("[1,2]", "measure JSON must be an object, got list"),
-        ('{"atoms": [0.5, 0.25], "weights": ["a", 0.5]}', "measure JSON field 'weights' must hold numbers"),
-        ('{"atoms": {"x": 1}, "weights": [1.0]}', "measure JSON field 'atoms' must hold numbers"),
+        ('{"atoms": [0.5, 0.25], "weights": ["a", 0.5]}', "measure JSON field 'weights' does not read"),
+        ('{"atoms": {"x": 1}, "weights": [1.0]}', "measure JSON field 'atoms' does not read"),
         ('{"atoms": [0.5]}', "measure JSON lacks field 'weights'"),
         ('{"atoms": [0.5]', "measure JSON does not parse"),
     ], ids=["list", "non_numeric_weights", "object_atoms", "missing_weights", "truncated"])
@@ -210,7 +210,10 @@ class TestTypedErrors:
         (5.0, TruncationPolicy.fixed(6), DegenerateTruncationError, "fixed_count n=6 retains 1 points past index 5"),
         (0.0, TruncationPolicy(mode="fixed_count", n=100, hard_cap=50), ResourceLimitError,
          "fixed_count would retain 100 points, above hard_cap=50"),
-    ], ids=["one_point_retained", "above_hard_cap"])
+        # 400 points retained, but a draw holds the 200,000,000 arrivals before them too
+        (200_000_000, TruncationPolicy.fixed(200_000_400), ResourceLimitError,
+         f"count 200000400 exceeds the hard bound {MAX_ARRIVALS}"),
+    ], ids=["one_point_retained", "above_hard_cap", "above_the_arrival_bound"])
     def test_row_shape_is_checked_when_the_record_is_built(self, r, truncation, error, message):
         with pytest.raises(error) as info:
             random_measures.SeriesProcess.pkp(r, LevyTail.gamma(3.0), truncation)
