@@ -106,6 +106,8 @@ class ExperimentSpec:
         self.replications = as_number("replications", self.replications, int)
         if self.replications < 1:
             raise DomainError("replications must be at least 1")
+        as_object("params", self.params)
+        seed_tuple(self.master_seed)
 
     def to_dict(self) -> dict:
         return {
@@ -125,8 +127,8 @@ class ExperimentSpec:
             process=read_field(name, data, "process", str),
             params=dict(read_field(name, data, "params", lambda v: as_object("params", v), {})),
             replications=read_field(name, data, "replications", _number("replications", int)),
-            truncation=read_field(name, data, "truncation", lambda v: TruncationPolicy.from_dict(v) if v else None,
-                                  None),
+            truncation=read_field(name, data, "truncation",
+                                  lambda v: TruncationPolicy.from_dict(v) if v is not None else None, None),
             master_seed=read_field(name, data, "master_seed", seed_tuple, 0),
         )
 

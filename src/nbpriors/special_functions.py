@@ -239,24 +239,26 @@ def log_upper_gamma_inverse(a: float, log_c: float, log_y, t0) -> np.ndarray:
     active = t >= _SEED_FINAL_MAX
     lo = np.full_like(t, -np.inf)
     hi = np.full_like(t, np.inf)
-    for _ in range(MAX_ITER):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        ti = t[idx]
-        lt = log_c + log_upper_gamma(a, np.exp(ti))
-        h = lt - log_y[idx]
-        above = h > 0  # the root lies to the right; NaN (x overflowed) counts as overshoot
-        lo[idx] = np.where(above, ti, lo[idx])
-        hi[idx] = np.where(above, hi[idx], ti)
-        l, u = lo[idx], hi[idx]
-        newton = ti + h / np.exp(log_c + a * ti - np.exp(ti) - lt)
-        open_step = np.where(above, math.log(4.0), -math.log(4.0))
-        fallback = np.where(np.isfinite(l) & np.isfinite(u), 0.5 * (l + u), ti + open_step)
-        done = (np.abs(h) <= REL_TOL) | (u - l <= REL_TOL)
-        inside = np.isfinite(newton) & (newton > l) & (newton < u)
-        t[idx] = np.where(done, ti, np.where(inside, newton, fallback))
-        active[idx[done]] = False
+    # a step that is not finite falls back below, and |h| alone decides convergence: numpy's warnings add nothing
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(MAX_ITER):
+            idx = np.flatnonzero(active)
+            if idx.size == 0:
+                break
+            ti = t[idx]
+            lt = log_c + log_upper_gamma(a, np.exp(ti))
+            h = lt - log_y[idx]
+            above = h > 0  # the root lies to the right; NaN (x overflowed) counts as overshoot
+            lo[idx] = np.where(above, ti, lo[idx])
+            hi[idx] = np.where(above, hi[idx], ti)
+            l, u = lo[idx], hi[idx]
+            newton = ti + h / np.exp(log_c + a * ti - np.exp(ti) - lt)
+            open_step = np.where(above, math.log(4.0), -math.log(4.0))
+            fallback = np.where(np.isfinite(l) & np.isfinite(u), 0.5 * (l + u), ti + open_step)
+            done = (np.abs(h) <= REL_TOL) | (u - l <= REL_TOL)
+            inside = np.isfinite(newton) & (newton > l) & (newton < u)
+            t[idx] = np.where(done, ti, np.where(inside, newton, fallback))
+            active[idx[done]] = False
     if active.any():
         raise NumericError(
             f"inverse of Gamma({a}, x) left {int(active.sum())} of {t.size} points unconverged", best_estimate=t

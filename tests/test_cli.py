@@ -1,5 +1,6 @@
 """CLI tests: flag handling, output formats, determinism, round-trips."""
 
+import ast
 import json
 import math
 import os
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import nbpriors
-from nbpriors import DiscreteMeasure, DomainError
+from nbpriors import DiscreteMeasure, DomainError, ExperimentSpec
+from nbpriors.cli import main
 
 # Directory holding the nbpriors package these tests import (``src`` in a checkout).
 PACKAGE_ROOT = str(Path(nbpriors.__file__).resolve().parents[1])
@@ -218,6 +220,32 @@ class TestSample:
         cfg.write_text(json.dumps({"process": "dirichlet", "params": {"theta": 3}, "seed": 1, **config}))
         res = run_cli("sample", "--config", str(cfg), "--n", "50")
         assert (res.returncode, res.stderr, res.stdout) == (1, f"error: {message}\n", "")
+
+    @pytest.mark.parametrize("truncation, message", [
+        ([], "truncation must be an object, got list"),
+        (0, "truncation must be an object, got 0"),
+        ("", "truncation must be an object, got str"),
+        (False, "truncation must be an object, got False"),
+        ({}, "fixed_count needs a positive index bound n, got None"),
+    ], ids=["list", "zero", "string", "false", "object"])
+    def test_falsy_truncation_is_read_not_dropped(self, truncation, message, tmp_path, capsys):
+        # only null or an absent key means no truncation, in a spec and in a sample config alike
+        spec = {"process": "dirichlet", "params": {"theta": 3}, "replications": 2, "truncation": truncation}
+        with pytest.raises(DomainError, match=f"^experiment spec field 'truncation' does not read: {message}$"):
+            ExperimentSpec.from_dict(spec)
+        cfg = tmp_path / "falsy.json"
+        cfg.write_text(json.dumps({"process": "dirichlet", "params": {"theta": 3}, "truncation": truncation}))
+        assert main(["sample", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_unconverged_draw_prints_one_line(self):
+        res = run_cli("sample", "--process", "pdp_series", "--alpha", "1e-200", "--theta", "1", "--n", "50",
+                      "--seed", "1")
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.splitlines() == [
+            "numeric failure: inverse of Gamma(-1e-200, x) left 37 of 50 points unconverged"
+        ]
+        assert res.stdout == ""
 
     def test_unreadable_config(self):
         res = run_cli("sample", "--config", "/nonexistent/cfg.json", "--process", "dirichlet")
@@ -477,3 +505,20 @@ class TestSelftest:
         lines = [ln for ln in res.stdout.splitlines() if ln.startswith(("PASS", "FAIL"))]
         assert len(lines) >= 10
         assert all(ln.startswith("PASS") for ln in lines)
+
+    def test_planted_failure_is_reported_under_optimize(self):
+        # -O strips assert statements, so a check built on them would pass here
+        code = ("import sys; from nbpriors import cli, special_functions as sf; real = sf.log_gamma; "
+                "sf.log_gamma = lambda a: real(a) + 0.1; sys.exit(cli.main(['selftest']))")
+        res = run_python("-O", "-c", code)
+        assert res.returncode == 3, res.stdout + res.stderr
+        failed = [ln for ln in res.stdout.splitlines() if ln.startswith("FAIL")]
+        expected = "FAIL special function reference values (ln Γ(1): 0.1, expected 0.0 within 1e-14)"
+        assert failed == [expected], res.stdout
+        assert res.stdout.splitlines()[-1] == "1 check(s) failed"
+
+    def test_package_holds_no_assert(self):
+        # python -O strips assert statements, so a check in the package has to raise
+        for path in sorted(Path(PACKAGE_ROOT, "nbpriors").glob("*.py")):
+            found = [node.lineno for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+            assert not found, f"{path.name} has assert statements on lines {found}"

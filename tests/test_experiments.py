@@ -129,6 +129,16 @@ class TestExperimentSpec:
         with pytest.raises(DomainError):
             ExperimentSpec("dirichlet", {"theta": 3.0}, 0, None, 0)
 
+    @pytest.mark.parametrize("params, master_seed, message", [
+        ([1, 2], 0, "params must be an object, got list"),
+        ({"theta": 3.0}, "x", "seed must be an integer or tuple of integers: 'x'"),
+    ], ids=["params_list", "seed_string"])
+    def test_constructor_reads_params_and_seed(self, params, master_seed, message):
+        # both used to pass here and fail only when the study ran, once per replication
+        with pytest.raises(DomainError) as info:
+            ExperimentSpec("dirichlet", params, 2, TruncationPolicy.fixed(50), master_seed)
+        assert str(info.value) == message
+
     def test_dict_roundtrip(self, tmp_path):
         spec = ExperimentSpec(
             "pdp_series",

@@ -16,6 +16,7 @@ from nbpriors import (
     ExtendedDpParams,
     LevyTail,
     NbpConfig,
+    NumericError,
     PdpParams,
     ResourceLimitError,
     TruncationPolicy,
@@ -363,6 +364,11 @@ class TestPdpSeries:
         a = sample_pdp_series(params, UB, TruncationPolicy.fixed(200), 15)
         b = sample_pdp_series(params, UB, TruncationPolicy.fixed(200), 15)
         assert np.array_equal(a.weights, b.weights)
+
+    def test_unconverged_inverse_at_extreme_alpha_is_a_numeric_error_and_no_warning(self):
+        # a numpy RuntimeWarning from the Newton steps would fail this test before the error is raised
+        with pytest.raises(NumericError, match=r"^inverse of Gamma\(-1e-200, x\) left \d+ of 50 points unconverged$"):
+            sample_pdp_series(PdpParams(1e-200, 1.0), UB, TruncationPolicy.fixed(50), 1)
 
 
 class TestStickBreaking:
