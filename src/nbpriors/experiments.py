@@ -13,13 +13,21 @@ with its replication.  Every study reduces a block's rows
 sum give every row's distance (``_ks_rows``), and K_n counts the
 categories drawn from each row.  Only ``build_measure`` assembles a
 measure, through the record's ``measure``.
+
+The five JSON records (``ExperimentSpec``, ``ExperimentResult``,
+``WeightProfile``, ``GrowthDiagnostic``, ``EquivalenceReport``) are
+``_Payload`` dataclasses: each field declares its reader, its default and
+its JSON key once (``_field``), and one ``to_dict`` and one ``from_dict``
+serve them all.  ``to_dict`` stamps ``schema_version`` and writes every
+field as plain JSON (``_plain``), so a ``LevyTail`` in ``params`` is
+written as its dict and a numpy scalar as a number.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -90,15 +98,65 @@ def _ks_rows(weights: np.ndarray, atoms: np.ndarray, base: BaseMeasure) -> np.nd
 # declarative experiments
 
 
+class _Payload:
+    """A dataclass record written as a JSON object: ``to_dict`` writes ``schema_version``, then each field in
+    field order through ``_plain``; ``from_dict`` reads each field through ``read_field`` with the reader, the
+    default and the JSON key its ``_field`` declares.  Keys it does not read are ignored, so older files still
+    load.  A subclass names its payload for reader messages: ``class Spec(_Payload, name="spec")``."""
+
+    def __init_subclass__(cls, name: str = "", **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._name = name
+
+    def to_dict(self) -> dict:
+        return {"schema_version": SCHEMA_VERSION,
+                **{f.metadata["key"] or f.name: _plain(getattr(self, f.name)) for f in fields(self)}}
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        return cls(**{f.name: read_field(cls._name, data, f.metadata["key"] or f.name, f.metadata["read"],
+                                         *f.metadata["default"]) for f in fields(cls)})
+
+
+def _field(read, *default, key: str | None = None, **options):
+    """A ``_Payload`` field read by ``read`` from JSON key ``key`` (else the attribute's name), and from
+    ``default`` where the key is absent and one is given; ``options`` go to ``dataclasses.field``."""
+    return field(metadata={"read": read, "default": default, "key": key}, **options)
+
+
+def _plain(value):
+    """``value`` as plain JSON: a record through its ``to_dict``, a numpy array or scalar through ``tolist``,
+    a tuple as a list, and dicts and lists item by item."""
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
+
+
+def _number(key: str, kind=float):
+    """A field reader through ``as_number``: a count with a fractional part is rejected, not truncated."""
+    return lambda value: as_number(key, value, kind)
+
+
+def _object(key: str):
+    """A field reader through ``as_object`` that returns a copy, so that a record never shares a default ``{}``."""
+    return lambda value: dict(as_object(key, value))
+
+
 @dataclass
-class ExperimentSpec:
+class ExperimentSpec(_Payload, name="experiment spec"):
     """One Monte Carlo study: process, parameters, replication count, seeds."""
 
-    process: str
-    params: dict
-    replications: int
-    truncation: TruncationPolicy | None
-    master_seed: int | tuple
+    process: str = _field(str)
+    params: dict = _field(_object("params"), {})
+    replications: int = _field(_number("replications", int))
+    truncation: TruncationPolicy | None = _field(lambda v: None if v is None else TruncationPolicy.from_dict(v), None)
+    master_seed: int | tuple = _field(seed_tuple, 0)
 
     def __post_init__(self):
         if self.process not in PROCESSES:
@@ -107,71 +165,23 @@ class ExperimentSpec:
         if self.replications < 1:
             raise DomainError("replications must be at least 1")
         as_object("params", self.params)
-        seed_tuple(self.master_seed)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "process": self.process,
-            "params": self.params,
-            "replications": self.replications,
-            "truncation": self.truncation.to_dict() if self.truncation is not None else None,
-            "master_seed": list(seed_tuple(self.master_seed)),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentSpec":
-        """Read a spec dict; keys it does not read are ignored, so older spec files still load."""
-        name = "experiment spec"
-        return cls(
-            process=read_field(name, data, "process", str),
-            params=dict(read_field(name, data, "params", lambda v: as_object("params", v), {})),
-            replications=read_field(name, data, "replications", _number("replications", int)),
-            truncation=read_field(name, data, "truncation",
-                                  lambda v: TruncationPolicy.from_dict(v) if v is not None else None, None),
-            master_seed=read_field(name, data, "master_seed", seed_tuple, 0),
-        )
+        self.master_seed = seed_tuple(self.master_seed)
 
 
 @dataclass
-class ExperimentResult:
+class ExperimentResult(_Payload, name="experiment result"):
     """Summary of one Kolmogorov-distance study."""
 
-    mean_distance: float
-    std_error: float
-    replications: int
-    spec_echo: ExperimentSpec
-    failures: list = field(default_factory=list)
+    mean_distance: float = _field(float)
+    std_error: float = _field(float)
+    replications: int = _field(_number("replications", int))
+    # keyword-only: declared before the spec, so written before it, while the spec stays the fourth argument
+    failures: list = _field(lambda v: list(as_list(v)), [], default_factory=list, kw_only=True)  # a copy, as _object
+    spec_echo: ExperimentSpec = _field(ExperimentSpec.from_dict, key="spec")
 
     @property
     def flagged(self) -> bool:
         return bool(self.failures)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "mean_distance": self.mean_distance,
-            "std_error": self.std_error,
-            "replications": int(self.replications),
-            "failures": list(self.failures),
-            "spec": self.spec_echo.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentResult":
-        name = "experiment result"
-        return cls(
-            mean_distance=read_field(name, data, "mean_distance", float),
-            std_error=read_field(name, data, "std_error", float),
-            replications=read_field(name, data, "replications", _number("replications", int)),
-            spec_echo=read_field(name, data, "spec", ExperimentSpec.from_dict),
-            failures=read_field(name, data, "failures", as_list, []),
-        )
-
-
-def _number(key: str, kind=float):
-    """A field reader through ``as_number``: a count with a fractional part is rejected, not truncated."""
-    return lambda value: as_number(key, value, kind)
 
 
 def _family(process: str, params: dict, truncation: TruncationPolicy | None):
@@ -395,35 +405,14 @@ def parse_ks_table_result(data: dict) -> list[dict]:
 
 
 @dataclass
-class WeightProfile:
+class WeightProfile(_Payload, name="weight profile"):
     """Monte Carlo means of the k largest weights for each order r."""
 
-    r_grid: list[int]
-    top_k: int
-    replications: int
-    tail: dict
-    mean_weights: np.ndarray  # shape (len(r_grid), top_k)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "r_grid": [int(r) for r in self.r_grid],
-            "top_k": int(self.top_k),
-            "replications": int(self.replications),
-            "tail": self.tail,
-            "mean_weights": [[float(v) for v in row] for row in self.mean_weights],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WeightProfile":
-        name = "weight profile"
-        return cls(
-            r_grid=read_field(name, data, "r_grid", lambda v: as_list(v, _number("r", int))),
-            top_k=read_field(name, data, "top_k", _number("top_k", int)),
-            replications=read_field(name, data, "replications", _number("replications", int)),
-            tail=read_field(name, data, "tail", lambda v: as_object("tail", v)),
-            mean_weights=read_field(name, data, "mean_weights", lambda v: np.asarray(as_list(v), dtype=float)),
-        )
+    r_grid: list[int] = _field(lambda v: as_list(v, _number("r", int)))
+    top_k: int = _field(_number("top_k", int))
+    replications: int = _field(_number("replications", int))
+    tail: dict = _field(_object("tail"))
+    mean_weights: np.ndarray = _field(lambda v: np.asarray(as_list(v), dtype=float))  # shape (len(r_grid), top_k)
 
 
 def weight_profile(
@@ -474,41 +463,16 @@ def weight_profile(
 
 
 @dataclass
-class GrowthDiagnostic:
+class GrowthDiagnostic(_Payload, name="growth diagnostic"):
     """Mean distinct-count K_n on a sample-size grid, over ``log_n`` at stable index 0, else ``n_pow_alpha``."""
 
-    n_grid: list[int]
-    kn_means: list[float]
-    normalizer: str
-    ratios: list[float]
-    replications: int
-    process: str
-    params: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "n_grid": [int(n) for n in self.n_grid],
-            "kn_means": [float(v) for v in self.kn_means],
-            "normalizer": self.normalizer,
-            "ratios": [float(v) for v in self.ratios],
-            "replications": int(self.replications),
-            "process": self.process,
-            "params": self.params,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GrowthDiagnostic":
-        name = "growth diagnostic"
-        return cls(
-            n_grid=read_field(name, data, "n_grid", lambda v: as_list(v, _number("n", int))),
-            kn_means=read_field(name, data, "kn_means", lambda v: as_list(v, float)),
-            normalizer=read_field(name, data, "normalizer", str),
-            ratios=read_field(name, data, "ratios", lambda v: as_list(v, float)),
-            replications=read_field(name, data, "replications", _number("replications", int)),
-            process=read_field(name, data, "process", str),
-            params=read_field(name, data, "params", lambda v: as_object("params", v), {}),
-        )
+    n_grid: list[int] = _field(lambda v: as_list(v, _number("n", int)))
+    kn_means: list[float] = _field(lambda v: as_list(v, float))
+    normalizer: str = _field(str)
+    ratios: list[float] = _field(lambda v: as_list(v, float))
+    replications: int = _field(_number("replications", int))
+    process: str = _field(str)
+    params: dict = _field(_object("params"), {})
 
 
 def clustering_growth(
@@ -569,24 +533,14 @@ def clustering_growth(
 
 
 @dataclass
-class EquivalenceReport:
+class EquivalenceReport(_Payload, name="equivalence report"):
     """Two-sample KS comparison of largest ranked weights."""
 
-    statistic: float
-    p_value: float
-    n_lhs: int
-    n_rhs: int
-    params: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "statistic": float(self.statistic),
-            "p_value": float(self.p_value),
-            "n_lhs": int(self.n_lhs),
-            "n_rhs": int(self.n_rhs),
-            "params": self.params,
-        }
+    statistic: float = _field(float)
+    p_value: float = _field(float)
+    n_lhs: int = _field(_number("n_lhs", int))
+    n_rhs: int = _field(_number("n_rhs", int))
+    params: dict = _field(_object("params"))
 
 
 def rank_weight_equivalence_test(

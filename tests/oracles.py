@@ -86,6 +86,16 @@ def dp_expected_distinct(theta, n):
     return float(np.sum(theta / (theta + i)))
 
 
+def expected_distinct_count(alpha, theta, n):
+    """Exact E[K_n], the distinct values among n draws from PD(alpha, theta) (Pitman, Combinatorial Stochastic
+    Processes, 2006): (θ/α)[(θ+α)_n/(θ)_n − 1] for α > 0, with rising factorials at 40 digits, and
+    Σ_{i<n} θ/(θ+i) at α = 0."""
+    if alpha == 0:
+        return dp_expected_distinct(theta, n)
+    a, t = mp.mpf(repr(float(alpha))), mp.mpf(repr(float(theta)))
+    return float(t / a * (mp.rf(t + a, n) / mp.rf(t, n) - 1))
+
+
 def expected_sum_sq_weights(tail, r, randomized):
     """E sum_i w_i^2 of the normalized order-r negative binomial points of ``tail``, by Campbell's formula.
 

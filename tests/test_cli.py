@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import nbpriors
-from nbpriors import DiscreteMeasure, DomainError, ExperimentSpec
+from nbpriors import DiscreteMeasure, DomainError, ExperimentSpec, special_functions
 from nbpriors.cli import main
 
 # Directory holding the nbpriors package these tests import (``src`` in a checkout).
@@ -516,6 +516,13 @@ class TestSelftest:
         expected = "FAIL special function reference values (ln Γ(1): 0.1, expected 0.0 within 1e-14)"
         assert failed == [expected], res.stdout
         assert res.stdout.splitlines()[-1] == "1 check(s) failed"
+
+    def test_nan_quantile_fails_its_roundtrip_point(self, monkeypatch, capsys):
+        # a NaN ln x was skipped like an underflowed one, so only the subnormal table row caught it
+        monkeypatch.setattr(special_functions, "gamma_quantile_upper", lambda shape, y: math.nan)
+        assert main(["selftest"]) == 3
+        failed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("FAIL")]
+        assert failed == ["FAIL survival quantile roundtrip (ln x at Q(0.001, x) = 0.05: nan)"]
 
     def test_package_holds_no_assert(self):
         # python -O strips assert statements, so a check in the package has to raise

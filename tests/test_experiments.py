@@ -15,6 +15,7 @@ from nbpriors import (
     DegenerateTruncationError,
     DiscreteMeasure,
     DomainError,
+    EquivalenceReport,
     ExperimentResult,
     ExperimentSpec,
     GrowthDiagnostic,
@@ -41,7 +42,7 @@ from nbpriors import (
 from nbpriors import experiments, point_processes, random_measures, special_functions
 from nbpriors._rng import STREAM_ATOMS, replication_seed, seed_tuple, spawn_generator
 
-from oracles import dp_expected_distinct, expected_sum_sq_weights, ks_distance_brute
+from oracles import dp_expected_distinct, expected_distinct_count, expected_sum_sq_weights, ks_distance_brute
 
 UB = uniform_base()
 
@@ -314,6 +315,31 @@ class TestSamplerLaw:
         assert abs(sums.mean() - exact) <= 4 * sums.std(ddof=1) / math.sqrt(self.REPS)
 
 
+    @pytest.mark.parametrize("process, params, alpha, theta", [
+        ("dirichlet", {"theta": 3.0}, 0.0, 3.0),
+        ("pdp_stick", {"alpha": 0.5, "theta": 2.0, "sticks": 3000}, 0.5, 2.0),
+        ("pdp_series", {"alpha": 0.25, "theta": 1.0}, 0.25, 1.0),
+        ("pdp_series", {"alpha": 0.5, "theta": 2.0}, 0.5, 2.0),
+    ], ids=["dirichlet", "pdp_sticks", "pdp_series_0.25_1", "pdp_series_0.5_2"])
+    def test_mean_distinct_count(self, process, params, alpha, theta, monkeypatch):
+        """clustering_growth's own K_n at its default truncations (DP at 3,000 points, the series under the
+        epsilon rule) against E K_n = (theta/alpha)[(theta+alpha)_n/(theta)_n - 1] (Pitman, 2006)."""
+        counts, count = [], experiments.row_distinct_count
+
+        def recorded(*args):
+            counts.append(count(*args))
+            return counts[-1]
+
+        monkeypatch.setattr(experiments, "row_distinct_count", recorded)
+        n_grid, reps = [100, 1000], 200
+        diag = clustering_growth(process, params, n_grid, reps, 5)
+        for ni, n in enumerate(n_grid):
+            k = np.array(counts[ni * reps:(ni + 1) * reps], dtype=float)
+            assert k.mean() == diag.kn_means[ni]
+            z = (k.mean() - expected_distinct_count(alpha, theta, n)) / (k.std(ddof=1) / math.sqrt(reps))
+            assert abs(z) < 4, f"n = {n}: z = {z:+.2f}"
+
+
 class TestPayloadReaders:
     """A payload reader names the payload and the field it cannot read."""
 
@@ -460,6 +486,49 @@ class TestJsonReaders:
         spec = ExperimentSpec.from_dict({**self.SPEC, "master_seed": 7})
         assert spec.to_dict() == ExperimentSpec("dirichlet", {"theta": 3.0}, 5, None, 7).to_dict()
         assert spec.to_dict()["master_seed"] == [7]
+
+
+class TestPayloadCodec:
+    """Every record's ``from_dict`` reads back what its ``to_dict`` writes, through JSON, in the same key order."""
+
+    SPEC = ExperimentSpec("pkp", {"r": np.int64(2), "tail": LevyTail.gamma(3.0)}, 3, TruncationPolicy.fixed(50), 1)
+    RECORDS = {
+        "spec": (lambda: TestPayloadCodec.SPEC,
+                 ["process", "params", "replications", "truncation", "master_seed"]),
+        "result": (lambda: run_ks_experiment(TestPayloadCodec.SPEC),
+                   ["mean_distance", "std_error", "replications", "failures", "spec"]),
+        "profile": (lambda: weight_profile(LevyTail.gamma(3.0), [0, 2], 2, 3, 1),
+                    ["r_grid", "top_k", "replications", "tail", "mean_weights"]),
+        "growth": (lambda: clustering_growth("dirichlet", {"theta": np.int64(3)}, [10, 100], 3, 1),
+                   ["n_grid", "kn_means", "normalizer", "ratios", "replications", "process", "params"]),
+        "equivalence": (lambda: rank_weight_equivalence_test(0.5, 2.0, 100, 1, TruncationPolicy.fixed(200), 200),
+                        ["statistic", "p_value", "n_lhs", "n_rhs", "params"]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_json_roundtrip(self, name):
+        make, keys = self.RECORDS[name]
+        record = make()
+        payload = json.loads(json.dumps(record.to_dict()))  # raised TypeError on a LevyTail or a numpy scalar
+        assert list(payload) == ["schema_version", *keys]
+        assert type(record).from_dict(payload).to_dict() == payload
+
+    def test_params_are_written_as_plain_json(self):
+        payload = run_ks_experiment(self.SPEC).to_dict()["spec"]
+        assert payload["params"] == {"r": 2, "tail": {"kind": "gamma", "theta": 3.0}}
+        assert type(payload["params"]["r"]) is int and payload["master_seed"] == [1]
+        assert clustering_growth("dirichlet", {"theta": np.int64(3)}, [10], 3, 1).to_dict()["params"] == {"theta": 3}
+
+    @pytest.mark.parametrize("data, message", [
+        ({}, "equivalence report lacks field 'statistic'"),
+        ({"statistic": 0.1, "p_value": 0.5, "n_lhs": 100, "n_rhs": 100.5, "params": {}},
+         "equivalence report field 'n_rhs' does not read: n_rhs must be an integer, got 100.5$"),
+        ({"statistic": 0.1, "p_value": 0.5, "n_lhs": 100, "n_rhs": 100, "params": [1]},
+         "equivalence report field 'params' does not read: params must be an object, got list$"),
+    ], ids=["missing", "fractional_count", "params_list"])
+    def test_equivalence_report_reader_names_the_field(self, data, message):
+        with pytest.raises(DomainError, match=f"^{message}"):
+            EquivalenceReport.from_dict(data)
 
 
 class TestReplicationEngine:
