@@ -56,9 +56,9 @@ PROCESSES = ("dirichlet", "extended_dp", "pkp", "pdp_series", "pdp_stick", "stab
 # whatever the replication count.
 _BLOCK_POINTS = 64 * 400
 
-# Seeds per batched draw of epsilon-rule replications.  Each round inverts
-# the next _CHUNK points of every live seed, so at most 8 x 1,024 points at
-# once; a block keeps up to 8 x hard_cap retained points until it ends.
+# Seeds per batched draw of epsilon-rule replications.  A round draws the
+# next _CHUNK levels of every live seed, so at most 8 x 1,024 points at once;
+# a block keeps up to 8 x hard_cap retained points until it ends.
 _EPSILON_BLOCK = 8
 
 

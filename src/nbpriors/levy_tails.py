@@ -12,10 +12,10 @@ c = theta for gamma, evaluated by one log Γ(a, x) and inverted by
 ``special_functions.log_upper_gamma_inverse``, the one Newton solver that
 also inverts the gamma survival function of the extended Dirichlet
 process.  This module supplies the seeds; the solver decides which are
-final (those below ln x = -40).  L^{-1} maps Poisson arrival levels to
-jump sizes point by point, in linear and log domain: gamma-kind jumps
-decay like exp(-y/theta) and underflow long before stopping rules are
-done with them.
+final (those below ln x = -40).  L^{-1} maps arrival levels to jump sizes,
+in linear and log domain (gamma-kind jumps decay like exp(-y/theta) and
+underflow); the sampler inverts generalized-gamma levels only up to L(1)
+and thins stable candidates past it (``point_processes``).
 """
 
 from __future__ import annotations

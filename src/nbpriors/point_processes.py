@@ -18,9 +18,19 @@ Every arrival comes from one per-seed stream (``_Arrivals``), so
 ``gamma_arrivals``, the series levels and the extended DP draw the same
 Γ_1, Γ_2, ... of a seed.  ``sample_log_points`` draws a block of seeds in
 one round loop, one ``log_tail_inverse`` call per round: a fixed-count
-draw is one round, the epsilon rule takes rounds of ``_CHUNK`` points.  A
-seed's sequence is bit-identical to drawing it alone, under either
-truncation; ``sample_nbp_points`` is that sampler with one seed.
+draw of the gamma or stable tail is one round, every other draw takes
+rounds of ``_CHUNK`` levels.  The generalized-gamma tail inverts only its
+levels below L(u), u = x* = ``_TEMPER_SPLIT``, or L^{-1}(1) on the integer
+path where that is smaller.  Past L(u) it tempers the closed-form stable
+series (Rosiński, Stoch. Proc. Appl. 117, 2007): ν_GG(dx) = e^{-x} ν_S(dx)
+with ν_S of tail L_S(x) = x^{-alpha}/Γ(1-alpha), and by memorylessness the
+levels y past L(u) continue as stable candidates L_S^{-1}(L_S(u) + y - L(u))
+on (0, u), each kept with probability e^{-x} against a uniform drawn from
+the arrival generator after its round's arrivals: the kept points are the
+generalized-gamma points below u, in decreasing order.  A seed's sequence is
+bit-identical to drawing it alone, under either truncation, and a
+fixed-count draw is a prefix of the epsilon-rule draw, since both draw the
+same rounds; ``sample_nbp_points`` is that sampler with one seed.
 """
 
 from __future__ import annotations
@@ -45,11 +55,12 @@ from .errors import (
     as_number,
     as_object,
 )
-from .levy_tails import LevyTail, log_tail_inverse
+from .levy_tails import LevyTail, log_tail_inverse, log_tail_value
 
 MAX_ARRIVALS = 100_000_000  # ~800 MB of float64, hard memory bound
 
 _CHUNK = 1024  # points per seed per epsilon-rule round; fixed for determinism
+_TEMPER_SPLIT = 1.0  # x*: generalized-gamma points above it are inverted, those below it thinned
 
 
 def check_count(count: int) -> int:
@@ -308,10 +319,15 @@ class _Row:
     def next_levels(self, count: int) -> np.ndarray:
         return self.arrivals.next(count) / self.divisor
 
-    def take(self, log_pts: np.ndarray, trunc: TruncationPolicy, first_index: int) -> PointSeries | None:
+    def take(self, log_pts: np.ndarray, cfg: NbpConfig) -> PointSeries | None:
         """Apply the truncation to the next round's points; the finished series, or None to go on."""
-        if trunc.mode == "fixed_count":
-            return PointSeries(log_pts, first_index, "fixed_count")
+        trunc, width = cfg.truncation, cfg.width
+        if not log_pts.size:
+            return None
+        if width is not None:
+            self.chunks.append(log_pts)
+            done = sum(map(len, self.chunks)) >= width
+            return PointSeries(np.concatenate(self.chunks)[:width], cfg.first_index, "fixed_count") if done else None
         if not self.chunks:
             self.shift = float(log_pts[0])
         # scaled by the row's first point, so the ratios stay defined when every point underflows
@@ -323,39 +339,62 @@ class _Row:
         self.scaled_sum += float(np.sum(pts))
         retained = sum(map(len, self.chunks))
         if below.size and retained <= trunc.hard_cap:
-            return PointSeries(np.concatenate(self.chunks), first_index, "epsilon_rule")
+            return PointSeries(np.concatenate(self.chunks), cfg.first_index, "epsilon_rule")
         if retained >= trunc.hard_cap:
             total = np.concatenate(self.chunks)[: trunc.hard_cap]
-            return PointSeries(total, first_index, "hard_cap", truncation_warning=True)
+            return PointSeries(total, cfg.first_index, "hard_cap", truncation_warning=True)
         return None
+
+
+class _Tempered:
+    """A generalized-gamma config's split level L(u) and its thinned stable candidates (see the module docstring)."""
+
+    def __init__(self, cfg: NbpConfig):
+        floor = 0.0 if cfg.randomized or cfg.r == 0.0 else 1.0  # the integer path's levels start at 1
+        self.alpha, self.log_u = cfg.tail.alpha, math.log(_TEMPER_SPLIT)
+        self.level = float(np.exp(log_tail_value(cfg.tail, _TEMPER_SPLIT)[0]))
+        if floor and self.level <= floor:  # u = L^{-1}(1) < x*
+            self.level, self.log_u = floor, float(log_tail_inverse(cfg.tail, floor)[0])
+        self.scale = math.exp(math.lgamma(1.0 - self.alpha) + self.alpha * self.log_u)  # Γ(1-alpha) u^alpha
+
+    def thin(self, rng: np.random.Generator, levels: np.ndarray) -> np.ndarray:
+        """ln x = ln L_S^{-1}(L_S(u) + y - L(u)) of each level y >= L(u), each x kept with probability e^{-x}."""
+        with np.errstate(over="ignore"):  # a candidate below the smallest double is an exact zero
+            log_x = self.log_u - np.log1p((levels - self.level) * self.scale) / self.alpha
+        return log_x[rng.random(levels.size) < np.exp(-np.exp(log_x))]
 
 
 def sample_log_points(cfg: NbpConfig, seeds) -> list[PointSeries]:
     """The truncated negative binomial point sequence of each seed, in seed order.
 
     Each round inverts the next levels Γ_i / divisor of every seed still
-    running with one ``log_tail_inverse`` call, then truncates row by row:
-    a fixed-count draw is one round of the config's ``width``, the epsilon
-    rule takes ``_CHUNK``-point rounds until the rule or the hard cap
-    stops the seed.  The config checked the row shape when it was built,
-    so every series retains at least 2 points.  The inverse solves every
-    point on its own, so draw i is bit-identical to the draw of seed i
-    alone, and a fixed-count draw is a prefix of the epsilon-rule draw of
-    its seed.  The first seed that fails raises.
+    running with one ``log_tail_inverse`` call (a generalized-gamma row
+    only those below L(u), and thins the rest), then truncates row by row
+    until the fixed count, the epsilon rule or the hard cap stops the seed.
+    The config checked the row shape when it was built, so every series
+    retains at least 2 points.  The inverse solves every point on its own
+    and each row draws from its own generator, so draw i is bit-identical to
+    the draw of seed i alone.  The first seed that fails raises.
     """
     seeds = list(seeds)
     if not seeds:
         raise DomainError("sampling needs at least one seed")
-    trunc, first_index = cfg.truncation, cfg.first_index
     rows = [_Row(seed, cfg.r, cfg.randomized) for seed in seeds]
-    count = _CHUNK if cfg.width is None else cfg.width
+    tempered = _Tempered(cfg) if cfg.tail.kind == "generalized_gamma" else None
+    count = cfg.width if cfg.width is not None and tempered is None else _CHUNK
     out: list[PointSeries | None] = [None] * len(rows)
     live = list(range(len(rows)))
     while live:
-        levels = np.stack([rows[i].next_levels(count) for i in live])
-        log_block = log_tail_inverse(cfg.tail, levels.ravel()).reshape(levels.shape)
-        for i, log_pts in zip(live, log_block):
-            out[i] = rows[i].take(log_pts, trunc, first_index)
+        levels = [rows[i].next_levels(count) for i in live]
+        # a generalized-gamma row inverts its levels below L(u), as many as a fixed count needs
+        cuts = [lv.size if tempered is None else int(np.searchsorted(lv, tempered.level)) for lv in levels]
+        heads = [lv[:min(cut, cfg.width or cut)] for lv, cut in zip(levels, cuts)]
+        flat = np.concatenate(heads)
+        log_flat = log_tail_inverse(cfg.tail, flat) if flat.size else flat
+        for i, lv, cut, log_pts in zip(live, levels, cuts, np.split(log_flat, np.cumsum([h.size for h in heads[:-1]]))):
+            if log_pts.size == cut < lv.size:  # the rest are stable candidates
+                log_pts = np.concatenate((log_pts, tempered.thin(rows[i].arrivals._rng, lv[cut:])))
+            out[i] = rows[i].take(log_pts, cfg)
         live = [i for i in live if out[i] is None]
     return out
 

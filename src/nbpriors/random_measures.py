@@ -375,7 +375,8 @@ def sample_pdp_series(
     every r, integer or not: the integer arrival-ratio path restricts the
     points to (0, L^{-1}(1)) and its normalized law is measurably flatter
     than PD(alpha, theta), while the randomized path reproduces the full
-    subordinator jump sequence and matches stick-breaking in distribution.
+    subordinator jump sequence and matches stick-breaking in distribution;
+    its points below x* = 1 are thinned stable candidates (``point_processes``).
     """
     return SeriesProcess.pdp(params, trunc).measure(base, seed)
 

@@ -127,7 +127,9 @@ def log_upper_gamma(a: float, x) -> np.ndarray:
     once its own Lentz factor is within ``REL_TOL`` of 1.  The switch
     is x = max(25, a + 1) for a >= 0.  For a < 0 it is where the
     recurrence's error reaches ``REL_TOL`` / 16, kept within [1, 25], so
-    it moves below 25 only for |a| < 0.09.
+    it moves below 25 only for |a| < 0.09.  Where that error point lies
+    below x = 1 (|a| < 0.0036), Gautschi's series replaces the recurrence
+    up to the split (``_upper_gamma_small_a``).
     """
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
@@ -141,6 +143,8 @@ def log_upper_gamma(a: float, x) -> np.ndarray:
         out[near] = sp.gammaln(a) + _log_q(a, xn)
     elif a == 0:
         out[near] = np.log(sp.exp1(xn))
+    elif -a * REL_TOL < 16.0 * _EPS:  # the recurrence misses REL_TOL / 16 even at x = 1
+        out[near] = np.log(_upper_gamma_small_a(a, xn))
     else:
         lead = a * np.log(xn) - xn
         upper = sp.gammaln(a + 1.0) + _log_q(a + 1.0, xn)
@@ -172,6 +176,19 @@ def log_upper_gamma(a: float, x) -> np.ndarray:
             f"continued fraction for Gamma({a}, x) did not converge in {MAX_ITER} iterations", best_estimate=out
         )
     return out
+
+
+def _upper_gamma_small_a(a: float, x: np.ndarray) -> np.ndarray:
+    """Γ(a, x) for -0.0036 < a < 0 and 0 < x <= 1, free of cancellation at tiny |a| (Gautschi, ACM TOMS 5,
+    1979): (Γ(1+a) - 1)/a - expm1(a ln x)/a - x^a Σ_{k>=1} (-x)^k / (k! (a+k)).  The first term is
+    h exprel(a h) with h = ln Γ(1+a)/a = -γ + Σ_{k>=2} (-1)^k ζ(k) a^{k-1}/k, cut after k = 12, whose term
+    is below 1e-28; the sum over k stops at 20, where 1/20! < 1e-18."""
+    k = np.arange(2, 13)
+    h = np.polynomial.polynomial.polyval(a, np.concatenate(([-EULER_GAMMA], (-1.0) ** k * sp.zeta(k) / k)))
+    lx = np.log(x)
+    k = np.arange(1, 21)
+    tail = np.sum(np.cumprod(-x[:, np.newaxis] / k, axis=1) / (a + k), axis=1)
+    return h * sp.exprel(a * h) - lx * sp.exprel(a * lx) - np.exp(a * lx) * tail
 
 
 def gamma_survival(shape: float, x: float) -> float:

@@ -154,3 +154,22 @@ def expected_sum_sq_weights(tail, r, randomized):
     opts = {"epsabs": 0.0, "epsrel": 1e-11, "limit": 500}
     lower = scipy.integrate.quad(integrand, -math.inf, 0.0, **opts)[0]
     return lower + scipy.integrate.quad(integrand, 0.0, math.inf, **opts)[0]
+
+
+def inverse_series_log_points(cfg, seed, chunk=1024):
+    """ln points of an ``NbpConfig``'s series for ``seed`` with every level inverted, L^{-1}(Γ_i / divisor) by
+    ``log_tail_inverse``, under the config's truncation: the first ``width`` points, or under the epsilon rule
+    up to the first point below epsilon times the running sum (included), at most ``hard_cap`` points."""
+    from nbpriors.levy_tails import log_tail_inverse
+    from nbpriors.point_processes import _Row
+
+    row = _Row(seed, cfg.r, cfg.randomized)
+    if cfg.width is not None:
+        return log_tail_inverse(cfg.tail, row.next_levels(cfg.width))
+    trunc, log_x = cfg.truncation, np.empty(0)
+    while True:
+        log_x = np.concatenate((log_x, log_tail_inverse(cfg.tail, row.next_levels(chunk))))
+        x = np.exp(log_x - log_x[0])
+        below = np.flatnonzero(x / np.cumsum(x) < trunc.epsilon)
+        if below.size or log_x.size >= trunc.hard_cap:
+            return log_x[:min(int(below[0]) + 1 if below.size else log_x.size, trunc.hard_cap)]

@@ -238,14 +238,19 @@ class TestSample:
         assert main(["sample", "--config", str(cfg)]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
-    def test_unconverged_draw_prints_one_line(self):
-        res = run_cli("sample", "--process", "pdp_series", "--alpha", "1e-200", "--theta", "1", "--n", "50",
+    def test_numeric_failure_prints_one_line(self):
+        res = run_cli("sample", "--process", "pdp_series", "--alpha", "0.5", "--theta", "1e-300", "--n", "50",
                       "--seed", "1")
         assert res.returncode == 2, res.stderr
-        assert res.stderr.splitlines() == [
-            "numeric failure: inverse of Gamma(-1e-200, x) left 37 of 50 points unconverged"
-        ]
+        assert res.stderr.splitlines() == ["numeric failure: gamma mixing draw degenerated to 0.0 at r=2e-300"]
         assert res.stdout == ""
+
+    def test_extreme_alpha_draw_prints_no_warning(self):
+        res = run_cli("sample", "--process", "pdp_series", "--alpha", "1e-200", "--theta", "1", "--n", "50",
+                      "--seed", "1")
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        assert len(json.loads(res.stdout)["weights"]) == 50
 
     def test_unreadable_config(self):
         res = run_cli("sample", "--config", "/nonexistent/cfg.json", "--process", "dirichlet")

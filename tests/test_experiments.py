@@ -745,7 +745,8 @@ class TestReplicationEngine:
         assert len(set(calls)) == len(calls)
 
     def test_epsilon_rounds_share_one_inversion(self, monkeypatch):
-        """One tail inversion per round of a block, and every chunk inverted once."""
+        """One tail inversion per round of a block, and every chunk inverted once (the stable tail: the
+        generalized-gamma one inverts only its points above the tempering split)."""
         calls, points = [], []
         inverse = point_processes.log_tail_inverse
 
@@ -755,16 +756,16 @@ class TestReplicationEngine:
             return inverse(tail, y)
 
         monkeypatch.setattr(point_processes, "log_tail_inverse", counting)
-        params, reps, seed = {"alpha": 0.5, "theta": 2.0}, self.EPS_REPS, 19
+        params, reps, seed = {"alpha": 0.5}, self.EPS_REPS, 19
         trunc = TruncationPolicy.epsilon_rule(1e-7, hard_cap=50_000)  # clustering_growth's default
         chunks = []
         for rep in range(reps):  # a single draw inverts once per chunk
             calls.clear()
-            build_measure("pdp_series", params, trunc, seed_tuple(seed) + (0, rep))
+            build_measure("stable", params, trunc, seed_tuple(seed) + (0, rep))
             chunks.append(len(calls))
         calls.clear()
         points.clear()
-        clustering_growth("pdp_series", params, [100], reps, seed)
+        clustering_growth("stable", params, [100], reps, seed)
         block = experiments._EPSILON_BLOCK
         rounds = sum(max(chunks[start:start + block]) for start in range(0, reps, block))
         assert len(calls) == rounds < sum(chunks)
@@ -839,7 +840,9 @@ class TestKsTable:
         assert str(info.value).startswith(f"grid row {row!r}") and message in str(info.value)
 
     def test_grid_row_skips_the_upper_ratio_kernel(self, monkeypatch):
-        """Row (0.9, 100, 111) takes every ln Q from the lower-ratio kernel, at most 4.1 evaluations per point."""
+        """Row (0.9, 100, 111) inverts only its support bound L^{-1}(1), once for its one block of 15
+        replications, and inverting the row's levels takes every ln Q from the lower-ratio kernel, at most 4.1
+        evaluations per point."""
         elements = {"gammainc": 0, "gammaincc": 0}
         points = []
 
@@ -865,9 +868,15 @@ class TestKsTable:
 
         monkeypatch.setattr(point_processes, "log_tail_inverse", counting)
         run_ks_table([{"alpha": 0.9, "theta": 100, "r": 111}], n=400, replications=15, master_seed=1)
-        assert sum(points) == 15 * (400 - 111)  # indices r+1 .. n on the integer-order path
+        assert sum(points) == 1  # every point of the row is a thinned stable candidate
+        assert sum(elements.values()) <= 100  # L(x*) and the Newton steps of the one support-bound solve
+        # the levels Γ_i / Γ_r, i = r+1 .. n, of the same replications, inverted
+        levels = np.concatenate([point_processes._Row(replication_seed(1, i), 111, False).next_levels(400 - 111)
+                                 for i in range(15)])
+        elements.update(gammainc=0, gammaincc=0)
+        inverse(LevyTail.generalized_gamma(0.9), levels)
         assert elements["gammaincc"] == 0
-        assert elements["gammainc"] <= 4.1 * sum(points)
+        assert elements["gammainc"] <= 4.1 * levels.size
 
 
 class TestWeightProfile:

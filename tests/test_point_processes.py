@@ -1,6 +1,7 @@
 """Unit tests for arrival streams and the negative binomial point sampler."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from nbpriors import (
     tail_inverse,
     tail_support_bound,
 )
+from nbpriors import experiments
 from nbpriors._rng import replication_seed
-from nbpriors.point_processes import MAX_ARRIVALS
+from nbpriors.point_processes import MAX_ARRIVALS, sample_log_points
+from oracles import inverse_series_log_points
 
 
 class TestTruncationPolicy:
@@ -324,6 +327,55 @@ class TestTruncation:
         assert len(series) == 100
         assert series.stopped_by == "hard_cap"
         assert series.truncation_warning
+
+
+class TestTemperedSeries:
+    """The generalized-gamma series drawn by thinning stable candidates has the law of the inverted series."""
+
+    DRAWS = 1000
+    EPS_CLUSTERS = TruncationPolicy.epsilon_rule(1e-7, hard_cap=50_000)
+
+    @staticmethod
+    def statistics(log_points):
+        """Largest weight, sum of squared weights, length and unnormalized total of each row."""
+        def row(log_x):
+            x = np.exp(log_x - log_x.max())
+            w = x / np.sum(x)
+            return w.max(), float(np.sum(w * w)), w.size, float(np.sum(np.exp(log_x)))
+
+        return [np.array(v) for v in zip(*map(row, log_points))]
+
+    @pytest.mark.parametrize("params, truncation", [
+        ({"alpha": 0.5, "theta": 2.0}, TruncationPolicy.fixed(400)),
+        ({"alpha": 0.5, "theta": 2.0}, EPS_CLUSTERS),
+        ({"alpha": 0.9, "theta": 10.0}, TruncationPolicy.fixed(400)),
+        ({"alpha": 0.1, "theta": 1.0, "r": 10}, TruncationPolicy.fixed(400)),
+        ({"alpha": 0.5, "theta": 10.0, "r": 20}, TruncationPolicy.fixed(400)),
+        ({"alpha": 0.9, "theta": 10.0, "r": 11}, TruncationPolicy.fixed(400)),
+    ], ids=["pd_0.5_2_fixed", "pd_0.5_2_eps", "pd_0.9_10_fixed", "grid_0.1_1_10", "grid_0.5_10_20",
+            "grid_0.9_10_11"])
+    def test_law_matches_the_inverse_oracle(self, params, truncation):
+        # independent seeds on the two sides: below x* the two constructions share most points on shared seeds
+        family = experiments._family("pdp_series", params, truncation)
+        drawn = [series.log_points for series in sample_log_points(family, [(1, i) for i in range(self.DRAWS)])]
+        inverted = [inverse_series_log_points(family, (2, i)) for i in range(self.DRAWS)]
+        for name, a, b in zip(("w1", "sum_sq", "length", "total"), self.statistics(drawn),
+                              self.statistics(inverted)):
+            if family.width is not None and name == "length":
+                assert np.all(a == family.width) and np.all(b == family.width)
+                continue
+            p = st.ks_2samp(a, b).pvalue
+            assert p > 0.001, f"{name}: two-sample KS p = {p:.2e}"
+
+    @pytest.mark.parametrize("theta", [1e8, 1e300])
+    @pytest.mark.parametrize("seed", [7, 8, (3, 1)])
+    def test_rows_above_the_split_are_the_inverted_rows(self, theta, seed):
+        family = experiments._family("pdp_series", {"alpha": 0.5, "theta": theta}, TruncationPolicy.fixed(400))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (series,) = sample_log_points(family, [seed])
+            expected = inverse_series_log_points(family, seed)
+        assert np.array_equal(series.log_points, expected)
 
 
 class TestCsvExport:

@@ -2,6 +2,7 @@
 
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from nbpriors import (
     ExtendedDpParams,
     LevyTail,
     NbpConfig,
-    NumericError,
     PdpParams,
     ResourceLimitError,
     TruncationPolicy,
@@ -365,10 +365,13 @@ class TestPdpSeries:
         b = sample_pdp_series(params, UB, TruncationPolicy.fixed(200), 15)
         assert np.array_equal(a.weights, b.weights)
 
-    def test_unconverged_inverse_at_extreme_alpha_is_a_numeric_error_and_no_warning(self):
-        # a numpy RuntimeWarning from the Newton steps would fail this test before the error is raised
-        with pytest.raises(NumericError, match=r"^inverse of Gamma\(-1e-200, x\) left \d+ of 50 points unconverged$"):
-            sample_pdp_series(PdpParams(1e-200, 1.0), UB, TruncationPolicy.fixed(50), 1)
+    def test_extreme_alpha_draw_is_a_measure_and_no_warning(self):
+        # at alpha = 1e-200, PD(alpha, 1) is the Dirichlet process DP(1) up to O(alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = sample_pdp_series(PdpParams(1e-200, 1.0), UB, TruncationPolicy.fixed(50), 1)
+        assert len(m) == 50 and m.provenance["stopped_by"] == "fixed_count"
+        assert abs(math.fsum(m.weights.tolist()) - 1.0) < 1e-12
 
 
 class TestStickBreaking:

@@ -6,6 +6,7 @@ pinned here.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -110,6 +111,16 @@ class TestLogUpperGamma:
         x = np.geomspace(0.3, 25.0, 25)
         expected = np.array([float(mp.log(upper_gamma_quad(a, v))) for v in x])
         assert np.max(np.abs(log_upper_gamma(a, x) - expected)) < 1e-11
+
+    @pytest.mark.parametrize("a", [-1e-3, -1e-8, -1e-200])
+    def test_tiny_negative_a_against_mpmath(self, a):
+        # the recurrence returned 0.2193839296 at (-1e-8, 1), and 0.0 with a divide-by-zero warning at -1e-200
+        x = np.array([1e-3, 0.5, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = np.array([upper_incomplete_gamma(a, v) for v in x])
+        expected = np.array([float(mp.gammainc(mp.mpf(a), mp.mpf(v))) for v in x])
+        assert np.max(np.abs(got / expected - 1.0)) < 1e-12
 
     @pytest.mark.parametrize("a", [-0.9, -0.5, -0.1, 0.0075, 0.5, 5.0])
     def test_across_the_kernel_switch(self, a):
