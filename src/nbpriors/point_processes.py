@@ -321,13 +321,13 @@ class _Row:
 
     def take(self, log_pts: np.ndarray, cfg: NbpConfig) -> PointSeries | None:
         """Apply the truncation to the next round's points; the finished series, or None to go on."""
-        trunc, width = cfg.truncation, cfg.width
+        trunc, first_index, width = cfg.truncation, cfg.first_index, cfg.width
         if not log_pts.size:
             return None
         if width is not None:
             self.chunks.append(log_pts)
             done = sum(map(len, self.chunks)) >= width
-            return PointSeries(np.concatenate(self.chunks)[:width], cfg.first_index, "fixed_count") if done else None
+            return PointSeries(np.concatenate(self.chunks)[:width], first_index, "fixed_count") if done else None
         if not self.chunks:
             self.shift = float(log_pts[0])
         # scaled by the row's first point, so the ratios stay defined when every point underflows
@@ -339,10 +339,10 @@ class _Row:
         self.scaled_sum += float(np.sum(pts))
         retained = sum(map(len, self.chunks))
         if below.size and retained <= trunc.hard_cap:
-            return PointSeries(np.concatenate(self.chunks), cfg.first_index, "epsilon_rule")
+            return PointSeries(np.concatenate(self.chunks), first_index, "epsilon_rule")
         if retained >= trunc.hard_cap:
             total = np.concatenate(self.chunks)[: trunc.hard_cap]
-            return PointSeries(total, cfg.first_index, "hard_cap", truncation_warning=True)
+            return PointSeries(total, first_index, "hard_cap", truncation_warning=True)
         return None
 
 
@@ -350,11 +350,10 @@ class _Tempered:
     """A generalized-gamma config's split level L(u) and its thinned stable candidates (see the module docstring)."""
 
     def __init__(self, cfg: NbpConfig):
-        floor = 0.0 if cfg.randomized or cfg.r == 0.0 else 1.0  # the integer path's levels start at 1
         self.alpha, self.log_u = cfg.tail.alpha, math.log(_TEMPER_SPLIT)
         self.level = float(np.exp(log_tail_value(cfg.tail, _TEMPER_SPLIT)[0]))
-        if floor and self.level <= floor:  # u = L^{-1}(1) < x*
-            self.level, self.log_u = floor, float(log_tail_inverse(cfg.tail, floor)[0])
+        if cfg.first_index > 1 and self.level <= 1.0:  # integer-path levels start at 1, so u = L^{-1}(1) <= x*
+            self.level, self.log_u = 1.0, float(log_tail_inverse(cfg.tail, 1.0)[0])
         self.scale = math.exp(math.lgamma(1.0 - self.alpha) + self.alpha * self.log_u)  # Γ(1-alpha) u^alpha
 
     def thin(self, rng: np.random.Generator, levels: np.ndarray) -> np.ndarray:
@@ -391,7 +390,8 @@ def sample_log_points(cfg: NbpConfig, seeds) -> list[PointSeries]:
         heads = [lv[:min(cut, cfg.width or cut)] for lv, cut in zip(levels, cuts)]
         flat = np.concatenate(heads)
         log_flat = log_tail_inverse(cfg.tail, flat) if flat.size else flat
-        for i, lv, cut, log_pts in zip(live, levels, cuts, np.split(log_flat, np.cumsum([h.size for h in heads[:-1]]))):
+        for i, lv, cut, head, end in zip(live, levels, cuts, heads, np.cumsum([h.size for h in heads]).tolist()):
+            log_pts = log_flat[end - head.size:end]
             if log_pts.size == cut < lv.size:  # the rest are stable candidates
                 log_pts = np.concatenate((log_pts, tempered.thin(rows[i].arrivals._rng, lv[cut:])))
             out[i] = rows[i].take(log_pts, cfg)

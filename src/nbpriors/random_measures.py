@@ -370,13 +370,13 @@ def sample_pdp_series(
 ) -> DiscreteMeasure:
     """Poisson-Dirichlet process PD(alpha, theta) via the tail series.
 
-    Uses the generalized-gamma tail with order r = theta/alpha sampled on
-    the gamma-randomized-intensity path.  The randomized path is used for
-    every r, integer or not: the integer arrival-ratio path restricts the
-    points to (0, L^{-1}(1)) and its normalized law is measurably flatter
-    than PD(alpha, theta), while the randomized path reproduces the full
-    subordinator jump sequence and matches stick-breaking in distribution;
-    its points below x* = 1 are thinned stable candidates (``point_processes``).
+    Uses the generalized-gamma tail with order r = theta/alpha sampled on the
+    gamma-randomized-intensity path, for every r, integer or not: the integer
+    arrival-ratio path restricts the points to (0, L^{-1}(1)) and its normalized
+    law is measurably flatter than PD(alpha, theta), while the randomized path
+    reproduces the full subordinator jump sequence and matches stick-breaking in
+    distribution.  Its points below x* = 1 are thinned stable candidates
+    (``point_processes``).
     """
     return SeriesProcess.pdp(params, trunc).measure(base, seed)
 
