@@ -14,8 +14,8 @@ also inverts the gamma survival function of the extended Dirichlet
 process.  This module supplies the seeds; the solver decides which are
 final (those below ln x = -40).  L^{-1} maps arrival levels to jump sizes,
 in linear and log domain (gamma-kind jumps decay like exp(-y/theta) and
-underflow); the sampler inverts generalized-gamma levels only up to L(1)
-and thins stable candidates past it (``point_processes``).
+underflow); the sampler inverts generalized-gamma levels only below L(x*),
+x* = 1, and thins stable candidates past it (``point_processes``).
 """
 
 from __future__ import annotations
