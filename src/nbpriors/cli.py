@@ -162,11 +162,8 @@ def _cmd_ks_table(args) -> int:
     seed = _resolve_seed(args, config)
     results = run_ks_table(rows, n, replications, seed)
 
-    table = [
-        {**row, "mean_distance": res.mean_distance, "std_error": res.std_error, "replications": res.replications,
-         "failures": list(res.failures), "spec": res.spec_echo.to_dict()}
-        for row, res in zip(rows, results)  # load_ks_grid gives real alpha and theta and an integer r
-    ]
+    table = [{**row, **{key: value for key, value in res.to_dict().items() if key != "schema_version"}}
+             for row, res in zip(rows, results)]  # load_ks_grid gives real alpha and theta and an integer r
     payload = {"schema_version": SCHEMA_VERSION, "n": int(n), "replications": int(replications), "seed": int(seed),
                "rows": table}
     header = ["alpha", "theta", "r", "mean_distance", "std_error", "replications"]

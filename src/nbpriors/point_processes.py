@@ -14,14 +14,15 @@ flavors:
 r = 0 reduces to the plain Poisson random measure (Γ_0 = 1 convention).
 The path is a field of the checked ``NbpConfig``, resolved when it is built.
 
-Every arrival comes from one per-seed stream (``_Arrivals``), so
-``gamma_arrivals``, the series levels and the extended DP draw the same
-Γ_1, Γ_2, ... of a seed.  ``sample_log_points`` draws a block of seeds in
-one round loop, one ``log_tail_inverse`` call per round: a fixed-count
-draw of the gamma or stable tail is one round, every other draw takes
-rounds of ``_CHUNK`` levels.  The generalized-gamma tail inverts only its
-levels below L(u), u = x* = ``_TEMPER_SPLIT``, or L^{-1}(1) on the integer
-path where that is smaller.  Past L(u) it tempers the closed-form stable
+Every arrival comes from one per-seed row (``_Row``), which owns the
+seed's arrival generator, so ``gamma_arrivals``, the series levels, the
+extended DP and the stick-breaking fractions all draw from it.
+``sample_log_points`` draws a block of seeds in one round loop, one
+``log_tail_inverse`` call per round: a fixed-count draw of the gamma or
+stable tail is one round, every other draw takes rounds of ``_CHUNK``
+levels.  The generalized-gamma tail inverts only its levels below L(u),
+u = x* = ``_TEMPER_SPLIT``, or u = L^{-1}(1) on the integer path, whose
+levels start at 1 > L(x*).  Past L(u) it tempers the closed-form stable
 series (Rosiński, Stoch. Proc. Appl. 117, 2007): ν_GG(dx) = e^{-x} ν_S(dx)
 with ν_S of tail L_S(x) = x^{-alpha}/Γ(1-alpha), and by memorylessness the
 levels y past L(u) continue as stable candidates L_S^{-1}(L_S(u) + y - L(u))
@@ -156,23 +157,6 @@ class ArrivalStream:
         return self.arrivals.size
 
 
-class _Arrivals:
-    """One seed's unit-rate arrivals Γ_1 < Γ_2 < ..., drawn on demand from
-    its ``STREAM_ARRIVALS`` generator."""
-
-    def __init__(self, seed):
-        self._rng = spawn_generator(seed, STREAM_ARRIVALS)
-        self._last = 0.0
-
-    def next(self, count: int) -> np.ndarray:
-        """The next ``count`` arrivals: ``count`` more exponentials, continuing the running sum."""
-        incr = self._rng.standard_exponential(count)
-        incr[0] += self._last
-        arrivals = np.cumsum(incr)
-        self._last = float(arrivals[-1])
-        return arrivals
-
-
 def gamma_arrivals(seed, count: int) -> ArrivalStream:
     """First ``count`` arrivals of a unit-rate Poisson process.
 
@@ -182,7 +166,7 @@ def gamma_arrivals(seed, count: int) -> ArrivalStream:
     count = as_number("count", count, int)
     if count < 1:
         raise DomainError(f"count must be at least 1, got {count}")
-    return ArrivalStream(arrivals=_Arrivals(seed).next(check_count(count)), seed=seed_tuple(seed))
+    return ArrivalStream(arrivals=_Row(seed).arrivals(check_count(count)), seed=seed_tuple(seed))
 
 
 def sample_prm_points(tail: LevyTail, stream: ArrivalStream) -> np.ndarray:
@@ -295,14 +279,16 @@ def write_points_csv(points, first_index: int = 1, file=None) -> str | None:
 
 
 class _Row:
-    """One seed's levels Γ_i / divisor and its progress through the truncation.
+    """One seed's arrivals Γ_1 < Γ_2 < ..., its levels Γ_i / divisor and its progress through the truncation.
 
-    On the integer path the first r arrivals are drawn here and the divisor
-    is Γ_r; the levels continue from Γ_{r+1}.
+    The row owns the seed's ``STREAM_ARRIVALS`` generator ``rng``: every draw from the seed's arrival stream
+    goes through it.  On the integer path the first r arrivals are drawn here and the divisor is Γ_r; the
+    levels continue from Γ_{r+1}.  The defaults, r = 0 on the integer path, give the plain arrivals.
     """
 
-    def __init__(self, seed, r: float, randomized: bool):
-        self.arrivals = _Arrivals(seed)
+    def __init__(self, seed, r: float = 0.0, randomized: bool = False):
+        self.rng = spawn_generator(seed, STREAM_ARRIVALS)
+        self._last = 0.0
         if randomized:
             self.divisor = float(spawn_generator(seed, STREAM_MIXING).gamma(r, 1.0))
             if not (math.isfinite(self.divisor) and self.divisor > 0.0):
@@ -311,49 +297,56 @@ class _Row:
         elif r == 0.0:
             self.divisor = 1.0  # Gamma_0 = 1 convention: the plain Poisson random measure
         else:
-            self.divisor = float(self.arrivals.next(int(r))[-1])
+            self.divisor = float(self.arrivals(int(r))[-1])
         self.shift = 0.0
         self.scaled_sum = 0.0
         self.chunks: list[np.ndarray] = []
 
+    def arrivals(self, count: int) -> np.ndarray:
+        """The next ``count`` arrivals: ``count`` more exponentials, continuing the running sum."""
+        incr = self.rng.standard_exponential(count)
+        incr[0] += self._last
+        arrivals = np.cumsum(incr)
+        self._last = float(arrivals[-1])
+        return arrivals
+
     def next_levels(self, count: int) -> np.ndarray:
-        return self.arrivals.next(count) / self.divisor
+        return self.arrivals(count) / self.divisor
 
     def take(self, log_pts: np.ndarray, cfg: NbpConfig) -> PointSeries | None:
-        """Apply the truncation to the next round's points; the finished series, or None to go on."""
-        trunc, first_index, width = cfg.truncation, cfg.first_index, cfg.width
-        if not log_pts.size:
-            return None
-        if width is not None:
-            self.chunks.append(log_pts)
-            done = sum(map(len, self.chunks)) >= width
-            return PointSeries(np.concatenate(self.chunks)[:width], first_index, "fixed_count") if done else None
-        if not self.chunks:
-            self.shift = float(log_pts[0])
-        # scaled by the row's first point, so the ratios stay defined when every point underflows
-        pts = np.exp(log_pts - self.shift)
-        ratios = pts / (self.scaled_sum + np.cumsum(pts))
-        below = np.flatnonzero(ratios < trunc.epsilon)
-        # the triggering index is retained
-        self.chunks.append(log_pts[: int(below[0]) + 1] if below.size else log_pts)
-        self.scaled_sum += float(np.sum(pts))
+        """Apply the truncation to the next round's points; the finished series, or None to go on.
+
+        The row stops once it retains ``cap`` points: the fixed count, or the hard cap under the epsilon
+        rule, lowered to the first point below epsilon (which is retained) when the cap does not come first.
+        """
+        trunc, width = cfg.truncation, cfg.width
         retained = sum(map(len, self.chunks))
-        if below.size and retained <= trunc.hard_cap:
-            return PointSeries(np.concatenate(self.chunks), first_index, "epsilon_rule")
-        if retained >= trunc.hard_cap:
-            total = np.concatenate(self.chunks)[: trunc.hard_cap]
-            return PointSeries(total, first_index, "hard_cap", truncation_warning=True)
-        return None
+        cap, stopped_by = (trunc.hard_cap, "hard_cap") if width is None else (width, "fixed_count")
+        if width is None:
+            if not retained and log_pts.size:  # a thinned round can keep no point
+                self.shift = float(log_pts[0])
+            # scaled by the row's first point, so the ratios stay defined when every point underflows
+            pts = np.exp(log_pts - self.shift)
+            below = np.flatnonzero(pts / (self.scaled_sum + np.cumsum(pts)) < trunc.epsilon)
+            self.scaled_sum += float(np.sum(pts))
+            if below.size and retained + int(below[0]) + 1 <= cap:
+                cap, stopped_by = retained + int(below[0]) + 1, "epsilon_rule"
+        self.chunks.append(log_pts)
+        if retained + log_pts.size < cap:
+            return None
+        total = np.concatenate(self.chunks)[:cap]
+        return PointSeries(total, cfg.first_index, stopped_by, truncation_warning=stopped_by == "hard_cap")
 
 
 class _Tempered:
     """A generalized-gamma config's split level L(u) and its thinned stable candidates (see the module docstring)."""
 
     def __init__(self, cfg: NbpConfig):
-        self.alpha, self.log_u = cfg.tail.alpha, math.log(_TEMPER_SPLIT)
-        self.level = float(np.exp(log_tail_value(cfg.tail, _TEMPER_SPLIT)[0]))
-        if cfg.first_index > 1 and self.level <= 1.0:  # integer-path levels start at 1, so u = L^{-1}(1) <= x*
+        self.alpha = cfg.tail.alpha
+        if cfg.first_index > 1:  # integer-path levels start at 1 > L(x*), so u = L^{-1}(1) < x*
             self.level, self.log_u = 1.0, float(log_tail_inverse(cfg.tail, 1.0)[0])
+        else:
+            self.level, self.log_u = float(np.exp(log_tail_value(cfg.tail, _TEMPER_SPLIT)[0])), math.log(_TEMPER_SPLIT)
         self.scale = math.exp(math.lgamma(1.0 - self.alpha) + self.alpha * self.log_u)  # Γ(1-alpha) u^alpha
 
     def thin(self, rng: np.random.Generator, levels: np.ndarray) -> np.ndarray:
@@ -393,7 +386,7 @@ def sample_log_points(cfg: NbpConfig, seeds) -> list[PointSeries]:
         for i, lv, cut, head, end in zip(live, levels, cuts, heads, np.cumsum([h.size for h in heads]).tolist()):
             log_pts = log_flat[end - head.size:end]
             if log_pts.size == cut < lv.size:  # the rest are stable candidates
-                log_pts = np.concatenate((log_pts, tempered.thin(rows[i].arrivals._rng, lv[cut:])))
+                log_pts = np.concatenate((log_pts, tempered.thin(rows[i].rng, lv[cut:])))
             out[i] = rows[i].take(log_pts, cfg)
         live = [i for i in live if out[i] is None]
     return out

@@ -43,7 +43,6 @@ from typing import Callable
 import numpy as np
 
 from ._rng import (
-    STREAM_ARRIVALS,
     STREAM_ATOMS,
     STREAM_DRAWS,
     seed_tuple,
@@ -428,7 +427,7 @@ class ExtendedDpParams:
         levels = []
         for seed in seeds:
             row = _Row(seed, r, randomized=False)
-            arrivals = row.arrivals.next(n + 1 - r)  # Γ_{r+1} .. Γ_{n+1}
+            arrivals = row.arrivals(n + 1 - r)  # Γ_{r+1} .. Γ_{n+1}
             u = arrivals[:-1] / (row.divisor * arrivals[-1])
             if not np.all((u > 0.0) & (u < 1.0)):
                 raise DomainError(
@@ -488,7 +487,7 @@ class StickBreaking:
         cumulative product over the block gives every row's remaining mass.
         """
         shapes = self.theta + self.alpha * np.arange(1, self.sticks + 1)
-        betas = np.stack([spawn_generator(seed, STREAM_ARRIVALS).beta(1.0 - self.alpha, shapes) for seed in seeds])
+        betas = np.stack([_Row(seed).rng.beta(1.0 - self.alpha, shapes) for seed in seeds])
         remaining = np.cumprod(1.0 - betas, axis=1)
         weights = np.empty((len(seeds), self.sticks + 1))
         weights[:, 0] = betas[:, 0]

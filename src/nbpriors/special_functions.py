@@ -6,7 +6,7 @@ survival function Q(a, x), and one safeguarded Newton solver for
 ln c + ln Γ(a, x) = ln y, which inverts both the Lévy tails c Γ(-alpha, x)
 of ``levy_tails`` and Q(a, x) = Γ(a, x)/Γ(a) and alone decides which seeds
 are final (those below ln x = -40).  ``REL_TOL`` and ``MAX_ITER`` fix the
-stopping rules of the continued fraction and of the solver.
+solver's stopping rule; the continued fraction runs to a few ulps.
 
 Every ln Q(s, x) comes from ``_log_q``, one scipy kernel per point chosen
 by its own x (DiDonato & Morris, ACM TOMS 12, 1986): log1p(-gammainc)
@@ -34,9 +34,11 @@ EULER_GAMMA = 0.5772156649015328606
 
 _EPS = float(np.finfo(float).eps)
 
-# stopping rule of the continued fraction and of the Newton inverse
+# stopping rule of the Newton inverse; MAX_ITER also bounds the continued fraction
 REL_TOL = 1e-12
 MAX_ITER = 100
+# the continued fraction stops on a Lentz factor this close to 1: a few ulps, so none can stall at 1 +- eps
+_CF_TOL = 4.0 * _EPS
 # a solver seed below this ln x is final (see log_upper_gamma_inverse)
 _SEED_FINAL_MAX = -40.0
 
@@ -124,7 +126,7 @@ def log_upper_gamma(a: float, x) -> np.ndarray:
     multiplies P's relative error by 9, and from ``gammaincc`` above.
     Beyond the switch point the Legendre continued fraction (modified
     Lentz) needs no scipy kernel and cannot underflow; each element stops
-    once its own Lentz factor is within ``REL_TOL`` of 1.  The switch
+    once its own Lentz factor is within 4 eps of 1.  The switch
     is x = max(25, a + 1) for a >= 0.  For a < 0 it is where the
     recurrence's error reaches ``REL_TOL`` / 16, kept within [1, 25], so
     it moves below 25 only for |a| < 0.09.  Where that error point lies
@@ -169,7 +171,7 @@ def log_upper_gamma(a: float, x) -> np.ndarray:
         d = 1.0 / d
         delta = d * c
         h = np.where(active, h * delta, h)
-        active &= np.abs(delta - 1.0) >= REL_TOL
+        active &= np.abs(delta - 1.0) >= _CF_TOL
     out[~near] = a * np.log(xf) - xf + np.log(h)
     if active.any():
         raise NumericError(

@@ -22,7 +22,8 @@ from nbpriors import (
 )
 from nbpriors import experiments
 from nbpriors._rng import replication_seed
-from nbpriors.point_processes import MAX_ARRIVALS, sample_log_points
+from nbpriors.levy_tails import log_tail_value
+from nbpriors.point_processes import _TEMPER_SPLIT, MAX_ARRIVALS, sample_log_points
 from oracles import inverse_series_log_points
 
 
@@ -328,6 +329,23 @@ class TestTruncation:
         assert series.stopped_by == "hard_cap"
         assert series.truncation_warning
 
+    @pytest.mark.parametrize("make", [
+        lambda cap: NbpConfig(0.0, LevyTail.stable(0.5), TruncationPolicy.epsilon_rule(1e-6, hard_cap=cap)),
+        lambda cap: experiments._family("pdp_series", {"alpha": 0.5, "theta": 2.0},
+                                        TruncationPolicy.epsilon_rule(1e-6, hard_cap=cap)),
+    ], ids=["stable", "pdp_series"])
+    @pytest.mark.parametrize("seed", [4, (2, 7)])
+    def test_hard_cap_at_the_epsilon_rule_stop(self, make, seed):
+        # a cap equal to the rule's length leaves the stop to the rule; one point less, the cap stops the draw
+        rule = sample_nbp_points(make(1_000_000), seed)
+        assert (rule.stopped_by, rule.truncation_warning) == ("epsilon_rule", False)
+        at = sample_nbp_points(make(len(rule)), seed)
+        assert (at.stopped_by, at.truncation_warning) == ("epsilon_rule", False)
+        assert np.array_equal(at.log_points, rule.log_points)
+        below = sample_nbp_points(make(len(rule) - 1), seed)
+        assert (below.stopped_by, below.truncation_warning) == ("hard_cap", True)
+        assert np.array_equal(below.log_points, rule.log_points[:-1])
+
 
 class TestTemperedSeries:
     """The generalized-gamma series drawn by thinning stable candidates has the law of the inverted series."""
@@ -366,6 +384,12 @@ class TestTemperedSeries:
                 continue
             p = st.ks_2samp(a, b).pvalue
             assert p > 0.001, f"{name}: two-sample KS p = {p:.2e}"
+
+    def test_split_level_is_below_one(self):
+        # integer-path levels start at 1 > L(x*), so that path splits at u = L^{-1}(1) < x*
+        for alpha in np.concatenate(([1e-300, 1e-100, 1e-8, 1e-3], np.linspace(0.01, 0.99, 99), [1.0 - 1e-9])):
+            log_level = float(log_tail_value(LevyTail.generalized_gamma(alpha), _TEMPER_SPLIT)[0])
+            assert log_level < math.log(0.051), alpha
 
     @pytest.mark.parametrize("theta", [1e8, 1e300])
     @pytest.mark.parametrize("seed", [7, 8, (3, 1)])

@@ -122,6 +122,14 @@ class TestLogUpperGamma:
         expected = np.array([float(mp.gammainc(mp.mpf(a), mp.mpf(v))) for v in x])
         assert np.max(np.abs(got / expected - 1.0)) < 1e-12
 
+    @pytest.mark.parametrize("a", [-1e-8, -1e-3, -3e-3])
+    def test_continued_fraction_just_above_the_split_against_mpmath(self, a):
+        # the split is x = 1 here; a Lentz stop at 1e-12 left 3.2e-12 relative error at x = 1 + 1e-7
+        x = np.concatenate((1.0 + np.geomspace(1e-9, 1e-2, 8), np.linspace(1.1, 3.0, 12)))
+        got = np.exp(log_upper_gamma(a, x))
+        expected = np.array([float(mp.gammainc(mp.mpf(a), mp.mpf(v))) for v in x])
+        assert np.max(np.abs(got / expected - 1.0)) < 1e-12
+
     @pytest.mark.parametrize("a", [-0.9, -0.5, -0.1, 0.0075, 0.5, 5.0])
     def test_across_the_kernel_switch(self, a):
         # x* is where P reaches the switch for the shape scipy sees: a + 1 in the recurrence, a itself above 0

@@ -26,6 +26,7 @@ SAMPLE = [
     "sample --process dirichlet --theta 300 --n 200 --output csv --seed 2",
     "sample --process pdp_series --alpha 0.5 --theta 2 --n 300 --seed 3",
     "sample --process pdp_series --alpha 0.5 --theta 2 --n 300 --r 4 --seed 3",
+    "sample --process pdp_series --alpha 0.5 --theta 2 --n 3000 --output csv --seed 12",  # three 1,024-level rounds
     "sample --process pdp_series --alpha 0.5 --theta 2 --epsilon 1e-6 --seed 4",
     "sample --process pdp_series --alpha 0.5 --theta 2 --r 2.5 --n 100 --seed 10",
     "sample --process pdp_series --alpha 0.5 --theta 2 --r 2.5 --epsilon 1e-6 --seed 10",
@@ -58,6 +59,7 @@ INVOCATIONS = [
     "weights --theta 0.01 --reps 5 --output csv",
     "clusters",
     "clusters --process pdp_series --alpha 0.5 --theta 2 --reps 10 --seed 100",
+    "clusters --process pdp_series --alpha 0.9 --theta 10 --reps 2 --n-grid 10,100 --seed 11",  # at the hard cap
     "clusters --process stable --alpha 0.5 --reps 10 --output csv",
     "selftest",
 ]
