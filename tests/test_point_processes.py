@@ -386,7 +386,8 @@ class TestTemperedSeries:
             assert p > 0.001, f"{name}: two-sample KS p = {p:.2e}"
 
     def test_split_level_is_below_one(self):
-        # integer-path levels start at 1 > L(x*), so that path splits at u = L^{-1}(1) < x*
+        # integer-path levels start at 1 > L(x*), so that path splits at u = L^{-1}(1) < x*; the largest L(x*)
+        # is 0.0506, at alpha = 0.46
         for alpha in np.concatenate(([1e-300, 1e-100, 1e-8, 1e-3], np.linspace(0.01, 0.99, 99), [1.0 - 1e-9])):
             log_level = float(log_tail_value(LevyTail.generalized_gamma(alpha), _TEMPER_SPLIT)[0])
             assert log_level < math.log(0.051), alpha
