@@ -145,6 +145,9 @@ def tail_value(tail: LevyTail, x: float) -> float:
 # tail inversion
 
 
+# at a subnormal alpha, 1/alpha overflows: the closed form and the small-x seed are then ln x = +-inf,
+# an exact zero, or an infinite point that the row normaliser rejects
+@np.errstate(over="ignore")
 def log_tail_inverse(tail: LevyTail, y) -> np.ndarray:
     """ln L^{-1}(y) elementwise: the unique x with L(x) = y, in log domain."""
     y = _as_positive_array("y", y)

@@ -59,6 +59,7 @@ from .errors import (
 from .levy_tails import LevyTail, log_tail_inverse, log_tail_value
 
 MAX_ARRIVALS = 100_000_000  # ~800 MB of float64, hard memory bound
+DEFAULT_HARD_CAP = 1_000_000  # retained points of a truncation that names no hard_cap
 
 _CHUNK = 1024  # points per seed per epsilon-rule round; fixed for determinism
 _TEMPER_SPLIT = 1.0  # x*: generalized-gamma points above it are inverted, those below it thinned
@@ -86,7 +87,7 @@ class TruncationPolicy:
     mode: str
     n: int | None = None
     epsilon: float | None = None
-    hard_cap: int = 1_000_000
+    hard_cap: int = DEFAULT_HARD_CAP
 
     def __post_init__(self):
         # the converted values are stored (the dataclass is frozen), so a
@@ -112,11 +113,11 @@ class TruncationPolicy:
                 raise DomainError("epsilon_rule does not take n")
 
     @classmethod
-    def fixed(cls, n: int, hard_cap: int = 1_000_000) -> "TruncationPolicy":
+    def fixed(cls, n: int, hard_cap: int = DEFAULT_HARD_CAP) -> "TruncationPolicy":
         return cls(mode="fixed_count", n=n, hard_cap=hard_cap)
 
     @classmethod
-    def epsilon_rule(cls, epsilon: float, hard_cap: int = 1_000_000) -> "TruncationPolicy":
+    def epsilon_rule(cls, epsilon: float, hard_cap: int = DEFAULT_HARD_CAP) -> "TruncationPolicy":
         return cls(mode="epsilon_rule", epsilon=epsilon, hard_cap=hard_cap)
 
     def to_dict(self) -> dict:
@@ -134,7 +135,7 @@ class TruncationPolicy:
             mode=data.get("mode", "fixed_count"),
             n=data.get("n"),
             epsilon=data.get("epsilon"),
-            hard_cap=data.get("hard_cap", 1_000_000),
+            hard_cap=data.get("hard_cap", DEFAULT_HARD_CAP),
         )
 
 
@@ -351,11 +352,13 @@ class _Tempered:
 
     def thin(self, rng: np.random.Generator, levels: np.ndarray) -> np.ndarray:
         """ln x = ln L_S^{-1}(L_S(u) + y - L(u)) of each level y >= L(u), each x kept with probability e^{-x}."""
-        with np.errstate(over="ignore"):  # a candidate below the smallest double is an exact zero
-            log_x = self.log_u - np.log1p((levels - self.level) * self.scale) / self.alpha
+        log_x = self.log_u - np.log1p((levels - self.level) * self.scale) / self.alpha
         return log_x[rng.random(levels.size) < np.exp(-np.exp(log_x))]
 
 
+# a thinned candidate below the smallest double is an exact zero, and at a subnormal alpha a row's first
+# point can be infinite, leaving its epsilon-rule ratios NaN: the row normaliser rejects that row
+@np.errstate(over="ignore", invalid="ignore")
 def sample_log_points(cfg: NbpConfig, seeds) -> list[PointSeries]:
     """The truncated negative binomial point sequence of each seed, in seed order.
 

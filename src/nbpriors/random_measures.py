@@ -209,14 +209,17 @@ def normalized_weights(log_w: np.ndarray) -> np.ndarray:
     """Weights proportional to exp(log_w), summing to one, in the same order.
 
     A weight that underflows stays an exact zero.  Fewer than two
-    representable weights raise a DegenerateTruncationError; a NaN or
-    +inf log-weight leaves none.  Past that check every weight is finite
-    and the largest is at least 1/len(log_w), so the nonzero weights meet
-    the weight invariants of a :class:`DiscreteMeasure` without a check.
+    representable weights raise a DegenerateTruncationError; a row whose
+    largest log-weight is not finite (NaN, +inf, or every weight -inf)
+    has none.  Past that check every weight is finite and the largest is
+    at least 1/len(log_w), so the nonzero weights meet the weight
+    invariants of a :class:`DiscreteMeasure` without a check.
     """
+    top = log_w.max()
+    if not math.isfinite(top):
+        raise DegenerateTruncationError("fewer than two atoms carry representable weight")
     # subtract the whole log normalizer before exponentiating: dividing
     # exp(log_w - top) by its sum would flush subnormal weights to zero
-    top = log_w.max()
     w = np.exp(log_w - (top + math.log(np.exp(log_w - top).sum())))
     if np.count_nonzero(w > 0.0) < 2:
         raise DegenerateTruncationError("fewer than two atoms carry representable weight")
@@ -411,31 +414,25 @@ class ExtendedDpParams:
     def draw(self, seeds: list) -> list[np.ndarray]:
         """Each seed's normalized weights of the finite approximation.
 
-        Weights are gamma-survival quantiles: with shape concentration/n and
-        the seed's arrivals Γ_1 .. Γ_{n+1} (the series' integer-path row of
-        order r, with its divisor rule Γ_0 = 1), weight i is the x solving
-        Q(shape, x) = Γ_i/(Γ_r Γ_{n+1}) for i = r+1 .. n, computed in log
-        domain and normalized by log-sum-exp; a weight that underflows stays a
-        zero.  All seeds' levels go through one ``gamma_quantile_upper_many``
-        call, which solves each level on its own, so a row is bit-identical to
-        its seed's draw alone.  Any quantile argument outside (0, 1) raises a
-        DomainError; no internal resampling is attempted, so behavior stays
-        deterministic.  (For r = 0 the arguments are in (0, 1) almost surely;
-        for r >= 1 the event Γ_r Γ_{n+1} < Γ_n has positive probability.)
+        Weights are gamma-survival quantiles: with shape concentration/n and the seed's arrivals
+        Γ_1 .. Γ_{n+1} (the series' integer-path row of order r, with its divisor rule Γ_0 = 1), weight i
+        is the x solving Q(shape, x) = u_i = Γ_i/(Γ_r Γ_{n+1}) for i = r+1 .. n, computed in log domain
+        and normalized by log-sum-exp.  L_n(x) = Γ_{n+1} Q(shape, x) has the finite mass Γ_{n+1}, so a
+        level u_i >= 1 (possible for r >= 1) lies past it and its weight is a zero, as is a weight that
+        underflows; a seed left with fewer than two nonzero weights raises a DegenerateTruncationError.
+        All seeds' levels below 1 go through one ``gamma_quantile_upper_many`` call, which solves each
+        level on its own, so a row is bit-identical to its seed's draw alone.
         """
         n, r = self.n, self.r
         levels = []
         for seed in seeds:
             row = _Row(seed, r, randomized=False)
             arrivals = row.arrivals(n + 1 - r)  # Γ_{r+1} .. Γ_{n+1}
-            u = arrivals[:-1] / (row.divisor * arrivals[-1])
-            if not np.all((u > 0.0) & (u < 1.0)):
-                raise DomainError(
-                    f"quantile arguments left (0,1) for this realization (r={r}, n={n}); "
-                    "the finite approximation is undefined here"
-                )
-            levels.append(u)
-        log_w = gamma_quantile_upper_many(self.concentration / n, np.concatenate(levels))
+            levels.append(arrivals[:-1] / (row.divisor * arrivals[-1]))
+        u = np.concatenate(levels)
+        inside = u < 1.0
+        log_w = np.full(u.size, -np.inf)
+        log_w[inside] = gamma_quantile_upper_many(self.concentration / n, u[inside])
         return [normalized_weights(w) for w in log_w.reshape(len(seeds), n - r)]
 
     def measure(self, base: BaseMeasure, seed) -> DiscreteMeasure:
@@ -445,7 +442,8 @@ class ExtendedDpParams:
 
 
 def sample_extended_dp_finite(params: ExtendedDpParams, base: BaseMeasure, seed) -> DiscreteMeasure:
-    """Finite approximation of the order-r extended Dirichlet process: ``ExtendedDpParams.draw`` for one seed."""
+    """Finite approximation of the order-r extended Dirichlet process: ``ExtendedDpParams.draw`` for one seed,
+    its zero weights (levels past L_n's finite mass, or underflowed) dropped with their atoms."""
     return params.measure(base, seed)
 
 

@@ -63,6 +63,15 @@ class TestSample:
         measure = DiscreteMeasure.from_csv(res.stdout)
         assert len(measure) == 50
 
+    def test_ranked_stick_breaking(self):
+        res = run_cli("sample", "--process", "pdp_stick", "--alpha", "0.5", "--theta", "2", "--sticks", "50",
+                      "--ranked", "--seed", "8")
+        assert res.returncode == 0, res.stderr
+        measure = DiscreteMeasure.from_json(res.stdout)
+        assert measure.provenance["params"]["ranked"] is True
+        weights = measure.weights.tolist()
+        assert all(a > b for a, b in zip(weights, weights[1:]))
+
     def test_epsilon_truncation(self):
         res = run_cli("sample", "--process", "dirichlet", "--theta", "3", "--epsilon", "1e-4",
                       "--seed", "5")
@@ -304,7 +313,8 @@ class TestKsTable:
     @pytest.mark.parametrize("text, message", [
         ("a,b\n1,x\n", "CSV row 1, column 'b': 'x' is not a number"),
         ("a,b\n1,2\n3\n", "CSV row has 1 cells, header has 2"),
-    ], ids=["non_numeric", "short_row"])
+        ("\n", "empty CSV table"),
+    ], ids=["non_numeric", "short_row", "empty"])
     def test_bad_csv_table_is_a_domain_error(self, text, message):
         from nbpriors.cli import parse_csv_table
 

@@ -20,6 +20,7 @@ from nbpriors import (
     ExperimentSpec,
     GrowthDiagnostic,
     LevyTail,
+    NumericError,
     ResourceLimitError,
     TruncationPolicy,
     WeightProfile,
@@ -224,7 +225,7 @@ class TestRunKsExperiment:
         assert not res.flagged
 
     def test_failures_recorded_and_flagged(self):
-        # r = 1 at small n fails for a sizable share of replications
+        # r = 1 at small n leaves some replications fewer than two levels below 1: a DegenerateTruncationError
         spec = ExperimentSpec("extended_dp", {"concentration": 3.0, "r": 1, "n": 50}, 12, None, 0)
         res = run_ks_experiment(spec)
         assert res.flagged
@@ -303,8 +304,11 @@ class TestSamplerLaw:
         ("stable", {"alpha": 0.5}, TruncationPolicy.epsilon_rule(1e-7, hard_cap=50_000),
          LevyTail.stable(0.5), 0, False),
         ("dirichlet", {"theta": 3.0}, TruncationPolicy.fixed(400), LevyTail.gamma(3.0), 0, False),
+        # the finite extended DP of order r approximates the order-r integer-path gamma series
+        *[("extended_dp", {"concentration": 3.0, "r": r, "n": 2000}, None, LevyTail.gamma(3.0), r, False)
+          for r in (1, 2, 5)],
     ], ids=["pdp_0.1_1_r10", "pdp_0.1_10_r100", "pdp_0.5_1_r2", "gamma_r3", "gamma_r10", "gamma_r2.5_randomized",
-            "stable", "dirichlet"])
+            "stable", "dirichlet", "extended_dp_r1", "extended_dp_r2", "extended_dp_r5"])
     def test_mean_sum_of_squared_weights_matches_the_campbell_oracle(
         self, process, params, truncation, tail, r, randomized
     ):
@@ -599,16 +603,15 @@ class TestReplicationEngine:
         # r = 3e-3 overflows other seeds' levels inside the block's inversion
         params = {"r": r, "tail": {"kind": "stable", "alpha": 0.5}, "randomized": True}
         spec = ExperimentSpec("pkp", params, 70, TruncationPolicy.fixed(50), 3)
-        with np.errstate(over="ignore"):
-            seen, engine_failures = self.batched(spec)
-            values, failures = self.per_draw(spec)
-            assert run_ks_experiment(spec).failures == failures
+        seen, engine_failures = self.batched(spec)
+        values, failures = self.per_draw(spec)
+        assert run_ks_experiment(spec).failures == failures
         assert 0 < len(failures) < 70
         assert engine_failures == failures
         assert seen == values
 
     def test_extended_dp_failures_stay_with_their_replication(self):
-        # at r = 1 the event Gamma_1 Gamma_{n+1} < Gamma_n leaves some seeds undefined
+        # at r = 1 some seeds keep fewer than two levels Gamma_i/(Gamma_1 Gamma_{n+1}) below 1 and fail
         spec = ExperimentSpec("extended_dp", {"concentration": 3.0, "r": 1, "n": 50}, self.REPS, None, 4)
         seen, engine_failures = self.batched(spec)
         values, failures = self.per_draw(spec)
@@ -726,9 +729,8 @@ class TestReplicationEngine:
         # underflows every point of others, which then run to the hard cap
         params = {"r": 1e-3, "tail": {"kind": "stable", "alpha": 0.5}, "randomized": True}
         spec = ExperimentSpec("pkp", params, self.EPS_REPS, TruncationPolicy.epsilon_rule(1e-6, hard_cap=2048), 3)
-        with np.errstate(over="ignore", invalid="ignore"):
-            seen, engine_failures = self.batched(spec)
-            values, failures = self.per_draw(spec)
+        seen, engine_failures = self.batched(spec)
+        values, failures = self.per_draw(spec)
         assert 0 < len(failures) < self.EPS_REPS
         assert engine_failures == failures
         assert seen == values
@@ -888,6 +890,11 @@ class TestWeightProfile:
             assert np.all(np.diff(row) < 0)
         assert profile.mean_weights[0, 0] > profile.mean_weights[1, 0]
 
+    def test_a_failed_replication_raises(self):
+        # at a subnormal alpha every stable point is infinite, so no row carries two representable weights
+        with pytest.raises(DegenerateTruncationError, match="fewer than two atoms carry representable weight"):
+            weight_profile(LevyTail.stable(1e-310), [0], top_k=1, replications=1, seed=0, points_per_r=2)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             weight_profile(LevyTail.gamma(3.0), [0], top_k=0, replications=5, seed=1)
@@ -908,6 +915,10 @@ class TestWeightProfile:
 
 
 class TestClusteringGrowth:
+    def test_a_failed_replication_raises(self):
+        with pytest.raises(DegenerateTruncationError, match="fewer than two atoms carry representable weight"):
+            clustering_growth("stable", {"alpha": 1e-310}, [10], 1, 0, truncation=TruncationPolicy.fixed(50))
+
     def test_dirichlet_growth(self):
         diag = clustering_growth("dirichlet", {"theta": 3.0}, [50, 150], 200, 13)
         assert diag.normalizer == "log_n"
@@ -1013,6 +1024,11 @@ class TestEquivalence:
         with pytest.raises(DomainError):
             rank_weight_equivalence_test(0.5, 2.0, 99, 1)
 
+    def test_a_failed_replication_raises(self):
+        # theta/alpha = 2e-300: the series side's Gamma(r, 1) mixing draw underflows to zero
+        with pytest.raises(NumericError, match="gamma mixing draw degenerated"):
+            rank_weight_equivalence_test(0.5, 1e-300, 100, 1, truncation=TruncationPolicy.fixed(50), sticks=50)
+
     @pytest.mark.parametrize("kwargs", [{"replications": 100.9}, {"sticks": 200.7}], ids=["replications", "sticks"])
     def test_fractional_integer_argument_is_a_domain_error(self, kwargs):
         args = {"replications": 100, "sticks": 200, **kwargs}
@@ -1107,9 +1123,13 @@ class TestBuildMeasure:
         with pytest.raises(DomainError):
             build_measure("dirichlet", {}, TruncationPolicy.fixed(50), 0)
 
-    def test_missing_truncation(self):
-        with pytest.raises(DomainError):
-            build_measure("dirichlet", {"theta": 3.0}, None, 0)
+    @pytest.mark.parametrize("process, params", [
+        ("dirichlet", {"theta": 3.0}),
+        ("pdp_stick", {"alpha": 0.5, "theta": 2.0}),  # no sticks, and no truncation to take them from
+    ], ids=["series", "sticks"])
+    def test_missing_truncation(self, process, params):
+        with pytest.raises(DomainError, match="this process needs a truncation policy"):
+            build_measure(process, params, None, 0)
 
     def test_series_row_of_one_point_is_degenerate(self):
         trunc = TruncationPolicy.epsilon_rule(1e-6, hard_cap=1)

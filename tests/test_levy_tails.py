@@ -92,6 +92,11 @@ class TestValues:
             tail_value(LevyTail.stable(0.99), 5e-324)
         assert info.value.best_estimate == pytest.approx(-0.99 * math.log(5e-324), rel=1e-14)  # L(x) = x^{-alpha}
 
+    def test_underflow_is_a_numeric_error_carrying_zero(self):
+        with pytest.raises(NumericError, match="underflows double precision") as info:
+            tail_value(LevyTail.gamma(1.0), 800.0)  # E1(800) ~ e^-800 / 800
+        assert info.value.best_estimate == 0.0
+
     def test_domain(self):
         for tail in ALL_TAILS:
             with pytest.raises(DomainError):

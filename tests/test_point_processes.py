@@ -1,5 +1,6 @@
 """Unit tests for arrival streams and the negative binomial point sampler."""
 
+import io
 import math
 import warnings
 
@@ -21,9 +22,9 @@ from nbpriors import (
     tail_support_bound,
 )
 from nbpriors import experiments
-from nbpriors._rng import replication_seed
+from nbpriors._rng import replication_seed, seed_tuple
 from nbpriors.levy_tails import log_tail_value
-from nbpriors.point_processes import _TEMPER_SPLIT, MAX_ARRIVALS, sample_log_points
+from nbpriors.point_processes import _TEMPER_SPLIT, MAX_ARRIVALS, ArrivalStream, sample_log_points, write_points_csv
 from oracles import inverse_series_log_points
 
 
@@ -39,6 +40,8 @@ class TestTruncationPolicy:
             TruncationPolicy(mode="fixed_count", n=10, epsilon=0.1)
         with pytest.raises(DomainError):
             TruncationPolicy(mode="epsilon_rule", epsilon=0.1, hard_cap=0)
+        with pytest.raises(DomainError, match="epsilon_rule does not take n"):
+            TruncationPolicy(mode="epsilon_rule", epsilon=0.1, n=10)
 
     @pytest.mark.parametrize(
         "make",
@@ -58,11 +61,22 @@ class TestTruncationPolicy:
             assert TruncationPolicy.from_dict(policy.to_dict()) == policy
 
 
+class TestSeeds:
+    def test_empty_seed_tuple_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="seed tuple must not be empty"):
+            seed_tuple(())
+
+    def test_negative_replication_index_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="replication index must be nonnegative"):
+            replication_seed(1, -1)
+
+
 class TestGammaArrivals:
     def test_basic_shape(self):
         stream = gamma_arrivals(42, 1000)
         arr = stream.arrivals
         assert arr.size == 1000
+        assert len(stream) == 1000
         assert arr[0] > 0
         assert np.all(np.diff(arr) > 0)
 
@@ -75,6 +89,14 @@ class TestGammaArrivals:
         assert np.array_equal(a, b)
         c = gamma_arrivals(8, 256).arrivals
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("arrivals, message", [
+        ([], "arrivals must be a nonempty 1-d array"),
+        ([1.0, 0.5], "arrivals must be strictly increasing and positive"),
+    ], ids=["empty", "decreasing"])
+    def test_stream_checks_its_arrivals(self, arrivals, message):
+        with pytest.raises(DomainError, match=message):
+            ArrivalStream(np.array(arrivals), (1,))
 
     def test_count_domain(self):
         with pytest.raises(DomainError):
@@ -137,6 +159,11 @@ class TestNbpPoints:
         prm = sample_prm_points(tail, gamma_arrivals(77, 300))
         assert np.array_equal(series.points, prm)
         assert series.first_index == 1
+
+    def test_no_seeds_is_a_domain_error(self):
+        cfg = NbpConfig(r=0.0, tail=LevyTail.gamma(3.0), truncation=TruncationPolicy.fixed(10))
+        with pytest.raises(DomainError, match="sampling needs at least one seed"):
+            sample_log_points(cfg, [])
 
     def test_integer_path_inside_support(self):
         for tail in (LevyTail.gamma(3.0), LevyTail.stable(0.5), LevyTail.generalized_gamma(0.5)):
@@ -421,3 +448,8 @@ class TestCsvExport:
         path = tmp_path / "points.csv"
         series.to_csv(str(path))
         assert path.read_text().startswith("index,value\n1,")
+
+    def test_write_to_open_file(self):
+        buf = io.StringIO()
+        assert write_points_csv([0.5, 0.25], first_index=3, file=buf) is None
+        assert buf.getvalue() == "index,value\n3,0.5\n4,0.25\n"

@@ -12,7 +12,8 @@ the CLI build it.  The invariants:
 The parameter ranges below are part of the contract: they are not to be
 narrowed so that a change passes.
 
-* alpha: ordinary [0.01, 0.99]; extreme [1e-300, 1e-6], or within 1e-6 of 1;
+* alpha: ordinary [0.01, 0.99]; extreme [10^-323.3, 1e-6] (down to the
+  smallest subnormal double), or within 1e-6 of 1;
 * theta: ordinary [0.01, 100]; extreme [1e-300, 1e-6] or [1e5, 1e300].
 """
 
@@ -33,7 +34,7 @@ def log_uniform(lo_exp, hi_exp):
 
 
 ALPHA_ORDINARY = st.floats(0.01, 0.99)
-ALPHA_EXTREME = st.one_of(log_uniform(-300, -6), log_uniform(-16, -6).map(lambda d: 1.0 - d))
+ALPHA_EXTREME = st.one_of(log_uniform(-323.3, -6), log_uniform(-16, -6).map(lambda d: 1.0 - d))
 THETA_ORDINARY = log_uniform(-2, 2)
 THETA_EXTREME = st.one_of(log_uniform(-300, -6), log_uniform(5, 300))
 

@@ -33,6 +33,7 @@ from nbpriors import (
     uniform_base,
 )
 from nbpriors import random_measures, special_functions
+from nbpriors._rng import STREAM_ATOMS, spawn_generator
 from nbpriors.point_processes import MAX_ARRIVALS
 
 from oracles import dp_expected_distinct
@@ -54,6 +55,8 @@ class TestDiscreteMeasure:
             DiscreteMeasure(np.array([0.1, 0.2]), np.array([0.4, 0.4]))
         with pytest.raises(DomainError):
             DiscreteMeasure(np.array([0.1, 0.2]), np.array([0.4, 0.6]), sorted_by_weight=True)
+        with pytest.raises(DomainError, match="a measure needs at least one atom"):
+            DiscreteMeasure(np.array([]), np.array([]))
 
     def test_ranked(self):
         m = DiscreteMeasure(np.array([1.0, 2.0, 3.0]), np.array([0.2, 0.5, 0.3]))
@@ -115,11 +118,12 @@ class TestNormalizedWeights:
         assert row.size == 400 > m.weights.size
         assert np.array_equal(m.weights, row[row > 0.0])
 
-    @pytest.mark.parametrize("log_w", [[0.0, -800.0, -900.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]])
+    @pytest.mark.parametrize("log_w", [[0.0, -800.0, -900.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0],
+                                       [-np.inf, -np.inf, -np.inf]])
     def test_fewer_than_two_representable_weights(self, log_w):
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(DegenerateTruncationError, match="fewer than two atoms carry representable weight"):
-                random_measures.normalized_weights(np.array(log_w))
+        # the row is rejected before any subtraction, so no numpy warning escapes
+        with pytest.raises(DegenerateTruncationError, match="fewer than two atoms carry representable weight"):
+            random_measures.normalized_weights(np.array(log_w))
 
 
 class TestSamplePkp:
@@ -301,14 +305,42 @@ class TestExtendedDp:
         # atoms come from the same stream, so the leading atoms agree too
         assert np.array_equal(finite.atoms[:k], series.atoms[:k])
 
-    def test_out_of_range_argument_raises(self):
-        # r >= 1 can put Gamma_i/(Gamma_r Gamma_{n+1}) outside (0,1); seed 0 does
-        with pytest.raises(DomainError):
-            sample_extended_dp_finite(ExtendedDpParams(3.0, 1, 50), UB, 0)
-        # and no internal resampling: a valid seed stays valid deterministically
-        m1 = sample_extended_dp_finite(ExtendedDpParams(3.0, 1, 50), UB, 4)
-        m2 = sample_extended_dp_finite(ExtendedDpParams(3.0, 1, 50), UB, 4)
-        assert np.array_equal(m1.weights, m2.weights)
+    def test_levels_past_the_finite_mass_get_zero_weight(self):
+        # L_n has the finite mass Gamma_{n+1}, so a level Gamma_i/(Gamma_1 Gamma_51) >= 1 carries no weight;
+        # seed 0 has such levels, and its measure drops exactly their atoms
+        n, seed = 50, 0
+        arrivals = gamma_arrivals(seed, n + 1).arrivals
+        kept = arrivals[1:n] < arrivals[0] * arrivals[n]
+        assert 2 <= np.count_nonzero(kept) < n - 1
+        m1 = sample_extended_dp_finite(ExtendedDpParams(3.0, 1, n), UB, seed)
+        atoms = UB.sampler(spawn_generator(seed, STREAM_ATOMS), n - 1)
+        assert np.array_equal(m1.atoms, atoms[kept])
+        # and no internal resampling: the draw stays deterministic
+        m2 = sample_extended_dp_finite(ExtendedDpParams(3.0, 1, n), UB, seed)
+        assert m1.to_json() == m2.to_json()
+
+    @pytest.mark.parametrize("n", [50, 400])
+    def test_every_seed_draws_or_fails_typed(self, n):
+        # a row keeps its zero weights; only a seed left with fewer than two levels below 1 fails
+        failed = {1: 0, 2: 0}
+        for r in failed:
+            for seed in range(300):
+                try:
+                    m = sample_extended_dp_finite(ExtendedDpParams(3.0, r, n), UB, seed)
+                except DegenerateTruncationError as exc:
+                    assert str(exc) == "fewer than two atoms carry representable weight"
+                    failed[r] += 1
+                else:
+                    assert len(m) >= 2
+        assert failed[1] < 30 and failed[2] == 0, failed
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_order_r_coupling_to_series(self, r):
+        # the same arrivals drive the order-r gamma series; the weights agree within selftest's coupling bound
+        n, seeds = 2000, list(range(40))
+        finite = ExtendedDpParams(3.0, r, n).draw(seeds)
+        series = random_measures.SeriesProcess.pkp(r, LevyTail.gamma(3.0), TruncationPolicy.fixed(n)).draw(seeds)
+        assert max(float(np.max(np.abs(f - s))) for f, s in zip(finite, series)) < 5e-2
 
     def test_quantiles_seeded_below_ln_x_minus_40_skip_scipy_and_newton(self, monkeypatch):
         """Seed 5 at n = 2,000: only the 119 levels seeded at ln x >= -40 reach gammainccinv, and

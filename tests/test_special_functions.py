@@ -28,6 +28,7 @@ from nbpriors import (
     upper_incomplete_gamma,
 )
 
+from nbpriors import special_functions
 from nbpriors.special_functions import _P_SWITCH, log_upper_gamma, log_upper_gamma_inverse
 from oracles import gamma_survival_quad, log_gamma_quantile_root, upper_gamma_quad
 
@@ -141,6 +142,12 @@ class TestLogUpperGamma:
         singles = np.concatenate([log_upper_gamma(a, x[i:i + 1]) for i in range(x.size)])
         assert got.tobytes() == singles.tobytes()
 
+    def test_unconverged_continued_fraction_is_a_numeric_error(self, monkeypatch):
+        # x = 30 lies past the split x = 25, and one Lentz step does not reach 4 eps
+        monkeypatch.setattr(special_functions, "MAX_ITER", 1)
+        with pytest.raises(NumericError, match="continued fraction for Gamma"):
+            log_upper_gamma(0.5, np.array([30.0]))
+
 
 class TestExpIntegral:
     def test_reference_values(self):
@@ -158,6 +165,11 @@ class TestExpIntegral:
             exp_integral_e1(0.0)
         with pytest.raises(DomainError):
             exp_integral_e1(-3.0)
+
+    def test_underflow_is_a_numeric_error_carrying_zero(self):
+        with pytest.raises(NumericError, match="underflows double precision") as info:
+            exp_integral_e1(800.0)
+        assert info.value.best_estimate == 0.0
 
 
 class TestGammaSurvival:
@@ -249,8 +261,16 @@ class TestGammaQuantileUpper:
         for bad in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(DomainError):
                 gamma_quantile_upper(1.0, bad)
+            with pytest.raises(DomainError, match="all survival levels must lie strictly inside"):
+                gamma_quantile_upper_many(1.0, [0.5, bad])
         with pytest.raises(DomainError):
             gamma_quantile_upper(-1.0, 0.5)
+
+    def test_unconverged_point_is_a_numeric_error(self, monkeypatch):
+        # a seed one Newton step cannot resolve
+        monkeypatch.setattr(special_functions, "MAX_ITER", 1)
+        with pytest.raises(NumericError, match="left 1 of 1 points unconverged"):
+            log_tail_inverse(LevyTail.gamma(1.0), 1.0)
 
 
 GAMMA_TAIL = LevyTail.gamma(3.0)
