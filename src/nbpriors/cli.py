@@ -28,7 +28,7 @@ from importlib import resources
 import numpy as np
 import scipy.special as sp
 
-from .errors import DomainError, NbpError, NumericError, as_number, as_object
+from .errors import DomainError, NbpError, NumericError, as_count, as_number, as_object
 from .experiments import (
     PROCESSES,
     build_measure,
@@ -153,8 +153,7 @@ def default_grid_config() -> dict:
 def _cmd_ks_table(args) -> int:
     config = _load_config(args.config) if args.config else default_grid_config()
     rows, n, replications = load_ks_grid(config)
-    if args.jobs < 1:
-        raise DomainError(f"--jobs must be at least 1, got {args.jobs}")
+    as_count("--jobs", args.jobs)
     if args.n is not None:
         n = args.n
     if args.reps is not None:

@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the readers that raise them.
+
+Three readers take a scalar from a caller or a config file: ``as_number`` a real (an integer with ``kind=int``),
+``as_positive`` a positive finite real, and ``as_count`` a count, any size a request allocates or loops over
+(an index bound, a hard cap, an order, a replication or draw count), held to the one bound ``MAX_ARRIVALS``.
+``as_object``, ``as_list`` and ``read_field`` read JSON objects and lists.
+"""
+
+import math
+
+MAX_ARRIVALS = 100_000_000  # ~800 MB of float64, hard memory bound
 
 
 class NbpError(Exception):
@@ -44,6 +54,25 @@ def as_number(name: str, value, kind=float):
     except (TypeError, ValueError, OverflowError) as exc:
         expected = "an integer" if kind is int else "a real number"
         raise DomainError(f"{name} must be {expected}, got {value!r}") from exc
+
+
+def as_count(name: str, value, minimum: int = 1) -> int:
+    """The integer ``as_number(name, value, int)`` reads: below ``minimum`` a DomainError, above ``MAX_ARRIVALS``
+    a ResourceLimitError, raised before anything of that size is allocated."""
+    count = as_number(name, value, int)
+    if count < minimum:
+        raise DomainError(f"{name} must be at least {minimum}, got {count}")
+    if count > MAX_ARRIVALS:
+        raise ResourceLimitError(f"{name} {count} exceeds the hard bound {MAX_ARRIVALS}")
+    return count
+
+
+def as_positive(name: str, value) -> float:
+    """The real ``as_number(name, value)`` reads, checked to be positive and finite; else a DomainError."""
+    value = as_number(name, value)
+    if not (math.isfinite(value) and value > 0):
+        raise DomainError(f"{name} must be a positive finite real, got {value}")
+    return value
 
 
 def as_object(payload: str, data, fields=None) -> dict:

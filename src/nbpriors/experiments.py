@@ -31,8 +31,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._rng import STREAM_ATOMS, replication_seed, seed_tuple, spawn_generator
-from .errors import CapabilityError, DegenerateTruncationError, DomainError, as_list, as_number, as_object, read_field
+from ._rng import replication_seed, seed_tuple
+from .errors import (CapabilityError, DegenerateTruncationError, DomainError, as_count, as_list, as_number, as_object,
+                     read_field)
 from .levy_tails import LevyTail
 from .point_processes import TruncationPolicy
 from .random_measures import (
@@ -138,9 +139,14 @@ def _plain(value):
     return value
 
 
-def _number(key: str, kind=float):
-    """A field reader through ``as_number``: a count with a fractional part is rejected, not truncated."""
-    return lambda value: as_number(key, value, kind)
+def _number(key: str):
+    """A field reader through ``as_number``."""
+    return lambda value: as_number(key, value)
+
+
+def _count(key: str, minimum: int = 1):
+    """A field reader through ``as_count``: a count with a fractional part is rejected, not truncated."""
+    return lambda value: as_count(key, value, minimum)
 
 
 def _object(key: str):
@@ -154,16 +160,14 @@ class ExperimentSpec(_Payload, name="experiment spec"):
 
     process: str = _field(str)
     params: dict = _field(_object("params"), {})
-    replications: int = _field(_number("replications", int))
+    replications: int = _field(_count("replications"))
     truncation: TruncationPolicy | None = _field(lambda v: None if v is None else TruncationPolicy.from_dict(v), None)
     master_seed: int | tuple = _field(seed_tuple, 0)
 
     def __post_init__(self):
         if self.process not in PROCESSES:
             raise DomainError(f"unknown process {self.process!r}; expected one of {PROCESSES}")
-        self.replications = as_number("replications", self.replications, int)
-        if self.replications < 1:
-            raise DomainError("replications must be at least 1")
+        self.replications = as_count("replications", self.replications)
         as_object("params", self.params)
         self.master_seed = seed_tuple(self.master_seed)
 
@@ -174,7 +178,7 @@ class ExperimentResult(_Payload, name="experiment result"):
 
     mean_distance: float = _field(float)
     std_error: float = _field(float)
-    replications: int = _field(_number("replications", int))
+    replications: int = _field(_count("replications"))
     # keyword-only: declared before the spec, so written before it, while the spec stays the fourth argument
     failures: list = _field(lambda v: list(as_list(v)), [], default_factory=list, kw_only=True)  # a copy, as _object
     spec_echo: ExperimentSpec = _field(ExperimentSpec.from_dict, key="spec")
@@ -295,7 +299,7 @@ def _ks_values(spec: ExperimentSpec, base: BaseMeasure, family=None) -> tuple[np
         atoms = np.empty_like(weights)
         for i, (seed, row) in enumerate(zip(block, rows)):
             weights[i, :row.size] = row
-            atoms[i, :row.size] = base.sampler(spawn_generator(seed, STREAM_ATOMS), row.size)
+            atoms[i, :row.size] = base._atoms(seed, row.size)
             atoms[i, row.size:] = atoms[i, 0]
         return _ks_rows(weights, atoms, base)
 
@@ -351,7 +355,7 @@ def run_ks_table(
     is built before any row is sampled, so a malformed row, or one that
     keeps fewer than 2 points (n - r < 2), raises a DomainError naming it.
     """
-    truncation, replications = TruncationPolicy.fixed(n), as_number("replications", replications, int)
+    truncation, replications = TruncationPolicy.fixed(n), as_count("replications", replications)
     runs = []
     for k, row in enumerate(rows):
         spec = ExperimentSpec("pdp_series", _grid_row(row), replications, truncation, seed_tuple(master_seed) + (k,))
@@ -371,7 +375,7 @@ def load_ks_grid(data: dict) -> tuple[list[dict], int, int]:
     rows = read_field(name, data, "rows", as_list)
     if not rows:
         raise DomainError("grid config needs at least one row")
-    n, replications = (read_field(name, data, key, _number(key, int)) for key in ("n", "replications"))
+    n, replications = (read_field(name, data, key, _count(key)) for key in ("n", "replications"))
     return [_grid_row(row) for row in rows], n, replications
 
 
@@ -392,9 +396,9 @@ def _grid_row(row) -> dict:
 def parse_ks_table_result(data: dict) -> list[dict]:
     """Validate a grid-result payload (the ks-table JSON emission): its rows, each with its fields read.
     A NaN distance reads, since a row whose replications all fail prints NaN."""
-    fields = {"alpha": _number("alpha"), "theta": _number("theta"), "r": _number("r", int),
+    fields = {"alpha": _number("alpha"), "theta": _number("theta"), "r": _count("r", 0),
               "mean_distance": _number("mean_distance"), "std_error": _number("std_error"),
-              "replications": _number("replications", int), "failures": as_list}
+              "replications": _count("replications"), "failures": as_list}
     name = "grid result row"
     return [{**as_object(name, row), **{key: read_field(name, row, key, read) for key, read in fields.items()}}
             for row in read_field("grid result", data, "rows", as_list)]
@@ -408,9 +412,9 @@ def parse_ks_table_result(data: dict) -> list[dict]:
 class WeightProfile(_Payload, name="weight profile"):
     """Monte Carlo means of the k largest weights for each order r."""
 
-    r_grid: list[int] = _field(lambda v: as_list(v, _number("r", int)))
-    top_k: int = _field(_number("top_k", int))
-    replications: int = _field(_number("replications", int))
+    r_grid: list[int] = _field(lambda v: as_list(v, _count("r", 0)))
+    top_k: int = _field(_count("top_k"))
+    replications: int = _field(_count("replications"))
     tail: dict = _field(_object("tail"))
     mean_weights: np.ndarray = _field(lambda v: np.asarray(as_list(v), dtype=float))  # shape (len(r_grid), top_k)
 
@@ -427,15 +431,9 @@ def weight_profile(
 
     A weight that underflows counts as 0.0.  No atoms are drawn.
     """
-    replications, top_k = as_number("replications", replications, int), as_number("top_k", top_k, int)
-    points_per_r = as_number("points_per_r", points_per_r, int)
-    if replications < 1:
-        raise DomainError("replications must be at least 1")
-    if top_k < 1:
-        raise DomainError("top_k must be at least 1")
-    if points_per_r < max(top_k, 2):
-        raise DomainError("points_per_r must cover top_k and at least 2 points")
-    r_grid = [as_number("r", r, int) for r in r_grid]
+    replications, top_k = as_count("replications", replications), as_count("top_k", top_k)
+    points_per_r = as_count("points_per_r", points_per_r, minimum=max(top_k, 2))  # covers top_k and 2 points
+    r_grid = [as_count("r", r, minimum=0) for r in r_grid]
     if not r_grid:
         raise DomainError("r_grid must name at least one order r")
     out = np.zeros((len(r_grid), top_k))
@@ -466,11 +464,11 @@ def weight_profile(
 class GrowthDiagnostic(_Payload, name="growth diagnostic"):
     """Mean distinct-count K_n on a sample-size grid, over ``log_n`` at stable index 0, else ``n_pow_alpha``."""
 
-    n_grid: list[int] = _field(lambda v: as_list(v, _number("n", int)))
+    n_grid: list[int] = _field(lambda v: as_list(v, _count("n")))
     kn_means: list[float] = _field(lambda v: as_list(v, float))
     normalizer: str = _field(str)
     ratios: list[float] = _field(lambda v: as_list(v, float))
-    replications: int = _field(_number("replications", int))
+    replications: int = _field(_count("replications"))
     process: str = _field(str)
     params: dict = _field(_object("params"), {})
 
@@ -487,16 +485,12 @@ def clustering_growth(
     from seed (seed, ni, rep) without atoms.  K_n is divided by log n where the family's stable
     index is 0 (gamma tails, the extended DP, alpha = 0 sticks), else by n^index.
     """
-    replications = as_number("replications", replications, int)
-    if replications < 1:
-        raise DomainError("replications must be at least 1")
-    n_grid = [as_number("n", n, int) for n in n_grid]
+    replications = as_count("replications", replications)
+    n_grid = [as_count("n", n) for n in n_grid]
     if not n_grid:
         raise DomainError("n_grid must name at least one sample size")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise DomainError("n_grid must be strictly increasing")
-    if n_grid[0] < 1:
-        raise DomainError(f"n_grid sizes must be at least 1, got {n_grid[0]}")
     if truncation is None:  # the process name picks only the default truncation
         eps = TruncationPolicy.epsilon_rule(1e-7, hard_cap=50_000)
         truncation = TruncationPolicy.fixed(3000) if process == "dirichlet" else eps
@@ -538,8 +532,8 @@ class EquivalenceReport(_Payload, name="equivalence report"):
 
     statistic: float = _field(float)
     p_value: float = _field(float)
-    n_lhs: int = _field(_number("n_lhs", int))
-    n_rhs: int = _field(_number("n_rhs", int))
+    n_lhs: int = _field(_count("n_lhs"))
+    n_rhs: int = _field(_count("n_rhs"))
     params: dict = _field(_object("params"))
 
 
@@ -565,9 +559,7 @@ def rank_weight_equivalence_test(
     # this is its only user
     import scipy.stats as st
 
-    replications, sticks = as_number("replications", replications, int), as_number("sticks", sticks, int)
-    if replications < 100:
-        raise DomainError("need at least 100 replications per side")
+    replications = as_count("replications", replications, minimum=100)  # per side; StickBreaking reads the sticks
     if truncation is None:
         truncation = TruncationPolicy.fixed(3000)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sp
 
-from .errors import DomainError, NumericError, as_number, as_object, read_field
+from .errors import DomainError, NumericError, as_number, as_object, as_positive, read_field
 from .special_functions import EULER_GAMMA, _as_array, log_upper_gamma, log_upper_gamma_inverse
 
 KINDS = ("stable", "gamma", "generalized_gamma")
@@ -57,12 +57,9 @@ class LevyTail:
                 raise DomainError(f"{self.kind} tail does not take theta")
             object.__setattr__(self, "alpha", alpha)
         else:
-            theta = None if self.theta is None else as_number("theta", self.theta)
-            if theta is None or not (0.0 < theta < math.inf):
-                raise DomainError(f"gamma tail needs theta > 0, got {theta}")
             if self.alpha is not None:
                 raise DomainError("gamma tail does not take alpha")
-            object.__setattr__(self, "theta", theta)
+            object.__setattr__(self, "theta", as_positive("theta", self.theta))
 
     @classmethod
     def stable(cls, alpha: float) -> "LevyTail":
@@ -128,17 +125,21 @@ def log_tail_value(tail: LevyTail, x) -> np.ndarray:
     return log_c + log_upper_gamma(-alpha, x)
 
 
-def tail_value(tail: LevyTail, x: float) -> float:
-    """L(x) for scalar x > 0.  Where L(x) underflows double precision a
-    NumericError carries 0.0, where it overflows one carries ln L(x)."""
-    log_value = float(log_tail_value(tail, as_number("x", x))[0])
+def _exp_checked(log_value: float, what: str, at: str) -> float:
+    """exp(log_value), the tail ``what`` ("value" or "inverse") at ``at``; where that underflows or
+    overflows double precision, a NumericError carrying ``log_value``."""
     with np.errstate(over="ignore"):
         value = float(np.exp(log_value))
-    if value == 0.0:
-        raise NumericError(f"tail value underflows double precision at x={x}", best_estimate=0.0)
-    if value == math.inf:
-        raise NumericError(f"tail value overflows double precision at x={x}", best_estimate=log_value)
+    if value == 0.0 or value == math.inf:
+        flow = "underflows" if value == 0.0 else "overflows"
+        raise NumericError(f"tail {what} {flow} double precision at {at}; log-{what} is {log_value}",
+                           best_estimate=log_value)
     return value
+
+
+def tail_value(tail: LevyTail, x: float) -> float:
+    """L(x) for scalar x > 0; a NumericError carries ln L(x) where L(x) under- or overflows double precision."""
+    return _exp_checked(float(log_tail_value(tail, as_number("x", x))[0]), "value", f"x={x}")
 
 
 # ---------------------------------------------------------------------------
@@ -170,17 +171,11 @@ def log_tail_inverse(tail: LevyTail, y) -> np.ndarray:
 
 def tail_inverse(tail: LevyTail, y: float) -> float:
     """L^{-1}(y) for scalar y > 0, resolved to |ln L(x) - ln y| <= REL_TOL or,
-    where L's own rounding error is larger (alpha near 0), to ln x within REL_TOL."""
-    t = log_tail_inverse(tail, as_number("y", y))[0]
-    x = float(np.exp(t))
-    if x == 0.0:
-        raise NumericError(
-            f"tail inverse underflows double precision at y={y}; log-inverse is {t}",
-            best_estimate=t,
-        )
-    return x
+    where L's own rounding error is larger (alpha near 0), to ln x within REL_TOL.
+    A NumericError carries ln L^{-1}(y) where L^{-1}(y) under- or overflows double precision."""
+    return _exp_checked(float(log_tail_inverse(tail, as_number("y", y))[0]), "inverse", f"y={y}")
 
 
 def tail_support_bound(tail: LevyTail) -> float:
-    """Upper endpoint L^{-1}(1) of the negative binomial process support."""
+    """Upper endpoint L^{-1}(1) of the negative binomial process support, through ``tail_inverse``."""
     return tail_inverse(tail, 1.0)

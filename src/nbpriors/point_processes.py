@@ -49,27 +49,21 @@ from ._rng import (
     spawn_generator,
 )
 from .errors import (
+    MAX_ARRIVALS,  # noqa: F401 - re-exported, so the bound stays importable where the arrivals are drawn
     DegenerateTruncationError,
     DomainError,
     NumericError,
     ResourceLimitError,
+    as_count,
     as_number,
     as_object,
 )
 from .levy_tails import LevyTail, log_tail_inverse, log_tail_value
 
-MAX_ARRIVALS = 100_000_000  # ~800 MB of float64, hard memory bound
 DEFAULT_HARD_CAP = 1_000_000  # retained points of a truncation that names no hard_cap
 
 _CHUNK = 1024  # points per seed per epsilon-rule round; fixed for determinism
 _TEMPER_SPLIT = 1.0  # x*: generalized-gamma points above it are inverted, those below it thinned
-
-
-def check_count(count: int) -> int:
-    """``count``, the arrivals or draws one request holds; above ``MAX_ARRIVALS`` a ResourceLimitError."""
-    if count > MAX_ARRIVALS:
-        raise ResourceLimitError(f"count {count} exceeds the hard bound {MAX_ARRIVALS}")
-    return count
 
 
 @dataclass(frozen=True)
@@ -94,14 +88,11 @@ class TruncationPolicy:
         # config string such as "100" compares as the number it passed as
         if self.mode not in ("fixed_count", "epsilon_rule"):
             raise DomainError(f"unknown truncation mode {self.mode!r}")
-        object.__setattr__(self, "hard_cap", as_number("hard_cap", self.hard_cap, int))
-        if self.hard_cap < 1:
-            raise DomainError("hard_cap must be positive")
+        object.__setattr__(self, "hard_cap", as_count("hard_cap", self.hard_cap))
         if self.mode == "fixed_count":
-            n = None if self.n is None else as_number("n", self.n, int)
-            if n is None or n < 1:
-                raise DomainError(f"fixed_count needs a positive index bound n, got {self.n}")
-            object.__setattr__(self, "n", n)
+            if self.n is None:
+                raise DomainError("fixed_count needs a positive index bound n, got None")
+            object.__setattr__(self, "n", as_count("n", self.n))
             if self.epsilon is not None:
                 raise DomainError("fixed_count does not take epsilon")
         else:
@@ -164,10 +155,7 @@ def gamma_arrivals(seed, count: int) -> ArrivalStream:
     Deterministic given the seed; the increments are i.i.d. unit-mean
     exponentials from the arrival stream every sampler of the seed uses.
     """
-    count = as_number("count", count, int)
-    if count < 1:
-        raise DomainError(f"count must be at least 1, got {count}")
-    return ArrivalStream(arrivals=_Row(seed).arrivals(check_count(count)), seed=seed_tuple(seed))
+    return ArrivalStream(arrivals=_Row(seed).arrivals(as_count("count", count)), seed=seed_tuple(seed))
 
 
 def sample_prm_points(tail: LevyTail, stream: ArrivalStream) -> np.ndarray:
@@ -221,7 +209,7 @@ class NbpConfig:
             raise DegenerateTruncationError(f"fixed_count n={trunc.n} retains {max(width, 0)} points past index {past}")
         if width is not None and width > trunc.hard_cap:
             raise ResourceLimitError(f"fixed_count would retain {width} points, above hard_cap={trunc.hard_cap}")
-        check_count(self.first_index - 1 + (trunc.hard_cap if width is None else width))  # the arrivals a draw holds
+        as_count("count", self.first_index - 1 + (trunc.hard_cap if width is None else width))  # arrivals a draw holds
 
     @property
     def first_index(self) -> int:
@@ -319,6 +307,7 @@ class _Row:
 
         The row stops once it retains ``cap`` points: the fixed count, or the hard cap under the epsilon
         rule, lowered to the first point below epsilon (which is retained) when the cap does not come first.
+        A later point's share of an infinite first point is 0, so such a row stops at its second point.
         """
         trunc, width = cfg.truncation, cfg.width
         retained = sum(map(len, self.chunks))
@@ -330,7 +319,9 @@ class _Row:
             pts = np.exp(log_pts - self.shift)
             below = np.flatnonzero(pts / (self.scaled_sum + np.cumsum(pts)) < trunc.epsilon)
             self.scaled_sum += float(np.sum(pts))
-            if below.size and retained + int(below[0]) + 1 <= cap:
+            if self.shift == math.inf:
+                cap, stopped_by = 2, "epsilon_rule"
+            elif below.size and retained + int(below[0]) + 1 <= cap:
                 cap, stopped_by = retained + int(below[0]) + 1, "epsilon_rule"
         self.chunks.append(log_pts)
         if retained + log_pts.size < cap:
@@ -357,7 +348,8 @@ class _Tempered:
 
 
 # a thinned candidate below the smallest double is an exact zero, and at a subnormal alpha a row's first
-# point can be infinite, leaving its epsilon-rule ratios NaN: the row normaliser rejects that row
+# point can be infinite, leaving its epsilon-rule ratios NaN: that row stops at its second point, and the
+# row normaliser rejects it
 @np.errstate(over="ignore", invalid="ignore")
 def sample_log_points(cfg: NbpConfig, seeds) -> list[PointSeries]:
     """The truncated negative binomial point sequence of each seed, in seed order.

@@ -48,13 +48,13 @@ from ._rng import (
     seed_tuple,
     spawn_generator,
 )
-from .errors import DegenerateTruncationError, DomainError, as_list, as_number, as_object, read_field
+from .errors import (DegenerateTruncationError, DomainError, as_count, as_list, as_number, as_object, as_positive,
+                     read_field)
 from .levy_tails import LevyTail
 from .point_processes import (
     NbpConfig,
     TruncationPolicy,
     _Row,
-    check_count,
     sample_log_points,
 )
 from .special_functions import gamma_quantile_upper_many
@@ -75,6 +75,10 @@ class BaseMeasure:
     label: str
     sampler: Callable[[np.random.Generator, int], np.ndarray]
     cdf: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def _atoms(self, seed, size: int) -> np.ndarray:
+        """``size`` atoms from ``sampler`` on the seed's atom stream: the one place a seed's atoms are drawn."""
+        return np.asarray(self.sampler(spawn_generator(seed, STREAM_ATOMS), size), dtype=float)
 
 
 def _uniform_sampler(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -239,7 +243,7 @@ def _assemble(weights: np.ndarray, base: BaseMeasure, seed, provenance: dict,
     weights dropped with their atoms.  ``sorted_by_weight`` holds only if
     the weights kept strictly decrease, since repeated points can tie
     after rounding."""
-    atoms = np.asarray(base.sampler(spawn_generator(seed, STREAM_ATOMS), weights.size), dtype=float)
+    atoms = base._atoms(seed, weights.size)
     keep = weights > 0.0
     weights, atoms = weights[keep], atoms[keep]
     provenance["base"] = base.label
@@ -262,11 +266,8 @@ class PdpParams:
         alpha = as_number("alpha", self.alpha)
         if not (0.0 < alpha < 1.0):
             raise DomainError(f"alpha must lie in (0,1), got {alpha}")
-        theta = as_number("theta", self.theta)
-        if not (math.isfinite(theta) and theta > 0):
-            raise DomainError(f"theta must be positive (the series route needs theta > 0), got {theta}")
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "theta", as_positive("theta", self.theta))
 
     @property
     def r_derived(self) -> float:
@@ -394,16 +395,13 @@ class ExtendedDpParams:
     index = 0.0  # the gamma tail's
 
     def __post_init__(self):
-        concentration = as_number("concentration", self.concentration)
-        if not (math.isfinite(concentration) and concentration > 0):
-            raise DomainError(f"concentration must be positive, got {self.concentration}")
+        concentration = as_positive("concentration", self.concentration)
+        # an order, read as a real ("2.0" reads) that must be integral; n bounds it
         r = as_number("r", self.r)
         if not (r >= 0 and r.is_integer()):
             raise DomainError(f"r must be a nonnegative integer, got {self.r}")
-        n = as_number("n", self.n, int)
-        if n <= r + 1:
-            raise DomainError(f"need n > r + 1, got n={self.n}, r={self.r}")
-        check_count(n + 1)  # a draw holds the arrivals Γ_1 .. Γ_{n+1}
+        n = as_count("n", self.n, minimum=int(r) + 2)
+        as_count("count", n + 1)  # a draw holds the arrivals Γ_1 .. Γ_{n+1}
         for name, value in zip(("concentration", "r", "n"), (concentration, int(r), n)):
             object.__setattr__(self, name, value)
 
@@ -459,14 +457,12 @@ class StickBreaking:
 
     def __post_init__(self):
         alpha, theta = as_number("alpha", self.alpha), as_number("theta", self.theta)
-        sticks = as_number("sticks", self.sticks, int)
+        sticks = as_count("sticks", self.sticks)
         if not (0.0 <= alpha < 1.0):
             raise DomainError(f"alpha must lie in [0,1), got {alpha}")
         if not (math.isfinite(theta) and theta > -alpha):
             raise DomainError(f"theta must exceed -alpha, got {theta}")
-        if sticks < 1:
-            raise DomainError(f"sticks must be at least 1, got {sticks}")
-        check_count(sticks + 1)  # a row holds the sticks and the residual mass
+        as_count("count", sticks + 1)  # a row holds the sticks and the residual mass
         for name, value in zip(("alpha", "theta", "sticks", "ranked"), (alpha, theta, sticks, bool(self.ranked))):
             object.__setattr__(self, name, value)
 
@@ -526,9 +522,7 @@ def sample_pdp_stick_breaking(
 def _categorical(weights: np.ndarray, k: int, seed) -> np.ndarray:
     """Indices of k <= MAX_ARRIVALS i.i.d. draws by normalized ``weights`` on the seed's draw stream; the
     cumulative weights are 1.0 from the last nonzero weight on, so a zero weight is never drawn."""
-    k = check_count(as_number("k", k, int))
-    if k < 1:
-        raise DomainError(f"k must be at least 1, got {k}")
+    k = as_count("k", k)
     rng = spawn_generator(seed, STREAM_DRAWS)
     cum = np.cumsum(weights)
     cum[np.flatnonzero(weights)[-1]:] = 1.0

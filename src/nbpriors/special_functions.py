@@ -28,7 +28,7 @@ import math
 import numpy as np
 import scipy.special as sp
 
-from .errors import DomainError, NumericError, as_number
+from .errors import DomainError, NumericError, as_number, as_positive
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -43,13 +43,6 @@ _CF_TOL = 4.0 * _EPS
 _SEED_FINAL_MAX = -40.0
 
 _P_SWITCH = 0.9
-
-
-def _check_positive(name: str, value) -> float:
-    value = as_number(name, value)
-    if not (math.isfinite(value) and value > 0):
-        raise DomainError(f"{name} must be a positive finite real, got {value}")
-    return value
 
 
 def _as_array(name: str, values) -> np.ndarray:
@@ -80,7 +73,7 @@ def log_gamma(a: float) -> float:
         ln Γ(a), with relative error at the 1e-15 level (well inside the
         1e-13 contract).
     """
-    a = _check_positive("a", a)
+    a = as_positive("a", a)
     return float(sp.gammaln(a))
 
 
@@ -89,7 +82,7 @@ def exp_integral_e1(x: float) -> float:
 
     Strictly decreasing; evaluated by ``log_upper_gamma``.
     """
-    x = _check_positive("x", x)
+    x = as_positive("x", x)
     value = float(np.exp(log_upper_gamma(0.0, np.asarray([x]))[0]))
     if value == 0.0:
         raise NumericError(f"E1({x}) underflows double precision", best_estimate=0.0)
@@ -104,7 +97,7 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
     where it overflows, raises a NumericError whose ``best_estimate`` is
     ln Γ(a, x).
     """
-    x = _check_positive("x", x)
+    x = as_positive("x", x)
     a = as_number("a", a)
     if not math.isfinite(a) or a == 0.0 or a <= -1.0:
         raise DomainError(f"parameter a must lie in (-1,0) or (0,inf), got {a}")
@@ -200,7 +193,7 @@ def gamma_survival(shape: float, x: float) -> float:
     shapes down to the 1e-4 range, where the library switches to its
     small-shape series internally.
     """
-    shape = _check_positive("shape", shape)
+    shape = as_positive("shape", shape)
     x = as_number("x", x)
     if not (math.isfinite(x) and x >= 0):
         raise DomainError(f"x must be a nonnegative finite real, got {x}")
@@ -224,7 +217,7 @@ def gamma_quantile_upper(shape: float, y: float) -> float:
 
 def gamma_quantile_upper_many(shape: float, y) -> np.ndarray:
     """Vectorized ``gamma_quantile_upper`` over an array of survival levels; a scalar level gives a 1-element array."""
-    shape = _check_positive("shape", shape)
+    shape = as_positive("shape", shape)
     y = _as_array("y", y)
     if y.size and not np.all((y > 0.0) & (y < 1.0)):
         raise DomainError("all survival levels must lie strictly inside (0,1)")

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import nbpriors
-from nbpriors import DiscreteMeasure, DomainError, ExperimentSpec, special_functions
+from nbpriors import DiscreteMeasure, DomainError, ExperimentSpec, experiments, special_functions
 from nbpriors.cli import main
 
 # Directory holding the nbpriors package these tests import (``src`` in a checkout).
@@ -150,13 +150,13 @@ class TestSample:
     def test_extended_dp_level_past_the_arrival_bound_is_a_resource_limit(self):
         res = run_cli("sample", "--process", "extended_dp", "--theta", "3", "--n", "200000000")
         assert res.returncode == 1, res.stdout
-        assert res.stderr == "error: count 200000001 exceeds the hard bound 100000000\n"
+        assert res.stderr == "error: n 200000000 exceeds the hard bound 100000000\n"
         assert res.stdout == ""
 
     def test_stick_count_past_the_arrival_bound_is_a_resource_limit(self):
         res = run_cli("sample", "--process", "pdp_stick", "--alpha", "0.5", "--theta", "2", "--sticks", "2000000000")
         assert res.returncode == 1, res.stdout
-        assert res.stderr == "error: count 2000000001 exceeds the hard bound 100000000\n"
+        assert res.stderr == "error: sticks 2000000000 exceeds the hard bound 100000000\n"
         assert res.stdout == ""
 
     def test_extended_dp_order_read_as_a_real_acts_as_its_integer(self, tmp_path):
@@ -445,13 +445,13 @@ class TestWeightsAndClusters:
     def test_sample_size_past_the_arrival_bound_is_a_resource_limit(self):
         res = run_cli("clusters", "--n-grid", "2000000000", "--reps", "2")
         assert res.returncode == 1, res.stdout
-        assert res.stderr == "error: count 2000000000 exceeds the hard bound 100000000\n"
+        assert res.stderr == "error: n 2000000000 exceeds the hard bound 100000000\n"
         assert res.stdout == ""
 
     def test_order_past_the_arrival_bound_is_a_resource_limit(self):
-        # each draw would hold the 200,000,000 arrivals before its 400 points
+        # each draw would hold the 200,000,000 arrivals before its 400 points, so the order alone is past the bound
         res = run_cli("weights", "--r-grid", "200000000", "--reps", "1")
-        message = "error: count 200000400 exceeds the hard bound 100000000\n"
+        message = "error: r 200000000 exceeds the hard bound 100000000\n"
         assert (res.returncode, res.stderr, res.stdout) == (1, message, "")
 
     def test_dirichlet_clusters_reject_n_of_1(self):
@@ -482,6 +482,12 @@ class TestWeightsAndClusters:
         assert res.stderr.startswith("error:") and "replications" in res.stderr
         assert "Traceback" not in res.stderr
         assert res.stdout == ""
+
+    @pytest.mark.parametrize("command", ["ks-table", "weights", "clusters"])
+    def test_replications_past_the_arrival_bound_are_a_resource_limit(self, command, monkeypatch, capsys):
+        monkeypatch.setattr(experiments, "_replicate", None)  # the bound is checked before any seed is listed
+        assert main([command, "--reps", "100000001"]) == 1
+        assert capsys.readouterr() == ("", "error: replications 100000001 exceeds the hard bound 100000000\n")
 
     def test_bad_grid_flag(self):
         res = run_cli("clusters", "--n-grid", "50,zebra", "--theta", "3", "--seed", "1")
@@ -544,3 +550,23 @@ class TestSelftest:
         for path in sorted(Path(PACKAGE_ROOT, "nbpriors").glob("*.py")):
             found = [node.lineno for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
             assert not found, f"{path.name} has assert statements on lines {found}"
+
+    def test_counts_are_read_only_through_as_count(self):
+        # one reader decides what a valid count is: outside errors.py no call reads an integer through
+        # as_number(..., int) and nothing is compared with MAX_ARRIVALS; a seed is an integer but not a count
+        def names(nodes):
+            return {getattr(node, "id", getattr(node, "attr", None)) for node in nodes}
+
+        for path in sorted(Path(PACKAGE_ROOT, "nbpriors").glob("*.py")):
+            if path.name == "errors.py":
+                continue
+            found = []
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and names([node.func]) == {"as_number"}:
+                    kinds = node.args[2:] + [keyword.value for keyword in node.keywords if keyword.arg == "kind"]
+                    name = node.args[0].value if node.args and isinstance(node.args[0], ast.Constant) else None
+                    if "int" in names(kinds) and name != "seed":
+                        found.append(node.lineno)
+                if isinstance(node, ast.Compare) and "MAX_ARRIVALS" in names([node.left, *node.comparators]):
+                    found.append(node.lineno)
+            assert not found, f"{path.name} reads a count past errors.as_count on lines {found}"

@@ -668,7 +668,7 @@ class TestReplicationEngine:
             calls.append((seed_tuple(seed), stream_tag))
             return spawn_generator(seed, stream_tag)
 
-        for module in (point_processes, random_measures, experiments):
+        for module in (point_processes, random_measures):  # every spawn of a replication happens in these two
             monkeypatch.setattr(module, "spawn_generator", counting)
         return calls
 
@@ -1112,6 +1112,22 @@ def test_integer_arguments_accept_every_integral_form(value):
     assert (diag.n_grid, diag.replications) == ([400], 400)
     report = rank_weight_equivalence_test(0.5, 2.0, value, 1, truncation=TruncationPolicy.fixed(20), sticks=value)
     assert (report.n_lhs, report.params["sticks"]) == (400, 400)
+
+
+@pytest.mark.parametrize("run", [
+    lambda reps: ExperimentSpec("dirichlet", {"theta": 3.0}, reps, TruncationPolicy.fixed(50), 1),
+    lambda reps: load_ks_grid({"rows": [{"alpha": 0.5, "theta": 1.0, "r": 2}], "n": 50, "replications": reps}),
+    lambda reps: run_ks_table([{"alpha": 0.5, "theta": 1.0, "r": 2}], n=50, replications=reps, master_seed=1),
+    lambda reps: weight_profile(LevyTail.gamma(3.0), [0], top_k=2, replications=reps, seed=1),
+    lambda reps: clustering_growth("dirichlet", {"theta": 3.0}, [10], reps, 1),
+    lambda reps: rank_weight_equivalence_test(0.5, 2.0, reps, 1),
+], ids=["spec", "grid", "ks_table", "weight_profile", "clustering_growth", "equivalence"])
+def test_replications_past_the_arrival_bound_are_a_resource_limit(run, monkeypatch):
+    # the bound is checked before the list of replication seeds, MAX_ARRIVALS + 1 tuples long, is built
+    monkeypatch.setattr(experiments, "_replicate", None)
+    with pytest.raises(ResourceLimitError) as info:
+        run(point_processes.MAX_ARRIVALS + 1)
+    assert str(info.value) == "replications 100000001 exceeds the hard bound 100000000"
 
 
 class TestBuildMeasure:

@@ -92,10 +92,10 @@ class TestValues:
             tail_value(LevyTail.stable(0.99), 5e-324)
         assert info.value.best_estimate == pytest.approx(-0.99 * math.log(5e-324), rel=1e-14)  # L(x) = x^{-alpha}
 
-    def test_underflow_is_a_numeric_error_carrying_zero(self):
+    def test_underflow_is_a_numeric_error_carrying_the_log(self):
         with pytest.raises(NumericError, match="underflows double precision") as info:
             tail_value(LevyTail.gamma(1.0), 800.0)  # E1(800) ~ e^-800 / 800
-        assert info.value.best_estimate == 0.0
+        assert info.value.best_estimate == log_tail_value(LevyTail.gamma(1.0), 800.0)[0]
 
     def test_domain(self):
         for tail in ALL_TAILS:
@@ -146,6 +146,14 @@ class TestInversion:
                 lambda x: tail_value(tail, x) - y, 1e-12, 1e8, xtol=1e-300, rtol=1e-15
             )
             assert rel_err(tail_inverse(tail, y), numeric) < 1e-10
+
+    @pytest.mark.parametrize("alpha, y", [(1e-4, 0.5), (0.05, 1e-20), (1e-310, 0.5)])
+    def test_overflow_is_a_numeric_error_carrying_the_log(self, alpha, y):
+        # ln L^{-1}(y) = -ln(y)/alpha is finite but past ln(max double) in the first two cases, infinite in the last
+        tail = LevyTail.stable(alpha)
+        with pytest.raises(NumericError, match=f"^tail inverse overflows double precision at y={y}; ") as info:
+            tail_inverse(tail, y)
+        assert info.value.best_estimate == log_tail_inverse(tail, y)[0]
 
     def test_deep_gamma_inverse_stays_log_accurate(self):
         # the linear inverse is subnormal at y = 2200 and underflows at 3000;

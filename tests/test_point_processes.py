@@ -177,7 +177,8 @@ class TestNbpPoints:
     def test_a_draw_holding_more_than_the_arrival_bound_is_a_resource_limit(self):
         tail = LevyTail.gamma(3.0)
         NbpConfig(0, tail, TruncationPolicy.fixed(MAX_ARRIVALS, hard_cap=MAX_ARRIVALS))
-        with pytest.raises(ResourceLimitError, match=f"^count {MAX_ARRIVALS + 1} exceeds the hard bound"):
+        # a policy past the bound is rejected when it is built, before any config holds it
+        with pytest.raises(ResourceLimitError, match=f"^hard_cap {MAX_ARRIVALS + 1} exceeds the hard bound"):
             NbpConfig(0, tail, TruncationPolicy.fixed(MAX_ARRIVALS + 1, hard_cap=MAX_ARRIVALS + 1))
         # under the epsilon rule a draw can hold the r arrivals before its first point and hard_cap points
         with pytest.raises(ResourceLimitError, match=f"^count {MAX_ARRIVALS + 1} exceeds the hard bound"):
@@ -337,6 +338,18 @@ class TestTruncation:
         assert series.stopped_by == "epsilon_rule"
         assert not series.truncation_warning
         assert len(series) == 521
+
+    def test_epsilon_rule_stops_a_row_whose_first_point_is_infinite(self):
+        # at a subnormal alpha the first points are infinite; a later point's share of that sum is 0, so the
+        # rule fires at the second point, and the draw fails as the fixed-count draw of the same seed does
+        tail = LevyTail.stable(1e-310)
+        eps, fixed = TruncationPolicy.epsilon_rule(1e-6), TruncationPolicy.fixed(50)
+        (rule,) = sample_log_points(NbpConfig(0, tail, eps), [0])
+        assert (rule.stopped_by, rule.truncation_warning, len(rule)) == ("epsilon_rule", False, 2)
+        assert np.array_equal(rule.log_points, sample_nbp_points(NbpConfig(0, tail, fixed), 0).log_points[:2])
+        for truncation in (eps, fixed):
+            with pytest.raises(DegenerateTruncationError, match="^fewer than two atoms carry representable weight$"):
+                experiments._family("stable", {"alpha": 1e-310}, truncation).draw([0])
 
     def test_epsilon_rule_minimum_two_points(self):
         cfg = NbpConfig(

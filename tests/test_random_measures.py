@@ -215,8 +215,8 @@ class TestTypedErrors:
         (5.0, TruncationPolicy.fixed(6), DegenerateTruncationError, "fixed_count n=6 retains 1 points past index 5"),
         (0.0, TruncationPolicy(mode="fixed_count", n=100, hard_cap=50), ResourceLimitError,
          "fixed_count would retain 100 points, above hard_cap=50"),
-        # 400 points retained, but a draw holds the 200,000,000 arrivals before them too
-        (200_000_000, TruncationPolicy.fixed(200_000_400), ResourceLimitError,
+        # at most 400 points retained, but a draw holds the 200,000,000 arrivals before them too
+        (200_000_000, TruncationPolicy.epsilon_rule(1e-6, hard_cap=400), ResourceLimitError,
          f"count 200000400 exceeds the hard bound {MAX_ARRIVALS}"),
     ], ids=["one_point_retained", "above_hard_cap", "above_the_arrival_bound"])
     def test_row_shape_is_checked_when_the_record_is_built(self, r, truncation, error, message):
@@ -542,7 +542,7 @@ class TestDraws:
         row = np.array([0.5, 0.5])
         with pytest.raises(ResourceLimitError) as info:
             random_measures.row_distinct_count(row, MAX_ARRIVALS + 1, 1)
-        assert str(info.value) == f"count {MAX_ARRIVALS + 1} exceeds the hard bound {MAX_ARRIVALS}"
+        assert str(info.value) == f"k {MAX_ARRIVALS + 1} exceeds the hard bound {MAX_ARRIVALS}"
         with pytest.raises(ResourceLimitError):
             draw_from_measure(DiscreteMeasure(np.array([0.1, 0.2]), row), MAX_ARRIVALS + 1, 1)
         with pytest.raises(Spawned):
