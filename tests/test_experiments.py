@@ -225,11 +225,13 @@ class TestRunKsExperiment:
         assert not res.flagged
 
     def test_failures_recorded_and_flagged(self):
-        # r = 1 at small n leaves some replications fewer than two levels below 1: a DegenerateTruncationError
-        spec = ExperimentSpec("extended_dp", {"concentration": 3.0, "r": 1, "n": 50}, 12, None, 0)
+        # r = 1 at small n leaves some replications fewer than two levels below 1: a DegenerateTruncationError.
+        # 110 of 3,000 seeds do, so 500 replications all draw with probability 0.963^500 < 1e-8
+        reps = 500
+        spec = ExperimentSpec("extended_dp", {"concentration": 3.0, "r": 1, "n": 50}, reps, None, 0)
         res = run_ks_experiment(spec)
         assert res.flagged
-        assert 0 < len(res.failures) < 12
+        assert 0 < len(res.failures) < reps
         assert math.isfinite(res.mean_distance)
 
     def test_unbuildable_spec_fails_every_replication(self):
@@ -314,7 +316,15 @@ class TestSamplerLaw:
     ):
         family = experiments._family(process, params, truncation)
         seeds = [(20261020, i) for i in range(self.REPS)]
-        sums = np.array([float(np.sum(row ** 2)) for row in experiments._replicate(family, seeds)])
+        rows = list(experiments._replicate(family, seeds))
+        degenerate = [row for row in rows if isinstance(row, DegenerateTruncationError)]
+        for row in rows:
+            if isinstance(row, Exception) and not isinstance(row, DegenerateTruncationError):
+                raise row
+        # an order-1 extended DP row can keep fewer than two levels below 1 (9 of 6,000 seeds at n = 2,000),
+        # so more than 7 of 400 such rows has probability 1.5e-8; every other record draws every seed
+        assert len(degenerate) <= (7 if process == "extended_dp" and r == 1 else 0)
+        sums = np.array([float(np.sum(row ** 2)) for row in rows if not isinstance(row, Exception)])
         exact = expected_sum_sq_weights(tail, r, randomized)
         assert abs(sums.mean() - exact) <= 4 * sums.std(ddof=1) / math.sqrt(self.REPS)
 

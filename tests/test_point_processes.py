@@ -327,17 +327,18 @@ class TestTruncation:
         assert np.array_equal(fixed.log_points, rule.log_points)
 
     def test_epsilon_rule_fires_on_underflowed_points(self):
-        # every point of this draw underflows to 0 in linear domain; the rule
-        # still sees their ratios and stops long before the cap
-        cfg = NbpConfig(
-            r=1e-3, tail=LevyTail.stable(0.5), truncation=TruncationPolicy.epsilon_rule(1e-6, hard_cap=2048),
-            randomized=True,
-        )
+        # every point of this draw underflows to 0 in linear domain, whatever the seed: the integer path's
+        # levels are at least 1 and L^{-1}(1) = e^{-1000 - gamma} for theta = 1e-3.  The rule still sees their
+        # ratios and stops long before the cap, at the first point below epsilon of the running sum
+        cap = 2048
+        cfg = NbpConfig(r=10_000, tail=LevyTail.gamma(1e-3), truncation=TruncationPolicy.epsilon_rule(1e-6, cap))
         series = sample_nbp_points(cfg, replication_seed(3, 1))
         assert np.all(series.points == 0.0)
         assert series.stopped_by == "epsilon_rule"
         assert not series.truncation_warning
-        assert len(series) == 521
+        pts = np.exp(series.log_points - series.log_points[0])
+        stop = int(np.flatnonzero(pts / np.cumsum(pts) < 1e-6)[0]) + 1
+        assert len(series) == stop < cap
 
     def test_epsilon_rule_stops_a_row_whose_first_point_is_infinite(self):
         # at a subnormal alpha the first points are infinite; a later point's share of that sum is 0, so the

@@ -343,8 +343,8 @@ class TestExtendedDp:
         assert max(float(np.max(np.abs(f - s))) for f, s in zip(finite, series)) < 5e-2
 
     def test_quantiles_seeded_below_ln_x_minus_40_skip_scipy_and_newton(self, monkeypatch):
-        """Seed 5 at n = 2,000: only the 119 levels seeded at ln x >= -40 reach gammainccinv, and
-        the solver evaluates Γ(a, x) at most 0.1 times per level.  Counts only, no timing."""
+        """Seed 5 at n = 2,000: only the levels seeded at ln x >= -40 reach gammainccinv, and the
+        solver evaluates Γ(a, x) at most 0.1 times per level.  Counts only, no timing."""
         counts = {"gammainccinv": 0, "log_upper_gamma": 0}
         inverse, log_upper_gamma = scipy.special.gammainccinv, special_functions.log_upper_gamma
 
@@ -366,8 +366,9 @@ class TestExtendedDp:
         arrivals = gamma_arrivals(seed, n + 1).arrivals
         shape = theta / n
         closed_form = (np.log1p(-arrivals[:n] / arrivals[n]) + scipy.special.gammaln(shape + 1.0)) / shape
-        assert np.count_nonzero(closed_form >= -40.0) == 119
-        assert counts["gammainccinv"] == 119
+        refined = np.count_nonzero(closed_form >= -40.0)
+        assert 0 < refined < n
+        assert counts["gammainccinv"] == refined
         assert counts["log_upper_gamma"] <= 0.1 * n
 
 
