@@ -25,6 +25,7 @@ written as its dict and a numpy scalar as a number.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -243,14 +244,16 @@ def build_measure(
     return _family(process, params, truncation).measure(uniform_base() if base is None else base, seed)
 
 
-def _replicate(family, seeds: list, reduce=None):
+def _replicate(family, seeds, reduce=None):
     """Yield, in seed order, each seed's normalized weight row of the record ``family`` or the error it raised.
 
     With ``reduce``, each seed's entry of ``reduce(block, rows)`` is
     yielded in place of its row.  Blocks hold at most ``_BLOCK_POINTS`` row
     entries or one seed, or ``_EPSILON_BLOCK`` seeds when the record's
-    ``width`` is None (the epsilon rule).  A block that raises is drawn
-    again seed by seed, so each failure stays with its own seed.
+    ``width`` is None (the epsilon rule).  ``seeds`` is any iterable, taken
+    one block at a time, so only a block's seeds are held at once.  A block
+    that raises is drawn again seed by seed, so each failure stays with its
+    own seed.
     """
 
     def draw(block):
@@ -258,8 +261,8 @@ def _replicate(family, seeds: list, reduce=None):
         return rows if reduce is None else reduce(block, rows)
 
     size = _EPSILON_BLOCK if family.width is None else max(1, _BLOCK_POINTS // family.width)
-    for start in range(0, len(seeds), size):
-        block = seeds[start:start + size]
+    seeds = iter(seeds)
+    while block := list(itertools.islice(seeds, size)):
         if len(block) > 1:
             try:
                 results = draw(block)
@@ -287,7 +290,7 @@ def _ks_values(spec: ExperimentSpec, base: BaseMeasure, family=None) -> tuple[np
     exact.  A spec that cannot be drawn records its error on every
     replication.
     """
-    seeds = [replication_seed(spec.master_seed, i) for i in range(spec.replications)]
+    seeds = (replication_seed(spec.master_seed, i) for i in range(spec.replications))
     values = np.full(spec.replications, np.nan)
     try:
         family = family or _family(spec.process, spec.params, spec.truncation)
@@ -440,7 +443,7 @@ def weight_profile(
     for gi, r in enumerate(r_grid):
         family = SeriesProcess.pkp(r, tail, TruncationPolicy.fixed(r + points_per_r))
         acc = np.zeros(top_k)
-        seeds = [seed_tuple(seed) + (gi, rep) for rep in range(replications)]
+        seeds = (seed_tuple(seed) + (gi, rep) for rep in range(replications))
         # series order is decreasing, so a row's first top_k weights are its largest
         for row in _replicate(family, seeds):
             if isinstance(row, Exception):
@@ -499,12 +502,15 @@ def clustering_growth(
         raise DomainError(f"{process} normalizes K_n by log n, so n_grid must start at 2 or more, got {n_grid[0]}")
     kn_means = []
     for ni, n in enumerate(n_grid):
+        def distinct(block, rows):
+            return [row_distinct_count(row, n, seed_i) for seed_i, row in zip(block, rows)]
+
         total = 0
-        seeds = [seed_tuple(seed) + (ni, rep) for rep in range(replications)]
-        for seed_i, row in zip(seeds, _replicate(family, seeds)):
-            if isinstance(row, Exception):
-                raise row
-            total += row_distinct_count(row, n, seed_i)
+        seeds = (seed_tuple(seed) + (ni, rep) for rep in range(replications))
+        for count in _replicate(family, seeds, distinct):
+            if isinstance(count, Exception):
+                raise count
+            total += count
         kn_means.append(total / replications)
     if family.index == 0:
         normalizer, scale = "log_n", [math.log(n) for n in n_grid]
@@ -564,7 +570,7 @@ def rank_weight_equivalence_test(
         truncation = TruncationPolicy.fixed(3000)
 
     def largest(family, side):
-        seeds = [seed_tuple(seed) + (side, i) for i in range(replications)]
+        seeds = (seed_tuple(seed) + (side, i) for i in range(replications))
         out = np.empty(replications)
         for i, row in enumerate(_replicate(family, seeds)):
             if isinstance(row, Exception):

@@ -45,6 +45,7 @@ import numpy as np
 from ._rng import (
     STREAM_ARRIVALS,
     STREAM_MIXING,
+    release,
     seed_tuple,
     spawn_generator,
 )
@@ -155,7 +156,10 @@ def gamma_arrivals(seed, count: int) -> ArrivalStream:
     Deterministic given the seed; the increments are i.i.d. unit-mean
     exponentials from the arrival stream every sampler of the seed uses.
     """
-    return ArrivalStream(arrivals=_Row(seed).arrivals(as_count("count", count)), seed=seed_tuple(seed))
+    row = _Row(seed)
+    arrivals = row.arrivals(as_count("count", count))
+    row.close()
+    return ArrivalStream(arrivals=arrivals, seed=seed_tuple(seed))
 
 
 def sample_prm_points(tail: LevyTail, stream: ArrivalStream) -> np.ndarray:
@@ -271,15 +275,18 @@ class _Row:
     """One seed's arrivals Γ_1 < Γ_2 < ..., its levels Γ_i / divisor and its progress through the truncation.
 
     The row owns the seed's ``STREAM_ARRIVALS`` generator ``rng``: every draw from the seed's arrival stream
-    goes through it.  On the integer path the first r arrivals are drawn here and the divisor is Γ_r; the
-    levels continue from Γ_{r+1}.  The defaults, r = 0 on the integer path, give the plain arrivals.
+    goes through it, and ``close`` releases it once the row's last draw is done (``take`` does so when the
+    series is finished).  On the integer path the first r arrivals are drawn here and the divisor is Γ_r;
+    the levels continue from Γ_{r+1}.  The defaults, r = 0 on the integer path, give the plain arrivals.
     """
 
     def __init__(self, seed, r: float = 0.0, randomized: bool = False):
         self.rng = spawn_generator(seed, STREAM_ARRIVALS)
         self._last = 0.0
         if randomized:
-            self.divisor = float(spawn_generator(seed, STREAM_MIXING).gamma(r, 1.0))
+            mixing = spawn_generator(seed, STREAM_MIXING)
+            self.divisor = float(mixing.gamma(r, 1.0))
+            release(mixing)
             if not (math.isfinite(self.divisor) and self.divisor > 0.0):
                 # a tiny order r can underflow the gamma draw to an exact zero
                 raise NumericError(f"gamma mixing draw degenerated to {self.divisor} at r={r}")
@@ -290,6 +297,11 @@ class _Row:
         self.shift = 0.0
         self.scaled_sum = 0.0
         self.chunks: list[np.ndarray] = []
+
+    def close(self) -> None:
+        """Release the arrival generator after the row's last draw."""
+        release(self.rng)
+        self.rng = None
 
     def arrivals(self, count: int) -> np.ndarray:
         """The next ``count`` arrivals: ``count`` more exponentials, continuing the running sum."""
@@ -326,6 +338,7 @@ class _Row:
         self.chunks.append(log_pts)
         if retained + log_pts.size < cap:
             return None
+        self.close()
         total = np.concatenate(self.chunks)[:cap]
         return PointSeries(total, cfg.first_index, stopped_by, truncation_warning=stopped_by == "hard_cap")
 

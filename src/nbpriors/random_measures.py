@@ -45,6 +45,7 @@ import numpy as np
 from ._rng import (
     STREAM_ATOMS,
     STREAM_DRAWS,
+    release,
     seed_tuple,
     spawn_generator,
 )
@@ -68,8 +69,9 @@ _WEIGHT_SUM_TOL = 1e-12
 class BaseMeasure:
     """Diffuse atom-location distribution H.
 
-    ``sampler(rng, size)`` draws i.i.d. atoms; ``cdf`` (optional) is
-    needed by the Kolmogorov-distance harness.
+    ``sampler(rng, size)`` draws i.i.d. atoms from ``rng``, which is
+    valid only during the call (it is released and re-keyed afterwards);
+    ``cdf`` (optional) is needed by the Kolmogorov-distance harness.
     """
 
     label: str
@@ -78,7 +80,11 @@ class BaseMeasure:
 
     def _atoms(self, seed, size: int) -> np.ndarray:
         """``size`` atoms from ``sampler`` on the seed's atom stream: the one place a seed's atoms are drawn."""
-        return np.asarray(self.sampler(spawn_generator(seed, STREAM_ATOMS), size), dtype=float)
+        rng = spawn_generator(seed, STREAM_ATOMS)
+        try:
+            return np.asarray(self.sampler(rng, size), dtype=float)
+        finally:
+            release(rng)
 
 
 def _uniform_sampler(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -426,6 +432,7 @@ class ExtendedDpParams:
         for seed in seeds:
             row = _Row(seed, r, randomized=False)
             arrivals = row.arrivals(n + 1 - r)  # Γ_{r+1} .. Γ_{n+1}
+            row.close()
             levels.append(arrivals[:-1] / (row.divisor * arrivals[-1]))
         u = np.concatenate(levels)
         inside = u < 1.0
@@ -481,7 +488,11 @@ class StickBreaking:
         cumulative product over the block gives every row's remaining mass.
         """
         shapes = self.theta + self.alpha * np.arange(1, self.sticks + 1)
-        betas = np.stack([_Row(seed).rng.beta(1.0 - self.alpha, shapes) for seed in seeds])
+        betas = np.empty((len(seeds), self.sticks))
+        for i, seed in enumerate(seeds):
+            row = _Row(seed)
+            betas[i] = row.rng.beta(1.0 - self.alpha, shapes)
+            row.close()
         remaining = np.cumprod(1.0 - betas, axis=1)
         weights = np.empty((len(seeds), self.sticks + 1))
         weights[:, 0] = betas[:, 0]
@@ -524,9 +535,11 @@ def _categorical(weights: np.ndarray, k: int, seed) -> np.ndarray:
     cumulative weights are 1.0 from the last nonzero weight on, so a zero weight is never drawn."""
     k = as_count("k", k)
     rng = spawn_generator(seed, STREAM_DRAWS)
+    u = rng.random(k)
+    release(rng)
     cum = np.cumsum(weights)
     cum[np.flatnonzero(weights)[-1]:] = 1.0
-    return np.searchsorted(cum, rng.random(k), side="right")
+    return np.searchsorted(cum, u, side="right")
 
 
 def draw_from_measure(measure: DiscreteMeasure, k: int, seed) -> np.ndarray:

@@ -80,12 +80,15 @@ def log_gamma(a: float) -> float:
 def exp_integral_e1(x: float) -> float:
     """Exponential integral E1(x) = Γ(0, x) = ∫_x^∞ t^{-1} e^{-t} dt, x > 0.
 
-    Strictly decreasing; evaluated by ``log_upper_gamma``.
+    Strictly decreasing; evaluated by ``log_upper_gamma``.  Where it
+    underflows double precision, raises a NumericError whose
+    ``best_estimate`` is ln E1(x), as ``tail_value`` of the gamma tail does.
     """
     x = as_positive("x", x)
-    value = float(np.exp(log_upper_gamma(0.0, np.asarray([x]))[0]))
+    log_value = float(log_upper_gamma(0.0, np.asarray([x]))[0])
+    value = math.exp(log_value)
     if value == 0.0:
-        raise NumericError(f"E1({x}) underflows double precision", best_estimate=0.0)
+        raise NumericError(f"E1({x}) underflows double precision; log-value is {log_value}", best_estimate=log_value)
     return value
 
 

@@ -607,6 +607,23 @@ class TestReplicationEngine:
                 weights = record.measure(UB, seed).weights
                 assert np.array_equal(np.sort(weights), np.sort(row[row > 0.0]))
 
+    @pytest.mark.parametrize("truncation", [TruncationPolicy.fixed(N), TruncationPolicy.epsilon_rule(1e-6)],
+                             ids=["fixed", "epsilon"])
+    def test_seeds_are_taken_one_block_at_a_time(self, truncation):
+        record = experiments._family("dirichlet", {"theta": 3.0}, truncation)
+        size = experiments._EPSILON_BLOCK if record.width is None else experiments._BLOCK_POINTS // record.width
+        rows = []
+
+        def seeds():
+            for i in range(2 * size + 1):
+                if i == size and not rows:
+                    raise AssertionError("the seed iterator was advanced past the first block before its first row")
+                yield (5, i)
+
+        rows.extend(experiments._replicate(record, seeds()))
+        assert len(rows) == 2 * size + 1
+        assert all(np.array_equal(row, record.draw([(5, i)])[0]) for i, row in enumerate(rows))
+
     @pytest.mark.parametrize("r", [1e-3, 3e-3])
     def test_failures_stay_with_their_replication(self, r):
         # a tiny randomized order degenerates the mixing draw on some seeds, and at

@@ -166,10 +166,15 @@ class TestExpIntegral:
         with pytest.raises(DomainError):
             exp_integral_e1(-3.0)
 
-    def test_underflow_is_a_numeric_error_carrying_zero(self):
+    def test_underflow_is_a_numeric_error_carrying_the_log(self):
         with pytest.raises(NumericError, match="underflows double precision") as info:
             exp_integral_e1(800.0)
-        assert info.value.best_estimate == 0.0
+        # ln E1(x) = -x - ln x + ln(1 - 1/x + 2/x^2 - 6/x^3 + ...), about -806.69 at x = 800
+        expected = -800.0 - math.log(800.0) + math.log1p(-1 / 800 + 2 / 800**2 - 6 / 800**3 + 24 / 800**4)
+        assert info.value.best_estimate == pytest.approx(expected, rel=1e-12)
+        with pytest.raises(NumericError) as tail:
+            tail_value(LevyTail.gamma(1.0), 800.0)  # the same E1(800)
+        assert tail.value.best_estimate == info.value.best_estimate
 
 
 class TestGammaSurvival:

@@ -44,8 +44,8 @@ SAMPLE = [
     "sample --process dirichlet --theta 3",
     "sample --process stable --n 10",
     "sample --process pdp_stick --alpha 1.5 --theta 2 --sticks 10",
-    "sample --process extended_dp --theta 3 --r 1 --n 50 --seed 1",  # levels past L_n's finite mass weigh zero
-    "sample --process extended_dp --theta 3 --r 1 --n 50 --seed 14",  # fewer than two levels below 1
+    "sample --process extended_dp --theta 3 --r 1 --n 50 --seed 0",  # levels past L_n's finite mass weigh zero
+    "sample --process extended_dp --theta 3 --r 1 --n 50 --seed 32",  # fewer than two levels below 1
     "sample --process pdp_series --alpha 0.5 --theta 2 --r 10 --n 10 --seed 1",  # degenerate truncation
     "sample --process dirichlet --theta 3 --n 1 --seed 1",  # one point retained
     "sample --process stable --alpha 0.5 --n 2000000 --seed 1",  # above the hard cap
