@@ -28,7 +28,7 @@ from importlib import resources
 import numpy as np
 import scipy.special as sp
 
-from .errors import DomainError, NbpError, NumericError, as_count, as_number, as_object
+from .errors import DomainError, NbpError, NumericError, as_count, as_json, as_number, as_object, as_table, table_text
 from .experiments import (
     PROCESSES,
     build_measure,
@@ -57,10 +57,10 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            text = fh.read()
+    except OSError as exc:
         raise DomainError(f"cannot read config {path}: {exc}") from exc
-    return as_object(f"config {path}", data)
+    return as_object(f"config {path}", as_json(f"config {path}", text))
 
 
 def _resolve_seed(args, config: dict) -> int:
@@ -78,39 +78,15 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _emit_table(args, payload: dict, header: list[str], rows) -> None:
-    """Write ``payload`` as JSON, or ``rows`` under ``header`` as CSV: integers as they are, reals by repr."""
-    if args.output == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2)
-    else:
-        lines = [",".join(str(v) if isinstance(v, (int, np.integer)) else repr(float(v)) for v in row) for row in rows]
-        text = "\n".join([",".join(header), *lines])
-    _emit(text + "\n", args.out)
+def _emit_table(args, payload: dict, header, rows) -> None:
+    """Write ``payload`` as JSON, or ``rows`` under ``header`` as an ``errors.table_text`` CSV table."""
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n" if args.output == "json" else table_text(header, rows)
+    _emit(text, args.out)
 
 
 def parse_csv_table(text: str) -> list[dict]:
-    """Read back a CSV table emitted by this CLI: header row, numeric cells."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines:
-        raise DomainError("empty CSV table")
-    header = lines[0].split(",")
-    rows = []
-    for i, ln in enumerate(lines[1:], start=1):
-        cells = ln.split(",")
-        if len(cells) != len(header):
-            raise DomainError(f"CSV row has {len(cells)} cells, header has {len(header)}")
-        row = {}
-        for key, cell in zip(header, cells):
-            try:
-                value = int(cell)
-            except ValueError:
-                try:
-                    value = float(cell)
-                except ValueError as exc:
-                    raise DomainError(f"CSV row {i}, column {key!r}: {cell!r} is not a number") from exc
-            row[key] = value
-        rows.append(row)
-    return rows
+    """Read back a CSV table emitted by this CLI: header row, numeric cells (``errors.as_table``)."""
+    return as_table("CSV", text)
 
 
 # ---------------------------------------------------------------------------
@@ -140,14 +116,13 @@ def _cmd_sample(args) -> int:
     seed = _resolve_seed(args, config)
 
     measure = build_measure(process, params, truncation, seed, uniform_base())
-    _emit(measure.to_json(indent=2) + "\n" if args.output == "json" else measure.to_csv(), args.out)
+    _emit_table(args, measure.to_json_dict(), ("atom", "weight"), zip(measure.atoms, measure.weights))
     return 0
 
 
 def default_grid_config() -> dict:
     """The bundled nine-row benchmark grid (n = 400, 500 replications)."""
-    with resources.files("nbpriors.data").joinpath("table2.json").open() as fh:
-        return json.load(fh)
+    return as_json("bundled grid config", resources.files("nbpriors.data").joinpath("table2.json").read_text())
 
 
 def _cmd_ks_table(args) -> int:
@@ -393,7 +368,7 @@ def _cmd_selftest(_args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="nbpriors", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="nbpriors", description=__doc__.partition("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):

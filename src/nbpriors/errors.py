@@ -3,10 +3,13 @@
 Three readers take a scalar from a caller or a config file: ``as_number`` a real (an integer with ``kind=int``),
 ``as_positive`` a positive finite real, and ``as_count`` a count, any size a request allocates or loops over
 (an index bound, a hard cap, an order, a replication or draw count), held to the one bound ``MAX_ARRIVALS``.
-``as_object``, ``as_list`` and ``read_field`` read JSON objects and lists.
+``as_object``, ``as_list`` and ``read_field`` read JSON objects and lists.  The two text formats are read and
+written here only: ``as_json`` parses JSON text, ``table_text`` writes a CSV table and ``as_table`` reads one back.
 """
 
+import json
 import math
+import numbers
 
 MAX_ARRIVALS = 100_000_000  # ~800 MB of float64, hard memory bound
 
@@ -104,3 +107,49 @@ def read_field(payload: str, data, key: str, read, *default):
         return read(data.get(key, *default))
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{payload} field {key!r} does not read: {exc}") from exc
+
+
+def as_json(payload: str, text):
+    """The value that the JSON ``text`` holds; text that does not parse raises a DomainError naming the payload."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"{payload} does not parse: {exc}") from exc
+
+
+def table_text(header, rows) -> str:
+    """A CSV table: the header line, then one line per row, an integer cell as written and any other cell as
+    ``repr(float(v))``, every line ending in a newline."""
+    lines = [",".join(str(v) if isinstance(v, numbers.Integral) else repr(float(v)) for v in row) for row in rows]
+    return "\n".join([",".join(header), *lines]) + "\n"
+
+
+def as_table(payload: str, text: str, header=None) -> list[dict]:
+    """The rows of a CSV table as ``table_text`` writes it, each a dict keyed by the header's columns: an
+    integer cell read as an int and any other cell as a float.  A first line other than ``header`` where
+    one is given, a repeated column, a row of the wrong length or a cell that is not a number raises a
+    DomainError naming the payload."""
+    lines = [line for line in text.strip().splitlines() if line]
+    if header is not None and lines[:1] != [",".join(header)]:
+        raise DomainError(f"{payload} must start with an {','.join(header)!r} header")
+    if not lines:
+        raise DomainError(f"empty {payload} table")
+    columns = lines[0].split(",")
+    if len(set(columns)) < len(columns):
+        raise DomainError(f"{payload} header repeats a column: {lines[0]!r}")
+    rows = []
+    for i, line in enumerate(lines[1:], start=1):
+        cells = line.split(",")
+        if len(cells) != len(columns):
+            raise DomainError(f"{payload} row has {len(cells)} cells, header has {len(columns)}")
+        row = {}
+        for key, cell in zip(columns, cells):
+            try:
+                row[key] = int(cell)
+            except ValueError:
+                try:
+                    row[key] = float(cell)
+                except ValueError as exc:
+                    raise DomainError(f"{payload} row {i}, column {key!r}: {cell!r} is not a number") from exc
+        rows.append(row)
+    return rows

@@ -26,15 +26,14 @@ written as its dict and a numpy scalar as a number.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ._rng import replication_seed, seed_tuple
-from .errors import (CapabilityError, DegenerateTruncationError, DomainError, as_count, as_list, as_number, as_object,
-                     read_field)
+from .errors import (CapabilityError, DegenerateTruncationError, DomainError, as_count, as_json, as_list, as_number,
+                     as_object, read_field)
 from .levy_tails import LevyTail
 from .point_processes import TruncationPolicy
 from .random_measures import (
@@ -605,4 +604,4 @@ def rank_weight_equivalence_test(
 def load_experiment_spec(path) -> ExperimentSpec:
     """Read an ExperimentSpec from a JSON file."""
     with open(path) as fh:
-        return ExperimentSpec.from_dict(json.load(fh))
+        return ExperimentSpec.from_dict(as_json("experiment spec", fh.read()))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sp
 
-from .errors import DomainError, NumericError, as_number, as_object, as_positive, read_field
+from .errors import DomainError, NumericError, as_json, as_number, as_object, as_positive, read_field
 from .special_functions import EULER_GAMMA, _as_array, log_upper_gamma, log_upper_gamma_inverse
 
 KINDS = ("stable", "gamma", "generalized_gamma")
@@ -91,11 +91,7 @@ class LevyTail:
 
     @classmethod
     def from_json(cls, text: str) -> "LevyTail":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"tail JSON does not parse: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(as_json("tail JSON", text))
 
 
 def _as_positive_array(name: str, values) -> np.ndarray:

@@ -36,7 +36,6 @@ same rounds; ``sample_nbp_points`` is that sampler with one seed.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -58,6 +57,7 @@ from .errors import (
     as_count,
     as_number,
     as_object,
+    table_text,
 )
 from .levy_tails import LevyTail, log_tail_inverse, log_tail_value
 
@@ -256,11 +256,7 @@ class PointSeries:
 
 def write_points_csv(points, first_index: int = 1, file=None) -> str | None:
     """Write (index, value) rows; returns the text when no file is given."""
-    buf = io.StringIO()
-    buf.write("index,value\n")
-    for j, v in enumerate(np.asarray(points, dtype=float)):
-        buf.write(f"{first_index + j},{float(v)!r}\n")
-    text = buf.getvalue()
+    text = table_text(("index", "value"), ((first_index + j, v) for j, v in enumerate(np.asarray(points, dtype=float))))
     if file is None:
         return text
     if isinstance(file, (str, bytes)):

@@ -34,7 +34,6 @@ The sampler family:
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -49,8 +48,8 @@ from ._rng import (
     seed_tuple,
     spawn_generator,
 )
-from .errors import (DegenerateTruncationError, DomainError, as_count, as_list, as_number, as_object, as_positive,
-                     read_field)
+from .errors import (DegenerateTruncationError, DomainError, as_count, as_json, as_list, as_number, as_object,
+                     as_positive, as_table, read_field, table_text)
 from .levy_tails import LevyTail
 from .point_processes import (
     NbpConfig,
@@ -170,33 +169,16 @@ class DiscreteMeasure:
 
     @classmethod
     def from_json(cls, text: str) -> "DiscreteMeasure":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"measure JSON does not parse: {exc}") from exc
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(as_json("measure JSON", text))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("atom,weight\n")
-        for a, w in zip(self.atoms, self.weights):
-            buf.write(f"{float(a)!r},{float(w)!r}\n")
-        return buf.getvalue()
+        return table_text(("atom", "weight"), zip(self.atoms, self.weights))
 
     @classmethod
     def from_csv(cls, text: str) -> "DiscreteMeasure":
-        lines = [ln for ln in text.strip().splitlines() if ln]
-        if not lines or lines[0] != "atom,weight":
-            raise DomainError("measure CSV must start with an 'atom,weight' header")
-        atoms, weights = [], []
-        for i, ln in enumerate(lines[1:], start=1):
-            try:
-                a, w = map(float, ln.split(","))
-            except ValueError as exc:
-                raise DomainError(f"measure CSV row {i} is not two numbers 'atom,weight': {ln!r}") from exc
-            atoms.append(a)
-            weights.append(w)
-        return cls(atoms=np.asarray(atoms), weights=np.asarray(weights))
+        rows = as_table("measure CSV", text, ("atom", "weight"))
+        return cls(atoms=np.array([row["atom"] for row in rows], dtype=float),
+                   weights=np.array([row["weight"] for row in rows], dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -314,7 +314,8 @@ class TestKsTable:
         ("a,b\n1,x\n", "CSV row 1, column 'b': 'x' is not a number"),
         ("a,b\n1,2\n3\n", "CSV row has 1 cells, header has 2"),
         ("\n", "empty CSV table"),
-    ], ids=["non_numeric", "short_row", "empty"])
+        ("a,a\n1,2\n", "CSV header repeats a column: 'a,a'"),
+    ], ids=["non_numeric", "short_row", "empty", "repeated_column"])
     def test_bad_csv_table_is_a_domain_error(self, text, message):
         from nbpriors.cli import parse_csv_table
 
@@ -570,3 +571,17 @@ class TestSelftest:
                 if isinstance(node, ast.Compare) and "MAX_ARRIVALS" in names([node.left, *node.comparators]):
                     found.append(node.lineno)
             assert not found, f"{path.name} reads a count past errors.as_count on lines {found}"
+
+    def test_text_is_parsed_only_in_errors(self):
+        # one reader per text format: outside errors.py no call parses JSON text (json.load, json.loads) or
+        # splits text into lines (.splitlines(), the first step of reading a CSV table)
+        for path in sorted(Path(PACKAGE_ROOT, "nbpriors").glob("*.py")):
+            if path.name == "errors.py":
+                continue
+            found = []
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    owner = getattr(node.func.value, "id", None)
+                    if node.func.attr == "splitlines" or (owner == "json" and node.func.attr in ("load", "loads")):
+                        found.append(node.lineno)
+            assert not found, f"{path.name} parses text past errors.as_json and errors.as_table on lines {found}"

@@ -1,11 +1,14 @@
-"""Unit tests for the scalar readers of ``errors``: ``as_count`` and ``as_positive``."""
+"""Unit tests for the scalar readers of ``errors`` (``as_count``, ``as_positive``) and its text formats
+(``as_json``, ``table_text``, ``as_table``)."""
 
 import math
 import re
 
+import numpy as np
 import pytest
 
-from nbpriors.errors import MAX_ARRIVALS, DomainError, ResourceLimitError, as_count, as_positive
+from nbpriors.errors import (MAX_ARRIVALS, DomainError, ResourceLimitError, as_count, as_json, as_positive, as_table,
+                             table_text)
 
 
 class TestAsCount:
@@ -51,3 +54,37 @@ class TestAsPositive:
         with pytest.raises(DomainError) as info:
             as_positive("theta", value)
         assert str(info.value) == f"theta must be a positive finite real, got {float(value)}"
+
+
+class TestAsJson:
+    def test_reads_any_json_value(self):
+        assert as_json("spec", '{"a": [1, 2.5]}') == {"a": [1, 2.5]}
+        assert as_json("spec", "3") == 3
+
+    @pytest.mark.parametrize("text", ["{bad", "", "[1,"], ids=["brace", "empty", "truncated"])
+    def test_text_that_does_not_parse_is_a_domain_error(self, text):
+        with pytest.raises(DomainError, match="^spec does not parse: "):
+            as_json("spec", text)
+
+
+class TestCsvTables:
+    def test_writes_integers_as_they_are_and_reals_by_repr(self):
+        rows = [(1, np.int64(2), 0.1), (True, np.float64(1e-300), 3)]
+        assert table_text(("a", "b", "c"), rows) == "a,b,c\n1,2,0.1\nTrue,1e-300,3\n"
+        assert table_text(["a"], []) == "a\n"
+
+    def test_reads_back_what_it_writes(self):
+        rows = as_table("table", table_text(("n", "x"), [(3, 0.1), (4, 1 / 3)]), ("n", "x"))
+        assert rows == [{"n": 3, "x": 0.1}, {"n": 4, "x": 1 / 3}]
+        assert [type(row["n"]) for row in rows] == [int, int]
+
+    @pytest.mark.parametrize("text, header, message", [
+        ("", None, "empty table table"),
+        ("a,b\n1,2\n", ("a", "c"), "table must start with an 'a,c' header"),
+        ("a,b,a\n1,2,3\n", None, "table header repeats a column: 'a,b,a'"),
+        ("a,b\n1,2,3\n", None, "table row has 3 cells, header has 2"),
+        ("a,b\n1,2\n1,y\n", None, "table row 2, column 'b': 'y' is not a number"),
+    ], ids=["empty", "header", "repeated_column", "long_row", "non_numeric"])
+    def test_bad_table_is_a_domain_error(self, text, header, message):
+        with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
+            as_table("table", text, header)

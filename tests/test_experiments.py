@@ -197,6 +197,12 @@ class TestExperimentSpec:
         path.write_text(json.dumps(old))
         assert load_experiment_spec(path).to_dict() == expected
 
+    def test_spec_file_that_does_not_parse_is_a_domain_error(self, tmp_path):
+        path = tmp_path / "bad_spec.json"
+        path.write_text("{bad")
+        with pytest.raises(DomainError, match="^experiment spec does not parse: "):
+            load_experiment_spec(path)
+
 
 class TestRunKsExperiment:
     def make_spec(self, reps=16):

@@ -86,7 +86,13 @@ class TestDiscreteMeasure:
     @pytest.mark.parametrize("text", ["atom,weight\n0.5,0.5,1\n", "atom,weight\n0.5,x\n", "atom,weight\n0.5\n"],
                              ids=["three_cells", "non_numeric", "one_cell"])
     def test_csv_bad_row_is_a_domain_error(self, text):
-        with pytest.raises(DomainError, match="measure CSV row 1 is not two numbers"):
+        with pytest.raises(DomainError, match="^measure CSV row"):
+            DiscreteMeasure.from_csv(text)
+
+    @pytest.mark.parametrize("text", ["atom,atom\n0.5,1\n", "atom,weight,atom\n0.5,1,0.5\n"],
+                             ids=["atom_twice", "extra_atom"])
+    def test_csv_repeated_column_is_a_domain_error(self, text):
+        with pytest.raises(DomainError, match="^measure CSV must start with an 'atom,weight' header$"):
             DiscreteMeasure.from_csv(text)
 
     @pytest.mark.parametrize("text, message", [
