@@ -52,7 +52,8 @@ def _parse_int_list(text: str) -> list[int]:
         raise DomainError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, fields) -> dict:
+    """The JSON object in the config file ``path`` ({} without one); a key outside ``fields`` raises a DomainError."""
     if path is None:
         return {}
     try:
@@ -60,7 +61,7 @@ def _load_config(path: str | None) -> dict:
             text = fh.read()
     except OSError as exc:
         raise DomainError(f"cannot read config {path}: {exc}") from exc
-    return as_object(f"config {path}", as_json(f"config {path}", text))
+    return as_object(f"config {path}", as_json(f"config {path}", text), fields)
 
 
 def _resolve_seed(args, config: dict) -> int:
@@ -94,7 +95,7 @@ def parse_csv_table(text: str) -> list[dict]:
 
 
 def _cmd_sample(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, ("process", "params", "truncation", "seed"))
     process = args.process if args.process is not None else config.get("process")
     if process is None:
         raise DomainError("sample needs --process (or a config with 'process')")
@@ -126,7 +127,10 @@ def default_grid_config() -> dict:
 
 
 def _cmd_ks_table(args) -> int:
-    config = _load_config(args.config) if args.config else default_grid_config()
+    fields = ("schema_version", "process", "n", "replications", "rows", "seed")
+    config = _load_config(args.config, fields) if args.config else default_grid_config()
+    if config.get("process", "pdp_series") != "pdp_series":  # the one process run_ks_table runs
+        raise DomainError(f"ks-table runs pdp_series only, got process {config['process']!r}")
     rows, n, replications = load_ks_grid(config)
     as_count("--jobs", args.jobs)
     if args.n is not None:
@@ -152,7 +156,7 @@ def _cmd_weights(args) -> int:
         _parse_int_list(args.r_grid),
         args.top_k,
         args.reps,
-        _resolve_seed(args, _load_config(args.config)),
+        _resolve_seed(args, _load_config(args.config, ("seed",))),
         points_per_r=args.points_per_r,
     )
     header = ["r"] + [f"w{k + 1}" for k in range(profile.top_k)]
@@ -165,7 +169,7 @@ def _cmd_clusters(args) -> int:
     params = {key: value for key, value in (("alpha", args.alpha), ("theta", theta)) if value is not None}
     diag = clustering_growth(
         args.process, params, _parse_int_list(args.n_grid), args.reps,
-        _resolve_seed(args, _load_config(args.config)),
+        _resolve_seed(args, _load_config(args.config, ("seed",))),
     )
     _emit_table(args, diag.to_dict(), ["n", "kn_mean", "ratio"], zip(diag.n_grid, diag.kn_means, diag.ratios))
     return 0

@@ -279,13 +279,14 @@ class _Row:
     def __init__(self, seed, r: float = 0.0, randomized: bool = False):
         self.rng = spawn_generator(seed, STREAM_ARRIVALS)
         self._last = 0.0
+        self.r = r
         if randomized:
             mixing = spawn_generator(seed, STREAM_MIXING)
             self.divisor = float(mixing.gamma(r, 1.0))
             release(mixing)
             if not (math.isfinite(self.divisor) and self.divisor > 0.0):
                 # a tiny order r can underflow the gamma draw to an exact zero
-                raise NumericError(f"gamma mixing draw degenerated to {self.divisor} at r={r}")
+                raise self._degenerate()
         elif r == 0.0:
             self.divisor = 1.0  # Gamma_0 = 1 convention: the plain Poisson random measure
         else:
@@ -308,7 +309,15 @@ class _Row:
         return arrivals
 
     def next_levels(self, count: int) -> np.ndarray:
-        return self.arrivals(count) / self.divisor
+        """The next ``count`` levels.  Only a subnormal mixing draw overflows one (``sample_log_points`` ignores
+        the overflow), and the levels increase, so the last level is the only one checked."""
+        levels = self.arrivals(count) / self.divisor
+        if levels[-1] == math.inf:
+            raise self._degenerate()
+        return levels
+
+    def _degenerate(self) -> NumericError:
+        return NumericError(f"gamma mixing draw degenerated to {self.divisor} at r={self.r}")
 
     def take(self, log_pts: np.ndarray, cfg: NbpConfig) -> PointSeries | None:
         """Apply the truncation to the next round's points; the finished series, or None to go on.

@@ -103,9 +103,9 @@ def uniform_base() -> BaseMeasure:
 class DiscreteMeasure:
     """A finite discrete probability measure with provenance.
 
-    Invariants: equal-length atom/weight arrays, all weights strictly
-    positive, weights summing to one within 1e-12, and strictly
-    decreasing weights whenever ``sorted_by_weight`` is set.
+    Invariants: equal-length atom/weight arrays, all atoms finite, all
+    weights strictly positive, weights summing to one within 1e-12, and
+    strictly decreasing weights whenever ``sorted_by_weight`` is set.
     """
 
     atoms: np.ndarray
@@ -114,12 +114,17 @@ class DiscreteMeasure:
     sorted_by_weight: bool = False
 
     def __post_init__(self):
-        atoms = np.asarray(self.atoms, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        try:
+            atoms = np.asarray(self.atoms, dtype=float)
+            weights = np.asarray(self.weights, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:  # an integer past the float range overflows
+            raise DomainError(f"atoms and weights must be real numbers: {exc}") from exc
         if atoms.ndim != 1 or weights.ndim != 1 or atoms.size != weights.size:
             raise DomainError("atoms and weights must be 1-d arrays of equal length")
         if atoms.size < 1:
             raise DomainError("a measure needs at least one atom")
+        if not np.all(np.isfinite(atoms)):
+            raise DomainError("atoms must be finite")
         if not np.all(np.isfinite(weights) & (weights > 0)):
             raise DomainError("weights must be strictly positive and finite")
         total = math.fsum(weights.tolist())
@@ -177,8 +182,7 @@ class DiscreteMeasure:
     @classmethod
     def from_csv(cls, text: str) -> "DiscreteMeasure":
         rows = as_table("measure CSV", text, ("atom", "weight"))
-        return cls(atoms=np.array([row["atom"] for row in rows], dtype=float),
-                   weights=np.array([row["weight"] for row in rows], dtype=float))
+        return cls(atoms=[row["atom"] for row in rows], weights=[row["weight"] for row in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,19 @@ class TestSample:
         assert res.returncode == 1
         assert "config" in res.stderr
 
+    def test_config_that_does_not_parse_is_a_domain_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text("{bad")
+        assert main(["sample", "--config", str(cfg), "--process", "dirichlet", "--n", "50"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: config {cfg} does not parse: ")
+
+    def test_unknown_config_key_is_a_domain_error(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.json"
+        cfg.write_text(json.dumps({"proces": "dirichlet", "params": {"theta": 3}, "seed": 1}))
+        assert main(["sample", "--config", str(cfg), "--process", "dirichlet", "--n", "50"]) == 1
+        assert capsys.readouterr() == ("", f"error: unknown config {cfg} fields: ['proces']\n")
+
 
 class TestKsTable:
     @pytest.fixture()
@@ -372,6 +385,25 @@ class TestKsTable:
         assert "Traceback" not in res.stderr
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"reps": 3}, "unknown config {path} fields: ['reps']"),
+        ({"process": "dirichlet"}, "ks-table runs pdp_series only, got process 'dirichlet'"),
+    ], ids=["unknown_key", "other_process"])
+    def test_config_key_it_does_not_run_is_a_domain_error(self, extra, message, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({**TINY_GRID, **extra}))
+        assert main(["ks-table", "--config", str(path), "--reps", "1"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
+
+    def test_bundled_grid_reads_as_a_config(self, tmp_path, capsys):
+        from nbpriors.cli import default_grid_config
+
+        path = tmp_path / "table2.json"
+        path.write_text(json.dumps({**default_grid_config(), "seed": 5}))
+        assert main(["ks-table", "--config", str(path), "--n", "310", "--reps", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["seed"], len(payload["rows"])) == (5, 9)
+
     def test_default_grid_shape(self):
         from nbpriors.cli import default_grid_config
 
@@ -462,6 +494,20 @@ class TestWeightsAndClusters:
         assert "Traceback" not in res.stderr
         res = run_cli("clusters", "--process", "stable", "--alpha", "0.5", "--n-grid", "1", "--reps", "2")
         assert res.returncode == 0, res.stderr
+
+    @pytest.mark.parametrize("command, grid", [("weights", "--r-grid"), ("clusters", "--n-grid")])
+    def test_config_holds_only_a_seed(self, command, grid, tmp_path, capsys):
+        # a theta in the config was once ignored without a word, the default 3 sampled instead
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"theta": 50, "seed": 4}))
+        args = [command, "--config", str(cfg), "--reps", "2", grid, "3"]
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", f"error: unknown config {cfg} fields: ['theta']\n")
+        cfg.write_text(json.dumps({"seed": 4}))
+        assert main(args) == 0
+        from_config = capsys.readouterr().out
+        assert main([*args[:1], *args[3:], "--seed", "4"]) == 0
+        assert capsys.readouterr().out == from_config
 
     @pytest.mark.parametrize("args", [
         ("clusters", "--n-grid", ""),

@@ -13,6 +13,8 @@ from nbpriors import (
     DomainError,
     LevyTail,
     NbpConfig,
+    NbpError,
+    NumericError,
     ResourceLimitError,
     TruncationPolicy,
     gamma_arrivals,
@@ -24,7 +26,8 @@ from nbpriors import (
 from nbpriors import experiments
 from nbpriors._rng import replication_seed, seed_tuple
 from nbpriors.levy_tails import log_tail_value
-from nbpriors.point_processes import _TEMPER_SPLIT, MAX_ARRIVALS, ArrivalStream, sample_log_points, write_points_csv
+from nbpriors.point_processes import (_TEMPER_SPLIT, MAX_ARRIVALS, ArrivalStream, _Row, sample_log_points,
+                                      write_points_csv)
 from oracles import inverse_series_log_points
 
 
@@ -254,6 +257,27 @@ class TestNbpPoints:
         m4 = np.mean((counts - counts.mean()) ** 4)
         se_var = math.sqrt(max(m4 - s2 ** 2, 0.0) / reps)
         assert abs(s2 - var_target) <= 4 * se_var
+
+
+class TestMixingDraw:
+    def test_levels_past_a_subnormal_divisor_are_a_numeric_error(self):
+        row = _Row(0)
+        row.divisor = 5e-324  # the arrivals divided by it overflow
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="^gamma mixing draw degenerated to 5e-324"):
+            row.next_levels(8)
+        row.close()
+
+    def test_every_degenerate_mixing_draw_is_a_numeric_error(self):
+        # at a tiny order the gamma mixing draw underflows to zero on some seeds and to a subnormal on others
+        cfg = NbpConfig(r=1e-3, tail=LevyTail.stable(0.5), truncation=TruncationPolicy.epsilon_rule(1e-6),
+                        randomized=True)
+        failures = []
+        for i in range(300):
+            try:
+                sample_log_points(cfg, [(3, i)])
+            except NbpError as exc:
+                failures.append(exc)
+        assert failures and all(type(exc) is NumericError for exc in failures), {type(exc) for exc in failures}
 
 
 class TestTruncation:

@@ -1,5 +1,6 @@
 """Unit tests for the random measure constructors."""
 
+import json
 import math
 import types
 import warnings
@@ -78,6 +79,19 @@ class TestDiscreteMeasure:
         again = DiscreteMeasure.from_csv(m.to_csv())
         assert np.array_equal(m.atoms, again.atoms)
         assert np.array_equal(m.weights, again.weights)
+
+    @pytest.mark.parametrize("atom", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus_inf"])
+    def test_non_finite_atom_is_a_domain_error(self, atom):
+        with pytest.raises(DomainError, match="^atoms must be finite$"):
+            DiscreteMeasure(np.array([0.5, atom]), np.array([0.5, 0.5]))
+        with pytest.raises(DomainError, match="^atoms must be finite$"):
+            DiscreteMeasure.from_csv(f"atom,weight\n0.5,0.5\n{atom!r},0.5\n")
+        with pytest.raises(DomainError, match="^atoms must be finite$"):
+            DiscreteMeasure.from_json(json.dumps({"atoms": [0.5, atom], "weights": [0.5, 0.5]}))
+
+    def test_csv_integer_past_the_float_range_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="^atoms and weights must be real numbers: "):
+            DiscreteMeasure.from_csv("atom,weight\n" + "9" * 400 + ",1\n")
 
     def test_csv_header_enforced(self):
         with pytest.raises(DomainError):
