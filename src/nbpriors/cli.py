@@ -57,9 +57,9 @@ def _load_config(path: str | None, fields) -> dict:
     if path is None:
         return {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8 (RFC 8259)
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read config {path}: {exc}") from exc
     return as_object(f"config {path}", as_json(f"config {path}", text), fields)
 

@@ -272,6 +272,10 @@ class TestSample:
         assert main(["sample", "--config", str(cfg), "--process", "dirichlet", "--n", "50"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: config {cfg} does not parse: ")
+        cfg.write_bytes(b"\xff{")  # not UTF-8
+        assert main(["sample", "--config", str(cfg), "--process", "dirichlet", "--n", "50"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: cannot read config {cfg}: ")
 
     def test_unknown_config_key_is_a_domain_error(self, tmp_path, capsys):
         cfg = tmp_path / "typo.json"
