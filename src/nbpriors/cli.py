@@ -117,7 +117,7 @@ def _cmd_sample(args) -> int:
     seed = _resolve_seed(args, config)
 
     measure = build_measure(process, params, truncation, seed, uniform_base())
-    _emit_table(args, measure.to_json_dict(), ("atom", "weight"), zip(measure.atoms, measure.weights))
+    _emit(measure.to_json(indent=2) + "\n" if args.output == "json" else measure.to_csv(), args.out)
     return 0
 
 
@@ -372,7 +372,7 @@ def _cmd_selftest(_args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="nbpriors", description=__doc__.partition("\n")[0])
+    parser = argparse.ArgumentParser(prog="nbpriors", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):

@@ -603,5 +603,9 @@ def rank_weight_equivalence_test(
 
 def load_experiment_spec(path) -> ExperimentSpec:
     """Read an ExperimentSpec from a JSON file."""
-    with open(path) as fh:
-        return ExperimentSpec.from_dict(as_json("experiment spec", fh.read()))
+    with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8 (RFC 8259)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"experiment spec {path} is not UTF-8: {exc}") from exc
+    return ExperimentSpec.from_dict(as_json("experiment spec", text))

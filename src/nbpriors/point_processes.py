@@ -309,12 +309,17 @@ class _Row:
         return arrivals
 
     def next_levels(self, count: int) -> np.ndarray:
-        """The next ``count`` levels.  Only a subnormal mixing draw overflows one (``sample_log_points`` ignores
-        the overflow), and the levels increase, so the last level is the only one checked."""
-        levels = self.arrivals(count) / self.divisor
-        if levels[-1] == math.inf:
+        return self.arrivals(count) / self.divisor
+
+    def head(self, levels: np.ndarray, stop: int) -> np.ndarray:
+        """The round's first ``stop`` levels, the ones it inverts.  Level i overflows when the mixing draw is below
+        Γ_i / 1.8e308, about 5.7e-306 at the 1024th arrival.  A generalized-gamma row thins its levels past ``stop``
+        as stable candidates, which takes an infinite level to a zero weight, but an inverted level must be finite.
+        The levels increase, so only the last is checked."""
+        head = levels[:stop]
+        if head.size and head[-1] == math.inf:
             raise self._degenerate()
-        return levels
+        return head
 
     def _degenerate(self) -> NumericError:
         return NumericError(f"gamma mixing draw degenerated to {self.divisor} at r={self.r}")
@@ -393,7 +398,7 @@ def sample_log_points(cfg: NbpConfig, seeds) -> list[PointSeries]:
         levels = [rows[i].next_levels(count) for i in live]
         # a generalized-gamma row inverts its levels below L(u), as many as a fixed count needs
         cuts = [lv.size if tempered is None else int(np.searchsorted(lv, tempered.level)) for lv in levels]
-        heads = [lv[:min(cut, cfg.width or cut)] for lv, cut in zip(levels, cuts)]
+        heads = [rows[i].head(lv, min(cut, cfg.width or cut)) for i, lv, cut in zip(live, levels, cuts)]
         flat = np.concatenate(heads)
         log_flat = log_tail_inverse(cfg.tail, flat) if flat.size else flat
         for i, lv, cut, head, end in zip(live, levels, cuts, heads, np.cumsum([h.size for h in heads]).tolist()):

@@ -202,6 +202,9 @@ class TestExperimentSpec:
         path.write_text("{bad")
         with pytest.raises(DomainError, match="^experiment spec does not parse: "):
             load_experiment_spec(path)
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(DomainError, match="^experiment spec .* is not UTF-8: "):
+            load_experiment_spec(path)
 
 
 class TestRunKsExperiment:

@@ -15,6 +15,7 @@ from nbpriors import (
     NbpConfig,
     NbpError,
     NumericError,
+    PdpParams,
     ResourceLimitError,
     TruncationPolicy,
     gamma_arrivals,
@@ -24,6 +25,7 @@ from nbpriors import (
     tail_support_bound,
 )
 from nbpriors import experiments
+from nbpriors.random_measures import SeriesProcess
 from nbpriors._rng import replication_seed, seed_tuple
 from nbpriors.levy_tails import log_tail_value
 from nbpriors.point_processes import (_TEMPER_SPLIT, MAX_ARRIVALS, ArrivalStream, _Row, sample_log_points,
@@ -260,12 +262,37 @@ class TestNbpPoints:
 
 
 class TestMixingDraw:
-    def test_levels_past_a_subnormal_divisor_are_a_numeric_error(self):
+    def test_an_overflowed_level_to_invert_is_a_numeric_error(self):
         row = _Row(0)
         row.divisor = 5e-324  # the arrivals divided by it overflow
-        with np.errstate(over="ignore"), pytest.raises(NumericError, match="^gamma mixing draw degenerated to 5e-324"):
-            row.next_levels(8)
+        with np.errstate(over="ignore"):
+            levels = row.next_levels(8)
+        assert row.head(levels, 0).size == 0  # the thinned candidates may overflow
+        with pytest.raises(NumericError, match="^gamma mixing draw degenerated to 5e-324"):
+            row.head(levels, 8)
         row.close()
+
+    @pytest.mark.parametrize("trunc", [TruncationPolicy.epsilon_rule(1e-6), TruncationPolicy.fixed(50)])
+    def test_overflowed_thinned_candidates_still_draw(self, trunc):
+        # PD(0.5, 5e-4), r = 1e-3: a mixing draw near 1e-306 overflows the last of a round's 1024 levels while
+        # the first two stay finite; those levels are all thinned stable candidates, and the overflowed ones
+        # get a zero weight
+        cfg = SeriesProcess.pdp(PdpParams(0.5, 5e-4), trunc)
+        partial = []
+        for i in range(600):
+            try:
+                row = _Row((3, i), cfg.r, randomized=True)
+            except NumericError:  # an exact-zero mixing draw
+                continue
+            with np.errstate(over="ignore"):
+                levels = row.next_levels(1024)
+            row.close()
+            if math.isfinite(levels[1]) and levels[-1] == math.inf:
+                partial.append((3, i))
+        assert partial
+        for seed in partial:
+            weights = cfg.draw([seed])[0]
+            assert weights.size >= 2 and math.isclose(weights.sum(), 1.0)
 
     def test_every_degenerate_mixing_draw_is_a_numeric_error(self):
         # at a tiny order the gamma mixing draw underflows to zero on some seeds and to a subnormal on others
