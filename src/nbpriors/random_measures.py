@@ -219,7 +219,7 @@ def normalized_weights(log_w: np.ndarray) -> np.ndarray:
     w = np.exp(log_w - (top + math.log(np.exp(log_w - top).sum())))
     if np.count_nonzero(w > 0.0) < 2:
         raise DegenerateTruncationError("fewer than two atoms carry representable weight")
-    w /= math.fsum(w.tolist())
+    w /= w.sum()
     return w
 
 
@@ -484,7 +484,7 @@ class StickBreaking:
         weights[:, 0] = betas[:, 0]
         weights[:, 1:self.sticks] = betas[:, 1:] * remaining[:, :-1]
         weights[:, self.sticks] = remaining[:, -1]  # residual-mass closure atom
-        return [row / math.fsum(row.tolist()) for row in weights]
+        return [row / row.sum() for row in weights]
 
     def measure(self, base: BaseMeasure, seed) -> DiscreteMeasure:
         payload = {"alpha": self.alpha, "theta": self.theta, "sticks": self.sticks, "ranked": self.ranked}
