@@ -110,6 +110,8 @@ def _cmd_sample(args) -> int:
 
     trunc_cfg = config.get("truncation")  # only null or an absent key means no truncation
     truncation = TruncationPolicy.from_dict(trunc_cfg) if trunc_cfg is not None else None
+    if args.epsilon is not None and args.n is not None:
+        raise DomainError("sample takes --n or --epsilon, not both")
     if args.epsilon is not None:
         truncation = TruncationPolicy.epsilon_rule(args.epsilon)
     elif args.n is not None:

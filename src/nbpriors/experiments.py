@@ -49,7 +49,11 @@ from .random_measures import (
     uniform_base,
 )
 
-PROCESSES = ("dirichlet", "extended_dp", "pkp", "pdp_series", "pdp_stick", "stable")
+# the parameters each process reads: any other key is an error, not silently dropped
+_PARAM_KEYS = {"dirichlet": ("theta",), "extended_dp": ("concentration", "r", "n"), "pkp": ("r", "tail", "randomized"),
+               "pdp_series": ("alpha", "theta", "r"), "pdp_stick": ("alpha", "theta", "sticks", "ranked"),
+               "stable": ("alpha",)}
+PROCESSES = tuple(_PARAM_KEYS)
 
 # Points per batched draw of fixed-count replications: 64 replications of
 # the bundled grid's 400 points.  Longer series take fewer replications per
@@ -195,7 +199,9 @@ def _family(process: str, params: dict, truncation: TruncationPolicy | None):
     truncated arrival-ratio series with exactly that order (the benchmark
     grid's convention); without it the order is theta/alpha on the
     gamma-randomized path, which is the faithful Poisson-Dirichlet law.
+    A key the process does not read raises a DomainError.
     """
+    params = as_object(f"{process} params", params, _PARAM_KEYS.get(process))
     try:
         if process == "extended_dp":
             n = _size(params, "n", truncation, "extended_dp needs a level n")

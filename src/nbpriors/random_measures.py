@@ -209,7 +209,10 @@ def normalized_weights(log_w: np.ndarray) -> np.ndarray:
     largest log-weight is not finite (NaN, +inf, or every weight -inf)
     has none.  Past that check every weight is finite and the largest is
     at least 1/len(log_w), so the nonzero weights meet the weight
-    invariants of a :class:`DiscreteMeasure` without a check.
+    invariants of a :class:`DiscreteMeasure` without a check: numpy's
+    pairwise sum of n non-negative terms errs by at most about
+    (log2 n + 16) ulps (Higham 1993), below 5e-15 at the hard cap and far
+    inside the 1e-12 sum tolerance.
     """
     top = log_w.max()
     if not math.isfinite(top):

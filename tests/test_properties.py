@@ -6,7 +6,8 @@ the CLI build it.  The invariants:
 * a block's rows equal the seeds' single draws, bit for bit;
 * a fixed-count draw is a prefix of the epsilon-rule draw of its seed, for
   every tail and both sampling paths;
-* every row is finite and non-negative and sums to 1 within 1e-9;
+* every row is finite and non-negative and its exact sum is within 1e-12 of 1, the
+  ``DiscreteMeasure`` tolerance;
 * every exception is an ``NbpError``, and no warning is raised.
 
 The parameter ranges below are part of the contract: they are not to be
@@ -17,6 +18,7 @@ narrowed so that a change passes.
 * theta: ordinary [0.01, 100]; extreme [1e-300, 1e-6] or [1e5, 1e300].
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -103,7 +105,7 @@ def check_block_against_singles(spec, truncation, seeds):
         assert not isinstance(single, NbpError), single
         assert np.array_equal(row, single[0])
         assert np.all(np.isfinite(row)) and np.all(row >= 0.0)
-        assert abs(float(np.sum(row)) - 1.0) <= 1e-9
+        assert abs(math.fsum(row.tolist()) - 1.0) <= 1e-12
         if family.width is not None:
             assert row.size == family.width
 

@@ -122,12 +122,22 @@ class TestDiscreteMeasure:
 
 
 class TestNormalizedWeights:
-    def test_underflowed_weights_stay_zeros(self):
-        w = random_measures.normalized_weights(np.array([0.0, -1.0, -800.0, -900.0]))
-        assert w.shape == (4,)
-        assert np.array_equal(w[2:], [0.0, 0.0])
-        assert w[0] > w[1] > 0.0
+    @pytest.mark.parametrize("log_w", [
+        np.array([0.0, -1.0, -800.0, -900.0]),
+        -0.1 * np.arange(50_000),  # decreasing; the weights past about index 7,450 underflow
+        np.array([0.0, -1.0, -800.0, -900.0]) + 1e6,
+        np.array([0.0, -1.0, -800.0, -900.0]) - 1e6,
+    ], ids=["short", "long_decreasing", "offset_up", "offset_down"])
+    def test_underflowed_weights_stay_zeros(self, log_w):
+        w = random_measures.normalized_weights(log_w)
+        assert w.shape == log_w.shape
+        gap = log_w - log_w.max()
+        assert np.all(w[gap < -760.0] == 0.0) and np.all(w[gap > -700.0] > 0.0)
+        assert np.all(np.diff(w[gap > -700.0]) < 0.0) and np.all(np.diff(w) <= 0.0)
         assert math.fsum(w.tolist()) == pytest.approx(1.0, abs=1e-15)
+        # the same values read at an odd offset inside a larger array give the same bits
+        padded = np.concatenate(([0.0], log_w, [0.0, 0.0]))
+        assert np.array_equal(random_measures.normalized_weights(padded[1:-2]), w)
 
     def test_a_measure_keeps_the_nonzero_part_of_its_row(self):
         # at theta = 0.01 most of the 400 weights underflow
