@@ -102,7 +102,14 @@ def _cmd_sample(args) -> int:
     params = dict(as_object("params", config.get("params", {})))
     # the extended process's concentration is the theta of the Dirichlet process it extends
     theta_key = "concentration" if process == "extended_dp" else "theta"
-    for key, value in (("alpha", args.alpha), (theta_key, args.theta), ("r", args.r), ("sticks", args.sticks)):
+    size_key = {"extended_dp": "n", "pdp_stick": "sticks"}.get(process)  # --n sets this size, not a truncation
+    for flag, value in (("--epsilon", args.epsilon), ("--sticks", args.sticks)):
+        if value is not None and args.n is not None:
+            raise DomainError(f"sample takes --n or {flag}, not both")
+    if size_key and args.epsilon is not None:
+        raise DomainError(f"sample --process {process} takes no --epsilon: its size is not a truncation")
+    sizes = ((size_key, args.n),) if size_key else ()
+    for key, value in (("alpha", args.alpha), (theta_key, args.theta), ("r", args.r), ("sticks", args.sticks), *sizes):
         if value is not None:
             params[key] = value
     if args.ranked:
@@ -110,11 +117,9 @@ def _cmd_sample(args) -> int:
 
     trunc_cfg = config.get("truncation")  # only null or an absent key means no truncation
     truncation = TruncationPolicy.from_dict(trunc_cfg) if trunc_cfg is not None else None
-    if args.epsilon is not None and args.n is not None:
-        raise DomainError("sample takes --n or --epsilon, not both")
     if args.epsilon is not None:
         truncation = TruncationPolicy.epsilon_rule(args.epsilon)
-    elif args.n is not None:
+    elif args.n is not None and size_key is None:
         truncation = TruncationPolicy.fixed(args.n)
     seed = _resolve_seed(args, config)
 
@@ -389,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float)
     p.add_argument("--theta", type=float, help="theta; for extended_dp, its concentration")
     p.add_argument("--r", type=float)
-    p.add_argument("--n", type=int, help="fixed truncation index (or level / stick count)")
+    p.add_argument("--n", type=int, help="fixed truncation index; extended_dp's level, pdp_stick's stick count")
     p.add_argument("--epsilon", type=float, help="relative-weight stopping threshold")
     p.add_argument("--sticks", type=int)
     p.add_argument("--ranked", action="store_true")

@@ -389,8 +389,9 @@ def load_ks_grid(data: dict) -> tuple[list[dict], int, int]:
 
 def _grid_row(row) -> dict:
     """A grid row as numbers: alpha in (0, 1), finite theta > 0 (what ``PdpParams`` accepts) and integer
-    r >= 0.  Anything else raises a DomainError naming the row."""
+    r >= 0, and no other key.  Anything else raises a DomainError naming the row."""
     try:
+        as_object("row", row, ("alpha", "theta", "r"))
         r, alpha, theta = (read_field("row", row, key, _number(key)) for key in ("r", "alpha", "theta"))
     except DomainError as exc:
         raise DomainError(f"grid row {row!r} needs alpha, theta, r: {exc}") from exc

@@ -234,14 +234,17 @@ class PointSeries:
     ``log_points`` holds ln of the points (kept in log domain so that deep
     gamma-tail points survive underflow); ``first_index`` is the series
     index of the first retained point (r + 1 on the integer-order path,
-    1 otherwise).  ``truncation_warning`` is set when the hard cap fired
+    1 otherwise).  ``truncation_warning`` says that the hard cap fired
     before the epsilon rule did.
     """
 
     log_points: np.ndarray
     first_index: int
     stopped_by: str
-    truncation_warning: bool = False
+
+    @property
+    def truncation_warning(self) -> bool:
+        return self.stopped_by == "hard_cap"
 
     @property
     def points(self) -> np.ndarray:
@@ -350,7 +353,7 @@ class _Row:
             return None
         self.close()
         total = np.concatenate(self.chunks)[:cap]
-        return PointSeries(total, cfg.first_index, stopped_by, truncation_warning=stopped_by == "hard_cap")
+        return PointSeries(total, cfg.first_index, stopped_by)
 
 
 class _Tempered:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -103,15 +103,13 @@ def uniform_base() -> BaseMeasure:
 class DiscreteMeasure:
     """A finite discrete probability measure with provenance.
 
-    Invariants: equal-length atom/weight arrays, all atoms finite, all
-    weights strictly positive, weights summing to one within 1e-12, and
-    strictly decreasing weights whenever ``sorted_by_weight`` is set.
+    Invariants: equal-length atom/weight arrays, all atoms finite, all weights strictly positive, weights
+    summing to one within 1e-12.  ``sorted_by_weight`` is computed: whether the weights strictly decrease.
     """
 
     atoms: np.ndarray
     weights: np.ndarray
     provenance: dict = field(default_factory=dict)
-    sorted_by_weight: bool = False
 
     def __post_init__(self):
         try:
@@ -130,23 +128,20 @@ class DiscreteMeasure:
         total = math.fsum(weights.tolist())
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             raise DomainError(f"weights must sum to 1 within {_WEIGHT_SUM_TOL}, got {total!r}")
-        if self.sorted_by_weight and weights.size > 1 and not np.all(np.diff(weights) < 0):
-            raise DomainError("sorted_by_weight is set but weights are not strictly decreasing")
         self.atoms = atoms
         self.weights = weights
 
     def __len__(self):
         return self.atoms.size
 
+    @property
+    def sorted_by_weight(self) -> bool:
+        return bool(np.all(np.diff(self.weights) < 0))
+
     def ranked(self) -> "DiscreteMeasure":
         """Copy with atoms reordered by decreasing weight."""
         order = np.argsort(-self.weights, kind="stable")
-        return DiscreteMeasure(
-            atoms=self.atoms[order],
-            weights=self.weights[order],
-            provenance=dict(self.provenance),
-            sorted_by_weight=bool(np.all(np.diff(self.weights[order]) < 0)),
-        )
+        return DiscreteMeasure(atoms=self.atoms[order], weights=self.weights[order], provenance=dict(self.provenance))
 
     # -- serialization ----------------------------------------------------
 
@@ -189,18 +184,6 @@ class DiscreteMeasure:
 # shared assembly
 
 
-def _provenance(process: str, params: dict, truncation, seed, warning: bool) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "process": process,
-        "params": params,
-        "truncation": truncation.to_dict() if truncation is not None else None,
-        "seed": list(seed_tuple(seed)),
-        "generator_id": "philox",
-        "truncation_warning": bool(warning),
-    }
-
-
 def normalized_weights(log_w: np.ndarray) -> np.ndarray:
     """Weights proportional to exp(log_w), summing to one, in the same order.
 
@@ -231,19 +214,22 @@ def drawn_row(row: np.ndarray) -> np.ndarray:
     return row
 
 
-def _assemble(weights: np.ndarray, base: BaseMeasure, seed, provenance: dict,
-              sorted_by_weight: bool) -> DiscreteMeasure:
+def _assemble(weights: np.ndarray, base: BaseMeasure, seed, process: str, params: dict,
+              truncation: TruncationPolicy | None = None, stopped_by: str | None = None) -> DiscreteMeasure:
     """The measure of one seed's normalized weights, in their order: one
     atom per weight, drawn from ``base`` on the seed's atom stream, zero
-    weights dropped with their atoms.  ``sorted_by_weight`` holds only if
-    the weights kept strictly decrease, since repeated points can tie
-    after rounding."""
+    weights dropped with their atoms.  The whole provenance is written
+    here; only a series has ``stopped_by``, and a hard-cap stop is its
+    truncation warning."""
     atoms = base._atoms(seed, weights.size)
     keep = weights > 0.0
-    weights, atoms = weights[keep], atoms[keep]
-    provenance["base"] = base.label
-    sorted_by_weight = sorted_by_weight and bool(np.all(np.diff(weights) < 0))
-    return DiscreteMeasure(atoms=atoms, weights=weights, provenance=provenance, sorted_by_weight=sorted_by_weight)
+    provenance = {"schema_version": SCHEMA_VERSION, "process": process, "params": params,
+                  "truncation": truncation.to_dict() if truncation is not None else None,
+                  "seed": list(seed_tuple(seed)), "generator_id": "philox",
+                  "truncation_warning": stopped_by == "hard_cap", "base": base.label}
+    if stopped_by is not None:
+        provenance["stopped_by"] = stopped_by
+    return DiscreteMeasure(atoms=atoms[keep], weights=weights[keep], provenance=provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +299,8 @@ class SeriesProcess(NbpConfig):
 
     def measure(self, base: BaseMeasure, seed) -> DiscreteMeasure:
         (series,) = sample_log_points(self, [seed])
-        prov = _provenance(self.process, self.params, self.truncation, seed, series.truncation_warning)
-        prov["stopped_by"] = series.stopped_by
-        return _assemble(normalized_weights(series.log_points), base, seed, prov, sorted_by_weight=True)
+        return _assemble(normalized_weights(series.log_points), base, seed, self.process, self.params,
+                         self.truncation, series.stopped_by)
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +415,7 @@ class ExtendedDpParams:
         return [normalized_weights(w) for w in log_w.reshape(len(seeds), n - r)]
 
     def measure(self, base: BaseMeasure, seed) -> DiscreteMeasure:
-        payload = {"concentration": self.concentration, "r": self.r, "n": self.n}
-        prov = _provenance("extended_dp", payload, None, seed, False)
-        return _assemble(self.draw([seed])[0], base, seed, prov, sorted_by_weight=False)
+        return _assemble(self.draw([seed])[0], base, seed, "extended_dp", asdict(self))
 
 
 def sample_extended_dp_finite(params: ExtendedDpParams, base: BaseMeasure, seed) -> DiscreteMeasure:
@@ -490,9 +473,7 @@ class StickBreaking:
         return [row / row.sum() for row in weights]
 
     def measure(self, base: BaseMeasure, seed) -> DiscreteMeasure:
-        payload = {"alpha": self.alpha, "theta": self.theta, "sticks": self.sticks, "ranked": self.ranked}
-        prov = _provenance("pdp_stick", payload, None, seed, False)
-        measure = _assemble(self.draw([seed])[0], base, seed, prov, False)
+        measure = _assemble(self.draw([seed])[0], base, seed, "pdp_stick", asdict(self))
         return measure.ranked() if self.ranked else measure
 
 

@@ -302,6 +302,31 @@ class TestSample:
         assert capsys.readouterr() == ("", "error: sample takes --n or --epsilon, not both\n")
         assert main(args[:-2]) == 0 and main([*args[:4], *args[6:]]) == 0
 
+    @pytest.mark.parametrize("config, flags, outcome", [
+        ({"process": "extended_dp", "params": {"concentration": 3, "n": 2000}}, ("--n", "50"), {"n": 50}),
+        ({"process": "pdp_stick", "params": {"alpha": 0.5, "theta": 2, "sticks": 100}}, ("--n", "5"), {"sticks": 5}),
+        (None, ("--process", "pdp_stick", "--alpha", "0.5", "--theta", "2", "--sticks", "100", "--n", "5"),
+         "sample takes --n or --sticks, not both"),
+        (None, ("--process", "pdp_stick", "--alpha", "0.5", "--theta", "2", "--sticks", "100", "--epsilon", "1e-3"),
+         "sample --process pdp_stick takes no --epsilon: its size is not a truncation"),
+        ({"process": "extended_dp", "params": {"concentration": 3, "n": 2000}}, ("--epsilon", "1e-3"),
+         "sample --process extended_dp takes no --epsilon: its size is not a truncation"),
+    ], ids=["extended_dp_n_over_config", "pdp_stick_n_over_config", "n_and_sticks", "pdp_stick_epsilon",
+            "extended_dp_epsilon"])
+    def test_n_sets_the_level_and_the_stick_count(self, config, flags, outcome, tmp_path, capsys):
+        # the config's size once won over --n, --n lost to --sticks, and --epsilon was ignored without a word
+        args = ["sample", *flags, "--seed", "7"]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            args += ["--config", str(tmp_path / "cfg.json")]
+        code = main(args)
+        out, err = capsys.readouterr()
+        if isinstance(outcome, str):
+            assert (code, out, err) == (1, "", f"error: {outcome}\n")
+        else:
+            params = json.loads(out)["provenance"]["params"]
+            assert code == 0 and {key: params[key] for key in outcome} == outcome
+
 
 class TestKsTable:
     @pytest.fixture()
@@ -371,7 +396,9 @@ class TestKsTable:
         ({"alpha": 0.5, "theta": 1, "r": 2.5}, "r must be a nonnegative integer"),
         ({"alpha": 1.5, "theta": 1, "r": 2}, "need alpha in (0,1) and a finite theta > 0"),
         ({"alpha": 0.5, "theta": 0, "r": 2}, "need alpha in (0,1) and a finite theta > 0"),
-    ], ids=["non_numeric_alpha", "row_not_an_object", "fractional_r", "alpha_out_of_range", "theta_not_positive"])
+        ({"alpha": 0.5, "theta": 1.0, "r": 2, "n": 5}, "unknown row fields: ['n']"),
+    ], ids=["non_numeric_alpha", "row_not_an_object", "fractional_r", "alpha_out_of_range", "theta_not_positive",
+            "unread_key"])
     def test_bad_grid_row_is_a_domain_error(self, row, message, tmp_path):
         path = tmp_path / "grid.json"
         path.write_text(json.dumps({**TINY_GRID, "rows": [row]}))
@@ -640,6 +667,24 @@ class TestSelftest:
                 if isinstance(node, ast.Compare) and "MAX_ARRIVALS" in names([node.left, *node.comparators]):
                     found.append(node.lineno)
             assert not found, f"{path.name} reads a count past errors.as_count on lines {found}"
+
+    def test_provenance_is_written_only_in_assemble(self):
+        # one writer of a measure's provenance: outside random_measures._assemble nothing writes the keys
+        # "generator_id" or "truncation_warning", and no call passes a flag that is read from the data
+        keys, flags = {"generator_id", "truncation_warning"}, {"sorted_by_weight", "truncation_warning"}
+        for path in sorted(Path(PACKAGE_ROOT, "nbpriors").glob("*.py")):
+            tree = ast.parse(path.read_text())
+            writer = {node for fn in ast.walk(tree) if path.name == "random_measures.py"
+                      and getattr(fn, "name", None) == "_assemble" for node in ast.walk(fn)}
+            found = []
+            for node in ast.walk(tree):
+                named = {keyword.arg for keyword in node.keywords} if isinstance(node, ast.Call) else set()
+                written = node.keys if isinstance(node, ast.Dict) else []
+                if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                    written = [node.slice]
+                if named & flags or node not in writer and (named | {getattr(k, "value", None) for k in written}) & keys:
+                    found.append(node.lineno)
+            assert not found, f"{path.name} writes provenance past random_measures._assemble on lines {found}"
 
     def test_text_is_parsed_only_in_errors(self):
         # one reader per text format: outside errors.py no call parses JSON text (json.load, json.loads) or

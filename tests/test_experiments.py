@@ -870,7 +870,8 @@ class TestKsTable:
         ({"alpha": 0.5, "theta": -1, "r": 2}, "need alpha in (0,1) and a finite theta > 0"),
         ({"alpha": 0.5, "r": 2}, "needs alpha, theta, r"),
         ({"alpha": 1.5, "theta": 1.0, "r": 2}, "need alpha in (0,1) and a finite theta > 0"),
-    ], ids=["non_numeric_theta", "negative_theta", "missing_theta", "alpha_out_of_range"])
+        ({"alpha": 0.5, "theta": 1.0, "r": 2, "seed": 9}, "unknown row fields: ['seed']"),
+    ], ids=["non_numeric_theta", "negative_theta", "missing_theta", "alpha_out_of_range", "unread_key"])
     def test_bad_row_is_rejected_before_any_row_is_sampled(self, monkeypatch, row, message):
         monkeypatch.setattr(experiments, "_replicate", None)  # sampling the first row would fail
         with pytest.raises(DomainError) as info:

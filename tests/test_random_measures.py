@@ -54,8 +54,7 @@ class TestDiscreteMeasure:
             DiscreteMeasure(np.array([0.1]), np.array([0.0]))
         with pytest.raises(DomainError):
             DiscreteMeasure(np.array([0.1, 0.2]), np.array([0.4, 0.4]))
-        with pytest.raises(DomainError):
-            DiscreteMeasure(np.array([0.1, 0.2]), np.array([0.4, 0.6]), sorted_by_weight=True)
+        assert DiscreteMeasure(np.array([0.1, 0.2]), np.array([0.4, 0.6])).sorted_by_weight is False
         with pytest.raises(DomainError, match="a measure needs at least one atom"):
             DiscreteMeasure(np.array([]), np.array([]))
 
@@ -73,12 +72,14 @@ class TestDiscreteMeasure:
         assert np.array_equal(m.weights, again.weights)
         assert again.provenance == m.provenance
         assert again.provenance["process"] == "dirichlet"
+        assert again.sorted_by_weight
 
     def test_csv_roundtrip(self):
         m = sample_dp(2.0, UB, TruncationPolicy.fixed(25), 11)
         again = DiscreteMeasure.from_csv(m.to_csv())
         assert np.array_equal(m.atoms, again.atoms)
         assert np.array_equal(m.weights, again.weights)
+        assert again.sorted_by_weight
 
     @pytest.mark.parametrize("atom", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus_inf"])
     def test_non_finite_atom_is_a_domain_error(self, atom):
@@ -323,6 +324,7 @@ class TestExtendedDp:
         m = sample_extended_dp_finite(ExtendedDpParams(3.0, 0, 200), UB, 31)
         assert abs(weight_sum(m) - 1.0) <= 1e-12
         assert len(m) == 200
+        assert m.sorted_by_weight  # the quantiles of increasing levels strictly decrease
 
     def test_coupling_to_series(self):
         # shared arrival stream: finite quantile weights track the tail series
