@@ -100,16 +100,12 @@ def _cmd_sample(args) -> int:
     if process is None:
         raise DomainError("sample needs --process (or a config with 'process')")
     params = dict(as_object("params", config.get("params", {})))
-    # the extended process's concentration is the theta of the Dirichlet process it extends
+    # extended_dp's concentration is the theta of the Dirichlet process it extends; --n is its level, not a truncation
     theta_key = "concentration" if process == "extended_dp" else "theta"
-    size_key = {"extended_dp": "n", "pdp_stick": "sticks"}.get(process)  # --n sets this size, not a truncation
-    for flag, value in (("--epsilon", args.epsilon), ("--sticks", args.sticks)):
-        if value is not None and args.n is not None:
-            raise DomainError(f"sample takes --n or {flag}, not both")
-    if size_key and args.epsilon is not None:
-        raise DomainError(f"sample --process {process} takes no --epsilon: its size is not a truncation")
-    sizes = ((size_key, args.n),) if size_key else ()
-    for key, value in (("alpha", args.alpha), (theta_key, args.theta), ("r", args.r), ("sticks", args.sticks), *sizes):
+    level = (("n", args.n),) if process == "extended_dp" else ()
+    if args.epsilon is not None and args.n is not None:
+        raise DomainError("sample takes --n or --epsilon, not both")
+    for key, value in (("alpha", args.alpha), (theta_key, args.theta), ("r", args.r), *level):
         if value is not None:
             params[key] = value
     if args.ranked:
@@ -119,7 +115,7 @@ def _cmd_sample(args) -> int:
     truncation = TruncationPolicy.from_dict(trunc_cfg) if trunc_cfg is not None else None
     if args.epsilon is not None:
         truncation = TruncationPolicy.epsilon_rule(args.epsilon)
-    elif args.n is not None and size_key is None:
+    elif args.n is not None and not level:
         truncation = TruncationPolicy.fixed(args.n)
     seed = _resolve_seed(args, config)
 
@@ -326,7 +322,7 @@ def _selftest_checks():
             ("dirichlet", {"theta": 3.0}, fixed),
             ("pdp_series", {"alpha": 0.9, "theta": 10.0, "r": 11}, fixed),
             ("pdp_series", {"alpha": 0.5, "theta": 2.0}, eps),
-            ("extended_dp", {"concentration": 3.0}, fixed),
+            ("extended_dp", {"concentration": 3.0, "n": 200}, None),
             ("pdp_stick", {"alpha": 0.5, "theta": 2.0, "ranked": True}, fixed),
         ):
             record = _family(process, params, trunc)
@@ -394,9 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float)
     p.add_argument("--theta", type=float, help="theta; for extended_dp, its concentration")
     p.add_argument("--r", type=float)
-    p.add_argument("--n", type=int, help="fixed truncation index; extended_dp's level, pdp_stick's stick count")
+    p.add_argument("--n", type=int, help="fixed-count truncation (pdp_stick's stick count); extended_dp's level")
     p.add_argument("--epsilon", type=float, help="relative-weight stopping threshold")
-    p.add_argument("--sticks", type=int)
     p.add_argument("--ranked", action="store_true")
     p.set_defaults(func=_cmd_sample)
 

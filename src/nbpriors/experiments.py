@@ -51,7 +51,7 @@ from .random_measures import (
 
 # the parameters each process reads: any other key is an error, not silently dropped
 _PARAM_KEYS = {"dirichlet": ("theta",), "extended_dp": ("concentration", "r", "n"), "pkp": ("r", "tail", "randomized"),
-               "pdp_series": ("alpha", "theta", "r"), "pdp_stick": ("alpha", "theta", "sticks", "ranked"),
+               "pdp_series": ("alpha", "theta", "r"), "pdp_stick": ("alpha", "theta", "ranked"),
                "stable": ("alpha",)}
 PROCESSES = tuple(_PARAM_KEYS)
 
@@ -199,16 +199,18 @@ def _family(process: str, params: dict, truncation: TruncationPolicy | None):
     truncated arrival-ratio series with exactly that order (the benchmark
     grid's convention); without it the order is theta/alpha on the
     gamma-randomized path, which is the faithful Poisson-Dirichlet law.
-    A key the process does not read raises a DomainError.
+    ``pdp_stick`` is sized by its fixed-count truncation; ``extended_dp``
+    reads its level from ``params["n"]`` and takes no truncation.  A key
+    the process does not read raises a DomainError.
     """
     params = as_object(f"{process} params", params, _PARAM_KEYS.get(process))
     try:
         if process == "extended_dp":
-            n = _size(params, "n", truncation, "extended_dp needs a level n")
-            return ExtendedDpParams(params["concentration"], params.get("r", 0), n)
+            if truncation is not None:
+                raise DomainError("extended_dp takes no truncation: its level n is an approximation, not a truncation")
+            return ExtendedDpParams(params["concentration"], params.get("r", 0), params["n"])
         if process == "pdp_stick":
-            sticks = _size(params, "sticks", truncation, "pdp_stick needs a stick count")
-            return StickBreaking(params["alpha"], params["theta"], sticks, bool(params.get("ranked", False)))
+            return StickBreaking(params["alpha"], params["theta"], truncation, bool(params.get("ranked", False)))
         if process == "dirichlet":
             return SeriesProcess.dirichlet(params["theta"], truncation)
         if process == "stable":
@@ -224,18 +226,6 @@ def _family(process: str, params: dict, truncation: TruncationPolicy | None):
     except KeyError as exc:
         raise DomainError(f"process {process!r} is missing parameter {exc}") from exc
     raise DomainError(f"unknown process {process!r}; expected one of {PROCESSES}")
-
-
-def _size(params: dict, key: str, truncation: TruncationPolicy | None, missing: str):
-    """``params[key]``, else the fixed-count truncation's n."""
-    size = params.get(key)
-    if size is None:
-        if truncation is None:
-            raise DomainError("this process needs a truncation policy")
-        size = truncation.n
-        if size is None:
-            raise DomainError(f"{missing} (params or fixed_count truncation)")
-    return size
 
 
 def build_measure(
@@ -492,7 +482,9 @@ def clustering_growth(
 ) -> GrowthDiagnostic:
     """Mean K_n for each n: the distinct categories among n draws from a fresh weight row, drawn
     from seed (seed, ni, rep) without atoms.  K_n is divided by log n where the family's stable
-    index is 0 (gamma tails, the extended DP, alpha = 0 sticks), else by n^index.
+    index is 0 (gamma tails, the extended DP, alpha = 0 sticks), else by n^index.  Without a
+    ``truncation`` the Dirichlet process keeps 3,000 points and the other series stop by the epsilon
+    rule; the extended DP takes none, and stick breaking needs a fixed count.
     """
     replications = as_count("replications", replications)
     n_grid = [as_count("n", n) for n in n_grid]
@@ -500,7 +492,7 @@ def clustering_growth(
         raise DomainError("n_grid must name at least one sample size")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise DomainError("n_grid must be strictly increasing")
-    if truncation is None:  # the process name picks only the default truncation
+    if truncation is None and process != "extended_dp":  # the process name picks only the default truncation
         eps = TruncationPolicy.epsilon_rule(1e-7, hard_cap=50_000)
         truncation = TruncationPolicy.fixed(3000) if process == "dirichlet" else eps
     family = _family(process, params, truncation)
@@ -571,7 +563,7 @@ def rank_weight_equivalence_test(
     # this is its only user
     import scipy.stats as st
 
-    replications = as_count("replications", replications, minimum=100)  # per side; StickBreaking reads the sticks
+    replications = as_count("replications", replications, minimum=100)  # per side
     if truncation is None:
         truncation = TruncationPolicy.fixed(3000)
 
@@ -585,8 +577,8 @@ def rank_weight_equivalence_test(
         return out
 
     pdp = PdpParams(alpha, theta)
-    stick = StickBreaking(alpha if stick_alpha is None else stick_alpha,
-                          theta if stick_theta is None else stick_theta, sticks, ranked=True)
+    stick = StickBreaking(alpha if stick_alpha is None else stick_alpha, theta if stick_theta is None else stick_theta,
+                          TruncationPolicy.fixed(as_count("sticks", sticks)), ranked=True)
     lhs, rhs = largest(SeriesProcess.pdp(pdp, truncation), 0), largest(stick, 1)
     ks = st.ks_2samp(lhs, rhs, method="asymp")
     return EquivalenceReport(
@@ -599,7 +591,7 @@ def rank_weight_equivalence_test(
             "theta": pdp.theta,
             "stick_alpha": stick.alpha,
             "stick_theta": stick.theta,
-            "sticks": stick.sticks,
+            "sticks": stick.truncation.n,
         },
     )
 

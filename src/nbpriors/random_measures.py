@@ -34,6 +34,7 @@ The sampler family:
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -48,8 +49,8 @@ from ._rng import (
     seed_tuple,
     spawn_generator,
 )
-from .errors import (DegenerateTruncationError, DomainError, as_count, as_json, as_list, as_number, as_object,
-                     as_positive, as_table, read_field, table_text)
+from .errors import (DegenerateTruncationError, DomainError, ResourceLimitError, as_count, as_json, as_list,
+                     as_number, as_object, as_positive, as_table, read_field, table_text)
 from .levy_tails import LevyTail
 from .point_processes import (
     NbpConfig,
@@ -141,7 +142,7 @@ class DiscreteMeasure:
     def ranked(self) -> "DiscreteMeasure":
         """Copy with atoms reordered by decreasing weight."""
         order = np.argsort(-self.weights, kind="stable")
-        return DiscreteMeasure(atoms=self.atoms[order], weights=self.weights[order], provenance=dict(self.provenance))
+        return DiscreteMeasure(self.atoms[order], self.weights[order], copy.deepcopy(self.provenance))
 
     # -- serialization ----------------------------------------------------
 
@@ -219,11 +220,12 @@ def _assemble(weights: np.ndarray, base: BaseMeasure, seed, process: str, params
     """The measure of one seed's normalized weights, in their order: one
     atom per weight, drawn from ``base`` on the seed's atom stream, zero
     weights dropped with their atoms.  The whole provenance is written
-    here; only a series has ``stopped_by``, and a hard-cap stop is its
+    here, ``params`` as a deep copy that no record or other measure
+    shares; only a series has ``stopped_by``, and a hard-cap stop is its
     truncation warning."""
     atoms = base._atoms(seed, weights.size)
     keep = weights > 0.0
-    provenance = {"schema_version": SCHEMA_VERSION, "process": process, "params": params,
+    provenance = {"schema_version": SCHEMA_VERSION, "process": process, "params": copy.deepcopy(params),
                   "truncation": truncation.to_dict() if truncation is not None else None,
                   "seed": list(seed_tuple(seed)), "generator_id": "philox",
                   "truncation_warning": stopped_by == "hard_cap", "base": base.label}
@@ -426,28 +428,34 @@ def sample_extended_dp_finite(params: ExtendedDpParams, base: BaseMeasure, seed)
 
 @dataclass(frozen=True)
 class StickBreaking:
-    """GEM(alpha, theta) stick breaking truncated at ``sticks`` breaks, sticks + 1 <= MAX_ARRIVALS; the measure
-    is ranked or in break order."""
+    """GEM(alpha, theta) stick breaking sized by a fixed-count truncation: n sticks and the residual mass,
+    n <= hard_cap and n + 1 <= MAX_ARRIVALS; the measure is ranked or in break order."""
 
     alpha: float
     theta: float
-    sticks: int
+    truncation: TruncationPolicy
     ranked: bool = False
 
     def __post_init__(self):
         alpha, theta = as_number("alpha", self.alpha), as_number("theta", self.theta)
-        sticks = as_count("sticks", self.sticks)
         if not (0.0 <= alpha < 1.0):
             raise DomainError(f"alpha must lie in [0,1), got {alpha}")
         if not (math.isfinite(theta) and theta > -alpha):
             raise DomainError(f"theta must exceed -alpha, got {theta}")
-        as_count("count", sticks + 1)  # a row holds the sticks and the residual mass
-        for name, value in zip(("alpha", "theta", "sticks", "ranked"), (alpha, theta, sticks, bool(self.ranked))):
+        trunc = self.truncation
+        if not isinstance(trunc, TruncationPolicy):
+            raise DomainError("this process needs a truncation policy")
+        if trunc.mode != "fixed_count":
+            raise DomainError(f"stick breaking needs a fixed_count truncation, got {trunc.mode}")
+        if trunc.n > trunc.hard_cap:
+            raise ResourceLimitError(f"fixed_count would break {trunc.n} sticks, above hard_cap={trunc.hard_cap}")
+        as_count("count", trunc.n + 1)  # a row holds the sticks and the residual mass
+        for name, value in zip(("alpha", "theta", "ranked"), (alpha, theta, bool(self.ranked))):
             object.__setattr__(self, name, value)
 
     @property
     def width(self) -> int:
-        return self.sticks + 1
+        return self.truncation.n + 1
 
     @property
     def index(self) -> float:
@@ -459,21 +467,23 @@ class StickBreaking:
         Each seed's fractions come from its own arrival stream; one 2-D
         cumulative product over the block gives every row's remaining mass.
         """
-        shapes = self.theta + self.alpha * np.arange(1, self.sticks + 1)
-        betas = np.empty((len(seeds), self.sticks))
+        n = self.truncation.n
+        shapes = self.theta + self.alpha * np.arange(1, n + 1)
+        betas = np.empty((len(seeds), n))
         for i, seed in enumerate(seeds):
             row = _Row(seed)
             betas[i] = row.rng.beta(1.0 - self.alpha, shapes)
             row.close()
         remaining = np.cumprod(1.0 - betas, axis=1)
-        weights = np.empty((len(seeds), self.sticks + 1))
+        weights = np.empty((len(seeds), n + 1))
         weights[:, 0] = betas[:, 0]
-        weights[:, 1:self.sticks] = betas[:, 1:] * remaining[:, :-1]
-        weights[:, self.sticks] = remaining[:, -1]  # residual-mass closure atom
+        weights[:, 1:n] = betas[:, 1:] * remaining[:, :-1]
+        weights[:, n] = remaining[:, -1]  # residual-mass closure atom
         return [row / row.sum() for row in weights]
 
     def measure(self, base: BaseMeasure, seed) -> DiscreteMeasure:
-        measure = _assemble(self.draw([seed])[0], base, seed, "pdp_stick", asdict(self))
+        params = {"alpha": self.alpha, "theta": self.theta, "ranked": self.ranked}
+        measure = _assemble(self.draw([seed])[0], base, seed, "pdp_stick", params, self.truncation)
         return measure.ranked() if self.ranked else measure
 
 
@@ -491,9 +501,10 @@ def sample_pdp_stick_breaking(
     remaining mass; the residual mass after the last break is assigned to
     one extra atom so the measure stays exactly normalized.  With
     ``ranked`` the weights are sorted in decreasing order (the ranked law
-    is the Poisson-Dirichlet distribution).
+    is the Poisson-Dirichlet distribution).  The measure is
+    ``StickBreaking`` under ``TruncationPolicy.fixed(sticks)``.
     """
-    return StickBreaking(alpha, theta, sticks, ranked).measure(base, seed)
+    return StickBreaking(alpha, theta, TruncationPolicy.fixed(as_count("sticks", sticks)), ranked).measure(base, seed)
 
 
 # ---------------------------------------------------------------------------

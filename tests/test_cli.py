@@ -64,7 +64,7 @@ class TestSample:
         assert len(measure) == 50
 
     def test_ranked_stick_breaking(self):
-        res = run_cli("sample", "--process", "pdp_stick", "--alpha", "0.5", "--theta", "2", "--sticks", "50",
+        res = run_cli("sample", "--process", "pdp_stick", "--alpha", "0.5", "--theta", "2", "--n", "50",
                       "--ranked", "--seed", "8")
         assert res.returncode == 0, res.stderr
         measure = DiscreteMeasure.from_json(res.stdout)
@@ -104,8 +104,7 @@ class TestSample:
 
     def test_extended_dp_takes_theta_as_its_concentration(self, tmp_path):
         cfg = tmp_path / "extended.json"
-        cfg.write_text(json.dumps({"process": "extended_dp", "params": {"concentration": 3.0},
-                                   "truncation": {"mode": "fixed_count", "n": 300}, "seed": 3}))
+        cfg.write_text(json.dumps({"process": "extended_dp", "params": {"concentration": 3.0, "n": 300}, "seed": 3}))
         from_config = run_cli("sample", "--config", str(cfg))
         from_flags = run_cli("sample", "--process", "extended_dp", "--theta", "3", "--n", "300", "--seed", "3")
         assert from_config.returncode == 0, from_config.stderr
@@ -154,9 +153,9 @@ class TestSample:
         assert res.stdout == ""
 
     def test_stick_count_past_the_arrival_bound_is_a_resource_limit(self):
-        res = run_cli("sample", "--process", "pdp_stick", "--alpha", "0.5", "--theta", "2", "--sticks", "2000000000")
+        res = run_cli("sample", "--process", "pdp_stick", "--alpha", "0.5", "--theta", "2", "--n", "2000000000")
         assert res.returncode == 1, res.stdout
-        assert res.stderr == "error: sticks 2000000000 exceeds the hard bound 100000000\n"
+        assert res.stderr == "error: n 2000000000 exceeds the hard bound 100000000\n"
         assert res.stdout == ""
 
     def test_extended_dp_order_read_as_a_real_acts_as_its_integer(self, tmp_path):
@@ -175,9 +174,8 @@ class TestSample:
     ])
     def test_non_numeric_config_value_is_a_domain_error(self, process, params, tmp_path):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"process": process, "params": params,
-                                   "truncation": {"mode": "fixed_count", "n": 50}, "seed": 1}))
-        res = run_cli("sample", "--config", str(cfg))
+        cfg.write_text(json.dumps({"process": process, "params": params, "seed": 1}))
+        res = run_cli("sample", "--config", str(cfg), "--n", "50")  # the fixed count, or the extended DP's level
         assert res.returncode == 1, res.stdout
         assert res.stderr.startswith("error:") and "'x'" in res.stderr
         assert "Traceback" not in res.stderr
@@ -286,7 +284,7 @@ class TestSample:
     @pytest.mark.parametrize("args, process, key", [
         (("sample", "--process", "stable", "--alpha", "0.5", "--theta", "2", "--n", "10"), "stable", "theta"),
         (("sample", "--process", "dirichlet", "--alpha", "0.7", "--theta", "3", "--n", "10"), "dirichlet", "alpha"),
-        (("sample", "--process", "pdp_stick", "--alpha", "0.5", "--theta", "2", "--sticks", "5", "--r", "3"),
+        (("sample", "--process", "pdp_stick", "--alpha", "0.5", "--theta", "2", "--n", "5", "--r", "3"),
          "pdp_stick", "r"),
         (("clusters", "--process", "stable", "--alpha", "0.5", "--theta", "2", "--reps", "2"), "stable", "theta"),
     ], ids=["stable_theta", "dirichlet_alpha", "pdp_stick_r", "clusters_stable_theta"])
@@ -302,19 +300,28 @@ class TestSample:
         assert capsys.readouterr() == ("", "error: sample takes --n or --epsilon, not both\n")
         assert main(args[:-2]) == 0 and main([*args[:4], *args[6:]]) == 0
 
+    STICKS = {"alpha": 0.5, "theta": 2}
+
     @pytest.mark.parametrize("config, flags, outcome", [
         ({"process": "extended_dp", "params": {"concentration": 3, "n": 2000}}, ("--n", "50"), {"n": 50}),
-        ({"process": "pdp_stick", "params": {"alpha": 0.5, "theta": 2, "sticks": 100}}, ("--n", "5"), {"sticks": 5}),
-        (None, ("--process", "pdp_stick", "--alpha", "0.5", "--theta", "2", "--sticks", "100", "--n", "5"),
-         "sample takes --n or --sticks, not both"),
-        (None, ("--process", "pdp_stick", "--alpha", "0.5", "--theta", "2", "--sticks", "100", "--epsilon", "1e-3"),
-         "sample --process pdp_stick takes no --epsilon: its size is not a truncation"),
+        ({"process": "pdp_stick", "params": STICKS, "truncation": {"mode": "fixed_count", "n": 100}}, ("--n", "5"),
+         {"n": 5}),
+        ({"params": {"sticks": 100}}, ("--process", "pdp_stick", "--alpha", "0.5", "--theta", "2", "--n", "5"),
+         "unknown pdp_stick params fields: ['sticks']"),
+        (None, ("--process", "pdp_stick", "--alpha", "0.5", "--theta", "2", "--epsilon", "1e-3"),
+         "stick breaking needs a fixed_count truncation, got epsilon_rule"),
         ({"process": "extended_dp", "params": {"concentration": 3, "n": 2000}}, ("--epsilon", "1e-3"),
-         "sample --process extended_dp takes no --epsilon: its size is not a truncation"),
+         "extended_dp takes no truncation: its level n is an approximation, not a truncation"),
+        ({"process": "pdp_stick", "params": {**STICKS, "sticks": 20}, "truncation": {"mode": "fixed_count", "n": 5}},
+         (), "unknown pdp_stick params fields: ['sticks']"),
+        ({"process": "extended_dp", "params": {"concentration": 3, "n": 50},
+          "truncation": {"mode": "epsilon_rule", "epsilon": 1e-3}}, (),
+         "extended_dp takes no truncation: its level n is an approximation, not a truncation"),
     ], ids=["extended_dp_n_over_config", "pdp_stick_n_over_config", "n_and_sticks", "pdp_stick_epsilon",
-            "extended_dp_epsilon"])
+            "extended_dp_epsilon", "config_sticks_and_truncation", "config_extended_dp_truncation"])
     def test_n_sets_the_level_and_the_stick_count(self, config, flags, outcome, tmp_path, capsys):
-        # the config's size once won over --n, --n lost to --sticks, and --epsilon was ignored without a word
+        # --n is the extended DP's level and every other process's fixed count; a stick count in params, or a
+        # truncation for the extended DP, was once dropped without a word
         args = ["sample", *flags, "--seed", "7"]
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -324,8 +331,15 @@ class TestSample:
         if isinstance(outcome, str):
             assert (code, out, err) == (1, "", f"error: {outcome}\n")
         else:
-            params = json.loads(out)["provenance"]["params"]
-            assert code == 0 and {key: params[key] for key in outcome} == outcome
+            provenance = json.loads(out)["provenance"]
+            size = provenance["truncation"] or provenance["params"]  # the fixed count, or the extended DP's level
+            assert code == 0 and {key: size[key] for key in outcome} == outcome
+
+    def test_sticks_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["sample", "--process", "pdp_stick", "--alpha", "0.5", "--theta", "2", "--sticks", "5"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: --sticks 5\n")
 
 
 class TestKsTable:

@@ -273,13 +273,14 @@ class TestSamplerLaw:
     Combinatorial Stochastic Processes, 2006)."""
 
     REPS = 400
+    STICKS = {"pdp_stick": TruncationPolicy.fixed(3000)}  # stick breaking has no default truncation
 
     @pytest.mark.parametrize("process, params, truncation, alpha, theta", [
         ("dirichlet", {"theta": 3.0}, TruncationPolicy.fixed(400), 0.0, 3.0),
-        ("pdp_stick", {"alpha": 0.0, "theta": 3.0, "sticks": 3000}, None, 0.0, 3.0),
+        ("pdp_stick", {"alpha": 0.0, "theta": 3.0}, TruncationPolicy.fixed(3000), 0.0, 3.0),
         ("extended_dp", {"concentration": 3.0, "n": 2000}, None, 0.0, 3.0),
         ("pdp_series", {"alpha": 0.5, "theta": 2.0}, TruncationPolicy.epsilon_rule(1e-7, hard_cap=50_000), 0.5, 2.0),
-        ("pdp_stick", {"alpha": 0.5, "theta": 2.0, "sticks": 3000}, None, 0.5, 2.0),
+        ("pdp_stick", {"alpha": 0.5, "theta": 2.0}, TruncationPolicy.fixed(3000), 0.5, 2.0),
     ], ids=["dirichlet", "dp_sticks", "extended_dp", "pdp_series", "pdp_sticks"])
     def test_mean_sum_of_squared_weights(self, process, params, truncation, alpha, theta):
         family = experiments._family(process, params, truncation)
@@ -340,13 +341,14 @@ class TestSamplerLaw:
 
     @pytest.mark.parametrize("process, params, alpha, theta", [
         ("dirichlet", {"theta": 3.0}, 0.0, 3.0),
-        ("pdp_stick", {"alpha": 0.5, "theta": 2.0, "sticks": 3000}, 0.5, 2.0),
+        ("pdp_stick", {"alpha": 0.5, "theta": 2.0}, 0.5, 2.0),
         ("pdp_series", {"alpha": 0.25, "theta": 1.0}, 0.25, 1.0),
         ("pdp_series", {"alpha": 0.5, "theta": 2.0}, 0.5, 2.0),
     ], ids=["dirichlet", "pdp_sticks", "pdp_series_0.25_1", "pdp_series_0.5_2"])
     def test_mean_distinct_count(self, process, params, alpha, theta, monkeypatch):
         """clustering_growth's own K_n at its default truncations (DP at 3,000 points, the series under the
-        epsilon rule) against E K_n = (theta/alpha)[(theta+alpha)_n/(theta)_n - 1] (Pitman, 2006)."""
+        epsilon rule; sticks, which have none, at 3,000) against E K_n = (theta/alpha)[(theta+alpha)_n/(theta)_n - 1]
+        (Pitman, 2006)."""
         counts, count = [], experiments.row_distinct_count
 
         def recorded(*args):
@@ -355,7 +357,7 @@ class TestSamplerLaw:
 
         monkeypatch.setattr(experiments, "row_distinct_count", recorded)
         n_grid, reps = [100, 1000], 200
-        diag = clustering_growth(process, params, n_grid, reps, 5)
+        diag = clustering_growth(process, params, n_grid, reps, 5, self.STICKS.get(process))
         for ni, n in enumerate(n_grid):
             k = np.array(counts[ni * reps:(ni + 1) * reps], dtype=float)
             assert k.mean() == diag.kn_means[ni]
@@ -563,16 +565,20 @@ class TestReplicationEngine:
     # three replications past the first epsilon-rule block
     EPS_REPS = experiments._EPSILON_BLOCK + 3
 
-    # the extended DP takes its level n, and stick breaking its stick count, from fixed(N)
+    # stick breaking takes its stick count from fixed(N); the extended DP takes no truncation, its level n = N
     SERIES = [
         ("dirichlet", {"theta": 3.0}),
         ("stable", {"alpha": 0.5}),
         ("pkp", {"r": 3, "tail": {"kind": "gamma", "theta": 2.0}}),
         ("pdp_series", {"alpha": 0.9, "theta": 10.0, "r": 11}),
         ("pdp_series", {"alpha": 0.5, "theta": 2.0}),
-        ("extended_dp", {"concentration": 3.0}),
+        ("extended_dp", {"concentration": 3.0, "n": N}),
         ("pdp_stick", {"alpha": 0.5, "theta": 2.0, "ranked": True}),
     ]
+
+    @classmethod
+    def truncation(cls, process):
+        return None if process == "extended_dp" else TruncationPolicy.fixed(cls.N)
 
     @staticmethod
     def per_draw(spec):
@@ -597,7 +603,7 @@ class TestReplicationEngine:
 
     @pytest.mark.parametrize("process, params", SERIES)
     def test_each_replication_equals_its_own_draw(self, process, params):
-        spec = ExperimentSpec(process, params, self.REPS, TruncationPolicy.fixed(self.N), 61)
+        spec = ExperimentSpec(process, params, self.REPS, self.truncation(process), 61)
         seen, engine_failures = self.batched(spec)
         values, failures = self.per_draw(spec)
         assert failures == engine_failures == []
@@ -606,10 +612,9 @@ class TestReplicationEngine:
         assert run_ks_experiment(spec).mean_distance == float(np.mean(values))
 
     def test_rows_equal_their_own_draws(self):
-        trunc = TruncationPolicy.fixed(self.N)
         seeds = [(5, i) for i in range(3)]
         for process, params in self.SERIES:
-            record = experiments._family(process, params, trunc)
+            record = experiments._family(process, params, self.truncation(process))
             for seed, row in zip(seeds, experiments._replicate(record, seeds)):
                 assert np.array_equal(row, record.draw([seed])[0])
                 # a seed's measure carries its row's nonzero weights
@@ -976,7 +981,7 @@ class TestClusteringGrowth:
         assert diag.normalizer == "n_pow_alpha"
         assert diag.ratios[0] == pytest.approx(diag.kn_means[0] / math.sqrt(50))
 
-    EPS = TruncationPolicy.epsilon_rule(1e-7, hard_cap=50_000)  # the default for every process but dirichlet
+    EPS = TruncationPolicy.epsilon_rule(1e-7, hard_cap=50_000)  # the default for every series but dirichlet
 
     @pytest.mark.parametrize("process, params, truncation", [
         ("dirichlet", {"theta": 3.0}, TruncationPolicy.fixed(300)),
@@ -984,9 +989,9 @@ class TestClusteringGrowth:
         ("pdp_series", {"alpha": 0.9, "theta": 10.0, "r": 11}, TruncationPolicy.fixed(400)),
         ("stable", {"alpha": 0.5}, TruncationPolicy.fixed(300)),
         ("extended_dp", {"concentration": 3.0, "n": 300}, None),
-        ("pdp_stick", {"alpha": 0.5, "theta": 2.0, "sticks": 300}, None),
-        ("pdp_stick", {"alpha": 0.0, "theta": 0.01, "sticks": 2000}, None),
-        ("pdp_stick", {"alpha": 0.0, "theta": 0.5, "sticks": 2000}, None),
+        ("pdp_stick", {"alpha": 0.5, "theta": 2.0}, TruncationPolicy.fixed(300)),
+        ("pdp_stick", {"alpha": 0.0, "theta": 0.01}, TruncationPolicy.fixed(2000)),
+        ("pdp_stick", {"alpha": 0.0, "theta": 0.5}, TruncationPolicy.fixed(2000)),
         ("pkp", {"r": 2, "tail": {"kind": "gamma", "theta": 3.0}}, TruncationPolicy.fixed(300)),
     ], ids=["dirichlet", "pdp_series_eps", "pdp_series_r11", "stable", "extended_dp", "pdp_stick",
             "pdp_stick_theta0.01_underflow", "pdp_stick_theta0.5_underflow", "pkp_gamma"])
@@ -997,25 +1002,25 @@ class TestClusteringGrowth:
         diag = clustering_growth(process, params, n_grid, reps, seed, truncation)
         assert calls and all(stream != STREAM_ATOMS for _, stream in calls)  # no atoms drawn
         monkeypatch.undo()
-        trunc = truncation or self.EPS
+        trunc = self.EPS if truncation is None and process != "extended_dp" else truncation
         expected = []
         for ni, n in enumerate(n_grid):
             counts = [distinct_count(draw_from_measure(build_measure(process, params, trunc, (seed, ni, rep)), n,
                                                        (seed, ni, rep))) for rep in range(reps)]
             expected.append(sum(counts) / reps)
         assert diag.kn_means == expected
-        if params.get("sticks") == 2000:  # rows with underflowed zeros, which the measures drop
-            assert len(build_measure(process, params, trunc, (seed, 0, 0))) < params["sticks"] + 1
+        if process == "pdp_stick" and trunc.n == 2000:  # rows with underflowed zeros, which the measures drop
+            assert len(build_measure(process, params, trunc, (seed, 0, 0))) < trunc.n + 1
 
     @pytest.mark.parametrize("process, params", [
         ("extended_dp", {"concentration": 3.0, "r": 0, "n": 2000}),
-        ("pdp_stick", {"alpha": 0.0, "theta": 3.0, "sticks": 3000}),
+        ("pdp_stick", {"alpha": 0.0, "theta": 3.0}),
     ])
     def test_index_zero_families_grow_like_the_dirichlet_process(self, process, params):
         """E K_n = sum of theta/(theta+i-1) for i = 1..n, a sum of independent Bernoulli
         indicators, so the exact variance of K_n gives the standard error of the mean."""
         reps, theta = 400, 3.0
-        diag = clustering_growth(process, params, [20, 200], reps, 1)
+        diag = clustering_growth(process, params, [20, 200], reps, 1, TestSamplerLaw.STICKS.get(process))
         assert diag.normalizer == "log_n"
         assert diag.ratios == [k / math.log(n) for k, n in zip(diag.kn_means, diag.n_grid)]
         for n, mean in zip(diag.n_grid, diag.kn_means):
@@ -1024,7 +1029,7 @@ class TestClusteringGrowth:
 
     @pytest.mark.parametrize("process, params, index", [
         ("pkp", {"r": 2, "tail": {"kind": "generalized_gamma", "alpha": 0.3}}, 0.3),
-        ("pdp_stick", {"alpha": 0.4, "theta": 1.0, "sticks": 200}, 0.4),
+        ("pdp_stick", {"alpha": 0.4, "theta": 1.0}, 0.4),
     ])
     def test_power_index_comes_from_the_family(self, process, params, index):
         diag = clustering_growth(process, params, [10, 20], 3, 0, TruncationPolicy.fixed(200))
@@ -1041,11 +1046,12 @@ class TestClusteringGrowth:
         for n_grid in ([0, 10], [-3, 10]):
             with pytest.raises(DomainError, match="at least 1"):
                 clustering_growth("pdp_series", {"alpha": 0.5, "theta": 2.0}, n_grid, 40, 1)
-        for process, params in (("extended_dp", {"concentration": 3.0, "n": 50}),
-                                ("pkp", {"r": 2, "tail": {"kind": "gamma", "theta": 3.0}}),
-                                ("pdp_stick", {"alpha": 0.0, "theta": 3.0, "sticks": 50})):
+        for process, params, truncation in (
+                ("extended_dp", {"concentration": 3.0, "n": 50}, None),
+                ("pkp", {"r": 2, "tail": {"kind": "gamma", "theta": 3.0}}, TruncationPolicy.fixed(50)),
+                ("pdp_stick", {"alpha": 0.0, "theta": 3.0}, TruncationPolicy.fixed(50))):
             with pytest.raises(DomainError, match="log n"):
-                clustering_growth(process, params, [1, 10], 2, 0, TruncationPolicy.fixed(50))
+                clustering_growth(process, params, [1, 10], 2, 0, truncation)
 
     @pytest.mark.parametrize(
         "kwargs", [{"n_grid": [10, 20.7]}, {"replications": 3.9}], ids=["n_grid", "replications"]
@@ -1138,7 +1144,7 @@ def test_integer_arguments_accept_every_integral_form(value):
     assert (fixed.n, fixed.hard_cap, eps.hard_cap) == (400, 400, 400)
     assert gamma_arrivals(1, value).arrivals.size == 400
     sticks = sample_pdp_stick_breaking(0.5, 2.0, UB, value, False, 1)
-    assert sticks.provenance["params"]["sticks"] == 400
+    assert sticks.provenance["truncation"]["n"] == 400
     assert draw_from_measure(sticks, value, 1).size == 400
     row = [{"alpha": 0.5, "theta": 1.0, "r": 2}]
     result = run_ks_table(row, n=value, replications=value, master_seed=1)[0]
@@ -1178,11 +1184,26 @@ class TestBuildMeasure:
 
     @pytest.mark.parametrize("process, params", [
         ("dirichlet", {"theta": 3.0}),
-        ("pdp_stick", {"alpha": 0.5, "theta": 2.0}),  # no sticks, and no truncation to take them from
+        ("pdp_stick", {"alpha": 0.5, "theta": 2.0}),  # sized only by its truncation
     ], ids=["series", "sticks"])
     def test_missing_truncation(self, process, params):
         with pytest.raises(DomainError, match="this process needs a truncation policy"):
             build_measure(process, params, None, 0)
+
+    @pytest.mark.parametrize("process, params, truncation, message", [
+        ("pdp_stick", {"alpha": 0.5, "theta": 1, "sticks": 20}, TruncationPolicy.fixed(5),
+         r"unknown pdp_stick params fields: \['sticks'\]"),
+        ("pdp_stick", {"alpha": 0.5, "theta": 1}, TruncationPolicy.epsilon_rule(1e-3),
+         "stick breaking needs a fixed_count truncation, got epsilon_rule"),
+        ("extended_dp", {"concentration": 3, "n": 50}, TruncationPolicy.epsilon_rule(1e-3),
+         "extended_dp takes no truncation: its level n is an approximation"),
+        ("extended_dp", {"concentration": 3}, TruncationPolicy.fixed(50), "extended_dp takes no truncation"),
+        ("extended_dp", {"concentration": 3}, None, "process 'extended_dp' is missing parameter 'n'"),
+    ], ids=["sticks_in_params", "sticks_by_epsilon", "extended_dp_epsilon", "extended_dp_fixed", "extended_dp_no_n"])
+    def test_a_size_comes_from_one_place(self, process, params, truncation, message):
+        # the first two pairs once drew 21 atoms under fixed(5) and 50 weights under the epsilon rule
+        with pytest.raises(DomainError, match=message):
+            build_measure(process, params, truncation, 0)
 
     def test_series_row_of_one_point_is_degenerate(self):
         trunc = TruncationPolicy.epsilon_rule(1e-6, hard_cap=1)

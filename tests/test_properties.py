@@ -5,7 +5,7 @@ the CLI build it.  The invariants:
 
 * a block's rows equal the seeds' single draws, bit for bit;
 * a fixed-count draw is a prefix of the epsilon-rule draw of its seed, for
-  every tail and both sampling paths;
+  every tail and both sampling paths, and n sticks are a prefix of more;
 * every row is finite and non-negative and its exact sum is within 1e-12 of 1, the
   ``DiscreteMeasure`` tolerance;
 * every exception is an ``NbpError``, and no warning is raised.
@@ -42,8 +42,9 @@ THETA_EXTREME = st.one_of(log_uniform(-300, -6), log_uniform(5, 300))
 
 ORDERS = st.one_of(st.integers(0, 30), st.floats(0.01, 30.0))
 SEEDS = st.tuples(st.integers(0, 2**32), st.integers(0, 50))
+FIXED_COUNTS = st.integers(1, 600).map(TruncationPolicy.fixed)
 TRUNCATIONS = st.one_of(
-    st.integers(1, 600).map(TruncationPolicy.fixed),
+    FIXED_COUNTS,
     st.builds(TruncationPolicy.epsilon_rule, log_uniform(-9, np.log10(0.5)), st.integers(1, 4096)),
 )
 
@@ -57,24 +58,26 @@ def tails(alpha, theta):
 
 
 def specs(alpha, theta):
-    """(process, params) pairs for every process ``_family`` reads."""
+    """(process, params, truncation) triples for every process ``_family`` reads: a series takes either
+    truncation, stick breaking a fixed count (its stick count) and the extended DP none (its level n is a
+    parameter)."""
+
+    def series(process, params):
+        return st.tuples(st.just(process), params, TRUNCATIONS)
+
     return st.one_of(
-        st.fixed_dictionaries({"theta": theta}).map(lambda p: ("dirichlet", p)),
-        st.fixed_dictionaries({"alpha": alpha}).map(lambda p: ("stable", p)),
-        st.fixed_dictionaries(
-            {"r": ORDERS, "tail": tails(alpha, theta).map(LevyTail.to_dict)},
-            optional={"randomized": st.booleans()},
-        ).map(lambda p: ("pkp", p)),
-        st.fixed_dictionaries({"alpha": alpha, "theta": theta}).map(lambda p: ("pdp_series", p)),
-        st.fixed_dictionaries({"alpha": alpha, "theta": theta, "r": st.integers(0, 30)}).map(
-            lambda p: ("pdp_series", p)
-        ),
-        st.fixed_dictionaries(
-            {"alpha": alpha, "theta": theta, "ranked": st.booleans()}, optional={"sticks": st.integers(1, 600)}
-        ).map(lambda p: ("pdp_stick", p)),
-        st.fixed_dictionaries(
-            {"concentration": theta, "r": st.integers(0, 5)}, optional={"n": st.integers(1, 600)}
-        ).map(lambda p: ("extended_dp", p)),
+        series("dirichlet", st.fixed_dictionaries({"theta": theta})),
+        series("stable", st.fixed_dictionaries({"alpha": alpha})),
+        series("pkp", st.fixed_dictionaries(
+            {"r": ORDERS, "tail": tails(alpha, theta).map(LevyTail.to_dict)}, optional={"randomized": st.booleans()}
+        )),
+        series("pdp_series", st.fixed_dictionaries({"alpha": alpha, "theta": theta})),
+        series("pdp_series", st.fixed_dictionaries({"alpha": alpha, "theta": theta, "r": st.integers(0, 30)})),
+        st.tuples(st.just("pdp_stick"),
+                  st.fixed_dictionaries({"alpha": alpha, "theta": theta, "ranked": st.booleans()}), FIXED_COUNTS),
+        st.tuples(st.just("extended_dp"),
+                  st.fixed_dictionaries({"concentration": theta, "r": st.integers(0, 5), "n": st.integers(1, 600)}),
+                  st.none()),
     )
 
 
@@ -86,8 +89,8 @@ def draw(family, seeds):
         return exc
 
 
-def check_block_against_singles(spec, truncation, seeds):
-    process, params = spec
+def check_block_against_singles(spec, seeds):
+    process, params, truncation = spec
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -134,17 +137,16 @@ def check_prefix(r, tail, randomized, n, epsilon, hard_cap, seed):
 
 
 @settings(SETTINGS, max_examples=400)
-@given(spec=specs(ALPHA_ORDINARY, THETA_ORDINARY), truncation=TRUNCATIONS,
-       seeds=st.lists(SEEDS, min_size=1, max_size=3, unique=True))
-def test_ordinary_parameters_keep_the_contract(spec, truncation, seeds):
-    check_block_against_singles(spec, truncation, seeds)
+@given(spec=specs(ALPHA_ORDINARY, THETA_ORDINARY), seeds=st.lists(SEEDS, min_size=1, max_size=3, unique=True))
+def test_ordinary_parameters_keep_the_contract(spec, seeds):
+    check_block_against_singles(spec, seeds)
 
 
 @settings(SETTINGS, max_examples=400)
 @given(spec=specs(st.one_of(ALPHA_ORDINARY, ALPHA_EXTREME), st.one_of(THETA_ORDINARY, THETA_EXTREME)),
-       truncation=TRUNCATIONS, seeds=st.lists(SEEDS, min_size=1, max_size=3, unique=True))
-def test_extreme_parameters_keep_the_contract(spec, truncation, seeds):
-    check_block_against_singles(spec, truncation, seeds)
+       seeds=st.lists(SEEDS, min_size=1, max_size=3, unique=True))
+def test_extreme_parameters_keep_the_contract(spec, seeds):
+    check_block_against_singles(spec, seeds)
 
 
 @settings(SETTINGS, max_examples=300)
@@ -154,3 +156,21 @@ def test_extreme_parameters_keep_the_contract(spec, truncation, seeds):
        seed=SEEDS)
 def test_fixed_count_draw_is_a_prefix_of_the_epsilon_rule_draw(r, randomized, tail, n, epsilon, hard_cap, seed):
     check_prefix(r, tail, randomized, n, epsilon, hard_cap, seed)
+
+
+def check_stick_prefix(alpha, theta, n, extra, seed):
+    """The n-stick row's first n weights are the (n + extra)-stick row's within 1e-13 relative: the Beta
+    fractions are a prefix, and only the rounding of each row's normalizing sum differs."""
+    params = {"alpha": alpha, "theta": theta}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        short, long = (experiments._family("pdp_stick", params, TruncationPolicy.fixed(sticks)).draw([seed])[0]
+                       for sticks in (n, n + extra))
+    assert np.all(np.abs(short[:n] - long[:n]) <= 1e-13 * long[:n])
+
+
+@settings(SETTINGS, max_examples=200)
+@given(alpha=st.one_of(st.just(0.0), ALPHA_ORDINARY, ALPHA_EXTREME), theta=st.one_of(THETA_ORDINARY, THETA_EXTREME),
+       n=st.integers(1, 600), extra=st.integers(1, 2400), seed=SEEDS)
+def test_fewer_sticks_draw_a_prefix_of_more_sticks(alpha, theta, n, extra, seed):
+    check_stick_prefix(alpha, theta, n, extra, seed)

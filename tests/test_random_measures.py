@@ -208,6 +208,22 @@ class TestSamplePkp:
         assert prov["seed"] == [5]
         assert prov["stopped_by"] == "fixed_count"
 
+    @pytest.mark.parametrize("record", [
+        random_measures.SeriesProcess.dirichlet(3.0, TruncationPolicy.fixed(10)),
+        random_measures.SeriesProcess.pkp(2, LevyTail.gamma(1.0), TruncationPolicy.fixed(10)),
+    ], ids=["dirichlet", "pkp"])
+    def test_a_measure_owns_its_provenance(self, record):
+        # the record's params were once the dict in every measure's provenance, pkp's nested tail included
+        params = json.loads(json.dumps(record.params))
+        first = record.measure(UB, 1)
+        for edited in (first, first.ranked()):
+            edited.provenance["params"]["theta" if "theta" in params else "r"] = 99.0
+            if "tail" in params:
+                edited.provenance["params"]["tail"]["theta"] = 99.0
+        assert record.params == params
+        assert record.measure(UB, 2).provenance["params"] == params
+        assert first.ranked().provenance["params"] == first.provenance["params"] != params
+
 
 class TestTypedErrors:
     """Bad input to a constructor raises a DomainError before any sampling."""
@@ -461,9 +477,29 @@ class TestStickBreaking:
     def test_sticks_past_the_arrival_bound_is_a_resource_limit(self):
         # a row holds sticks + 1 weights, so the bound is checked before any sampling
         with pytest.raises(ResourceLimitError) as info:
-            random_measures.StickBreaking(0.5, 2.0, MAX_ARRIVALS)
+            random_measures.StickBreaking(0.5, 2.0, TruncationPolicy.fixed(MAX_ARRIVALS, hard_cap=MAX_ARRIVALS))
         assert str(info.value) == f"count {MAX_ARRIVALS + 1} exceeds the hard bound {MAX_ARRIVALS}"
-        assert random_measures.StickBreaking(0.5, 2.0, MAX_ARRIVALS - 1).width == MAX_ARRIVALS
+        fixed = TruncationPolicy.fixed(MAX_ARRIVALS - 1, hard_cap=MAX_ARRIVALS - 1)
+        assert random_measures.StickBreaking(0.5, 2.0, fixed).width == MAX_ARRIVALS
+
+    def test_sticks_past_the_hard_cap_is_a_resource_limit(self):
+        # as a series' fixed count: the cap bounds the sticks, and the closure atom rides along
+        with pytest.raises(ResourceLimitError, match=r"^fixed_count would break 51 sticks, above hard_cap=50$"):
+            random_measures.StickBreaking(0.5, 2.0, TruncationPolicy.fixed(51, hard_cap=50))
+        with pytest.raises(ResourceLimitError, match="above hard_cap=1000000"):
+            sample_pdp_stick_breaking(0.5, 2.0, UB, 1_000_001, False, 1)
+        assert random_measures.StickBreaking(0.5, 2.0, TruncationPolicy.fixed(50, hard_cap=50)).width == 51
+
+    def test_epsilon_rule_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="^stick breaking needs a fixed_count truncation, got epsilon_rule$"):
+            random_measures.StickBreaking(0.5, 2.0, TruncationPolicy.epsilon_rule(1e-6))
+
+    def test_measure_records_its_truncation(self):
+        trunc = TruncationPolicy.fixed(20)
+        m = random_measures.StickBreaking(0.5, 2.0, trunc, ranked=True).measure(UB, 3)
+        assert m.provenance["params"] == {"alpha": 0.5, "theta": 2.0, "ranked": True}
+        assert m.provenance["truncation"] == trunc.to_dict()
+        assert sample_pdp_stick_breaking(0.5, 2.0, UB, 20, True, 3).to_json() == m.to_json()
 
     def test_residual_closure(self):
         m = sample_pdp_stick_breaking(0.3, 2.0, UB, 5, False, 7)

@@ -73,7 +73,7 @@ class TestGeneratorPool:
         ("pdp_series", {"alpha": 0.5, "theta": 2.0}, TruncationPolicy.epsilon_rule(1e-6)),  # arrivals and mixing
         ("pkp", {"r": 3, "tail": {"kind": "gamma", "theta": 2.0}}, TruncationPolicy.fixed(60)),
         ("extended_dp", {"concentration": 3.0, "n": 60}, None),
-        ("pdp_stick", {"alpha": 0.5, "theta": 2.0, "sticks": 60}, None),
+        ("pdp_stick", {"alpha": 0.5, "theta": 2.0}, TruncationPolicy.fixed(60)),
     ])
     def test_every_spawn_site_releases_its_generator(self, process, params, truncation, monkeypatch):
         monkeypatch.setattr(_rng, "_FREE", [])
@@ -106,7 +106,7 @@ class TestGeneratorPool:
         records = [
             experiments._family("pdp_series", {"alpha": 0.5, "theta": 2.0}, TruncationPolicy.epsilon_rule(1e-6)),
             experiments._family("pkp", {"r": 3, "tail": {"kind": "gamma", "theta": 2.0}}, TruncationPolicy.fixed(60)),
-            experiments._family("pdp_stick", {"alpha": 0.5, "theta": 2.0, "sticks": 60}, None),
+            experiments._family("pdp_stick", {"alpha": 0.5, "theta": 2.0}, TruncationPolicy.fixed(60)),
             experiments._family("stable", {"alpha": 0.5}, TruncationPolicy.epsilon_rule(1e-6)),
         ]
 

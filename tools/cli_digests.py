@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
 """Fingerprint a fixed list of ``nbpriors`` command lines.
 
-    python3 tools/cli_digests.py [--root PATH]
+    python3 tools/cli_digests.py [--root PATH] > tools/cli_digests.txt
 
 Runs each invocation in ``INVOCATIONS`` as ``python -m nbpriors`` with
-``PYTHONPATH=<root>/src`` and the checkout root as working directory, and
-prints one line per invocation: the sha256 of its stdout, stderr and exit
-code, then its argv.  ``--root`` defaults to the checkout that holds this
-file.  To check that a change leaves the output bytes alone, run it on
-both checkouts (for example a ``git archive`` copy of the parent) and
-diff the two outputs.
+``PYTHONPATH=<root>/src``, ``COLUMNS=80`` (argparse wraps its usage text
+to it) and the checkout root as working directory, and prints the Python,
+numpy and scipy versions as ``#`` lines, then one line per invocation:
+the sha256 of its stdout, stderr and exit code, then its argv.  ``--root``
+defaults to the checkout that holds this file.  To check that a change
+leaves the output bytes alone, run it on both checkouts (for example a
+``git archive`` copy of the parent) and diff the two outputs.  The
+committed ``cli_digests.txt`` is that output for this checkout, and
+``tests/test_cli_digests.py`` recomputes it in process under the same
+library versions.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -35,15 +40,15 @@ SAMPLE = [
     "sample --process extended_dp --theta 3 --n 2000 --seed 7",
     "sample --process extended_dp --theta 3 --r 2 --n 50 --seed 2",
     "sample --process extended_dp --theta 3 --r 2 --n 50 --seed 5",
-    "sample --process pdp_stick --alpha 0.5 --theta 2 --sticks 500 --seed 8",
-    "sample --process pdp_stick --alpha 0.5 --theta 2 --sticks 500 --ranked --output csv --seed 8",
-    "sample --process pdp_stick --alpha 0 --theta 0.01 --sticks 2000 --ranked --seed 9",
+    "sample --process pdp_stick --alpha 0.5 --theta 2 --n 500 --seed 8",
+    "sample --process pdp_stick --alpha 0.5 --theta 2 --n 500 --ranked --output csv --seed 8",
+    "sample --process pdp_stick --alpha 0 --theta 0.01 --n 2000 --ranked --seed 9",
     # error cases
     "sample --process nope",
     "sample --process dirichlet --n 10",
     "sample --process dirichlet --theta 3",
     "sample --process stable --n 10",
-    "sample --process pdp_stick --alpha 1.5 --theta 2 --sticks 10",
+    "sample --process pdp_stick --alpha 1.5 --theta 2 --n 10",
     "sample --process extended_dp --theta 3 --r 1 --n 50 --seed 0",  # levels past L_n's finite mass weigh zero
     "sample --process extended_dp --theta 3 --r 1 --n 50 --seed 32",  # fewer than two levels below 1
     "sample --process pdp_series --alpha 0.5 --theta 2 --r 10 --n 10 --seed 1",  # degenerate truncation
@@ -66,16 +71,29 @@ INVOCATIONS = [
 ]
 
 
+def versions() -> list[str]:
+    """The header lines of a digest list: the library versions its output bytes hold for."""
+    import numpy
+    import scipy
+
+    return [f"# python {platform.python_version()}", f"# numpy {numpy.__version__}", f"# scipy {scipy.__version__}"]
+
+
+def fingerprint(stdout: bytes, stderr: bytes, code: int) -> str:
+    """sha256 over an invocation's stdout, stderr and exit code."""
+    h = hashlib.sha256()
+    for part in (stdout, b"\0", stderr, b"\0", str(code).encode()):
+        h.update(part)
+    return h.hexdigest()
+
+
 def digest(root: Path, argv: list[str]) -> str:
-    """sha256 over the invocation's stdout, stderr and exit code."""
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    """The fingerprint of one invocation, run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), COLUMNS="80")
     proc = subprocess.run(
         [sys.executable, "-m", "nbpriors", *argv], cwd=root, env=env, capture_output=True, check=False
     )
-    h = hashlib.sha256()
-    for part in (proc.stdout, b"\0", proc.stderr, b"\0", str(proc.returncode).encode()):
-        h.update(part)
-    return h.hexdigest()
+    return fingerprint(proc.stdout, proc.stderr, proc.returncode)
 
 
 def main(argv=None) -> int:
@@ -83,6 +101,7 @@ def main(argv=None) -> int:
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="checkout whose src/ is run (default: the one holding this file)")
     root = parser.parse_args(argv).root.resolve()
+    print(*versions(), sep="\n")
     for line in INVOCATIONS:
         print(digest(root, line.split()), line, flush=True)
     return 0
