@@ -492,7 +492,7 @@ def clustering_growth(
         raise DomainError("n_grid must name at least one sample size")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise DomainError("n_grid must be strictly increasing")
-    if truncation is None and process != "extended_dp":  # the process name picks only the default truncation
+    if truncation is None and process not in ("extended_dp", "pdp_stick"):  # only a series has a default truncation
         eps = TruncationPolicy.epsilon_rule(1e-7, hard_cap=50_000)
         truncation = TruncationPolicy.fixed(3000) if process == "dirichlet" else eps
     family = _family(process, params, truncation)

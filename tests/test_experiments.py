@@ -1053,6 +1053,11 @@ class TestClusteringGrowth:
             with pytest.raises(DomainError, match="log n"):
                 clustering_growth(process, params, [1, 10], 2, 0, truncation)
 
+    def test_stick_breaking_has_no_default_truncation(self):
+        # the series' epsilon-rule default is no stick count, and an error naming it would name a rule never given
+        with pytest.raises(DomainError, match="^this process needs a truncation policy$"):
+            clustering_growth("pdp_stick", {"alpha": 0.5, "theta": 2.0}, [10, 100], 2, 1)
+
     @pytest.mark.parametrize(
         "kwargs", [{"n_grid": [10, 20.7]}, {"replications": 3.9}], ids=["n_grid", "replications"]
     )
