@@ -22,20 +22,25 @@ extended DP and the stick-breaking fractions all draw from it.
 stable tail is one round, every other draw takes rounds of ``_CHUNK``
 levels.  The generalized-gamma tail inverts only its levels below L(u),
 u = x* = ``_TEMPER_SPLIT``, or u = L^{-1}(1) on the integer path, whose
-levels start at 1 > L(x*).  Past L(u) it tempers the closed-form stable
-series (Rosiński, Stoch. Proc. Appl. 117, 2007): ν_GG(dx) = e^{-x} ν_S(dx)
-with ν_S of tail L_S(x) = x^{-alpha}/Γ(1-alpha), and by memorylessness the
-levels y past L(u) continue as stable candidates L_S^{-1}(L_S(u) + y - L(u))
-on (0, u), each kept with probability e^{-x} against a uniform drawn from
-the arrival generator after its round's arrivals: the kept points are the
-generalized-gamma points below u, in decreasing order.  A seed's sequence is
-bit-identical to drawing it alone, under either truncation, and a
-fixed-count draw is a prefix of the epsilon-rule draw, since both draw the
-same rounds; ``sample_nbp_points`` is that sampler with one seed.
+levels start at 1 > L(x*); L(u) is solved once per (tail, path) in a
+process.  Past L(u) it tempers the closed-form stable series (Rosiński,
+Stoch. Proc. Appl. 117, 2007): ν_GG(dx) = e^{-x} ν_S(dx) with ν_S of tail
+L_S(x) = x^{-alpha}/Γ(1-alpha), and by memorylessness the levels y past
+L(u) continue as stable candidates L_S^{-1}(L_S(u) + y - L(u)) on (0, u),
+each kept with probability e^{-x} against a uniform drawn from the arrival
+generator after its round's arrivals: the kept points are the
+generalized-gamma points below u, in decreasing order.  A round's
+exponentials are drawn whole, but a fixed count thins only the candidates
+it keeps: it draws their uniforms in pieces, which on Philox are one draw,
+and its row closes after the last.  So a seed's sequence is bit-identical
+to drawing it alone, under either truncation, and a fixed-count draw is a
+prefix of the epsilon-rule draw; ``sample_nbp_points`` is that sampler
+with one seed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -356,21 +361,35 @@ class _Row:
         return PointSeries(total, cfg.first_index, stopped_by)
 
 
+@functools.lru_cache(maxsize=128)
+def _split(tail: LevyTail, integer_path: bool) -> tuple[float, float]:
+    """(L(u), ln u) of a generalized-gamma tail, solved once per (tail, path) in a process.  ``integer_path`` says
+    the levels start at 1 > L(x*) (the integer path, r >= 1), so u = L^{-1}(1) < x*; otherwise u = x*."""
+    if integer_path:
+        return 1.0, float(log_tail_inverse(tail, 1.0)[0])
+    return float(np.exp(log_tail_value(tail, _TEMPER_SPLIT)[0])), math.log(_TEMPER_SPLIT)
+
+
 class _Tempered:
-    """A generalized-gamma config's split level L(u) and its thinned stable candidates (see the module docstring)."""
+    """A generalized-gamma config's split level L(u), solved by ``_split``, and its thinned stable candidates."""
 
     def __init__(self, cfg: NbpConfig):
         self.alpha = cfg.tail.alpha
-        if cfg.first_index > 1:  # integer-path levels start at 1 > L(x*), so u = L^{-1}(1) < x*
-            self.level, self.log_u = 1.0, float(log_tail_inverse(cfg.tail, 1.0)[0])
-        else:
-            self.level, self.log_u = float(np.exp(log_tail_value(cfg.tail, _TEMPER_SPLIT)[0])), math.log(_TEMPER_SPLIT)
+        self.level, self.log_u = _split(cfg.tail, cfg.first_index > 1)
         self.scale = math.exp(math.lgamma(1.0 - self.alpha) + self.alpha * self.log_u)  # Γ(1-alpha) u^alpha
 
-    def thin(self, rng: np.random.Generator, levels: np.ndarray) -> np.ndarray:
-        """ln x = ln L_S^{-1}(L_S(u) + y - L(u)) of each level y >= L(u), each x kept with probability e^{-x}."""
-        log_x = self.log_u - np.log1p((levels - self.level) * self.scale) / self.alpha
-        return log_x[rng.random(levels.size) < np.exp(-np.exp(log_x))]
+    def thin(self, rng: np.random.Generator, levels: np.ndarray, need: int) -> list[np.ndarray]:
+        """ln x = ln L_S^{-1}(L_S(u) + y - L(u)) of each level y >= L(u), each x kept with probability e^{-x}, piece
+        by piece: the candidates are evaluated, and their uniforms drawn, in leading pieces of s + s // 4 + 8 for the
+        shortfall s (first ``need``) until ``need`` are kept or the levels run out.  A fixed count passes what its row
+        still needs, the epsilon rule ``levels.size`` (one piece).  Pieces of ``rng.random`` are one draw on Philox."""
+        kept, start, short = [], 0, need
+        while short > 0 and start < levels.size:
+            piece = levels[start:start + short + short // 4 + 8]
+            log_x = self.log_u - np.log1p((piece - self.level) * self.scale) / self.alpha
+            kept.append(log_x[rng.random(piece.size) < np.exp(-np.exp(log_x))])
+            start, short = start + piece.size, short - kept[-1].size
+        return kept
 
 
 # a thinned candidate below the smallest double is an exact zero, and at a subnormal alpha a row's first
@@ -406,8 +425,9 @@ def sample_log_points(cfg: NbpConfig, seeds) -> list[PointSeries]:
         log_flat = log_tail_inverse(cfg.tail, flat) if flat.size else flat
         for i, lv, cut, head, end in zip(live, levels, cuts, heads, np.cumsum([h.size for h in heads]).tolist()):
             log_pts = log_flat[end - head.size:end]
-            if log_pts.size == cut < lv.size:  # the rest are stable candidates
-                log_pts = np.concatenate((log_pts, tempered.thin(rows[i].rng, lv[cut:])))
+            if log_pts.size == cut < lv.size:  # the rest are stable candidates, as many as the row needs
+                need = lv.size - cut if cfg.width is None else cfg.width - sum(map(len, rows[i].chunks)) - cut
+                log_pts = np.concatenate((log_pts, *tempered.thin(rows[i].rng, lv[cut:], need)))
             out[i] = rows[i].take(log_pts, cfg)
         live = [i for i in live if out[i] is None]
     return out

@@ -884,7 +884,7 @@ class TestKsTable:
         assert str(info.value).startswith(f"grid row {row!r}") and message in str(info.value)
 
     def test_grid_row_skips_the_upper_ratio_kernel(self, monkeypatch):
-        """Row (0.9, 100, 111) inverts only its support bound L^{-1}(1), once for its one block of 15
+        """Row (0.9, 100, 111) inverts only its support bound L^{-1}(1), once per process, not per block of
         replications, and inverting the row's levels takes every ln Q from the lower-ratio kernel, at most 4.1
         evaluations per point."""
         elements = {"gammainc": 0, "gammaincc": 0}
@@ -911,9 +911,12 @@ class TestKsTable:
             return inverse(tail, y)
 
         monkeypatch.setattr(point_processes, "log_tail_inverse", counting)
+        point_processes._split.cache_clear()  # earlier draws of the tail solved its split already
         run_ks_table([{"alpha": 0.9, "theta": 100, "r": 111}], n=400, replications=15, master_seed=1)
         assert sum(points) == 1  # every point of the row is a thinned stable candidate
         assert sum(elements.values()) <= 100  # L(x*) and the Newton steps of the one support-bound solve
+        run_ks_table([{"alpha": 0.9, "theta": 100, "r": 111}], n=400, replications=15, master_seed=2)
+        assert sum(points) == 1  # the split of a tail already drawn is not solved again
         # the levels Γ_i / Γ_r, i = r+1 .. n, of the same replications, inverted
         levels = np.concatenate([point_processes._Row(replication_seed(1, i), 111, False).next_levels(400 - 111)
                                  for i in range(15)])

@@ -24,11 +24,11 @@ from nbpriors import (
     tail_inverse,
     tail_support_bound,
 )
-from nbpriors import experiments
+from nbpriors import experiments, point_processes
 from nbpriors.random_measures import SeriesProcess
 from nbpriors._rng import replication_seed, seed_tuple
-from nbpriors.levy_tails import log_tail_value
-from nbpriors.point_processes import (_TEMPER_SPLIT, MAX_ARRIVALS, ArrivalStream, _Row, sample_log_points,
+from nbpriors.levy_tails import log_tail_inverse, log_tail_value
+from nbpriors.point_processes import (_TEMPER_SPLIT, MAX_ARRIVALS, ArrivalStream, _Row, _split, sample_log_points,
                                       write_points_csv)
 from oracles import inverse_series_log_points
 
@@ -483,6 +483,64 @@ class TestTemperedSeries:
         for alpha in np.concatenate(([1e-300, 1e-100, 1e-8, 1e-3], np.linspace(0.01, 0.99, 99), [1.0 - 1e-9])):
             log_level = float(log_tail_value(LevyTail.generalized_gamma(alpha), _TEMPER_SPLIT)[0])
             assert log_level < math.log(0.051), alpha
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_split_is_solved_once_per_tail_and_path(self, alpha):
+        tail = LevyTail.generalized_gamma(alpha)
+        _split.cache_clear()
+        integer, randomized = _split(tail, True), _split(tail, False)
+        assert integer == (1.0, float(log_tail_inverse(tail, 1.0)[0]))
+        assert randomized == (float(np.exp(log_tail_value(tail, _TEMPER_SPLIT)[0])), math.log(_TEMPER_SPLIT))
+        assert integer != randomized
+        assert _split(LevyTail.generalized_gamma(alpha), True) is integer  # an equal tail hits the cache
+        info = _split.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
+        assert info.maxsize is not None  # a sweep over alpha cannot grow it without bound
+
+    @staticmethod
+    def spy_uniforms(monkeypatch) -> list[list[int]]:
+        """The sizes of the uniform draws of each ``_Tempered.thin`` call, one list per call."""
+        calls, thin = [], point_processes._Tempered.thin
+
+        class Spy:
+            def __init__(self, rng):
+                self.rng, self.sizes = rng, []
+                calls.append(self.sizes)
+
+            def random(self, size):
+                self.sizes.append(size)
+                return self.rng.random(size)
+
+        monkeypatch.setattr(point_processes._Tempered, "thin",
+                            lambda self, rng, levels, need: thin(self, Spy(rng), levels, need))
+        return calls
+
+    def test_grid_row_thins_only_the_candidates_it_keeps(self, monkeypatch):
+        # row (0.9, 100, 111) at n = 400 keeps 289 points; every level is a stable candidate of a 1,024-level round
+        calls = self.spy_uniforms(monkeypatch)
+        family = experiments._family("pdp_series", {"alpha": 0.9, "theta": 100, "r": 111}, TruncationPolicy.fixed(400))
+        series = sample_log_points(family, [replication_seed((1, 0), i) for i in range(15)])
+        assert [len(s) for s in series] == [289] * 15
+        assert len(calls) == 15  # one round per row
+        assert all(289 <= sum(sizes) < 1024 for sizes in calls)
+
+    @pytest.mark.parametrize("cfg, rounds, pieces", [
+        # r = 1000 on the randomized path: most candidates lie near u = x* = 1 and are kept with probability
+        # about e^{-1}, so the first piece keeps too few
+        (NbpConfig(1000.0, LevyTail.generalized_gamma(0.5), TruncationPolicy.fixed(300), randomized=True), 1, 2),
+        # n - r = 1,500 points on the integer path: a whole round of 1,024 candidates, then a piece of the next
+        (NbpConfig(3, LevyTail.generalized_gamma(0.5), TruncationPolicy.fixed(1503)), 2, 1),
+    ], ids=["two_pieces", "two_rounds"])
+    @pytest.mark.parametrize("seed", [5, (2, 9)])
+    def test_fixed_count_thinned_in_pieces_is_the_epsilon_rule_prefix(self, monkeypatch, cfg, rounds, pieces, seed):
+        calls = self.spy_uniforms(monkeypatch)
+        (fixed,) = sample_log_points(cfg, [seed])
+        assert len(calls) == rounds and len(calls[-1]) >= pieces and sum(calls[-1]) < 1024
+        assert all(sizes == [1024] for sizes in calls[:-1])  # a round the row outlasts draws every uniform
+        eps = TruncationPolicy.epsilon_rule(1e-300, hard_cap=2048)
+        (rule,) = sample_log_points(NbpConfig(cfg.r, cfg.tail, eps, randomized=cfg.randomized), [seed])
+        assert rule.stopped_by == "hard_cap"
+        assert np.array_equal(fixed.log_points, rule.log_points[:cfg.width])
 
     @pytest.mark.parametrize("theta", [1e8, 1e300])
     @pytest.mark.parametrize("seed", [7, 8, (3, 1)])
