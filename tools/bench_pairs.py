@@ -6,8 +6,8 @@
 ``git archive``s both commits of this repository into a temporary
 directory and runs each copy's own, unmodified ``benchmarks/run.py
 --workload W --seed S --seconds T --trace 0``, once per side for each of
-the seeds S, S + 1, ...: the parent runs first on even pair indices, the
-change on odd ones, so drift in machine speed falls on both sides alike.
+the seeds S, S + 1, ...: the parent runs first in pairs 1, 3, ..., the
+change in pairs 2, 4, ..., so drift in machine speed falls on both sides alike.
 Writes ``BENCH_<label>_<W>_parent.json`` and ``BENCH_<label>_<W>_change.json``
 (into ``--out``, default the current directory): each is the record of
 that side's last run, with ``metadata.git_sha`` and ``metadata.tree`` set,
@@ -91,7 +91,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: checkout(shas[side], Path(tmp) / side) for side in SIDES}
         lines = {side: src_lines(trees[side]) for side in SIDES}
-        better = {m["name"]: m["better"] for m in json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]}
+        declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+        better = {m["name"]: m["better"] for m in declared}
         for i, seed in enumerate(seeds):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                 record = run(trees[side], args.workload, seed, args.seconds)
@@ -114,7 +115,7 @@ def main(argv=None) -> int:
         last["set_of_10"] = {
             "command": f"benchmarks/run.py --workload {args.workload} --seed S --seconds {args.seconds:g} --trace 0",
             "seeds": seeds,
-            "pairs": f"{args.pairs}, alternating which side ran first (parent first on even seeds)",
+            "pairs": f"{args.pairs}, alternating which side ran first (parent first in pairs 1, 3, ...)",
             **{m: spread(values[side][m]) for m in metrics},
             "correct": all(r["correct"] for r in records[side]),
             "failed": sum(r["failed"] for r in records[side]),
