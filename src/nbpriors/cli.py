@@ -39,7 +39,7 @@ from .experiments import (
     weight_profile,
 )
 from .levy_tails import LevyTail
-from .point_processes import TruncationPolicy
+from .point_processes import TruncationPolicy, _split
 from .random_measures import SCHEMA_VERSION, DiscreteMeasure, uniform_base
 
 OUTPUT_DIR_ENV = "NBPRIORS_OUTPUT_DIR"
@@ -429,6 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _split.cache_clear()  # a command solves its split levels afresh, as in a new interpreter
     try:
         return args.func(args)
     except NumericError as exc:

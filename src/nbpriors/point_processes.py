@@ -22,8 +22,8 @@ extended DP and the stick-breaking fractions all draw from it.
 stable tail is one round, every other draw takes rounds of ``_CHUNK``
 levels.  The generalized-gamma tail inverts only its levels below L(u),
 u = x* = ``_TEMPER_SPLIT``, or u = L^{-1}(1) on the integer path, whose
-levels start at 1 > L(x*); L(u) is solved once per (tail, path) in a
-process.  Past L(u) it tempers the closed-form stable series (Rosiński,
+levels start at 1 > L(x*); L(u) is solved once per (tail, path) in a CLI
+command or library process.  Past L(u) it tempers the closed-form stable series (Rosiński,
 Stoch. Proc. Appl. 117, 2007): ν_GG(dx) = e^{-x} ν_S(dx) with ν_S of tail
 L_S(x) = x^{-alpha}/Γ(1-alpha), and by memorylessness the levels y past
 L(u) continue as stable candidates L_S^{-1}(L_S(u) + y - L(u)) on (0, u),
@@ -332,6 +332,9 @@ class _Row:
     def _degenerate(self) -> NumericError:
         return NumericError(f"gamma mixing draw degenerated to {self.divisor} at r={self.r}")
 
+    def shortfall(self, cfg: NbpConfig) -> int | None:  # the points a fixed count still retains, None for epsilon
+        return None if cfg.width is None else cfg.width - sum(map(len, self.chunks))
+
     def take(self, log_pts: np.ndarray, cfg: NbpConfig) -> PointSeries | None:
         """Apply the truncation to the next round's points; the finished series, or None to go on.
 
@@ -339,10 +342,10 @@ class _Row:
         rule, lowered to the first point below epsilon (which is retained) when the cap does not come first.
         A later point's share of an infinite first point is 0, so such a row stops at its second point.
         """
-        trunc, width = cfg.truncation, cfg.width
+        trunc, short = cfg.truncation, self.shortfall(cfg)
         retained = sum(map(len, self.chunks))
-        cap, stopped_by = (trunc.hard_cap, "hard_cap") if width is None else (width, "fixed_count")
-        if width is None:
+        cap, stopped_by = (trunc.hard_cap, "hard_cap") if short is None else (cfg.width, "fixed_count")
+        if short is None:
             if not retained and log_pts.size:  # a thinned round can keep no point
                 self.shift = float(log_pts[0])
             # scaled by the row's first point, so the ratios stay defined when every point underflows
@@ -363,8 +366,8 @@ class _Row:
 
 @functools.lru_cache(maxsize=128)
 def _split(tail: LevyTail, integer_path: bool) -> tuple[float, float]:
-    """(L(u), ln u) of a generalized-gamma tail, solved once per (tail, path) in a process.  ``integer_path`` says
-    the levels start at 1 > L(x*) (the integer path, r >= 1), so u = L^{-1}(1) < x*; otherwise u = x*."""
+    """(L(u), ln u) of a generalized-gamma tail, solved once per (tail, path) until a CLI command empties the memo.
+    ``integer_path``: the levels start at 1 > L(x*) (the integer path, r >= 1), so u = L^{-1}(1) < x*; else u = x*."""
     if integer_path:
         return 1.0, float(log_tail_inverse(tail, 1.0)[0])
     return float(np.exp(log_tail_value(tail, _TEMPER_SPLIT)[0])), math.log(_TEMPER_SPLIT)
@@ -379,10 +382,9 @@ class _Tempered:
         self.scale = math.exp(math.lgamma(1.0 - self.alpha) + self.alpha * self.log_u)  # Γ(1-alpha) u^alpha
 
     def thin(self, rng: np.random.Generator, levels: np.ndarray, need: int) -> list[np.ndarray]:
-        """ln x = ln L_S^{-1}(L_S(u) + y - L(u)) of each level y >= L(u), each x kept with probability e^{-x}, piece
-        by piece: the candidates are evaluated, and their uniforms drawn, in leading pieces of s + s // 4 + 8 for the
-        shortfall s (first ``need``) until ``need`` are kept or the levels run out.  A fixed count passes what its row
-        still needs, the epsilon rule ``levels.size`` (one piece).  Pieces of ``rng.random`` are one draw on Philox."""
+        """ln x = ln L_S^{-1}(L_S(u) + y - L(u)) of each level y >= L(u), each x kept with probability e^{-x}, in
+        leading pieces of s + s // 4 + 8 for the shortfall s (first ``need``: a fixed count's ``_Row.shortfall``, the
+        epsilon rule's ``levels.size``) until ``need`` are kept.  Pieces of ``rng.random`` are one draw on Philox."""
         kept, start, short = [], 0, need
         while short > 0 and start < levels.size:
             piece = levels[start:start + short + short // 4 + 8]
@@ -426,7 +428,7 @@ def sample_log_points(cfg: NbpConfig, seeds) -> list[PointSeries]:
         for i, lv, cut, head, end in zip(live, levels, cuts, heads, np.cumsum([h.size for h in heads]).tolist()):
             log_pts = log_flat[end - head.size:end]
             if log_pts.size == cut < lv.size:  # the rest are stable candidates, as many as the row needs
-                need = lv.size - cut if cfg.width is None else cfg.width - sum(map(len, rows[i].chunks)) - cut
+                need = lv.size - cut if (short := rows[i].shortfall(cfg)) is None else short - cut
                 log_pts = np.concatenate((log_pts, *tempered.thin(rows[i].rng, lv[cut:], need)))
             out[i] = rows[i].take(log_pts, cfg)
         live = [i for i in live if out[i] is None]

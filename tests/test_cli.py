@@ -369,6 +369,15 @@ class TestKsTable:
         assert one.returncode == four.returncode == 0
         assert one.stdout == four.stdout
 
+    def test_each_command_solves_its_split_levels_afresh(self, grid_path, capsys):
+        from nbpriors.point_processes import _split
+
+        for _ in range(2):  # the second command finds the memo empty, as a new interpreter would
+            assert main(["ks-table", "--config", grid_path, "--seed", "42"]) == 0
+            info = _split.cache_info()
+            assert (info.misses, info.hits) == (2, 0)  # two tails, one block each
+        capsys.readouterr()
+
     def test_zero_jobs_is_a_domain_error(self, grid_path):
         res = run_cli("ks-table", "--config", grid_path, "--seed", "42", "--jobs", "0")
         assert res.returncode == 1
