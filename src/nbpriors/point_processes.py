@@ -22,20 +22,20 @@ extended DP and the stick-breaking fractions all draw from it.
 stable tail is one round, every other draw takes rounds of ``_CHUNK``
 levels.  The generalized-gamma tail inverts only its levels below L(u),
 u = x* = ``_TEMPER_SPLIT``, or u = L^{-1}(1) on the integer path, whose
-levels start at 1 > L(x*); L(u) is solved once per (tail, path) in a CLI
-command or library process.  Past L(u) it tempers the closed-form stable series (Rosiński,
-Stoch. Proc. Appl. 117, 2007): ν_GG(dx) = e^{-x} ν_S(dx) with ν_S of tail
-L_S(x) = x^{-alpha}/Γ(1-alpha), and by memorylessness the levels y past
-L(u) continue as stable candidates L_S^{-1}(L_S(u) + y - L(u)) on (0, u),
-each kept with probability e^{-x} against a uniform drawn from the arrival
-generator after its round's arrivals: the kept points are the
-generalized-gamma points below u, in decreasing order.  A round's
-exponentials are drawn whole, but a fixed count thins only the candidates
-it keeps: it draws their uniforms in pieces, which on Philox are one draw,
-and its row closes after the last.  So a seed's sequence is bit-identical
-to drawing it alone, under either truncation, and a fixed-count draw is a
-prefix of the epsilon-rule draw; ``sample_nbp_points`` is that sampler
-with one seed.
+levels start at 1 > L(x*); L(u) is solved once per (tail, path) in a
+CLI command or a library process.  Past L(u) it tempers the closed-form
+stable series (Rosiński, Stoch. Proc. Appl. 117, 2007): ν_GG(dx) =
+e^{-x} ν_S(dx) with ν_S of tail L_S(x) = x^{-alpha}/Γ(1-alpha), and by
+memorylessness the levels y past L(u) continue as stable candidates
+L_S^{-1}(L_S(u) + y - L(u)) on (0, u), each kept with probability e^{-x}
+against a uniform drawn from the arrival generator after its round's
+arrivals: the kept points are the generalized-gamma points below u, in
+decreasing order.  A round's exponentials are drawn whole, but a fixed
+count thins only the candidates it keeps: it draws their uniforms in
+pieces, which on Philox are one draw, and its row closes after the last.
+So a seed's sequence is bit-identical to drawing it alone, under either
+truncation, and a fixed-count draw is a prefix of the epsilon-rule draw;
+``sample_nbp_points`` is that sampler with one seed.
 """
 
 from __future__ import annotations
@@ -46,13 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import (
-    STREAM_ARRIVALS,
-    STREAM_MIXING,
-    release,
-    seed_tuple,
-    spawn_generator,
-)
+from ._rng import STREAM_ARRIVALS, STREAM_MIXING, release, seed_tuple, spawn_generator
 from .errors import (
     MAX_ARRIVALS,  # noqa: F401 - re-exported, so the bound stays importable where the arrivals are drawn
     DegenerateTruncationError,
@@ -342,10 +336,10 @@ class _Row:
         rule, lowered to the first point below epsilon (which is retained) when the cap does not come first.
         A later point's share of an infinite first point is 0, so such a row stops at its second point.
         """
-        trunc, short = cfg.truncation, self.shortfall(cfg)
+        trunc, width = cfg.truncation, cfg.width
         retained = sum(map(len, self.chunks))
-        cap, stopped_by = (trunc.hard_cap, "hard_cap") if short is None else (cfg.width, "fixed_count")
-        if short is None:
+        cap, stopped_by = (trunc.hard_cap, "hard_cap") if width is None else (width, "fixed_count")
+        if width is None:
             if not retained and log_pts.size:  # a thinned round can keep no point
                 self.shift = float(log_pts[0])
             # scaled by the row's first point, so the ratios stay defined when every point underflows
