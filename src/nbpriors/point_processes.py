@@ -17,10 +17,12 @@ The path is a field of the checked ``NbpConfig``, resolved when it is built.
 Every arrival comes from one per-seed row (``_Row``), which owns the
 seed's arrival generator, so ``gamma_arrivals``, the series levels, the
 extended DP and the stick-breaking fractions all draw from it.
-``sample_log_points`` draws a block of seeds in one round loop, one
-``log_tail_inverse`` call per round: a fixed-count draw of the gamma or
-stable tail is one round, every other draw takes rounds of ``_CHUNK``
-levels.  The generalized-gamma tail inverts only its levels below L(u),
+``sample_log_points`` draws a block of seeds in one round loop, each round
+one (live seeds x round size) array of levels and one ``log_tail_inverse``
+call: a fixed-count draw of the gamma or stable tail is one round, every
+other draw takes rounds of ``_CHUNK`` levels.  The epsilon rule scans a
+row's ratios only in a round where it can fire (``_Row.take``).  The
+generalized-gamma tail inverts only its levels below L(u),
 u = x* = ``_TEMPER_SPLIT``, or u = L^{-1}(1) on the integer path, whose
 levels start at 1 > L(x*); L(u) is solved once per (tail, path) in a
 CLI command or a library process.  Past L(u) it tempers the closed-form
@@ -64,6 +66,7 @@ DEFAULT_HARD_CAP = 1_000_000  # retained points of a truncation that names no ha
 
 _CHUNK = 1024  # points per seed per epsilon-rule round; fixed for determinism
 _TEMPER_SPLIT = 1.0  # x*: generalized-gamma points above it are inverted, those below it thinned
+_RATIO_SLACK = 1e-6  # relative margin by which a round's last epsilon-rule ratio clears epsilon to skip the scan
 
 
 @dataclass(frozen=True)
@@ -296,6 +299,7 @@ class _Row:
         self.shift = 0.0
         self.scaled_sum = 0.0
         self.chunks: list[np.ndarray] = []
+        self.retained = 0
 
     def close(self) -> None:
         """Release the arrival generator after the row's last draw."""
@@ -313,6 +317,19 @@ class _Row:
     def next_levels(self, count: int) -> np.ndarray:
         return self.arrivals(count) / self.divisor
 
+    @staticmethod
+    def block_levels(rows: list[_Row], count: int) -> np.ndarray:
+        """The next ``count`` levels of each row as one (rows, count) array, line k equal to ``rows[k].next_levels``."""
+        levels = np.empty((len(rows), count))
+        for row, line in zip(rows, levels):
+            row.rng.standard_exponential(out=line)
+        levels[:, 0] += [row._last for row in rows]
+        np.cumsum(levels, axis=1, out=levels)
+        for row, last in zip(rows, levels[:, -1].tolist()):
+            row._last = last
+        levels /= [[row.divisor] for row in rows]
+        return levels
+
     def head(self, levels: np.ndarray, stop: int) -> np.ndarray:
         """The round's first ``stop`` levels, the ones it inverts.  Level i overflows when the mixing draw is below
         Γ_i / 1.8e308, about 5.7e-306 at the 1024th arrival.  A generalized-gamma row thins its levels past ``stop``
@@ -327,7 +344,7 @@ class _Row:
         return NumericError(f"gamma mixing draw degenerated to {self.divisor} at r={self.r}")
 
     def shortfall(self, cfg: NbpConfig) -> int | None:  # the points a fixed count still retains, None for epsilon
-        return None if cfg.width is None else cfg.width - sum(map(len, self.chunks))
+        return None if cfg.width is None else cfg.width - self.retained
 
     def take(self, log_pts: np.ndarray, cfg: NbpConfig) -> PointSeries | None:
         """Apply the truncation to the next round's points; the finished series, or None to go on.
@@ -335,27 +352,30 @@ class _Row:
         The row stops once it retains ``cap`` points: the fixed count, or the hard cap under the epsilon
         rule, lowered to the first point below epsilon (which is retained) when the cap does not come first.
         A later point's share of an infinite first point is 0, so such a row stops at its second point.
+        A round's ratios x_j / (S + x_1 + ... + x_j) do not increase, so it is scanned only if it is empty, its last
+        ratio is NaN or, on the pairwise sum, misses epsilon by δ = ``_RATIO_SLACK`` (rounding, ulp-level ties).
         """
-        trunc, width = cfg.truncation, cfg.width
-        retained = sum(map(len, self.chunks))
+        trunc, width, retained = cfg.truncation, cfg.width, self.retained
         cap, stopped_by = (trunc.hard_cap, "hard_cap") if width is None else (width, "fixed_count")
         if width is None:
             if not retained and log_pts.size:  # a thinned round can keep no point
                 self.shift = float(log_pts[0])
             # scaled by the row's first point, so the ratios stay defined when every point underflows
             pts = np.exp(log_pts - self.shift)
-            below = np.flatnonzero(pts / (self.scaled_sum + np.cumsum(pts)) < trunc.epsilon)
-            self.scaled_sum += float(np.sum(pts))
+            total, slack = float(pts.sum()), 1.0 + _RATIO_SLACK
             if self.shift == math.inf:
                 cap, stopped_by = 2, "epsilon_rule"
-            elif below.size and retained + int(below[0]) + 1 <= cap:
-                cap, stopped_by = retained + int(below[0]) + 1, "epsilon_rule"
+            elif not (pts.size and pts[-1] / (self.scaled_sum + total * slack) >= trunc.epsilon * slack):
+                below = np.flatnonzero(pts / (self.scaled_sum + np.cumsum(pts)) < trunc.epsilon)
+                if below.size and retained + int(below[0]) + 1 <= cap:
+                    cap, stopped_by = retained + int(below[0]) + 1, "epsilon_rule"
+            self.scaled_sum += total
         self.chunks.append(log_pts)
-        if retained + log_pts.size < cap:
+        self.retained += log_pts.size
+        if self.retained < cap:
             return None
         self.close()
-        total = np.concatenate(self.chunks)[:cap]
-        return PointSeries(total, cfg.first_index, stopped_by)
+        return PointSeries(np.concatenate(self.chunks)[:cap], cfg.first_index, stopped_by)
 
 
 @functools.lru_cache(maxsize=128)
@@ -375,17 +395,23 @@ class _Tempered:
         self.level, self.log_u = _split(cfg.tail, cfg.first_index > 1)
         self.scale = math.exp(math.lgamma(1.0 - self.alpha) + self.alpha * self.log_u)  # Γ(1-alpha) u^alpha
 
-    def thin(self, rng: np.random.Generator, levels: np.ndarray, need: int) -> list[np.ndarray]:
-        """ln x = ln L_S^{-1}(L_S(u) + y - L(u)) of each level y >= L(u), each x kept with probability e^{-x}, in
-        leading pieces of s + s // 4 + 8 for the shortfall s (first ``need``: a fixed count's ``_Row.shortfall``, the
-        epsilon rule's ``levels.size``) until ``need`` are kept.  Pieces of ``rng.random`` are one draw on Philox."""
-        kept, start, short = [], 0, need
-        while short > 0 and start < levels.size:
-            piece = levels[start:start + short + short // 4 + 8]
-            log_x = self.log_u - np.log1p((piece - self.level) * self.scale) / self.alpha
-            kept.append(log_x[rng.random(piece.size) < np.exp(-np.exp(log_x))])
-            start, short = start + piece.size, short - kept[-1].size
-        return kept
+    def thin(self, rows: list[_Row], levels: np.ndarray, cuts: list[int], needs: list[int], kept: list[list]) -> None:
+        """Append to ``kept[k]`` ln x = ln L_S^{-1}(L_S(u) + y - L(u)) of line k's levels y past ``cuts[k]``, each kept
+        with probability e^{-x}, in leading pieces of s + s // 4 + 8 for the shortfall s (first ``needs[k]``) until
+        ``needs[k]`` are kept.  A pass evaluates the columns some piece covers as one array; each row draws uniforms
+        into its piece with its own ``rng.random`` (pieces of which are one draw on Philox), the rest stay 1."""
+        width, starts, shorts = levels.shape[1], list(cuts), list(needs)
+        while act := [k for k, short in enumerate(shorts) if short > 0 and starts[k] < width]:
+            ends = [min(starts[k] + shorts[k] + shorts[k] // 4 + 8, width) for k in act]
+            lo = min([starts[k] for k in act])
+            uniforms = np.ones((len(rows), max(ends) - lo))
+            for k, end in zip(act, ends):
+                rows[k].rng.random(out=uniforms[k, starts[k] - lo:end - lo])
+            log_x = self.log_u - np.log1p((levels[:, lo:lo + uniforms.shape[1]] - self.level) * self.scale) / self.alpha
+            keep = uniforms < np.exp(-np.exp(log_x))
+            for k, end in zip(act, ends):
+                kept[k].append(log_x[k][keep[k]])
+                starts[k], shorts[k] = end, shorts[k] - kept[k][-1].size
 
 
 # a thinned candidate below the smallest double is an exact zero, and at a subnormal alpha a row's first
@@ -395,12 +421,12 @@ class _Tempered:
 def sample_log_points(cfg: NbpConfig, seeds) -> list[PointSeries]:
     """The truncated negative binomial point sequence of each seed, in seed order.
 
-    Each round inverts the next levels Γ_i / divisor of every seed still
-    running with one ``log_tail_inverse`` call (a generalized-gamma row
-    only those below L(u), and thins the rest), then truncates row by row
-    until the fixed count, the epsilon rule or the hard cap stops the seed.
-    The config checked the row shape when it was built, so every series
-    retains at least 2 points.  The inverse solves every point on its own
+    Each round draws the next levels Γ_i / divisor of every seed still
+    running as one array, inverts them with one ``log_tail_inverse`` call (a
+    generalized-gamma row only those below L(u); the rest it thins as one
+    array), then truncates row by row until the fixed count, the epsilon
+    rule or the hard cap stops the seed.  The config checked the row shape
+    when it was built, so every series retains at least 2 points.  The inverse solves every point on its own
     and each row draws from its own generator, so draw i is bit-identical to
     the draw of seed i alone.  The first seed that fails raises.
     """
@@ -413,18 +439,22 @@ def sample_log_points(cfg: NbpConfig, seeds) -> list[PointSeries]:
     out: list[PointSeries | None] = [None] * len(rows)
     live = list(range(len(rows)))
     while live:
-        levels = [rows[i].next_levels(count) for i in live]
+        block = [rows[i] for i in live]
+        levels = _Row.block_levels(block, count)
         # a generalized-gamma row inverts its levels below L(u), as many as a fixed count needs
-        cuts = [lv.size if tempered is None else int(np.searchsorted(lv, tempered.level)) for lv in levels]
-        heads = [rows[i].head(lv, min(cut, cfg.width or cut)) for i, lv, cut in zip(live, levels, cuts)]
-        flat = np.concatenate(heads)
-        log_flat = log_tail_inverse(cfg.tail, flat) if flat.size else flat
-        for i, lv, cut, head, end in zip(live, levels, cuts, heads, np.cumsum([h.size for h in heads]).tolist()):
-            log_pts = log_flat[end - head.size:end]
-            if log_pts.size == cut < lv.size:  # the rest are stable candidates, as many as the row needs
-                need = lv.size - cut if (short := rows[i].shortfall(cfg)) is None else short - cut
-                log_pts = np.concatenate((log_pts, *tempered.thin(rows[i].rng, lv[cut:], need)))
-            out[i] = rows[i].take(log_pts, cfg)
+        cuts = [count] * len(block) if tempered is None else [int(line.searchsorted(tempered.level)) for line in levels]
+        stops = [min(cut, cfg.width or cut) for cut in cuts]
+        pieces = [[] for _ in block]  # a row's inverted levels, then its kept candidates; a headless row thins a piece
+        if any(stops):
+            flat = np.concatenate([row.head(line, stop) for row, line, stop in zip(block, levels, stops)])
+            log_flat = log_tail_inverse(cfg.tail, flat)
+            for piece, stop, end in zip(pieces, stops, np.cumsum(stops).tolist()):
+                piece.append(log_flat[end - stop:end])
+        if tempered is not None:  # the rest are stable candidates, all of them under the epsilon rule (no shortfall)
+            needs = [(row.shortfall(cfg) or count) - cut if stop == cut else 0 for row, cut, stop in zip(block, cuts, stops)]
+            tempered.thin(block, levels, cuts, needs, pieces)
+        for i, row, piece in zip(live, block, pieces):
+            out[i] = row.take(piece[0] if len(piece) == 1 else np.concatenate(piece), cfg)
         live = [i for i in live if out[i] is None]
     return out
 

@@ -438,6 +438,110 @@ class TestTruncation:
         assert (below.stopped_by, below.truncation_warning) == ("hard_cap", True)
         assert np.array_equal(below.log_points, rule.log_points[:-1])
 
+    @staticmethod
+    def fsum_ratios(log_points: np.ndarray) -> list[float]:
+        """x_j / (x_1 + ... + x_j) of the points scaled by the first, each running sum carried as the pair
+        (math.fsum of the sum, math.fsum of its remainder), so it is exact to far below a double's rounding."""
+        ratios, hi, lo = [], 0.0, 0.0
+        for x in np.exp(log_points - log_points[0]).tolist():
+            hi, lo = math.fsum((hi, lo, x)), math.fsum((hi, lo, x, -math.fsum((hi, lo, x))))
+            ratios.append(x / hi)
+        return ratios
+
+    @pytest.mark.parametrize("cfg, seed", [
+        (NbpConfig(3, LevyTail.generalized_gamma(0.5), TruncationPolicy.epsilon_rule(1e-6)), (5, 1)),
+        (NbpConfig(2.5, LevyTail.generalized_gamma(0.5), TruncationPolicy.epsilon_rule(1e-7)), (5, 0)),
+        (NbpConfig(0, LevyTail.gamma(100.0), TruncationPolicy.epsilon_rule(1e-12)), (5, 0)),
+        (NbpConfig(0, LevyTail.stable(0.5), TruncationPolicy.epsilon_rule(1e-7)), (5, 1)),
+        (SeriesProcess.pdp(PdpParams(0.9, 10.0), TruncationPolicy.epsilon_rule(1e-7, hard_cap=3000)), (5, 0)),
+    ], ids=["gg_integer", "gg_randomized", "gamma", "stable", "pd_0.9_10_hard_cap"])
+    def test_epsilon_stop_is_the_rule_on_exact_sums(self, cfg, seed):
+        # over at least three rounds, a round the rule cannot fire in skips its scan; recomputed on exact sums,
+        # no ratio before the stop is below epsilon and the stop's is, unless the hard cap came first
+        (series,) = sample_log_points(cfg, [seed])
+        eps, ratios = cfg.truncation.epsilon, self.fsum_ratios(series.log_points)
+        assert len(series) > 2 * 1024
+        kept = ratios if series.stopped_by == "hard_cap" else ratios[:-1]
+        assert min(kept) >= eps * (1 - 1e-9)
+        if series.stopped_by == "epsilon_rule":
+            assert ratios[-1] < eps * (1 + 1e-9)
+        assert series.stopped_by == ("hard_cap" if isinstance(cfg, SeriesProcess) else "epsilon_rule")
+
+    @staticmethod
+    def full_scan(rounds: list[np.ndarray], eps: float) -> tuple[int | None, float]:
+        """The epsilon rule over hand-built rounds with every ratio scanned, as ``_Row.take`` applies it: the
+        points retained at the stop (None if it does not fire) and the running sum of the scaled points."""
+        shift, scaled_sum, retained = 0.0, 0.0, 0
+        for log_pts in rounds:
+            if not retained and log_pts.size:
+                shift = float(log_pts[0])
+            pts = np.exp(log_pts - shift)
+            below = np.flatnonzero(pts / (scaled_sum + np.cumsum(pts)) < eps)
+            scaled_sum += float(np.sum(pts))
+            if shift == math.inf:
+                return 2, scaled_sum
+            if below.size:
+                return retained + int(below[0]) + 1, scaled_sum
+            retained += log_pts.size
+        return None, scaled_sum
+
+    @staticmethod
+    def take_rounds(rounds: list[np.ndarray], eps: float) -> tuple[int | None, float]:
+        """The same rounds through a row's ``take``."""
+        cfg, row = NbpConfig(0, LevyTail.stable(0.5), TruncationPolicy.epsilon_rule(eps)), _Row(0)
+        for log_pts in rounds:
+            if (series := row.take(log_pts, cfg)) is not None:
+                assert series.stopped_by == "epsilon_rule"
+                return len(series), row.scaled_sum
+        row.close()
+        return None, row.scaled_sum
+
+    @staticmethod
+    def hand_rounds(case: str) -> tuple[list[np.ndarray], float]:
+        """Rounds and an epsilon that put the last ratio of the second round where ``case`` says."""
+        first = np.log([1.0, 0.5, 0.25])
+        second = np.log(np.sort(np.random.default_rng(7).uniform(0.2, 0.25, 1000))[::-1])
+        if case == "tied":
+            second = np.log(np.full(6, 0.1))
+        scaled_sum = float(np.exp(first).sum())
+        pts = np.exp(second)
+        last = pts[-1] / (scaled_sum + np.cumsum(pts)[-1])  # the last ratio as the scan computes it
+        total = float(pts.sum())  # a pairwise sum, which here rounds below the scan's running one
+        return [first, second], {
+            "at_epsilon": float(last),
+            "just_above_last": float(np.nextafter(last, 1.0)),
+            "inside_margin": float(last / (1 + 1e-7)),
+            "on_the_pairwise_sum": float(pts[-1] / (scaled_sum + total)),
+            "clear_of_margin": float(last / (1 + 1e-5)),
+            "tied": float(pts[2] / (scaled_sum + np.cumsum(pts)[2])),
+        }[case]
+
+    @pytest.mark.parametrize("case", ["at_epsilon", "just_above_last", "inside_margin", "on_the_pairwise_sum",
+                                      "clear_of_margin", "tied"])
+    def test_take_stops_where_the_full_scan_does(self, case):
+        rounds, eps = self.hand_rounds(case)
+        assert self.take_rounds(rounds, eps) == self.full_scan(rounds, eps)
+
+    def test_pairwise_sum_rounds_below_the_running_sum(self):
+        # the case on_the_pairwise_sum needs the round's pairwise sum below its running sum, or it tests nothing
+        rounds, eps = self.hand_rounds("on_the_pairwise_sum")
+        pts = np.exp(rounds[1])
+        assert pts.sum() < np.cumsum(pts)[-1]
+        assert self.full_scan(rounds, eps)[0] == 3 + pts.size
+
+    @pytest.mark.parametrize("rounds", [
+        [np.log([1.0, 0.5, 0.25]), np.empty(0), np.log([0.1, 0.05, 1e-9])],
+        [np.empty(0), np.log([1.0, 0.5, 0.25, 1e-9])],
+    ], ids=["empty_later_round", "empty_first_round"])
+    def test_take_on_an_empty_round_is_the_full_scan(self, rounds):
+        assert self.take_rounds(rounds, 1e-6) == self.full_scan(rounds, 1e-6)
+
+    def test_take_on_an_infinite_first_point_is_the_full_scan(self):
+        rounds = [np.array([math.inf, 0.0, -1.0])]
+        with np.errstate(invalid="ignore"):
+            (stop, total), (expected_stop, expected_total) = self.take_rounds(rounds, 1e-6), self.full_scan(rounds, 1e-6)
+        assert stop == expected_stop == 2 and math.isnan(total) and math.isnan(expected_total)
+
 
 class TestTemperedSeries:
     """The generalized-gamma series drawn by thinning stable candidates has the law of the inverted series."""
@@ -499,20 +603,31 @@ class TestTemperedSeries:
 
     @staticmethod
     def spy_uniforms(monkeypatch) -> list[list[int]]:
-        """The sizes of the uniform draws of each ``_Tempered.thin`` call, one list per call."""
-        calls, thin = [], point_processes._Tempered.thin
+        """The sizes of the uniform draws of each row's round that thins, one list per round.  Every arrival
+        generator is wrapped when spawned and unwrapped when released; its next exponentials start a round."""
+        calls, spawn, release = [], point_processes.spawn_generator, point_processes.release
 
         class Spy:
             def __init__(self, rng):
-                self.rng, self.sizes = rng, []
-                calls.append(self.sizes)
+                self.rng, self.sizes = rng, None
 
-            def random(self, size):
-                self.sizes.append(size)
-                return self.rng.random(size)
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
 
-        monkeypatch.setattr(point_processes._Tempered, "thin",
-                            lambda self, rng, levels, need: thin(self, Spy(rng), levels, need))
+            def standard_exponential(self, *args, **kwargs):
+                self.sizes = None  # the round's first uniform draw opens its list
+                return self.rng.standard_exponential(*args, **kwargs)
+
+            def random(self, size=None, out=None):
+                if self.sizes is None:
+                    self.sizes = []
+                    calls.append(self.sizes)
+                self.sizes.append(size if out is None else out.size)
+                return self.rng.random(size, out=out)
+
+        monkeypatch.setattr(point_processes, "spawn_generator", lambda seed, tag: (
+            Spy(spawn(seed, tag)) if tag == point_processes.STREAM_ARRIVALS else spawn(seed, tag)))
+        monkeypatch.setattr(point_processes, "release", lambda rng: release(rng.rng if isinstance(rng, Spy) else rng))
         return calls
 
     def test_grid_row_thins_only_the_candidates_it_keeps(self, monkeypatch):
