@@ -399,7 +399,7 @@ class _Tempered:
         """Append to ``kept[k]`` ln x = ln L_S^{-1}(L_S(u) + y - L(u)) of line k's levels y past ``cuts[k]``, each kept
         with probability e^{-x}, in leading pieces of s + s // 4 + 8 for the shortfall s (first ``needs[k]``) until
         ``needs[k]`` are kept.  A pass evaluates the columns some piece covers as one array; each row draws uniforms
-        into its piece with its own ``rng.random`` (pieces of which are one draw on Philox), the rest stay 1."""
+        into its piece with its own ``rng.random`` (pieces of which are one draw on Philox); 1 elsewhere keeps none."""
         width, starts, shorts = levels.shape[1], list(cuts), list(needs)
         while act := [k for k, short in enumerate(shorts) if short > 0 and starts[k] < width]:
             ends = [min(starts[k] + shorts[k] + shorts[k] // 4 + 8, width) for k in act]
@@ -421,14 +421,14 @@ class _Tempered:
 def sample_log_points(cfg: NbpConfig, seeds) -> list[PointSeries]:
     """The truncated negative binomial point sequence of each seed, in seed order.
 
-    Each round draws the next levels Γ_i / divisor of every seed still
-    running as one array, inverts them with one ``log_tail_inverse`` call (a
-    generalized-gamma row only those below L(u); the rest it thins as one
+    Each round draws the next levels Γ_i / divisor of every live seed as
+    one array and inverts them with one ``log_tail_inverse`` call (a
+    generalized-gamma row only those below L(u); it thins the rest as one
     array), then truncates row by row until the fixed count, the epsilon
     rule or the hard cap stops the seed.  The config checked the row shape
-    when it was built, so every series retains at least 2 points.  The inverse solves every point on its own
-    and each row draws from its own generator, so draw i is bit-identical to
-    the draw of seed i alone.  The first seed that fails raises.
+    when it was built, so every series retains at least 2 points.  Each
+    point is solved on its own and each row draws from its own generator,
+    so draw i is bit-identical to seed i drawn alone; the first failure raises.
     """
     seeds = list(seeds)
     if not seeds:
