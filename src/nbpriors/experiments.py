@@ -57,8 +57,8 @@ PROCESSES = tuple(_PARAM_KEYS)
 
 # Points per batched draw of fixed-count replications: 64 replications of
 # the bundled grid's 400 points.  Longer series take fewer replications per
-# block, so a block's memory stays near max(_BLOCK_POINTS, n) points
-# whatever the replication count.
+# block, so a block's rows hold max(_BLOCK_POINTS, n) points whatever the
+# replication count; a generalized-gamma round still draws 1,024 levels per row.
 _BLOCK_POINTS = 64 * 400
 
 # Seeds per batched draw of epsilon-rule replications.  A round draws the

@@ -15,8 +15,9 @@ r = 0 reduces to the plain Poisson random measure (Γ_0 = 1 convention).
 The path is a field of the checked ``NbpConfig``, resolved when it is built.
 
 Every arrival comes from one per-seed row (``_Row``), which owns the
-seed's arrival generator, so ``gamma_arrivals``, the series levels, the
-extended DP and the stick-breaking fractions all draw from it.
+seed's arrival generator: ``_Row.arrivals`` continues the running sums of
+a block of rows as one array for ``gamma_arrivals`` (a block of one), the
+series levels and the extended DP, and stick breaking draws from it too.
 ``sample_log_points`` draws a block of seeds in one round loop, each round
 one (live seeds x round size) array of levels and one ``log_tail_inverse``
 call: a fixed-count draw of the gamma or stable tail is one round, every
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,8 +146,8 @@ class ArrivalStream:
         arr = np.asarray(self.arrivals, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise DomainError("arrivals must be a nonempty 1-d array")
-        if arr[0] <= 0 or (arr.size > 1 and not np.all(np.diff(arr) > 0)):
-            raise DomainError("arrivals must be strictly increasing and positive")
+        if not (arr[0] > 0 and np.all(np.diff(arr) > 0) and np.isfinite(arr[-1])):
+            raise DomainError("arrivals must be strictly increasing and positive, and finite")
         self.arrivals = arr
 
     def __len__(self):
@@ -159,7 +161,7 @@ def gamma_arrivals(seed, count: int) -> ArrivalStream:
     exponentials from the arrival stream every sampler of the seed uses.
     """
     row = _Row(seed)
-    arrivals = row.arrivals(as_count("count", count))
+    arrivals = _Row.arrivals([row], as_count("count", count))[0]
     row.close()
     return ArrivalStream(arrivals=arrivals, seed=seed_tuple(seed))
 
@@ -260,11 +262,11 @@ class PointSeries:
 
 
 def write_points_csv(points, first_index: int = 1, file=None) -> str | None:
-    """Write (index, value) rows; returns the text when no file is given."""
+    """Write (index, value) rows to ``file``, a path or an open text file; returns the text when no file is given."""
     text = table_text(("index", "value"), ((first_index + j, v) for j, v in enumerate(np.asarray(points, dtype=float))))
     if file is None:
         return text
-    if isinstance(file, (str, bytes)):
+    if isinstance(file, (str, bytes, os.PathLike)):
         with open(file, "w") as fh:
             fh.write(text)
     else:
@@ -277,8 +279,8 @@ class _Row:
 
     The row owns the seed's ``STREAM_ARRIVALS`` generator ``rng``: every draw from the seed's arrival stream
     goes through it, and ``close`` releases it once the row's last draw is done (``take`` does so when the
-    series is finished).  On the integer path the first r arrivals are drawn here and the divisor is Γ_r;
-    the levels continue from Γ_{r+1}.  The defaults, r = 0 on the integer path, give the plain arrivals.
+    series is finished).  On the integer path the divisor Γ_r is drawn here, one ordered sum that starts the
+    running sum ``arrivals`` continues from Γ_{r+1}.  The defaults, r = 0 on the integer path, give the plain arrivals.
     """
 
     def __init__(self, seed, r: float = 0.0, randomized: bool = False):
@@ -294,8 +296,8 @@ class _Row:
                 raise self._degenerate()
         elif r == 0.0:
             self.divisor = 1.0  # Gamma_0 = 1 convention: the plain Poisson random measure
-        else:
-            self.divisor = float(self.arrivals(int(r))[-1])
+        else:  # one ordered sum Γ_r, which the row's arrivals continue
+            self._last = self.divisor = float(np.cumsum(self.rng.standard_exponential(int(r)))[-1])
         self.shift = 0.0
         self.scaled_sum = 0.0
         self.chunks: list[np.ndarray] = []
@@ -306,29 +308,18 @@ class _Row:
         release(self.rng)
         self.rng = None
 
-    def arrivals(self, count: int) -> np.ndarray:
-        """The next ``count`` arrivals: ``count`` more exponentials, continuing the running sum."""
-        incr = self.rng.standard_exponential(count)
-        incr[0] += self._last
-        arrivals = np.cumsum(incr)
-        self._last = float(arrivals[-1])
-        return arrivals
-
-    def next_levels(self, count: int) -> np.ndarray:
-        return self.arrivals(count) / self.divisor
-
     @staticmethod
-    def block_levels(rows: list[_Row], count: int) -> np.ndarray:
-        """The next ``count`` levels of each row as one (rows, count) array, line k equal to ``rows[k].next_levels``."""
-        levels = np.empty((len(rows), count))
-        for row, line in zip(rows, levels):
+    def arrivals(rows: list[_Row], count: int) -> np.ndarray:
+        """The next ``count`` arrivals of each row as one (rows, count) array: line k is ``count`` more exponentials
+        from ``rows[k].rng``, continuing that row's running sum.  A single draw is a block of one."""
+        arrivals = np.empty((len(rows), count))
+        for row, line in zip(rows, arrivals):
             row.rng.standard_exponential(out=line)
-        levels[:, 0] += [row._last for row in rows]
-        np.cumsum(levels, axis=1, out=levels)
-        for row, last in zip(rows, levels[:, -1].tolist()):
+        arrivals[:, 0] += [row._last for row in rows]
+        np.cumsum(arrivals, axis=1, out=arrivals)
+        for row, last in zip(rows, arrivals[:, -1].tolist()):
             row._last = last
-        levels /= [[row.divisor] for row in rows]
-        return levels
+        return arrivals
 
     def head(self, levels: np.ndarray, stop: int) -> np.ndarray:
         """The round's first ``stop`` levels, the ones it inverts.  Level i overflows when the mixing draw is below
@@ -342,9 +333,6 @@ class _Row:
 
     def _degenerate(self) -> NumericError:
         return NumericError(f"gamma mixing draw degenerated to {self.divisor} at r={self.r}")
-
-    def shortfall(self, cfg: NbpConfig) -> int | None:  # the points a fixed count still retains, None for epsilon
-        return None if cfg.width is None else cfg.width - self.retained
 
     def take(self, log_pts: np.ndarray, cfg: NbpConfig) -> PointSeries | None:
         """Apply the truncation to the next round's points; the finished series, or None to go on.
@@ -395,12 +383,12 @@ class _Tempered:
         self.level, self.log_u = _split(cfg.tail, cfg.first_index > 1)
         self.scale = math.exp(math.lgamma(1.0 - self.alpha) + self.alpha * self.log_u)  # Γ(1-alpha) u^alpha
 
-    def thin(self, rows: list[_Row], levels: np.ndarray, cuts: list[int], needs: list[int], kept: list[list]) -> None:
-        """Append to ``kept[k]`` ln x = ln L_S^{-1}(L_S(u) + y - L(u)) of line k's levels y past ``cuts[k]``, each kept
+    def thin(self, rows: list[_Row], levels: np.ndarray, starts: list[int], needs: list[int], kept: list[list]) -> None:
+        """Add to ``kept[k]`` ln x = ln L_S^{-1}(L_S(u) + y - L(u)) of line k's levels y from ``starts[k]``, each kept
         with probability e^{-x}, in leading pieces of s + s // 4 + 8 for the shortfall s (first ``needs[k]``) until
         ``needs[k]`` are kept.  A pass evaluates the columns some piece covers as one array; each row draws uniforms
         into its piece with its own ``rng.random`` (pieces of which are one draw on Philox); 1 elsewhere keeps none."""
-        width, starts, shorts = levels.shape[1], list(cuts), list(needs)
+        width, starts, shorts = levels.shape[1], list(starts), list(needs)
         while act := [k for k, short in enumerate(shorts) if short > 0 and starts[k] < width]:
             ends = [min(starts[k] + shorts[k] + shorts[k] // 4 + 8, width) for k in act]
             lo = min([starts[k] for k in act])
@@ -440,19 +428,20 @@ def sample_log_points(cfg: NbpConfig, seeds) -> list[PointSeries]:
     live = list(range(len(rows)))
     while live:
         block = [rows[i] for i in live]
-        levels = _Row.block_levels(block, count)
-        # a generalized-gamma row inverts its levels below L(u), as many as a fixed count needs
+        levels = _Row.arrivals(block, count)
+        levels /= [[row.divisor] for row in block]
+        # a generalized-gamma row inverts its levels below L(u), at most the points the row still wants
         cuts = [count] * len(block) if tempered is None else [int(line.searchsorted(tempered.level)) for line in levels]
-        stops = [min(cut, cfg.width or cut) for cut in cuts]
+        wants = [count if cfg.width is None else cfg.width - row.retained for row in block]
+        stops = [min(cut, want) for cut, want in zip(cuts, wants)]
         pieces = [[] for _ in block]  # a row's inverted levels, then its kept candidates; a headless row thins a piece
         if any(stops):
             flat = np.concatenate([row.head(line, stop) for row, line, stop in zip(block, levels, stops)])
             log_flat = log_tail_inverse(cfg.tail, flat)
             for piece, stop, end in zip(pieces, stops, np.cumsum(stops).tolist()):
                 piece.append(log_flat[end - stop:end])
-        if tempered is not None:  # the rest are stable candidates, all of them under the epsilon rule (no shortfall)
-            needs = [(row.shortfall(cfg) or count) - cut if stop == cut else 0 for row, cut, stop in zip(block, cuts, stops)]
-            tempered.thin(block, levels, cuts, needs, pieces)
+        if tempered is not None:  # the rest are stable candidates, thinned until the row has the points it wants
+            tempered.thin(block, levels, stops, [want - stop for want, stop in zip(wants, stops)], pieces)
         for i, row, piece in zip(live, block, pieces):
             out[i] = row.take(piece[0] if len(piece) == 1 else np.concatenate(piece), cfg)
         live = [i for i in live if out[i] is None]

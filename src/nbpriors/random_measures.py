@@ -400,21 +400,18 @@ class ExtendedDpParams:
         and normalized by log-sum-exp.  L_n(x) = Γ_{n+1} Q(shape, x) has the finite mass Γ_{n+1}, so a
         level u_i >= 1 (possible for r >= 1) lies past it and its weight is a zero, as is a weight that
         underflows; a seed left with fewer than two nonzero weights raises a DegenerateTruncationError.
-        All seeds' levels below 1 go through one ``gamma_quantile_upper_many`` call, which solves each
-        level on its own, so a row is bit-identical to its seed's draw alone.
+        One ``_Row.arrivals`` array holds the block's arrivals, and one ``gamma_quantile_upper_many`` call
+        solves its levels below 1, each on its own, so a row is bit-identical to its seed's draw alone.
         """
-        n, r = self.n, self.r
-        levels = []
-        for seed in seeds:
-            row = _Row(seed, r, randomized=False)
-            arrivals = row.arrivals(n + 1 - r)  # Γ_{r+1} .. Γ_{n+1}
+        n, rows = self.n, [_Row(seed, self.r) for seed in seeds]
+        arrivals = _Row.arrivals(rows, n + 1 - self.r)  # Γ_{r+1} .. Γ_{n+1} of each seed
+        for row in rows:
             row.close()
-            levels.append(arrivals[:-1] / (row.divisor * arrivals[-1]))
-        u = np.concatenate(levels)
+        u = arrivals[:, :-1] / (np.array([[row.divisor] for row in rows]) * arrivals[:, -1:])
         inside = u < 1.0
-        log_w = np.full(u.size, -np.inf)
+        log_w = np.full(u.shape, -np.inf)
         log_w[inside] = gamma_quantile_upper_many(self.concentration / n, u[inside])
-        return [normalized_weights(w) for w in log_w.reshape(len(seeds), n - r)]
+        return [normalized_weights(w) for w in log_w]
 
     def measure(self, base: BaseMeasure, seed) -> DiscreteMeasure:
         return _assemble(self.draw([seed])[0], base, seed, "extended_dp", asdict(self))

@@ -165,10 +165,10 @@ def inverse_series_log_points(cfg, seed, chunk=1024):
 
     row = _Row(seed, cfg.r, cfg.randomized)
     if cfg.width is not None:
-        return log_tail_inverse(cfg.tail, row.next_levels(cfg.width))
+        return log_tail_inverse(cfg.tail, _Row.arrivals([row], cfg.width)[0] / row.divisor)
     trunc, log_x = cfg.truncation, np.empty(0)
     while True:
-        log_x = np.concatenate((log_x, log_tail_inverse(cfg.tail, row.next_levels(chunk))))
+        log_x = np.concatenate((log_x, log_tail_inverse(cfg.tail, _Row.arrivals([row], chunk)[0] / row.divisor)))
         x = np.exp(log_x - log_x[0])
         below = np.flatnonzero(x / np.cumsum(x) < trunc.epsilon)
         if below.size or log_x.size >= trunc.hard_cap:

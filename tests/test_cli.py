@@ -691,6 +691,26 @@ class TestSelftest:
                     found.append(node.lineno)
             assert not found, f"{path.name} reads a count past errors.as_count on lines {found}"
 
+    def test_arrivals_are_drawn_only_by_the_row(self):
+        # one arrival path: no call outside point_processes._Row.arrivals and _Row.__init__ (which draws Γ_r)
+        # draws standard_exponential, and no spawn_generator call outside _Row.__init__ passes the arrival or
+        # mixing stream tag
+        for path in sorted(Path(PACKAGE_ROOT, "nbpriors").glob("*.py")):
+            tree = ast.parse(path.read_text())
+            methods = {node: fn.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "_Row"
+                       for fn in cls.body if getattr(fn, "name", None) in ("arrivals", "__init__") for node in ast.walk(fn)}
+            found = []
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                called = getattr(node.func, "attr", getattr(node.func, "id", None))
+                tags = {getattr(arg, "id", getattr(arg, "attr", None)) for arg in node.args + [k.value for k in node.keywords]}
+                if called == "standard_exponential" and node not in methods:
+                    found.append(node.lineno)
+                if called == "spawn_generator" and tags & {"STREAM_ARRIVALS", "STREAM_MIXING"} and methods.get(node) != "__init__":
+                    found.append(node.lineno)
+            assert not found, f"{path.name} draws arrivals past point_processes._Row on lines {found}"
+
     def test_provenance_is_written_only_in_assemble(self):
         # one writer of a measure's provenance: outside random_measures._assemble nothing writes the keys
         # "generator_id" or "truncation_warning", and no call passes a flag that is read from the data

@@ -918,8 +918,8 @@ class TestKsTable:
         run_ks_table([{"alpha": 0.9, "theta": 100, "r": 111}], n=400, replications=15, master_seed=2)
         assert sum(points) == 1  # the split of a tail already drawn is not solved again
         # the levels Γ_i / Γ_r, i = r+1 .. n, of the same replications, inverted
-        levels = np.concatenate([point_processes._Row(replication_seed(1, i), 111, False).next_levels(400 - 111)
-                                 for i in range(15)])
+        rows = [point_processes._Row(replication_seed(1, i), 111, False) for i in range(15)]
+        levels = (point_processes._Row.arrivals(rows, 400 - 111) / [[row.divisor] for row in rows]).ravel()
         elements.update(gammainc=0, gammaincc=0)
         inverse(LevyTail.generalized_gamma(0.9), levels)
         assert elements["gammaincc"] == 0

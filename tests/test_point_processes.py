@@ -3,6 +3,7 @@
 import io
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,7 +99,11 @@ class TestGammaArrivals:
     @pytest.mark.parametrize("arrivals, message", [
         ([], "arrivals must be a nonempty 1-d array"),
         ([1.0, 0.5], "arrivals must be strictly increasing and positive"),
-    ], ids=["empty", "decreasing"])
+        ([math.nan], "arrivals must be strictly increasing and positive, and finite"),
+        ([math.inf], "arrivals must be strictly increasing and positive, and finite"),
+        ([1.0, math.inf], "arrivals must be strictly increasing and positive, and finite"),
+        ([1.0, math.nan], "arrivals must be strictly increasing and positive, and finite"),
+    ], ids=["empty", "decreasing", "nan", "inf", "last-inf", "last-nan"])
     def test_stream_checks_its_arrivals(self, arrivals, message):
         with pytest.raises(DomainError, match=message):
             ArrivalStream(np.array(arrivals), (1,))
@@ -266,7 +271,7 @@ class TestMixingDraw:
         row = _Row(0)
         row.divisor = 5e-324  # the arrivals divided by it overflow
         with np.errstate(over="ignore"):
-            levels = row.next_levels(8)
+            levels = _Row.arrivals([row], 8)[0] / row.divisor
         assert row.head(levels, 0).size == 0  # the thinned candidates may overflow
         with pytest.raises(NumericError, match="^gamma mixing draw degenerated to 5e-324"):
             row.head(levels, 8)
@@ -285,7 +290,7 @@ class TestMixingDraw:
             except NumericError:  # an exact-zero mixing draw
                 continue
             with np.errstate(over="ignore"):
-                levels = row.next_levels(1024)
+                levels = _Row.arrivals([row], 1024)[0] / row.divisor
             row.close()
             if math.isfinite(levels[1]) and levels[-1] == math.inf:
                 partial.append((3, i))
@@ -680,11 +685,12 @@ class TestCsvExport:
         assert int(first_index) == 4
         assert float(first_value) == series.points[0]
 
-    def test_write_to_file(self, tmp_path):
+    @pytest.mark.parametrize("as_path", [str, Path])
+    def test_write_to_file(self, tmp_path, as_path):
         cfg = NbpConfig(r=0.0, tail=LevyTail.stable(0.5), truncation=TruncationPolicy.fixed(5))
         series = sample_nbp_points(cfg, 4)
         path = tmp_path / "points.csv"
-        series.to_csv(str(path))
+        series.to_csv(as_path(path))
         assert path.read_text().startswith("index,value\n1,")
 
     def test_write_to_open_file(self):
